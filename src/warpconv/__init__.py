@@ -1,12 +1,12 @@
 """Warped-convolution deformations on the 3D Heisenberg algebra.
 
-Exact symbolic engine (normal ordering, commutators, a probabilistic
-equality oracle), closed-form deformations, induced gauge fields, a preset
-catalog of the physical systems they reproduce, and grid-based spectral
-verification.
+Exact symbolic engine (normal ordering, commutators, equality by a
+canonical normal form), closed-form deformations, induced gauge fields, a
+preset catalog of the physical systems they reproduce, and grid-based
+spectral verification.
 """
 
-from .coords import CoordFunction, sample_point
+from .coords import CoordFunction
 from .deform import (DeformationMatrix, DeformationSpec, QSpec,
                      check_additivity, deform_coordinate, deform_operator,
                      deform_sequence, factorization_check, momentum_shift,

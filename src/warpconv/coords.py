@@ -6,19 +6,21 @@ complex number times a monomial in named constants.  The class is closed
 under pointwise products and partial derivatives, which is everything the
 operator algebra needs.
 
-Powers of r and rho are never rewritten against the polynomial part
-(x2^2 + x3^2 is not collapsed to rho^2); equality questions are settled by
-exact evaluation at random rational points instead.
+Terms are stored as built: powers of r and rho are not rewritten against
+the polynomial part (x2^2 + x3^2 is not collapsed to rho^2), so printing
+and serialization show the structure a computation produced.  Equality is
+decided exactly, inside ``is_zero`` only, by reducing modulo the two rules
+
+    x3^2 -> rho^2 - x2^2,     x1^2 -> r^2 - rho^2,
+
+after which x1 and x3 appear with exponent 0 or 1 and the form is unique.
 """
 
 from __future__ import annotations
 
 import math
-import random
 from fractions import Fraction
 from typing import Iterable, Mapping, Union
-
-import mpmath
 
 from .errors import (NonExactPointError, SingularPointError,
                      UnboundConstantError)
@@ -131,9 +133,6 @@ class CoordFunction:
             out[(a, p, q, mono_mul(m, s.mono))] = c * s.coeff
         return CoordFunction(out)
 
-    def divide_scalar(self, v: SymbolicScalar) -> "CoordFunction":
-        return self.scale(v.inverse())
-
     def conjugate(self) -> "CoordFunction":
         return CoordFunction({k: c.conjugate() for k, c in self.terms.items()})
 
@@ -175,12 +174,6 @@ class CoordFunction:
             names.update(n for n, _ in m)
         return names
 
-    def max_degree_in(self, names: Iterable[str]) -> int:
-        names = set(names)
-        if not self.terms:
-            return 0
-        return max(mono_degree(m, names) for (_, _, _, m) in self.terms)
-
     def drop_degree_at_least(self, names: Iterable[str],
                              cutoff: int = 2) -> "CoordFunction":
         """Drop terms of combined degree >= cutoff in the listed constants."""
@@ -218,28 +211,6 @@ class CoordFunction:
         return CoordFunction(out)
 
     # -- evaluation ----------------------------------------------------
-
-    def _needs(self) -> tuple[int, int]:
-        """Radical depth needed for exact evaluation of r and rho powers.
-
-        0: only squares needed, 1: the radius itself, 2: its square root,
-        3: deeper (not exactly evaluable on rational points).
-        """
-        need_r = need_q = 0
-        for (_, p, q, _) in self.terms:
-            for val, cur in ((p, "r"), (q, "q")):
-                d = val.denominator
-                if d == 1:
-                    lvl = 0 if val.numerator % 2 == 0 else 1
-                elif d == 2:
-                    lvl = 2
-                else:
-                    lvl = 3
-                if cur == "r":
-                    need_r = max(need_r, lvl)
-                else:
-                    need_q = max(need_q, lvl)
-        return need_r, need_q
 
     def evaluate(self, point: tuple[RationalLike, RationalLike, RationalLike],
                  constants: Mapping[str, RationalLike] | None = None) -> QC:
@@ -291,72 +262,44 @@ class CoordFunction:
             total += v
         return total
 
-    def _evaluate_mp(self, point, constants) -> mpmath.mpc:
-        x = [mpmath.mpf(v.numerator) / v.denominator for v in point]
-        r2 = x[0] ** 2 + x[1] ** 2 + x[2] ** 2
-        rho2 = x[1] ** 2 + x[2] ** 2
-        total = mpmath.mpc(0)
-        for (a, p, q, m), c in self.terms.items():
-            v = mpmath.mpc(mpmath.mpf(c.re.numerator) / c.re.denominator,
-                           mpmath.mpf(c.im.numerator) / c.im.denominator)
-            for name, exp in m:
-                cv = Fraction(constants[name])
-                v *= (mpmath.mpf(cv.numerator) / cv.denominator) ** exp
-            for j in range(3):
-                if a[j]:
-                    v *= x[j] ** a[j]
-            if p != 0:
-                v *= r2 ** (mpmath.mpf(p.numerator) / p.denominator / 2)
-            if q != 0:
-                v *= rho2 ** (mpmath.mpf(q.numerator) / q.denominator / 2)
-            total += v
-        return total
+    # -- exact zero test -------------------------------------------------
 
-    # -- probabilistic zero test ---------------------------------------
+    def _reduced(self) -> "CoordFunction":
+        """Canonical form modulo x3^2 = rho^2 - x2^2 and x1^2 = r^2 - rho^2.
 
-    def is_zero(self, seed: int = 0, points: int = 24) -> bool:
-        ok, _ = self.is_zero_detailed(seed=seed, points=points)
-        return ok
-
-    def is_zero_detailed(self, seed: int = 0,
-                         points: int = 24) -> tuple[bool, bool]:
-        """(zero?, exact?) via random rational evaluation.
-
-        Exact arithmetic whenever the radical structure allows it; otherwise
-        high-precision floating point with tolerance 1e-30 and the second
-        flag cleared.
+        Even powers of x3 and x1 are expanded binomially, which leaves x1
+        and x3 with exponent 0 or 1.  The reduced monomials are linearly
+        independent functions: x2, rho and r are algebraically independent
+        (so monomials in them are, for any rational exponents), and the
+        reflections x1 -> -x1 and x3 -> -x3, which fix x2, rho and r,
+        separate the odd x1 and x3 parts.  Two functions are therefore
+        equal exactly when their reduced forms are structurally equal.
         """
-        if not self.terms:
-            return True, True
-        rng = random.Random(seed)
-        names = sorted(self.constants_present())
-        need_r, need_rho = self._needs()
-        exact = not (need_r >= 3 or need_rho >= 3
-                     or (need_r == 2 and need_rho == 2))
-        for _ in range(points):
-            consts = {n: _rand_nonzero(rng) for n in names}
-            if exact:
-                pt = sample_point(rng, need_r, need_rho)
-                if not self.evaluate(pt, consts).is_zero():
-                    return False, True
-            else:
-                pt = sample_point(rng, min(need_r, 1), min(need_rho, 1))
-                with mpmath.workdps(60):
-                    v = self._evaluate_mp(pt, consts)
-                    scale = sum(abs(c.re) + abs(c.im)
-                                for c in self.terms.values())
-                    if abs(v) > mpmath.mpf("1e-30") * (1 + scale):
-                        return False, False
-        return True, exact
+        out: dict[TermKey, QC] = {}
+        for ((a1, a2, a3), p, q, m), c in self.terms.items():
+            k1, e1 = divmod(a1, 2)
+            k3, e3 = divmod(a3, 2)
+            # x3^(2 k3) = sum_i C(k3, i) (-x2^2)^i rho^(2 (k3 - i)), and
+            # x1^(2 k1) = sum_j C(k1, j) (-rho^2)^j r^(2 (k1 - j)).
+            for i in range(k3 + 1):
+                for j in range(k1 + 1):
+                    key = ((e1, a2 + 2 * i, e3), p + 2 * (k1 - j),
+                           q + 2 * (k3 - i + j), m)
+                    w = (-1) ** (i + j) * math.comb(k3, i) * math.comb(k1, j)
+                    out[key] = out.get(key, QC_ZERO) + c.scale(w)
+        return CoordFunction(out)
 
-    def equivalent(self, other: "CoordFunction", seed: int = 0,
-                   points: int = 24) -> bool:
-        return (self - other).is_zero(seed=seed, points=points)
+    def is_zero(self) -> bool:
+        """Exact test for the zero function, by the canonical reduction."""
+        return not self._reduced().terms
+
+    def equivalent(self, other: "CoordFunction") -> bool:
+        return (self - other).is_zero()
 
     # -- presentation ---------------------------------------------------
 
     def sorted_terms(self):
-        return sorted(self.terms.items(), key=lambda kv: _term_sort_key(kv[0]))
+        return sorted(self.terms.items(), key=lambda kv: kv[0])
 
     def __eq__(self, other) -> bool:
         return isinstance(other, CoordFunction) and self.terms == other.terms
@@ -380,11 +323,6 @@ class CoordFunction:
 
     def __repr__(self) -> str:
         return f"CoordFunction({self})"
-
-
-def _term_sort_key(key: TermKey):
-    a, p, q, m = key
-    return (a, p, q, m)
 
 
 def _exp_str(base: str, e: Fraction) -> str:
@@ -456,54 +394,3 @@ def _radical_power(sq: Fraction, exp: Fraction, label: str) -> Fraction:
         return root4 ** int(2 * exp)
     raise NonExactPointError(
         f"exponent {exp} of {label} is not exactly evaluable")
-
-
-# -- random rational points ----------------------------------------------
-
-
-def _rand_nonzero(rng: random.Random) -> Fraction:
-    num = rng.randint(1, 7) * rng.choice((1, -1))
-    return Fraction(num, rng.randint(1, 5))
-
-
-def _rand_fraction(rng: random.Random) -> Fraction:
-    den = rng.randint(1, 7)
-    return Fraction(rng.randint(-10 * den, 10 * den), den)
-
-
-def sample_point(rng: random.Random, need_r: int = 0,
-                 need_rho: int = 0) -> tuple[Fraction, Fraction, Fraction]:
-    """Random rational point with r != 0, rho != 0.
-
-    need_* = 0 requires nothing beyond rationality of the squares, 1 makes
-    the radius itself rational (double Pythagorean point), 2 additionally
-    makes it a perfect square of a rational.  need_r = need_rho = 2 is not
-    jointly achievable off the x1 = 0 plane and is rejected here.
-    """
-    if need_r == 2 and need_rho == 2:
-        raise NonExactPointError(
-            "cannot make both r and rho perfect squares at a generic point")
-    if need_r == 0 and need_rho == 0:
-        while True:
-            pt = (_rand_fraction(rng), _rand_fraction(rng), _rand_fraction(rng))
-            if pt[1] != 0 or pt[2] != 0:
-                return pt
-
-    # Double-Pythagorean construction: rho and r both rational.
-    t = Fraction(rng.randint(1, 6), rng.randint(1, 6))
-    u = Fraction(rng.randint(2, 7), rng.randint(1, 6))
-    rho0 = Fraction(rng.randint(1, 8), rng.randint(1, 4))
-    one = Fraction(1)
-    c2 = 2 * t / (one + t * t)
-    c3 = (one - t * t) / (one + t * t)
-    x2, x3 = rho0 * c2, rho0 * c3
-    x1 = rho0 * (one - u * u) / (2 * u)
-    r = rho0 * (one + u * u) / (2 * u)
-    if need_r == 2:
-        sigma = r * rng.randint(1, 3) ** 2
-    elif need_rho == 2:
-        sigma = rho0 * rng.randint(1, 3) ** 2
-    else:
-        sigma = Fraction(rng.randint(1, 4), rng.randint(1, 4))
-    s1, s2, s3 = (rng.choice((1, -1)) for _ in range(3))
-    return (s1 * sigma * x1, s2 * sigma * x2, s3 * sigma * x3)

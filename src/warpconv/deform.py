@@ -23,8 +23,8 @@ from typing import Sequence
 from .coords import CoordFunction, ScalarLike, _as_scalar
 from .errors import (SingularMatrixError, UnsupportedDegreeError,
                      UnsupportedOperandError)
-from .operators import OperatorExpr, P_ZERO
-from .scalars import QC, SymbolicScalar
+from .operators import OperatorExpr, P_ZERO, require_coordinate_only
+from .scalars import QC, SymbolicScalar, mono_inv
 
 _EPS = ((0, 1, 2), (1, 2, 0), (2, 0, 1))  # even permutations of (0,1,2)
 
@@ -188,7 +188,6 @@ def momentum_shift_via_commutators(spec: DeformationSpec) -> list[CoordFunction]
                 OperatorExpr.momentum(j))
             acc = acc + comm.coord_multiply(bq[k])
         acc = acc.scale(QC(0, Fraction(1)))  # times i
-        from .operators import require_coordinate_only
         out.append(require_coordinate_only(acc, "momentum shift"))
     return out
 
@@ -284,7 +283,7 @@ def rieffel_product(a: OperatorExpr, b: OperatorExpr,
 
 
 def check_additivity(a: OperatorExpr, spec1: DeformationSpec,
-                     spec2: DeformationSpec, seed: int = 0) -> bool:
+                     spec2: DeformationSpec) -> bool:
     """Deforming twice equals deforming once with the summed matrix.
 
     With a shared generator the comparison is against B1 + B2; with two
@@ -294,12 +293,12 @@ def check_additivity(a: OperatorExpr, spec1: DeformationSpec,
     twice = deform_operator(deform_operator(a, spec1), spec2)
     if spec1.generator == spec2.generator:
         summed = DeformationSpec(spec1.matrix + spec2.matrix, spec1.generator)
-        return twice.equals(deform_operator(a, summed), seed=seed)
+        return twice.equals(deform_operator(a, summed))
     swapped = deform_operator(deform_operator(a, spec2), spec1)
-    return twice.equals(swapped, seed=seed)
+    return twice.equals(swapped)
 
 
-def factorization_check(spec: DeformationSpec, seed: int = 0) -> bool:
+def factorization_check(spec: DeformationSpec) -> bool:
     """Deformed free Hamiltonian equals the squared deformed momenta / 2m."""
     h0 = OperatorExpr.free_hamiltonian()
     lhs = deform_operator(h0, spec)
@@ -308,7 +307,7 @@ def factorization_check(spec: DeformationSpec, seed: int = 0) -> bool:
         pj = deform_operator(OperatorExpr.momentum(j), spec)
         rhs = rhs + pj * pj
     rhs = rhs.scale(SymbolicScalar.symbol("m", -1, Fraction(1, 2)))
-    return lhs.equals(rhs, seed=seed)
+    return lhs.equals(rhs)
 
 
 def invert_transverse_block(matrix: DeformationMatrix,
@@ -327,7 +326,6 @@ def invert_transverse_block(matrix: DeformationMatrix,
         raise SingularMatrixError(
             "transverse block entry is a sum; no exact scalar inverse")
     ((a, p, q, mono), coeff), = b.terms.items()
-    from .scalars import mono_inv
     inv_entry = CoordFunction(
         {((0, 0, 0), Fraction(0), Fraction(0), mono_inv(mono)):
          QC(Fraction(1)) / coeff})

@@ -42,13 +42,6 @@ class GaugeField:
             rows.append(tuple(row))
         return FieldStrength(tuple(rows))
 
-    def evaluate_float(self, point, constants) -> tuple[float, float, float]:
-        vals = []
-        for comp in self.components:
-            v = comp.evaluate_float(point, constants)
-            vals.append(v.real)
-        return tuple(vals)
-
 
 @dataclass(frozen=True)
 class FieldStrength:
@@ -72,18 +65,13 @@ class FieldStrength:
         """b_k with F_ij = epsilon_ijk b_k."""
         return (self.rows[1][2], self.rows[2][0], self.rows[0][1])
 
-    def equivalent(self, other: "FieldStrength", seed: int = 0) -> bool:
-        for i in range(3):
-            for j in range(3):
-                if not (self.rows[i][j] - other.rows[i][j]).is_zero(
-                        seed=seed + 7 * i + j):
-                    return False
-        return True
+    def equivalent(self, other: "FieldStrength") -> bool:
+        return all(f.equivalent(g)
+                   for row, other_row in zip(self.rows, other.rows)
+                   for f, g in zip(row, other_row))
 
-    def is_zero(self, seed: int = 0) -> bool:
-        return all(f.is_zero(seed=seed + 3 * i + j)
-                   for i, row in enumerate(self.rows)
-                   for j, f in enumerate(row))
+    def is_zero(self) -> bool:
+        return all(f.is_zero() for row in self.rows for f in row)
 
 
 def extract_gauge_field(spec: DeformationSpec,
@@ -132,7 +120,7 @@ class LorentzForceResult:
 
 
 def lorentz_force(spec: DeformationSpec, potential: CoordFunction,
-                  coupling: SymbolicScalar, seed: int = 0) -> LorentzForceResult:
+                  coupling: SymbolicScalar) -> LorentzForceResult:
     """Equations of motion for the deformed system.
 
     Computes C_j = [H_def + g*phi, P_j^def] and asserts the closed form
@@ -160,7 +148,7 @@ def lorentz_force(spec: DeformationSpec, potential: CoordFunction,
             fkj = OperatorExpr.from_coord(fs[(k, j)])
             sym = phat[k - 1] * fkj + fkj * phat[k - 1]
             rhs = rhs - sym.scale(ig * half_over_m)
-        ok = ok and c.equals(rhs, seed=seed + j)
+        ok = ok and c.equals(rhs)
         comms.append(c)
     div = tuple(
         sum((fs[(k, j)].partial(k) for k in (1, 2, 3)), CoordFunction.zero())
@@ -168,7 +156,7 @@ def lorentz_force(spec: DeformationSpec, potential: CoordFunction,
     return LorentzForceResult(tuple(comms), ok, div)
 
 
-def bianchi_check(spec: DeformationSpec, seed: int = 0) -> bool:
+def bianchi_check(spec: DeformationSpec) -> bool:
     """d_k F_ij + d_i F_jk + d_j F_ki = 0, checked symbolically."""
     fs = field_strength(spec)
     for k in (1, 2, 3):
@@ -176,13 +164,13 @@ def bianchi_check(spec: DeformationSpec, seed: int = 0) -> bool:
             for j in (1, 2, 3):
                 total = (fs[(i, j)].partial(k) + fs[(j, k)].partial(i)
                          + fs[(k, i)].partial(j))
-                if not total.is_zero(seed=seed + 9 * k + 3 * i + j):
+                if not total.is_zero():
                     return False
     return True
 
 
 def jacobi_maxwell_report(spec: DeformationSpec, potential: CoordFunction,
-                          coupling: SymbolicScalar, seed: int = 0) -> dict:
+                          coupling: SymbolicScalar) -> dict:
     """Jacobi identities of the deformed momenta and Hamiltonian.
 
     Every combination must normalize to exactly zero; for static fields the
@@ -196,8 +184,7 @@ def jacobi_maxwell_report(spec: DeformationSpec, potential: CoordFunction,
     identities = []
 
     def record(name: str, expr: OperatorExpr):
-        zero = expr.is_structurally_zero() or expr.equals(
-            OperatorExpr.zero(), seed=seed + len(identities))
+        zero = expr.equals(OperatorExpr.zero())
         identities.append({
             "identity": name,
             "zero": bool(zero),
@@ -221,7 +208,7 @@ def jacobi_maxwell_report(spec: DeformationSpec, potential: CoordFunction,
     e_field = [-potential.partial(j) for j in (1, 2, 3)]
     for (i, j) in pairs:
         resid = e_field[j - 1].partial(i) - e_field[i - 1].partial(j)
-        zero = resid.is_zero(seed=seed + 50 + i + j)
+        zero = resid.is_zero()
         identities.append({
             "identity": f"curl_E_{i}{j}",
             "zero": bool(zero),

@@ -27,7 +27,7 @@ from typing import Callable
 from .coords import CoordFunction
 from .deform import (DeformationMatrix, DeformationSpec, QSpec,
                      deform_coordinate, deform_sequence,
-                     invert_transverse_block)
+                     invert_transverse_block, momentum_shift)
 from .errors import NonPositiveParameterError
 from .operators import OperatorExpr, require_coordinate_only
 from .scalars import QC, SymbolicScalar
@@ -66,21 +66,20 @@ class ModelPreset:
     def deformed(self) -> OperatorExpr:
         return deform_sequence(self.base_hamiltonian(), self.specs)
 
-    def matches_reference(self, seed: int = 0) -> bool:
-        return self.deformed().equals(self.reference_hamiltonian, seed=seed)
+    def matches_reference(self) -> bool:
+        return self.deformed().equals(self.reference_hamiltonian)
 
-    def matches_linearized(self, seed: int = 0) -> bool:
+    def matches_linearized(self) -> bool:
         """Compare after the explicit degree >= 2 truncation in the small constants."""
         if self.linearized_reference is None:
             return True
         lhs = self.deformed().drop_degree_at_least(self.small_constants, 2)
         rhs = self.linearized_reference.drop_degree_at_least(
             self.small_constants, 2)
-        return lhs.equals(rhs, seed=seed)
+        return lhs.equals(rhs)
 
     def shift_functions(self) -> list[CoordFunction]:
         """Total momentum shift of all deformations (they commute)."""
-        from .deform import momentum_shift
         total = [CoordFunction.zero()] * 3
         for spec in self.specs:
             s = momentum_shift(spec)

@@ -12,9 +12,10 @@ is closed under partial derivatives.
 
 Structural normal forms are unique, but algebraically equal expressions can
 differ structurally (powers of r and rho are not rewritten against the
-polynomial part).  The authoritative equality is ``equals``: structural
-match first, then exact evaluation of the difference at random rational
-points, coefficient by coefficient.
+polynomial part), so ``==`` compares structure only.  The authoritative
+equality is ``equals``: each momentum coefficient of the difference is
+reduced modulo x3^2 = rho^2 - x2^2 and x1^2 = r^2 - rho^2, a canonical form
+in which zero is structurally empty.
 """
 
 from __future__ import annotations
@@ -25,7 +26,7 @@ from typing import Mapping
 
 from .coords import CoordFunction, ScalarLike
 from .errors import InternalInconsistencyError
-from .scalars import QC, QC_ZERO, RationalLike, SymbolicScalar, frac_parse, frac_str
+from .scalars import QC, SymbolicScalar
 
 PMulti = tuple  # (k1, k2, k3) nonnegative ints
 
@@ -184,45 +185,15 @@ class OperatorExpr:
             for pm, f in self.terms.items()
         })
 
-    # -- equality oracle --------------------------------------------------
+    # -- equality ----------------------------------------------------------
 
-    def equals(self, other: "OperatorExpr", seed: int = 0,
-               points: int = 24) -> bool:
-        ok, _ = self.equals_detailed(other, seed=seed, points=points)
-        return ok
+    def equals(self, other: "OperatorExpr") -> bool:
+        """Exact equality: every normal-form coefficient of the difference
+        is the zero function (see ``CoordFunction.is_zero``)."""
+        return all(f.is_zero() for f in (self - other).terms.values())
 
-    def equals_detailed(self, other: "OperatorExpr", seed: int = 0,
-                        points: int = 24) -> tuple[bool, bool]:
-        """(equal?, exact?).  Structural match first, then the evaluation
-        oracle on each normal-form coefficient of the difference."""
-        if self.terms == other.terms:
-            return True, True
-        diff = self - other
-        exact_all = True
-        for k, (pm, f) in enumerate(sorted(diff.terms.items())):
-            zero, exact = f.is_zero_detailed(seed=seed + 101 * k, points=points)
-            if not zero:
-                return False, exact
-            exact_all = exact_all and exact
-        return True, exact_all
-
-    def is_hermitian(self, seed: int = 0) -> bool:
-        return self.equals(self.adjoint(), seed=seed)
-
-    def evaluate(self, point, momentum,
-                 constants: Mapping[str, RationalLike] | None = None) -> QC:
-        """Exact value with momentum symbols treated as commuting rationals.
-
-        Valid for comparing normal-ordered expressions only; the actual
-        equality criterion works coefficient-wise (see ``equals``).
-        """
-        mom = tuple(Fraction(v) for v in momentum)
-        total = QC_ZERO
-        for pm, f in self.terms.items():
-            v = f.evaluate(point, constants)
-            v = v.scale(mom[0] ** pm[0] * mom[1] ** pm[1] * mom[2] ** pm[2])
-            total = total + v
-        return total
+    def is_hermitian(self) -> bool:
+        return self.equals(self.adjoint())
 
     # -- serialization ------------------------------------------------------
 
@@ -232,11 +203,11 @@ class OperatorExpr:
             f = self.terms[pm]
             for (a, p, q, mono), coeff in f.sorted_terms():
                 items.append({
-                    "coeff": {"re": frac_str(coeff.re), "im": frac_str(coeff.im)},
+                    "coeff": {"re": str(coeff.re), "im": str(coeff.im)},
                     "constants": {name: exp for name, exp in mono},
                     "x": list(a),
-                    "r": frac_str(p),
-                    "rho": frac_str(q),
+                    "r": str(p),
+                    "rho": str(q),
                     "P": list(pm),
                 })
         return {"terms": items}
@@ -245,13 +216,13 @@ class OperatorExpr:
     def from_json_dict(data: dict) -> "OperatorExpr":
         out = OperatorExpr.zero()
         for item in data["terms"]:
-            coeff = QC(frac_parse(item["coeff"]["re"]),
-                       frac_parse(item["coeff"]["im"]))
+            coeff = QC(Fraction(item["coeff"]["re"]),
+                       Fraction(item["coeff"]["im"]))
             mono = tuple(sorted((k, int(v))
                                 for k, v in item["constants"].items()))
             f = CoordFunction({
-                (tuple(item["x"]), frac_parse(item["r"]),
-                 frac_parse(item["rho"]), mono): coeff
+                (tuple(item["x"]), Fraction(item["r"]),
+                 Fraction(item["rho"]), mono): coeff
             })
             out = out + OperatorExpr({tuple(item["P"]): f})
         return out

@@ -12,6 +12,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Mapping, Union
 
+from .errors import UnboundConstantError
+
 RationalLike = Union[int, Fraction]
 
 #: Constants the expression grammar knows out of the box.  Users may declare
@@ -128,8 +130,6 @@ def mono_degree(a: Monomial, names: Iterable[str] | None = None) -> int:
 
 
 def mono_value(a: Monomial, constants: Mapping[str, RationalLike]) -> Fraction:
-    from .errors import UnboundConstantError
-
     out = Fraction(1)
     for name, exp in a:
         if name not in constants:
@@ -210,12 +210,3 @@ class SymbolicScalar:
         if cs == "-1":
             return f"-{ms}"
         return f"{cs}*{ms}"
-
-
-def frac_str(f: Fraction) -> str:
-    """Exact decimal-free rendering used by the JSON serialization."""
-    return str(f)
-
-
-def frac_parse(s: str) -> Fraction:
-    return Fraction(s)

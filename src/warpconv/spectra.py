@@ -25,7 +25,7 @@ import scipy.sparse.linalg
 
 from .coords import CoordFunction
 from .errors import (NonConvergenceError, SingularLoopError,
-                     UnsupportedOperandError)
+                     UnboundConstantError, UnsupportedOperandError)
 from .gauge import GaugeField
 from .models import ModelPreset
 
@@ -145,12 +145,17 @@ def discretize(preset: ModelPreset, grid: GridSpec,
     the odd reflection of the wall-adjacent node, which subtracts t/12 from
     that node's diagonal.
 
+    Per axis the kinetic stencil equals t (X - 2)(X - 14)/12 with
+    X = T + T^dagger the phased nearest-neighbour hop, ||X|| <= 2, walls
+    included, so it is positive semidefinite and the smallest diagonal
+    value of S1^2/2m + potential is a lower bound on the spectrum.
+
     Returns (matrix, info); info carries warnings (coarse grid, magnetic
-    length under 4 spacings) and the hermiticity defect.
+    length under 4 spacings), the hermiticity defect and that spectral
+    floor.
     """
     consts = _bind_constants(constants)
     if "m" not in consts:
-        from .errors import UnboundConstantError
         raise UnboundConstantError("mass constant 'm' must be bound")
     mass = consts["m"]
     shift = preset.shift_functions()
@@ -212,6 +217,7 @@ def discretize(preset: ModelPreset, grid: GridSpec,
     info = {
         "warnings": warnings,
         "hermiticity_defect": float(defect),
+        "spectral_floor": float((s1 ** 2 / (2.0 * mass) + vpot).min()),
         "grid": grid.metadata(),
         "effective_field": float(f23),
         "mass": mass,
@@ -225,7 +231,9 @@ def eigenvalues(matrix: scipy.sparse.spmatrix, k: int, info: dict | None = None,
 
     Dense solver below _DENSE_LIMIT unknowns, shift-invert Lanczos from
     there up; the Lanczos start vector is seeded, so results are
-    reproducible.
+    reproducible.  Shift-invert returns the eigenvalues nearest the shift,
+    so the shift sits at min(0, info["spectral_floor"]), at or below the
+    whole spectrum.
     """
     if not 1 <= k <= 64:
         raise ValueError("k must be between 1 and 64")
@@ -238,16 +246,18 @@ def eigenvalues(matrix: scipy.sparse.spmatrix, k: int, info: dict | None = None,
     else:
         rng = np.random.default_rng(seed)
         v0 = rng.standard_normal(size)
+        sigma = min(0.0, (info or {}).get("spectral_floor", 0.0))
+        shifted = matrix - sigma * scipy.sparse.identity(size, format="csr")
         # The stencil is structurally symmetric: a minimum-degree order on
         # A^T + A gives a sparser LU than the default column order, so both
         # the factorization and each shift-invert solve are cheaper.
-        lu = scipy.sparse.linalg.splu(matrix.tocsc(),
+        lu = scipy.sparse.linalg.splu(shifted.tocsc(),
                                       permc_spec="MMD_AT_PLUS_A")
         inverse = scipy.sparse.linalg.LinearOperator(
             matrix.shape, matvec=lu.solve, dtype=matrix.dtype)
         try:
             vals, vecs = scipy.sparse.linalg.eigsh(
-                matrix, k=k, sigma=0.0, which="LM", v0=v0, OPinv=inverse)
+                matrix, k=k, sigma=sigma, which="LM", v0=v0, OPinv=inverse)
         except scipy.sparse.linalg.ArpackNoConvergence as exc:
             raise NonConvergenceError(
                 "Lanczos iteration did not converge",

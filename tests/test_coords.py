@@ -4,7 +4,7 @@ from fractions import Fraction
 import pytest
 
 from conftest import rand_coord
-from warpconv.coords import CoordFunction, sample_point
+from warpconv.coords import CoordFunction
 from warpconv.errors import (NonExactPointError, SingularPointError,
                              UnboundConstantError)
 from warpconv.scalars import QC, SymbolicScalar
@@ -103,44 +103,37 @@ def test_oracle_radial_identity():
 
 
 def test_oracle_half_integer_exact():
-    # x_k^2 r^(-7/2) summed equals r^(-3/2): needs r a perfect square
+    # x_k^2 r^(-7/2) summed equals r^(-3/2)
     f = sum((CoordFunction.x(j, 2) for j in (1, 2, 3)),
             CoordFunction.zero()) * CoordFunction.r_power(F(-7, 2))
-    ok, exact = (f - CoordFunction.r_power(F(-3, 2))).is_zero_detailed()
-    assert ok and exact
+    assert (f - CoordFunction.r_power(F(-3, 2))).is_zero()
+    assert not (f - CoordFunction.r_power(F(-1, 2))).is_zero()
 
 
 def test_oracle_float_fallback_for_deep_radicals():
-    # r^(1/2) * rho^(1/2) difference forces the high-precision float path
+    # Half-integer powers of both r and rho, which no rational point off
+    # the x1 = 0 plane evaluates exactly, are decided like any other term.
     f = CoordFunction.r_power(F(1, 2)) * CoordFunction.rho_power(F(1, 2))
-    ok, exact = (f - f).is_zero_detailed()
-    assert ok
-    g = f - CoordFunction.one()
-    ok, _ = g.is_zero_detailed()
-    assert not ok
+    assert (f - f).is_zero()
+    assert not (f - CoordFunction.one()).is_zero()
+    g = (CoordFunction.x(2, 2) + CoordFunction.x(3, 2)) * \
+        CoordFunction.r_power(F(1, 2)) * CoordFunction.rho_power(F(-3, 2))
+    assert g.equivalent(f)
 
 
-def test_sample_point_constraints():
-    rng = random.Random(0)
-    for _ in range(50):
-        x = sample_point(rng, 1, 1)
-        r2 = x[0] ** 2 + x[1] ** 2 + x[2] ** 2
-        rho2 = x[1] ** 2 + x[2] ** 2
-        assert _is_square(r2) and _is_square(rho2)
-    for _ in range(20):
-        x = sample_point(rng, 2, 0)
-        r2 = x[0] ** 2 + x[1] ** 2 + x[2] ** 2
-        r = _sqrt(r2)
-        assert r is not None and _is_square(r)
-
-
-def _sqrt(v):
-    from warpconv.coords import _sqrt_exact
-    return _sqrt_exact(v)
-
-
-def _is_square(v):
-    return _sqrt(v) is not None
+def test_normal_form_matches_exact_evaluation():
+    # (156, 39, 52) has r = 169 = 13^2 and rho = 65, so every power
+    # rand_coord draws (half-integer in r, even in rho) evaluates exactly;
+    # the reflected point checks the odd x1 and x3 parts.
+    rng = random.Random(11)
+    consts = {"e": F(3, 2), "m": F(-5, 7), "B": F(2)}
+    for _ in range(200):
+        f = rand_coord(rng, max_terms=4, fractional=True)
+        f = f * rand_coord(rng, max_terms=2)
+        reduced = f._reduced()
+        assert all(a[0] <= 1 and a[2] <= 1 for (a, _, _, _) in reduced.terms)
+        for point in ((156, 39, 52), (-156, 39, -52)):
+            assert reduced.evaluate(point, consts) == f.evaluate(point, consts)
 
 
 def test_substitute_symbol():

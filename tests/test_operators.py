@@ -95,11 +95,11 @@ def test_adjoint_examples():
 
 def test_adjoint_involution_and_product_rule():
     rng = random.Random(11)
-    for k in range(60):
+    for _ in range(60):
         a = rand_expr(rng)
         b = rand_expr(rng)
-        assert a.adjoint().adjoint().equals(a, seed=k)
-        assert (a * b).adjoint().equals(b.adjoint() * a.adjoint(), seed=k)
+        assert a.adjoint().adjoint().equals(a)
+        assert (a * b).adjoint().equals(b.adjoint() * a.adjoint())
 
 
 def test_equals_oracle():
@@ -111,12 +111,6 @@ def test_equals_oracle():
         (CoordFunction.x(2, 2) + CoordFunction.x(3, 2))
         * CoordFunction.rho_power(-2))
     assert f.equals(OperatorExpr.identity())
-
-
-def test_evaluate_with_momentum_placeholders():
-    a = parse("X1*P1 + r^-2")
-    v = a.evaluate((1, 2, 2), (F(3), 0, 0))
-    assert v == QC(F(3) + F(1, 9))
 
 
 def test_momentum_degree_and_parts():

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 from fractions import Fraction
 
@@ -225,12 +226,19 @@ def test_phase_consistency_with_flux_condition():
 
 
 def test_dense_and_sparse_paths_agree(monkeypatch):
-    grid = GridSpec(extent=10.0, points=16)
-    mat, info = discretize(landau(), grid, {"e": 1.0, "B": 1.0, "m": 1.0})
-    levels = []
-    # A limit above the size forces the dense path, a limit of 0 the sparse one.
-    for limit in (mat.shape[0] + 1, 0):
-        monkeypatch.setattr(spectra, "_DENSE_LIMIT", limit)
-        levels.append(eigenvalues(mat, 8, info, seed=4).eigenvalues)
-    dense, sparse = levels
-    assert max(abs(a - b) for a, b in zip(dense, sparse)) < 1e-10
+    cases = [
+        (landau(), GridSpec(extent=10.0, points=16),
+         {"e": 1.0, "B": 1.0, "m": 1.0}),
+        # The lowest levels are negative and far from zero.
+        (dataclasses.replace(free(), potential=CoordFunction.scalar(-5)),
+         GridSpec(extent=4.0, points=20), {"m": 1.0}),
+    ]
+    for preset, grid, consts in cases:
+        mat, info = discretize(preset, grid, consts)
+        levels = []
+        # A limit above the size forces the dense path, 0 the sparse one.
+        for limit in (mat.shape[0] + 1, 0):
+            monkeypatch.setattr(spectra, "_DENSE_LIMIT", limit)
+            levels.append(eigenvalues(mat, 8, info, seed=4).eigenvalues)
+        dense, sparse = levels
+        assert max(abs(a - b) for a, b in zip(dense, sparse)) < 1e-10
