@@ -14,24 +14,23 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 from fractions import Fraction
 
 from . import __version__
-from .coords import CoordFunction
-from .deform import (DeformationMatrix, DeformationSpec, QSpec,
-                     deform_operator, deform_sequence)
+from .deform import DeformationMatrix, DeformationSpec, QSpec, deform_sequence
 from .errors import (ConfigError, NonConvergenceError, ParseError,
                      SingularLoopError, SingularMatrixError,
                      SingularPointError, UnboundConstantError,
                      UnsupportedDegreeError, UnsupportedOperandError,
                      WarpconvError)
-from .gauge import bianchi_check, extract_gauge_field, field_strength
+from .gauge import (bianchi_check, extract_gauge_field, field_strength,
+                    holonomy)
 from .models import PRESETS, get_preset
 from .operators import OperatorExpr
 from .parsing import parse
 from .scalars import SymbolicScalar
-from .spectra import GridSpec, discretize, eigenvalues, holonomy
 from .verify import run_suite
 
 EXIT_OK = 0
@@ -81,6 +80,17 @@ def _merged(args: argparse.Namespace, key: str, default=None):
     return default
 
 
+def _number(value, option: str, kind=float):
+    """kind(value); text that is not a finite number is a ConfigError."""
+    try:
+        number = kind(value)
+    except (ValueError, ZeroDivisionError) as exc:
+        raise ConfigError(f"{option} needs a number, got {value!r}") from exc
+    if kind is float and not math.isfinite(number):
+        raise ConfigError(f"{option} needs a finite number, got {value!r}")
+    return number
+
+
 def _parse_constants(text) -> dict[str, float]:
     if text is None:
         return {}
@@ -91,22 +101,22 @@ def _parse_constants(text) -> dict[str, float]:
         if "=" not in chunk:
             raise ConfigError(f"constants entries are name=value, got {chunk!r}")
         name, val = chunk.split("=", 1)
-        try:
-            out[name] = float(Fraction(val))
-        except (ValueError, ZeroDivisionError) as exc:
-            raise ConfigError(f"bad constant value {chunk!r}") from exc
+        out[name] = float(_number(val, f"constant {name}", Fraction))
     return out
 
 
 def _parse_matrix(text: str) -> DeformationMatrix:
-    vals = [Fraction(v) for v in str(text).replace(",", " ").split()]
+    vals = [_number(v, "--B", Fraction)
+            for v in str(text).replace(",", " ").split()]
     if len(vals) == 1 and vals[0] == 0:
         return DeformationMatrix.zero()
     if len(vals) == 3:
         return DeformationMatrix.axial(*vals)
     if len(vals) == 9:
-        rows = [vals[0:3], vals[3:6], vals[6:9]]
-        return DeformationMatrix(rows)
+        matrix = DeformationMatrix([vals[0:3], vals[3:6], vals[6:9]])
+        if not matrix.is_skew_symmetric():
+            raise ConfigError("--B must be skew-symmetric")
+        return matrix
     raise ConfigError("--B needs 1 (zero), 3 (axial) or 9 (row-major) entries")
 
 
@@ -118,7 +128,7 @@ def _parse_generator(text: str) -> QSpec:
     if label in ("radial", "radial-power"):
         if not param:
             raise ConfigError("radial generator needs a parameter, e.g. radial:3/2")
-        return QSpec.radial_power(Fraction(param))
+        return QSpec.radial_power(_number(param, "--Q radial", Fraction))
     if label in ("transverse", "transverse-radial", "rho"):
         return QSpec.transverse_radial()
     raise ConfigError(f"unknown generator {text!r}")
@@ -217,8 +227,8 @@ def cmd_gauge(args) -> int:
 
 
 def cmd_verify(args) -> int:
-    seed = int(_merged(args, "seed", 0))
-    cases = int(_merged(args, "cases", 100))
+    seed = _number(_merged(args, "seed", 0), "--seed", int)
+    cases = _number(_merged(args, "cases", 100), "--cases", int)
     select_raw = _merged(args, "select")
     select = None
     if select_raw is not None:
@@ -238,6 +248,8 @@ def cmd_verify(args) -> int:
 
 
 def cmd_spectrum(args) -> int:
+    # Imported here so only this command loads numpy/scipy; no cycle.
+    from .spectra import GridSpec, discretize, eigenvalues
     name, specs, preset = _resolve_model(args)
     if preset is None:
         raise ConfigError("spectrum needs --model (a preset name)")
@@ -245,10 +257,18 @@ def cmd_spectrum(args) -> int:
     parts = str(grid_text).replace(",", " ").split()
     if len(parts) != 2:
         raise ConfigError("--grid needs N,L")
-    grid = GridSpec(extent=float(parts[1]), points=int(parts[0]))
+    points = _number(parts[0], "--grid N", int)
+    extent = _number(parts[1], "--grid L")
+    try:
+        grid = GridSpec(extent=extent, points=points)
+    except ValueError as exc:
+        raise ConfigError(f"--grid: {exc}") from exc
     constants = _parse_constants(_merged(args, "constants"))
-    k = int(_merged(args, "k", 16))
-    seed = int(_merged(args, "seed", 0))
+    k = _number(_merged(args, "k", 16), "--k", int)
+    k_max = min(64, points * points - 2)  # the limits eigenvalues() enforces
+    if not 1 <= k <= k_max:
+        raise ConfigError(f"--k must be between 1 and {k_max} on this grid")
+    seed = _number(_merged(args, "seed", 0), "--seed", int)
     matrix, info = discretize(preset, grid, constants)
     result = eigenvalues(matrix, k, info, seed=seed)
     payload = {"command": "spectrum", "model": name,
@@ -269,12 +289,17 @@ def cmd_holonomy(args) -> int:
     coupling = (_parse_coupling(_merged(args, "coupling", "e"))
                 if preset is None else preset.coupling)
     gf = extract_gauge_field(specs[0], coupling)
-    radius = float(_merged(args, "radius", 1.0))
+    radius = _number(_merged(args, "radius", 1.0), "--radius")
+    if not radius > 0:
+        raise ConfigError("--radius must be positive")
     center_text = str(_merged(args, "center", "0,0,0"))
-    center = tuple(float(v) for v in center_text.replace(",", " ").split())
+    center = tuple(_number(v, "--center")
+                   for v in center_text.replace(",", " ").split())
     if len(center) != 3:
         raise ConfigError("--center needs three components")
-    points = int(_merged(args, "points", 256))
+    points = _number(_merged(args, "points", 256), "--points", int)
+    if points < 8:
+        raise ConfigError("--points must be at least 8")
     constants = _parse_constants(_merged(args, "constants"))
     value = holonomy(gf, radius, center=center, points=points,
                      constants=constants)

@@ -24,9 +24,8 @@ from typing import Iterable, Mapping, Union
 
 from .errors import (NonExactPointError, SingularPointError,
                      UnboundConstantError)
-from .scalars import (MONO_ONE, QC, QC_ONE, QC_ZERO, Monomial, RationalLike,
-                      SymbolicScalar, mono_degree, mono_make, mono_mul,
-                      mono_pow, mono_str, mono_value)
+from .scalars import (QC, QC_ONE, QC_ZERO, RationalLike, SymbolicScalar,
+                      mono_degree, mono_mul, mono_pow, mono_str, mono_value)
 
 Axis = int  # 1, 2 or 3
 XExp = tuple  # (a1, a2, a3) nonnegative ints

@@ -23,7 +23,7 @@ from typing import Sequence
 from .coords import CoordFunction, ScalarLike, _as_scalar
 from .errors import (SingularMatrixError, UnsupportedDegreeError,
                      UnsupportedOperandError)
-from .operators import OperatorExpr, P_ZERO, require_coordinate_only
+from .operators import OperatorExpr, require_coordinate_only
 from .scalars import QC, SymbolicScalar, mono_inv
 
 _EPS = ((0, 1, 2), (1, 2, 0), (2, 0, 1))  # even permutations of (0,1,2)

@@ -7,16 +7,22 @@ with the shifted Hamiltonian produces the Lorentz force, and the Jacobi
 identity yields the homogeneous (source-free) field equations.  All fields
 here are static coordinate functions, so time-derivative terms vanish
 identically; reports state this restriction.
+
+The loop integral of A (``holonomy``) and the Aharonov-Bohm interference
+phases are computed here too, with ``math`` alone, so every command but the
+grid spectrum runs without numpy or scipy.
 """
 
 from __future__ import annotations
 
+import cmath
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 
 from .coords import CoordFunction
 from .deform import DeformationSpec, deform_operator, momentum_shift, shifted_momentum
-from .errors import ZeroCouplingError
+from .errors import SingularLoopError, ZeroCouplingError
 from .operators import OperatorExpr, require_coordinate_only
 from .scalars import QC, SymbolicScalar
 
@@ -220,3 +226,61 @@ def jacobi_maxwell_report(spec: DeformationSpec, potential: CoordFunction,
         "all_zero": all(e["zero"] for e in identities),
         "identities": identities,
     }
+
+
+def _bind_constants(constants: dict | None) -> dict:
+    out = {"pi": math.pi}
+    if constants:
+        out.update({k: float(v) for k, v in constants.items()})
+    return out
+
+
+def holonomy(gauge: GaugeField, radius: float, center=(0.0, 0.0, 0.0),
+             points: int = 256, constants: dict | None = None) -> float:
+    """Line integral of A around a circle in the (x2, x3) plane.
+
+    The loop is traversed counterclockwise as seen from +x1 (right-hand
+    orientation about the x1 axis).  Trapezoidal quadrature on the closed
+    loop; raises SingularLoopError if a quadrature node falls on the axis
+    of a singular field.
+    """
+    if radius <= 0:
+        raise ValueError("loop radius must be positive")
+    if points < 8:
+        raise ValueError("need at least 8 quadrature points")
+    consts = _bind_constants(constants)
+    singular = any(q < 0 for comp in gauge.components
+                   for (_, _, q, _) in comp.terms)
+    c1, c2, c3 = center
+    total = 0.0
+    dtheta = 2.0 * math.pi / points
+    for i in range(points):
+        th = i * dtheta
+        x2 = c2 + radius * math.cos(th)
+        x3 = c3 + radius * math.sin(th)
+        if singular and math.hypot(x2, x3) < 1e-9:
+            raise SingularLoopError("loop touches the singular axis rho = 0")
+        a2 = gauge.components[1].evaluate_float((c1, x2, x3), consts).real
+        a3 = gauge.components[2].evaluate_float((c1, x2, x3), consts).real
+        total += (-a2 * math.sin(th) + a3 * math.cos(th)) * radius * dtheta
+    return total
+
+
+def interference_phase(e, phi_in_pi) -> complex:
+    """exp(i e phi) for a flux phi given as a rational multiple of pi.
+
+    Reduced exactly modulo 2 pi first, so e.g. e*phi = 2 pi returns exactly
+    1 and e*phi = pi returns exactly -1.
+    """
+    x = Fraction(e) * Fraction(phi_in_pi) % 2  # angle in units of pi
+    if x == 0:
+        return complex(1.0, 0.0)
+    if x == 1:
+        return complex(-1.0, 0.0)
+    return cmath.exp(1j * math.pi * float(x))
+
+
+def phases_equal(e, phi1_in_pi, phi2_in_pi) -> bool:
+    """Exact equality of interference phases for two fluxes."""
+    diff = Fraction(e) * (Fraction(phi1_in_pi) - Fraction(phi2_in_pi)) % 2
+    return diff == 0

@@ -9,14 +9,16 @@ hermitian to machine precision.  Where the midpoint rule integrates the
 shift exactly along each link (a shift affine in x2, x3, as for a constant
 field in any linear gauge) a change of gauge conjugates the matrix by a
 diagonal unitary, so the spectrum depends on the field strength alone.
+
+This is the one module that imports numpy and scipy.  The package and the
+CLI import it only when a spectrum is asked for, so the symbolic commands
+(and ``holonomy``, which lives in ``gauge``) never load the numeric stack.
 """
 
 from __future__ import annotations
 
-import cmath
 import math
 from dataclasses import dataclass, field
-from fractions import Fraction
 
 import numpy as np
 import scipy.linalg
@@ -24,9 +26,9 @@ import scipy.sparse
 import scipy.sparse.linalg
 
 from .coords import CoordFunction
-from .errors import (NonConvergenceError, SingularLoopError,
-                     UnboundConstantError, UnsupportedOperandError)
-from .gauge import GaugeField
+from .errors import (NonConvergenceError, UnboundConstantError,
+                     UnsupportedOperandError)
+from .gauge import _bind_constants
 from .models import ModelPreset
 
 # Unknowns below which the dense solver is used: where the dense and the
@@ -97,13 +99,6 @@ class SpectrumResult:
         for i, (ev, res) in enumerate(zip(self.eigenvalues, self.residuals)):
             lines.append(f"{i},{ev!r},{res!r}")
         return "\n".join(lines) + "\n"
-
-
-def _bind_constants(constants: dict | None) -> dict:
-    out = {"pi": math.pi}
-    if constants:
-        out.update({k: float(v) for k, v in constants.items()})
-    return out
 
 
 def _plane_profile(f: CoordFunction, xs2: np.ndarray, xs3: np.ndarray,
@@ -225,7 +220,7 @@ def discretize(preset: ModelPreset, grid: GridSpec,
     return mat, info
 
 
-def eigenvalues(matrix: scipy.sparse.spmatrix, k: int, info: dict | None = None,
+def eigenvalues(matrix: scipy.sparse.spmatrix, k: int, info: dict,
                 seed: int = 0, residual_tol: float = 1e-8) -> SpectrumResult:
     """k smallest eigenvalues with residual certificates.
 
@@ -233,7 +228,7 @@ def eigenvalues(matrix: scipy.sparse.spmatrix, k: int, info: dict | None = None,
     there up; the Lanczos start vector is seeded, so results are
     reproducible.  Shift-invert returns the eigenvalues nearest the shift,
     so the shift sits at min(0, info["spectral_floor"]), at or below the
-    whole spectrum.
+    whole spectrum; ``info`` is the second value ``discretize`` returns.
     """
     if not 1 <= k <= 64:
         raise ValueError("k must be between 1 and 64")
@@ -246,7 +241,7 @@ def eigenvalues(matrix: scipy.sparse.spmatrix, k: int, info: dict | None = None,
     else:
         rng = np.random.default_rng(seed)
         v0 = rng.standard_normal(size)
-        sigma = min(0.0, (info or {}).get("spectral_floor", 0.0))
+        sigma = min(0.0, info["spectral_floor"])
         shifted = matrix - sigma * scipy.sparse.identity(size, format="csr")
         # The stencil is structurally symmetric: a minimum-degree order on
         # A^T + A gives a sparser LU than the default column order, so both
@@ -278,8 +273,8 @@ def eigenvalues(matrix: scipy.sparse.spmatrix, k: int, info: dict | None = None,
     return SpectrumResult(
         eigenvalues=[float(v) for v in vals],
         residuals=residuals,
-        grid=(info or {}).get("grid", {}),
-        warnings=list((info or {}).get("warnings", [])),
+        grid=info["grid"],
+        warnings=list(info["warnings"]),
         seed=seed,
     )
 
@@ -350,54 +345,3 @@ def distinct_level_spacings(result: SpectrumResult, omega_hint: float,
     """Spacings between consecutive band heads (see landau_level_values)."""
     heads = landau_level_values(result, omega_hint, levels)
     return [b - a for a, b in zip(heads, heads[1:])]
-
-
-def holonomy(gauge: GaugeField, radius: float, center=(0.0, 0.0, 0.0),
-             points: int = 256, constants: dict | None = None) -> float:
-    """Line integral of A around a circle in the (x2, x3) plane.
-
-    The loop is traversed counterclockwise as seen from +x1 (right-hand
-    orientation about the x1 axis).  Trapezoidal quadrature on the closed
-    loop; raises SingularLoopError if a quadrature node falls on the axis
-    of a singular field.
-    """
-    if radius <= 0:
-        raise ValueError("loop radius must be positive")
-    if points < 8:
-        raise ValueError("need at least 8 quadrature points")
-    consts = _bind_constants(constants)
-    singular = any(q < 0 for comp in gauge.components
-                   for (_, _, q, _) in comp.terms)
-    c1, c2, c3 = center
-    total = 0.0
-    dtheta = 2.0 * math.pi / points
-    for i in range(points):
-        th = i * dtheta
-        x2 = c2 + radius * math.cos(th)
-        x3 = c3 + radius * math.sin(th)
-        if singular and math.hypot(x2, x3) < 1e-9:
-            raise SingularLoopError("loop touches the singular axis rho = 0")
-        a2 = gauge.components[1].evaluate_float((c1, x2, x3), consts).real
-        a3 = gauge.components[2].evaluate_float((c1, x2, x3), consts).real
-        total += (-a2 * math.sin(th) + a3 * math.cos(th)) * radius * dtheta
-    return total
-
-
-def interference_phase(e, phi_in_pi) -> complex:
-    """exp(i e phi) for a flux phi given as a rational multiple of pi.
-
-    Reduced exactly modulo 2 pi first, so e.g. e*phi = 2 pi returns exactly
-    1 and e*phi = pi returns exactly -1.
-    """
-    x = Fraction(e) * Fraction(phi_in_pi) % 2  # angle in units of pi
-    if x == 0:
-        return complex(1.0, 0.0)
-    if x == 1:
-        return complex(-1.0, 0.0)
-    return cmath.exp(1j * math.pi * float(x))
-
-
-def phases_equal(e, phi1_in_pi, phi2_in_pi) -> bool:
-    """Exact equality of interference phases for two fluxes."""
-    diff = Fraction(e) * (Fraction(phi1_in_pi) - Fraction(phi2_in_pi)) % 2
-    return diff == 0

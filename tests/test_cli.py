@@ -1,0 +1,100 @@
+import json
+import os
+import subprocess
+import sys
+
+import pytest
+
+import warpconv
+from warpconv import cli, spectra
+
+SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
+                   "src")
+
+PUBLIC_NAMES = [
+    "ConfigError", "CoordFunction", "DeformationMatrix", "DeformationSpec",
+    "DegeneracyReport", "FieldStrength", "GaugeField", "GridSpec",
+    "InternalInconsistencyError", "LorentzForceResult", "ModelPreset",
+    "NonConvergenceError", "NonExactPointError", "NonPositiveParameterError",
+    "OperatorExpr", "PRESETS", "ParseError", "QC", "QSpec",
+    "SingularLoopError", "SingularMatrixError", "SingularPointError",
+    "SpectrumResult", "SymbolicScalar", "UnboundConstantError",
+    "UncertaintyBound", "UnknownSymbolError", "UnsupportedDegreeError",
+    "UnsupportedOperandError", "WarpconvError", "ZeroCouplingError",
+    "aharonov_bohm", "bianchi_check", "check_additivity", "combined_em_gem",
+    "coords", "coulomb_potential", "deform", "deform_coordinate",
+    "deform_operator", "deform_sequence", "discretize",
+    "distinct_level_spacings", "eigenvalues", "errors", "extract_gauge_field",
+    "factorization_check", "field_strength", "flux_equivalent", "free",
+    "gauge", "get_preset", "gravito_constant", "gravito_zeeman",
+    "guiding_center", "holonomy", "interference_phase",
+    "jacobi_maxwell_report", "landau", "landau_degeneracy", "lense_thirring",
+    "lorentz_force", "models", "momentum_shift", "operators", "parse",
+    "parsing", "phases_equal", "rieffel_product", "scalars",
+    "shifted_momentum", "spectra", "uncertainty_area_symbolic",
+    "uncertainty_bound", "zeeman",
+]
+
+SYMBOLIC_RUN = """
+import contextlib, io, json, sys
+import warpconv, warpconv.cli as cli
+for argv in ([
+        ["commutator", "--a", "X1", "--b", "P1"],
+        ["deform", "--model", "landau"],
+        ["gauge", "--model", "landau"],
+        ["holonomy", "--model", "landau", "--constants", "e=1,B=1"],
+        ["verify", "--select", "model"]]):
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert cli.main(argv) == 0, argv
+print(json.dumps(sorted(m for m in sys.modules
+                        if m.split(".")[0] in ("numpy", "scipy"))))
+"""
+
+
+def test_symbolic_commands_do_not_load_numpy_or_scipy():
+    env = dict(os.environ, PYTHONPATH=SRC)
+    proc = subprocess.run([sys.executable, "-c", SYMBOLIC_RUN], env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout.splitlines()[-1]) == []
+
+
+def test_spectra_names_resolve_from_the_package():
+    from warpconv import GridSpec
+    assert GridSpec is spectra.GridSpec
+    assert warpconv.discretize is spectra.discretize
+    with pytest.raises(AttributeError):
+        warpconv.no_such_name
+
+
+def test_public_names_unchanged():
+    assert sorted(warpconv.__all__) == PUBLIC_NAMES
+
+
+@pytest.mark.parametrize("argv, code", [
+    (["commutator", "--a", "X1", "--b", "P1"], cli.EXIT_OK),
+    (["spectrum", "--model", "landau", "--k", "100",
+      "--constants", "e=1,B=1,m=1"], cli.EXIT_CONFIG),
+    (["spectrum", "--model", "landau", "--grid", "1,10"], cli.EXIT_CONFIG),
+    (["spectrum", "--model", "landau", "--grid", "x,y"], cli.EXIT_CONFIG),
+    (["spectrum", "--model", "landau", "--grid", "16,nan",
+      "--constants", "e=1,B=1,m=1"], cli.EXIT_CONFIG),
+    (["spectrum", "--model", "landau", "--grid", "4,10",
+      "--constants", "e=1,B=1,m=1"], cli.EXIT_CONFIG),
+    (["deform", "--B", "0,1,0,0,0,0,0,0,0"], cli.EXIT_CONFIG),
+    (["deform", "--B", "abc"], cli.EXIT_CONFIG),
+    (["deform", "--B", "1,2,3", "--Q", "radial:abc"], cli.EXIT_CONFIG),
+    (["holonomy", "--model", "landau", "--radius", "-1"], cli.EXIT_CONFIG),
+    (["holonomy", "--model", "landau", "--radius", "inf",
+      "--constants", "e=1,B=1"], cli.EXIT_CONFIG),
+    (["holonomy", "--model", "landau", "--points", "4"], cli.EXIT_CONFIG),
+    (["holonomy", "--model", "landau", "--center", "a,b,c"], cli.EXIT_CONFIG),
+    (["deform", "--model", "landau", "--expr", "P1^3"], cli.EXIT_UNSUPPORTED),
+    (["holonomy", "--model", "aharonov_bohm", "--center", "0,1,0",
+      "--points", "16", "--constants", "e=1,phi_M=1"], cli.EXIT_NUMERIC),
+])
+def test_exit_codes(argv, code, capsys):
+    assert cli.main(argv) == code
+    err = capsys.readouterr().err
+    if code != cli.EXIT_OK:
+        assert err.startswith("error: ") and err.count("\n") == 1, err

@@ -9,13 +9,13 @@ from warpconv.coords import CoordFunction
 from warpconv.deform import DeformationSpec, QSpec
 from warpconv.errors import (SingularLoopError, UnboundConstantError,
                              UnsupportedOperandError)
-from warpconv.gauge import extract_gauge_field
+from warpconv.gauge import (extract_gauge_field, holonomy, interference_phase,
+                            phases_equal)
 from warpconv import spectra
 from warpconv.models import (ModelPreset, aharonov_bohm, free, get_preset,
                              landau, lense_thirring)
 from warpconv.spectra import (GridSpec, discretize, distinct_level_spacings,
-                              eigenvalues, holonomy, interference_phase,
-                              landau_degeneracy, phases_equal)
+                              eigenvalues, landau_degeneracy)
 
 F = Fraction
 
