@@ -227,17 +227,17 @@ def cmd_gauge(args) -> int:
 
 
 def cmd_verify(args) -> int:
+    # The suite draws nothing at random; the schema keeps "seed", so echo it.
     seed = _number(_merged(args, "seed", 0), "--seed", int)
-    cases = _number(_merged(args, "cases", 100), "--cases", int)
     select_raw = _merged(args, "select")
     select = None
     if select_raw is not None:
-        select = [s for s in str(select_raw).split(",") if s.strip()]
+        select = [s.strip() for s in str(select_raw).split(",") if s.strip()]
     negative = bool(_merged(args, "negative_control", False))
-    report = run_suite(seed=seed, additivity_cases=cases,
-                       moyal_cases=cases, select=select,
-                       negative_control=negative)
-    payload = {"command": "verify", **report}
+    report = run_suite(select=select, negative_control=negative)
+    if not report["checks"]:
+        raise ConfigError(f"--select {select_raw!r} matches no check")
+    payload = {"command": "verify", "seed": seed, **report}
     _dump(payload, _merged(args, "out"))
     failed = [c["name"] for c in report["checks"] if not c["passed"]]
     print(f"verify: {len(report['checks'])} checks, "
@@ -355,7 +355,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("verify", help="run the symbolic identity suite")
     common(p)
     p.add_argument("--select", help="comma-separated name prefixes")
-    p.add_argument("--cases", type=int, help="randomized cases (default 100)")
     p.add_argument("--negative-control", dest="negative_control",
                    action="store_true", default=None,
                    help="inject a wrong-sign commutator route (must fail)")

@@ -67,10 +67,6 @@ class FieldStrength:
                     return False
         return True
 
-    def axial_vector(self) -> tuple[CoordFunction, CoordFunction, CoordFunction]:
-        """b_k with F_ij = epsilon_ijk b_k."""
-        return (self.rows[1][2], self.rows[2][0], self.rows[0][1])
-
     def equivalent(self, other: "FieldStrength") -> bool:
         return all(f.equivalent(g)
                    for row, other_row in zip(self.rows, other.rows)

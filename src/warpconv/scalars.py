@@ -195,9 +195,6 @@ class SymbolicScalar:
     def substitute(self, constants: Mapping[str, RationalLike]) -> QC:
         return self.coeff.scale(mono_value(self.mono, constants))
 
-    def degree_in(self, names: Iterable[str]) -> int:
-        return mono_degree(self.mono, names)
-
     def __str__(self) -> str:
         if self.is_zero():
             return "0"

@@ -92,9 +92,69 @@ def test_public_names_unchanged():
     (["deform", "--model", "landau", "--expr", "P1^3"], cli.EXIT_UNSUPPORTED),
     (["holonomy", "--model", "aharonov_bohm", "--center", "0,1,0",
       "--points", "16", "--constants", "e=1,phi_M=1"], cli.EXIT_NUMERIC),
+    (["verify", "--select", "modle"], cli.EXIT_CONFIG),
 ])
 def test_exit_codes(argv, code, capsys):
     assert cli.main(argv) == code
     err = capsys.readouterr().err
     if code != cli.EXIT_OK:
         assert err.startswith("error: ") and err.count("\n") == 1, err
+
+
+def test_select_prefixes_are_stripped(capsys):
+    assert cli.main(["verify", "--select", "model, gauge_cross_check"]) == 0
+    names = [c["name"] for c in json.loads(capsys.readouterr().out)["checks"]]
+    assert {name.split("::")[0] for name in names} == {
+        "model", "model_linearized", "gauge_cross_check"}
+
+
+# One run per command; the spectrum grid (400 unknowns) takes the sparse path.
+CONTRACT_RUNS = {
+    "commutator": ["commutator", "--a", "X1^2*P2", "--b", "P1 + X3/r"],
+    "deform": ["deform", "--model", "lense_thirring"],
+    "gauge": ["gauge", "--model", "combined_constant"],
+    "verify": ["verify", "--seed", "7"],
+    "spectrum": ["spectrum", "--model", "landau", "--grid", "20,10",
+                 "--k", "8", "--constants", "e=1,B=1,m=1"],
+    "holonomy": ["holonomy", "--model", "aharonov_bohm",
+                 "--constants", "e=1,phi_M=1"],
+}
+
+
+@pytest.fixture(scope="module")
+def contract_stdout():
+    """Each command's stdout from two concurrent processes whose str hashes
+    are salted differently."""
+    out = {}
+    for command, argv in CONTRACT_RUNS.items():
+        procs = [subprocess.Popen(
+                     [sys.executable, "-m", "warpconv.cli", *argv],
+                     env=dict(os.environ, PYTHONPATH=SRC, PYTHONHASHSEED=seed),
+                     stdout=subprocess.PIPE, stderr=subprocess.DEVNULL)
+                 for seed in ("1", "2")]
+        out[command] = [proc.communicate(timeout=120)[0] for proc in procs]
+        assert [proc.returncode for proc in procs] == [0, 0], command
+    return out
+
+
+@pytest.mark.parametrize("command", sorted(CONTRACT_RUNS))
+def test_stdout_ignores_hash_seed(contract_stdout, command):
+    first, second = contract_stdout[command]
+    assert first == second
+
+
+@pytest.mark.parametrize("command", sorted(CONTRACT_RUNS))
+def test_output_matches_schema(contract_stdout, command):
+    jsonschema = pytest.importorskip("jsonschema")
+    referencing = pytest.importorskip("referencing")
+    schema_dir = os.path.join(os.path.dirname(warpconv.__file__), "schemas")
+    schemas = {}
+    for fname in os.listdir(schema_dir):
+        with open(os.path.join(schema_dir, fname)) as fh:
+            schemas[fname[:-len(".json")]] = json.load(fh)
+    registry = referencing.Registry().with_resources(
+        (schema["$id"], referencing.Resource.from_contents(schema))
+        for schema in schemas.values())
+    validator = jsonschema.Draft202012Validator(schemas[command],
+                                                registry=registry)
+    validator.validate(json.loads(contract_stdout[command][0]))

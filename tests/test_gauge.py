@@ -3,7 +3,7 @@ from fractions import Fraction
 import pytest
 
 from warpconv.coords import CoordFunction
-from warpconv.deform import DeformationMatrix, DeformationSpec, QSpec
+from warpconv.deform import DeformationSpec
 from warpconv.errors import ZeroCouplingError
 from warpconv.gauge import (bianchi_check, extract_gauge_field,
                             field_strength, jacobi_maxwell_report,

@@ -5,8 +5,7 @@ import pytest
 from warpconv.coords import CoordFunction
 from warpconv.deform import DeformationMatrix, deform_operator
 from warpconv.errors import NonPositiveParameterError
-from warpconv.models import (PRESETS, ModelPreset, aharonov_bohm,
-                             combined_em_gem, flux_equivalent, free,
+from warpconv.models import (PRESETS, combined_em_gem, flux_equivalent, free,
                              get_preset, gravito_constant, gravito_zeeman,
                              guiding_center, landau, lense_thirring,
                              uncertainty_area_symbolic, uncertainty_bound,

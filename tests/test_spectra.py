@@ -12,8 +12,8 @@ from warpconv.errors import (SingularLoopError, UnboundConstantError,
 from warpconv.gauge import (extract_gauge_field, holonomy, interference_phase,
                             phases_equal)
 from warpconv import spectra
-from warpconv.models import (ModelPreset, aharonov_bohm, free, get_preset,
-                             landau, lense_thirring)
+from warpconv.models import (ModelPreset, aharonov_bohm, free, landau,
+                             lense_thirring)
 from warpconv.spectra import (GridSpec, discretize, distinct_level_spacings,
                               eigenvalues, landau_degeneracy)
 

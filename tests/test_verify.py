@@ -1,26 +1,37 @@
-import os
-import subprocess
-import sys
+import json
 
-import warpconv
-
-_DRAW_MATRICES = """
-from warpconv import verify
-drawn = []
-verify.factorization_check = lambda spec: drawn.append(spec.matrix) or True
-verify._factorization_checks(30)
-print("\\n".join(str(m) for m in drawn))
-"""
+from warpconv import cli, verify
+from warpconv.deform import DeformationSpec, deform_operator
+from warpconv.models import PRESETS
+from warpconv.operators import OperatorExpr
 
 
-def test_factorization_matrices_ignore_hash_seed():
-    # str hashes are salted per process; the drawn cases must not be.
-    src = os.path.dirname(os.path.dirname(warpconv.__file__))
-    outputs = []
-    for hash_seed in ("1", "2"):
-        env = dict(os.environ, PYTHONHASHSEED=hash_seed, PYTHONPATH=src)
-        run = subprocess.run([sys.executable, "-c", _DRAW_MATRICES], env=env,
-                             capture_output=True, text=True, check=True)
-        outputs.append(run.stdout)
-    assert len(outputs[0].splitlines()) == 5
-    assert outputs[0] == outputs[1]
+def test_negative_control_fails_exactly_the_gauge_cross_checks(capsys):
+    assert cli.main(["verify", "--negative-control"]) == cli.EXIT_IDENTITY
+    report = json.loads(capsys.readouterr().out)
+    failed = [c["name"] for c in report["checks"] if not c["passed"]]
+    # F vanishes for free and off the Aharonov-Bohm line, so the flipped
+    # sign goes unseen there.
+    assert failed == [f"gauge_cross_check::{name}" for name in sorted(PRESETS)
+                      if name not in ("aharonov_bohm", "free")]
+    assert len(failed) == 7
+
+
+def test_flipped_commutator_shift_fails_the_closed_forms(monkeypatch):
+    shift = verify.momentum_shift_via_commutators
+    monkeypatch.setattr(verify, "momentum_shift_via_commutators",
+                        lambda spec: [-s for s in shift(spec)])
+    report = verify.run_suite(select=["deformed_hamiltonian",
+                                      "deformed_momentum"])
+    assert len(report["checks"]) == 2 * len(verify.CATALOG_GENERATORS)
+    assert not any(c["passed"] for c in report["checks"])
+
+
+def test_symbolic_additivity_rejects_a_wrong_sum():
+    h0 = OperatorExpr.free_hamiltonian()
+    twice = deform_operator(deform_operator(
+        h0, DeformationSpec(verify.SKEW_B)), DeformationSpec(verify.SKEW_C))
+    summed = DeformationSpec(verify.SKEW_B + verify.SKEW_C)
+    assert twice.equals(deform_operator(h0, summed))
+    doubled = DeformationSpec(verify.SKEW_B + verify.SKEW_B)
+    assert not twice.equals(deform_operator(h0, doubled))
