@@ -320,8 +320,15 @@ COMMANDS = {
 }
 
 
+class _Parser(argparse.ArgumentParser):
+    """Reports a usage error like any other bad input: one line, exit 2."""
+
+    def error(self, message: str):
+        raise ConfigError(message)
+
+
 def build_parser() -> argparse.ArgumentParser:
-    ap = argparse.ArgumentParser(
+    ap = _Parser(
         prog="warpconv",
         description="Warped-convolution deformations: symbolic identity "
                     "suite, gauge fields, spectra and holonomies.")
@@ -331,7 +338,6 @@ def build_parser() -> argparse.ArgumentParser:
     def common(p):
         p.add_argument("--config", help="flat key = value config file")
         p.add_argument("--out", help="output path (default stdout)")
-        p.add_argument("--seed", type=int, help="random seed (default 0)")
         p.add_argument("--model", choices=sorted(PRESETS),
                        help="preset model name")
         p.add_argument("--B", help="inline matrix: 0 | b1,b2,b3 | 9 entries")
@@ -354,13 +360,18 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("verify", help="run the symbolic identity suite")
     common(p)
-    p.add_argument("--select", help="comma-separated name prefixes")
+    p.add_argument("--seed", type=int,
+                   help="echoed in the report; the suite draws nothing at random")
+    p.add_argument("--select", help="comma-separated name prefixes; only the "
+                                    "checks they name are computed")
     p.add_argument("--negative-control", dest="negative_control",
                    action="store_true", default=None,
                    help="inject a wrong-sign commutator route (must fail)")
 
     p = sub.add_parser("spectrum", help="grid eigenvalues of a preset")
     common(p)
+    p.add_argument("--seed", type=int, help="eigensolver start-vector seed "
+                                            "(default 0)")
     p.add_argument("--grid", help="N,L (points per axis, box extent)")
     p.add_argument("--k", type=int, help="number of eigenvalues (<= 64)")
     p.add_argument("--format", choices=("json", "csv"), help="output format")
@@ -374,17 +385,9 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
-    ap = build_parser()
-    args = ap.parse_args(argv)
-    config = {}
-    if args.config:
-        try:
-            config = _read_config(args.config)
-        except ConfigError as exc:
-            print(f"error: {exc}", file=sys.stderr)
-            return EXIT_CONFIG
-    args._config = config
     try:
+        args = build_parser().parse_args(argv)
+        args._config = _read_config(args.config) if args.config else {}
         return COMMANDS[args.command](args)
     except (ConfigError, ParseError, UnboundConstantError) as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -263,7 +263,7 @@ class CoordFunction:
 
     # -- exact zero test -------------------------------------------------
 
-    def _reduced(self) -> "CoordFunction":
+    def reduced(self) -> "CoordFunction":
         """Canonical form modulo x3^2 = rho^2 - x2^2 and x1^2 = r^2 - rho^2.
 
         Even powers of x3 and x1 are expanded binomially, which leaves x1
@@ -290,7 +290,7 @@ class CoordFunction:
 
     def is_zero(self) -> bool:
         """Exact test for the zero function, by the canonical reduction."""
-        return not self._reduced().terms
+        return not self.reduced().terms
 
     def equivalent(self, other: "CoordFunction") -> bool:
         return (self - other).is_zero()

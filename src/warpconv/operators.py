@@ -192,6 +192,11 @@ class OperatorExpr:
         is the zero function (see ``CoordFunction.is_zero``)."""
         return all(f.is_zero() for f in (self - other).terms.values())
 
+    def reduced(self) -> "OperatorExpr":
+        """Every coefficient in its canonical form; empty exactly when the
+        operator is zero (see ``CoordFunction.reduced``)."""
+        return OperatorExpr({pm: f.reduced() for pm, f in self.terms.items()})
+
     def is_hermitian(self) -> bool:
         return self.equals(self.adjoint())
 

@@ -93,6 +93,11 @@ def test_public_names_unchanged():
     (["holonomy", "--model", "aharonov_bohm", "--center", "0,1,0",
       "--points", "16", "--constants", "e=1,phi_M=1"], cli.EXIT_NUMERIC),
     (["verify", "--select", "modle"], cli.EXIT_CONFIG),
+    (["deform", "--model", "landau", "--seed", "1"], cli.EXIT_CONFIG),
+    (["commutator", "--a", "X1", "--b", "P1", "--seed", "1"], cli.EXIT_CONFIG),
+    (["gauge", "--model", "landau", "--seed", "1"], cli.EXIT_CONFIG),
+    (["holonomy", "--model", "landau", "--constants", "e=1,B=1",
+      "--seed", "1"], cli.EXIT_CONFIG),
 ])
 def test_exit_codes(argv, code, capsys):
     assert cli.main(argv) == code

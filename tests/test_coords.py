@@ -130,7 +130,7 @@ def test_normal_form_matches_exact_evaluation():
     for _ in range(200):
         f = rand_coord(rng, max_terms=4, fractional=True)
         f = f * rand_coord(rng, max_terms=2)
-        reduced = f._reduced()
+        reduced = f.reduced()
         assert all(a[0] <= 1 and a[2] <= 1 for (a, _, _, _) in reduced.terms)
         for point in ((156, 39, 52), (-156, 39, -52)):
             assert reduced.evaluate(point, consts) == f.evaluate(point, consts)

@@ -1,5 +1,7 @@
 import json
 
+import pytest
+
 from warpconv import cli, verify
 from warpconv.deform import DeformationSpec, deform_operator
 from warpconv.models import PRESETS
@@ -35,3 +37,58 @@ def test_symbolic_additivity_rejects_a_wrong_sum():
     assert twice.equals(deform_operator(h0, summed))
     doubled = DeformationSpec(verify.SKEW_B + verify.SKEW_B)
     assert not twice.equals(deform_operator(h0, doubled))
+
+
+# The name prefix of each of the ten sections, as `verify --select` takes it.
+SECTION_PREFIXES = ["deformed_hamiltonian", "deformed_momentum",
+                    "deformed_coordinate", "factorization", "additivity",
+                    "rieffel_diagonal", "coefficient_", "model",
+                    "moyal_plane_random", "gauge_cross_check"]
+SELECTIONS = [[prefix] for prefix in SECTION_PREFIXES] + [
+    ["d"], ["hermitian"], ["bianchi::landau"], ["model", "gauge_cross_check"]]
+
+
+@pytest.fixture(scope="module")
+def full_runs():
+    return {negative: verify.run_suite(negative_control=negative)
+            for negative in (False, True)}
+
+
+@pytest.mark.parametrize("negative_control", [False, True])
+@pytest.mark.parametrize("select", SELECTIONS, ids=",".join)
+def test_selection_equals_the_filtered_full_run(full_runs, select,
+                                                negative_control):
+    chosen = [c for c in full_runs[negative_control]["checks"]
+              if c["name"].startswith(tuple(select))]
+    assert chosen
+    assert verify.run_suite(select=select,
+                            negative_control=negative_control) == {
+        "negative_control": negative_control,
+        "all_pass": all(c["passed"] for c in chosen),
+        "checks": chosen,
+    }
+
+
+def test_failed_cross_checks_carry_their_residual(full_runs):
+    assert not any("residual" in c for c in full_runs[False]["checks"])
+    failed = [c for c in full_runs[True]["checks"] if not c["passed"]]
+    assert len(failed) == 7
+    assert all(c["residual"] for c in failed)
+
+
+def _refuse(*args, **kwargs):
+    raise AssertionError("computed a check outside the selection")
+
+
+def test_selection_skips_the_checks_it_does_not_name(monkeypatch):
+    monkeypatch.setattr(verify, "jacobi_maxwell_report", _refuse)
+    monkeypatch.setattr(verify, "factorization_check", _refuse)
+    for select in (["gauge_cross_check"], ["deformed_coordinate"]):
+        assert verify.run_suite(select=select)["all_pass"]
+
+
+def test_unmatched_selection_computes_nothing(monkeypatch, capsys):
+    monkeypatch.setattr(verify, "deform_operator", _refuse)
+    assert cli.main(["verify", "--select", "modle"]) == cli.EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1, err
