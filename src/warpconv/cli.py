@@ -8,6 +8,11 @@ human-readable summaries go to stderr.
 
 Exit codes: 0 success, 1 failed identity, 2 bad configuration,
 3 unsupported operator class, 4 numeric failure.
+
+Building the parser and reading the options load no symbolic module: each
+command imports the modules it runs when it runs, so ``commutator`` loads
+only the parser and the exact kernel, and only ``spectrum`` loads numpy
+and scipy, after the checks that can refuse its input.
 """
 
 from __future__ import annotations
@@ -19,19 +24,11 @@ import sys
 from fractions import Fraction
 
 from . import __version__
-from .deform import DeformationMatrix, DeformationSpec, QSpec, deform_sequence
 from .errors import (ConfigError, NonConvergenceError, ParseError,
                      SingularLoopError, SingularMatrixError,
                      SingularPointError, UnboundConstantError,
                      UnsupportedDegreeError, UnsupportedOperandError,
                      WarpconvError)
-from .gauge import (bianchi_check, extract_gauge_field, field_strength,
-                    holonomy)
-from .models import PRESETS, get_preset
-from .operators import OperatorExpr
-from .parsing import parse
-from .scalars import SymbolicScalar
-from .verify import run_suite
 
 EXIT_OK = 0
 EXIT_IDENTITY = 1
@@ -105,7 +102,8 @@ def _parse_constants(text) -> dict[str, float]:
     return out
 
 
-def _parse_matrix(text: str) -> DeformationMatrix:
+def _parse_matrix(text: str):
+    from .deform import DeformationMatrix
     vals = [_number(v, "--B", Fraction)
             for v in str(text).replace(",", " ").split()]
     if len(vals) == 1 and vals[0] == 0:
@@ -120,7 +118,8 @@ def _parse_matrix(text: str) -> DeformationMatrix:
     raise ConfigError("--B needs 1 (zero), 3 (axial) or 9 (row-major) entries")
 
 
-def _parse_generator(text: str) -> QSpec:
+def _parse_generator(text: str):
+    from .deform import QSpec
     label, _, param = str(text).partition(":")
     label = label.strip().lower()
     if label in ("coordinate", "x"):
@@ -134,7 +133,8 @@ def _parse_generator(text: str) -> QSpec:
     raise ConfigError(f"unknown generator {text!r}")
 
 
-def _parse_coupling(text: str) -> SymbolicScalar:
+def _parse_coupling(text: str):
+    from .scalars import SymbolicScalar
     text = str(text).strip()
     sign = 1
     if text.startswith("-"):
@@ -145,14 +145,16 @@ def _parse_coupling(text: str) -> SymbolicScalar:
     return SymbolicScalar.symbol(text, 1, sign)
 
 
-def _resolve_model(args) -> tuple[str | None, list[DeformationSpec], object]:
+def _resolve_model(args) -> tuple[str | None, list, object]:
     """(name, specs, preset-or-None) from --model or inline --B/--Q."""
+    from .deform import DeformationSpec
+    from .models import get_preset
     name = _merged(args, "model")
     if name is not None:
         try:
             preset = get_preset(str(name))
         except KeyError as exc:
-            raise ConfigError(str(exc)) from exc
+            raise ConfigError(exc.args[0]) from exc
         return preset.name, list(preset.specs), preset
     b = _merged(args, "B")
     if b is None:
@@ -162,11 +164,14 @@ def _resolve_model(args) -> tuple[str | None, list[DeformationSpec], object]:
     return None, [DeformationSpec(matrix, gen)], None
 
 
-def _expression_payload(expr: OperatorExpr) -> dict:
+def _expression_payload(expr) -> dict:
     return {"expression": expr.to_json_dict(), "pretty": str(expr)}
 
 
 def cmd_deform(args) -> int:
+    from .deform import deform_sequence
+    from .operators import OperatorExpr
+    from .parsing import parse
     name, specs, preset = _resolve_model(args)
     expr_text = _merged(args, "expr")
     if expr_text is not None:
@@ -190,6 +195,7 @@ def cmd_deform(args) -> int:
 
 
 def cmd_commutator(args) -> int:
+    from .parsing import parse
     a_text, b_text = _merged(args, "a"), _merged(args, "b")
     if not a_text or not b_text:
         raise ConfigError("commutator needs --a and --b expressions")
@@ -203,6 +209,8 @@ def cmd_commutator(args) -> int:
 
 
 def cmd_gauge(args) -> int:
+    from .gauge import bianchi_check, extract_gauge_field, field_strength
+    from .operators import OperatorExpr
     name, specs, preset = _resolve_model(args)
     coupling = (_parse_coupling(_merged(args, "coupling", "e"))
                 if preset is None else preset.coupling)
@@ -227,6 +235,7 @@ def cmd_gauge(args) -> int:
 
 
 def cmd_verify(args) -> int:
+    from .verify import run_suite
     # The suite draws nothing at random; the schema keeps "seed", so echo it.
     seed = _number(_merged(args, "seed", 0), "--seed", int)
     select_raw = _merged(args, "select")
@@ -248,8 +257,7 @@ def cmd_verify(args) -> int:
 
 
 def cmd_spectrum(args) -> int:
-    # Imported here so only this command loads numpy/scipy; no cycle.
-    from .spectra import GridSpec, discretize, eigenvalues
+    from .models import GridSpec
     name, specs, preset = _resolve_model(args)
     if preset is None:
         raise ConfigError("spectrum needs --model (a preset name)")
@@ -269,6 +277,11 @@ def cmd_spectrum(args) -> int:
     if not 1 <= k <= k_max:
         raise ConfigError(f"--k must be between 1 and {k_max} on this grid")
     seed = _number(_merged(args, "seed", 0), "--seed", int)
+    # The refusals of discretize(), made before numpy and scipy are loaded.
+    if "m" not in constants:
+        raise UnboundConstantError("mass constant 'm' must be bound")
+    preset.transverse_shift()
+    from .spectra import discretize, eigenvalues
     matrix, info = discretize(preset, grid, constants)
     result = eigenvalues(matrix, k, info, seed=seed)
     payload = {"command": "spectrum", "model": name,
@@ -285,6 +298,7 @@ def cmd_spectrum(args) -> int:
 
 
 def cmd_holonomy(args) -> int:
+    from .gauge import extract_gauge_field, holonomy
     name, specs, preset = _resolve_model(args)
     coupling = (_parse_coupling(_merged(args, "coupling", "e"))
                 if preset is None else preset.coupling)
@@ -310,6 +324,9 @@ def cmd_holonomy(args) -> int:
     return EXIT_OK
 
 
+# Each command, and each helper it calls, imports the modules it runs in its
+# own body, so that an invocation loads only what it uses.  These imports
+# defer loading; none of them hides an import cycle.
 COMMANDS = {
     "deform": cmd_deform,
     "commutator": cmd_commutator,
@@ -338,8 +355,7 @@ def build_parser() -> argparse.ArgumentParser:
     def common(p):
         p.add_argument("--config", help="flat key = value config file")
         p.add_argument("--out", help="output path (default stdout)")
-        p.add_argument("--model", choices=sorted(PRESETS),
-                       help="preset model name")
+        p.add_argument("--model", help="preset model name")
         p.add_argument("--B", help="inline matrix: 0 | b1,b2,b3 | 9 entries")
         p.add_argument("--Q", help="generator: coordinate | radial:n | transverse")
         p.add_argument("--constants", help="numeric bindings k=v,k=v,...")

@@ -19,6 +19,7 @@ do not depend on it.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -28,7 +29,7 @@ from .coords import CoordFunction
 from .deform import (DeformationMatrix, DeformationSpec, QSpec,
                      deform_coordinate, deform_sequence,
                      invert_transverse_block, momentum_shift)
-from .errors import NonPositiveParameterError
+from .errors import NonPositiveParameterError, UnsupportedOperandError
 from .operators import OperatorExpr, require_coordinate_only
 from .scalars import QC, SymbolicScalar
 
@@ -64,6 +65,12 @@ class ModelPreset:
         return h
 
     def deformed(self) -> OperatorExpr:
+        return self._deformed
+
+    @functools.cached_property
+    def _deformed(self) -> OperatorExpr:
+        # Computed once per preset object: the reference, linearized and
+        # hermiticity checks all start from it.
         return deform_sequence(self.base_hamiltonian(), self.specs)
 
     def matches_reference(self) -> bool:
@@ -86,6 +93,18 @@ class ModelPreset:
             total = [a + b for a, b in zip(total, s)]
         return total
 
+    def transverse_shift(self) -> list[CoordFunction]:
+        """The total shift, refused unless it is independent of x1 (no x1
+        power, no r power), as the p1 = 0 sector of a grid spectrum needs."""
+        shift = self.shift_functions()
+        for j, s in enumerate(shift, start=1):
+            for (a, p, _, _) in s.terms:
+                if a[0] != 0 or p != 0:
+                    raise UnsupportedOperandError(
+                        f"momentum shift S_{j} depends on x1; this preset has "
+                        "no transverse-plane reduction")
+        return shift
+
     def metadata(self) -> dict:
         return {
             "name": self.name,
@@ -100,6 +119,42 @@ class ModelPreset:
             "sign_note": self.sign_note,
             "field_axis": self.field_axis,
         }
+
+
+@dataclass(frozen=True)
+class GridSpec:
+    """Transverse Dirichlet box of a grid spectrum: extent L, N points per
+    axis.  It needs no numpy, so the CLI validates it before loading
+    ``spectra``."""
+
+    extent: float
+    points: int
+    plane_axes: tuple[int, int] = (2, 3)
+    boundary: str = "dirichlet"
+
+    def __post_init__(self):
+        if self.extent <= 0:
+            raise ValueError("grid extent must be positive")
+        if self.points < 2:
+            raise ValueError("need at least 2 points per axis")
+        if self.boundary != "dirichlet":
+            raise ValueError("only Dirichlet walls are implemented")
+
+    @property
+    def spacing(self) -> float:
+        # Interior-node Dirichlet grid: walls at +-L/2 are one spacing
+        # beyond the outermost nodes, so the effective box length is
+        # exactly L.  For even N the nodes sit at half-integer multiples
+        # of the spacing and never hit r = 0 or rho = 0.
+        return self.extent / (self.points + 1)
+
+    def nodes(self) -> list[float]:
+        h = self.spacing
+        return [-self.extent / 2.0 + (i + 1) * h for i in range(self.points)]
+
+    def metadata(self) -> dict:
+        return {"extent": self.extent, "points": self.points,
+                "plane_axes": list(self.plane_axes), "boundary": self.boundary}
 
 
 # -- gauge fields written down independently of the deformation machinery --

@@ -13,6 +13,9 @@ diagonal unitary, so the spectrum depends on the field strength alone.
 This is the one module that imports numpy and scipy.  The package and the
 CLI import it only when a spectrum is asked for, so the symbolic commands
 (and ``holonomy``, which lives in ``gauge``) never load the numeric stack.
+The grid box (``models.GridSpec``) and the transverse-reduction check
+(``ModelPreset.transverse_shift``) are numpy-free, so the CLI refuses a bad
+grid or a preset without that reduction before it imports this module.
 """
 
 from __future__ import annotations
@@ -29,45 +32,11 @@ from .coords import CoordFunction
 from .errors import (NonConvergenceError, UnboundConstantError,
                      UnsupportedOperandError)
 from .gauge import _bind_constants
-from .models import ModelPreset
+from .models import GridSpec, ModelPreset
 
 # Unknowns below which the dense solver is used: where the dense and the
 # shift-invert solves of 16 levels take equally long on the transverse grid.
 _DENSE_LIMIT = 300
-
-
-@dataclass(frozen=True)
-class GridSpec:
-    """Transverse Dirichlet box: extent L, N points per axis."""
-
-    extent: float
-    points: int
-    plane_axes: tuple[int, int] = (2, 3)
-    boundary: str = "dirichlet"
-
-    def __post_init__(self):
-        if self.extent <= 0:
-            raise ValueError("grid extent must be positive")
-        if self.points < 2:
-            raise ValueError("need at least 2 points per axis")
-        if self.boundary != "dirichlet":
-            raise ValueError("only Dirichlet walls are implemented")
-
-    @property
-    def spacing(self) -> float:
-        # Interior-node Dirichlet grid: walls at +-L/2 are one spacing
-        # beyond the outermost nodes, so the effective box length is
-        # exactly L.  For even N the nodes sit at half-integer multiples
-        # of the spacing and never hit r = 0 or rho = 0.
-        return self.extent / (self.points + 1)
-
-    def nodes(self) -> np.ndarray:
-        h = self.spacing
-        return -self.extent / 2.0 + (np.arange(self.points) + 1) * h
-
-    def metadata(self) -> dict:
-        return {"extent": self.extent, "points": self.points,
-                "plane_axes": list(self.plane_axes), "boundary": self.boundary}
 
 
 @dataclass
@@ -115,16 +84,6 @@ def _plane_profile(f: CoordFunction, xs2: np.ndarray, xs3: np.ndarray,
     return out
 
 
-def _require_transverse(shift: list[CoordFunction]):
-    """The p1 = 0 sector needs shifts independent of x1 (no x1 power, no r power)."""
-    for j, s in enumerate(shift, start=1):
-        for (a, p, _, _) in s.terms:
-            if a[0] != 0 or p != 0:
-                raise UnsupportedOperandError(
-                    f"momentum shift S_{j} depends on x1; this preset has no "
-                    "transverse-plane reduction")
-
-
 def discretize(preset: ModelPreset, grid: GridSpec,
                constants: dict) -> tuple[scipy.sparse.csr_matrix, dict]:
     """Sparse hermitian matrix of (1/2m)
@@ -153,8 +112,7 @@ def discretize(preset: ModelPreset, grid: GridSpec,
     if "m" not in consts:
         raise UnboundConstantError("mass constant 'm' must be bound")
     mass = consts["m"]
-    shift = preset.shift_functions()
-    _require_transverse(shift)
+    shift = preset.transverse_shift()
 
     n = grid.points
     h = grid.spacing
@@ -164,7 +122,7 @@ def discretize(preset: ModelPreset, grid: GridSpec,
 
     # S_1 at the nodes; S_2 and S_3 at the midpoints of the links along
     # their own axis, where the midpoint rule gives each link's phase.
-    xs = grid.nodes()
+    xs = np.array(grid.nodes())
     mid = xs[:-1] + 0.5 * h
     s1 = _plane_profile(shift[0], xs, xs, consts, "S_1")
     phase2 = h * _plane_profile(shift[1], mid, xs, consts, "S_2")

@@ -17,6 +17,7 @@ difference of its first unequal pair as its residual.
 
 from __future__ import annotations
 
+import functools
 from fractions import Fraction
 from typing import Callable
 
@@ -88,34 +89,33 @@ def _exact(name: str, pairs, detail: str = "") -> Check:
     return Check(name, True, detail)
 
 
-def _deformed_hamiltonian_closed_form(tag: str, make_q,
+def _deformed_hamiltonian_closed_form(tag: str, spec: DeformationSpec,
+                                      shifts: Callable[[], list],
                                       wants: Wants) -> list[Check]:
     """deform(H0) against (1/2m) sum_j Phat_j^2 with the shift rebuilt from
-    engine commutators, i G = i (B Q)_k [Q_k, P_j]."""
+    engine commutators, i G = i (B Q)_k [Q_k, P_j]; ``shifts()`` gives that
+    shift, computed once for both closed-form sections."""
     name = f"deformed_hamiltonian::{tag}"
     if not wants(name):
         return []
-    spec = DeformationSpec(SKEW_B, make_q())
     lhs = deform_operator(OperatorExpr.free_hamiltonian(), spec)
-    shifts = momentum_shift_via_commutators(spec)
     rhs = OperatorExpr.zero()
-    for j in (1, 2, 3):
-        phat = OperatorExpr.momentum(j) + OperatorExpr.from_coord(shifts[j - 1])
+    for j, shift in enumerate(shifts(), start=1):
+        phat = OperatorExpr.momentum(j) + OperatorExpr.from_coord(shift)
         rhs = rhs + phat * phat
     return [_exact(name, [(lhs, rhs.scale(_half_over_m()))])]
 
 
-def _deformed_momentum_closed_form(tag: str, make_q,
+def _deformed_momentum_closed_form(tag: str, spec: DeformationSpec,
+                                   shifts: Callable[[], list],
                                    wants: Wants) -> list[Check]:
     name = f"deformed_momentum::{tag}"
     if not wants(name):
         return []
-    spec = DeformationSpec(SKEW_B, make_q())
-    shifts = momentum_shift_via_commutators(spec)
     return [_exact(name, (
         (deform_operator(OperatorExpr.momentum(j), spec),
-         OperatorExpr.momentum(j) + OperatorExpr.from_coord(shifts[j - 1]))
-        for j in (1, 2, 3)))]
+         OperatorExpr.momentum(j) + OperatorExpr.from_coord(shift))
+        for j, shift in enumerate(shifts(), start=1)))]
 
 
 def _deformed_coordinate_check(wants: Wants) -> list[Check]:
@@ -349,8 +349,11 @@ def run_suite(select: list[str] | None = None,
 
     checks: list[Check] = []
     for tag, make_q in CATALOG_GENERATORS:
-        checks += _deformed_hamiltonian_closed_form(tag, make_q, wants)
-        checks += _deformed_momentum_closed_form(tag, make_q, wants)
+        spec = DeformationSpec(SKEW_B, make_q())
+        shifts = functools.cache(
+            functools.partial(momentum_shift_via_commutators, spec))
+        checks += _deformed_hamiltonian_closed_form(tag, spec, shifts, wants)
+        checks += _deformed_momentum_closed_form(tag, spec, shifts, wants)
     checks += _deformed_coordinate_check(wants)
     checks += _factorization_checks(wants)
     checks += _additivity_check(wants)

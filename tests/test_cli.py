@@ -35,28 +35,47 @@ PUBLIC_NAMES = [
     "uncertainty_bound", "zeeman",
 ]
 
-SYMBOLIC_RUN = """
+# Runs one command in a fresh process and prints its exit code and the
+# warpconv, numpy and scipy modules it loaded.
+LOADED_RUN = """
 import contextlib, io, json, sys
-import warpconv, warpconv.cli as cli
-for argv in ([
-        ["commutator", "--a", "X1", "--b", "P1"],
-        ["deform", "--model", "landau"],
-        ["gauge", "--model", "landau"],
-        ["holonomy", "--model", "landau", "--constants", "e=1,B=1"],
-        ["verify", "--select", "model"]]):
-    with contextlib.redirect_stdout(io.StringIO()):
-        assert cli.main(argv) == 0, argv
-print(json.dumps(sorted(m for m in sys.modules
-                        if m.split(".")[0] in ("numpy", "scipy"))))
+import warpconv.cli as cli
+with contextlib.redirect_stdout(io.StringIO()):
+    try:
+        code = cli.main(sys.argv[1:])
+    except SystemExit as exc:  # --version
+        code = exc.code
+print(json.dumps([code, sorted(m for m in sys.modules if m.split(".")[0]
+                               in ("warpconv", "numpy", "scipy"))]))
 """
 
+SYMBOLIC_MODULES = ("warpconv.scalars", "warpconv.coords", "warpconv.operators",
+                    "warpconv.parsing", "warpconv.deform", "warpconv.gauge",
+                    "warpconv.models", "warpconv.verify", "warpconv.spectra")
+NUMERIC = ("numpy", "scipy")
 
-def test_symbolic_commands_do_not_load_numpy_or_scipy():
+
+@pytest.mark.parametrize("argv, code, unloaded", [
+    (["--version"], 0, SYMBOLIC_MODULES + NUMERIC),
+    (["commutator", "--a", "X1", "--b", "P1"], 0,
+     SYMBOLIC_MODULES[4:] + NUMERIC),
+    (["deform", "--model", "landau"], 0, NUMERIC),
+    (["gauge", "--model", "landau"], 0, NUMERIC),
+    (["holonomy", "--model", "landau", "--constants", "e=1,B=1"], 0, NUMERIC),
+    (["verify", "--select", "model"], 0, NUMERIC),
+    (["spectrum", "--model", "lense_thirring", "--grid", "32,10",
+      "--constants", "m=1,Omega=1"], 3, NUMERIC),
+], ids=["version", "commutator", "deform", "gauge", "holonomy", "verify",
+        "refused_spectrum"])
+def test_command_loads_only_what_it_runs(argv, code, unloaded):
     env = dict(os.environ, PYTHONPATH=SRC)
-    proc = subprocess.run([sys.executable, "-c", SYMBOLIC_RUN], env=env,
+    proc = subprocess.run([sys.executable, "-c", LOADED_RUN, *argv], env=env,
                           capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
-    assert json.loads(proc.stdout.splitlines()[-1]) == []
+    exit_code, loaded = json.loads(proc.stdout.splitlines()[-1])
+    assert exit_code == code
+    assert [m for m in loaded
+            if m in unloaded or m.split(".")[0] in unloaded] == []
 
 
 def test_spectra_names_resolve_from_the_package():
@@ -69,6 +88,12 @@ def test_spectra_names_resolve_from_the_package():
 
 def test_public_names_unchanged():
     assert sorted(warpconv.__all__) == PUBLIC_NAMES
+
+
+def test_every_public_name_resolves():
+    for name in warpconv.__all__:
+        assert getattr(warpconv, name) is not None, name
+    assert warpconv.coords.CoordFunction is warpconv.CoordFunction
 
 
 @pytest.mark.parametrize("argv, code", [
@@ -98,12 +123,19 @@ def test_public_names_unchanged():
     (["gauge", "--model", "landau", "--seed", "1"], cli.EXIT_CONFIG),
     (["holonomy", "--model", "landau", "--constants", "e=1,B=1",
       "--seed", "1"], cli.EXIT_CONFIG),
+    (["deform", "--model", "nope"], cli.EXIT_CONFIG),
 ])
 def test_exit_codes(argv, code, capsys):
     assert cli.main(argv) == code
     err = capsys.readouterr().err
     if code != cli.EXIT_OK:
         assert err.startswith("error: ") and err.count("\n") == 1, err
+
+
+def test_unknown_preset_lists_the_known_ones(capsys):
+    assert cli.main(["gauge", "--model", "nope"]) == cli.EXIT_CONFIG
+    assert capsys.readouterr().err.startswith(
+        "error: unknown model preset 'nope'; known: aharonov_bohm, ")
 
 
 def test_select_prefixes_are_stripped(capsys):

@@ -2,7 +2,7 @@ import json
 
 import pytest
 
-from warpconv import cli, verify
+from warpconv import cli, models, verify
 from warpconv.deform import DeformationSpec, deform_operator
 from warpconv.models import PRESETS
 from warpconv.operators import OperatorExpr
@@ -27,6 +27,27 @@ def test_flipped_commutator_shift_fails_the_closed_forms(monkeypatch):
                                       "deformed_momentum"])
     assert len(report["checks"]) == 2 * len(verify.CATALOG_GENERATORS)
     assert not any(c["passed"] for c in report["checks"])
+
+
+def test_closed_forms_share_one_shift_per_generator(monkeypatch):
+    calls = []
+    shift = verify.momentum_shift_via_commutators
+    monkeypatch.setattr(verify, "momentum_shift_via_commutators",
+                        lambda spec: calls.append(spec) or shift(spec))
+    report = verify.run_suite(select=["deformed_hamiltonian",
+                                      "deformed_momentum"])
+    assert report["all_pass"]
+    assert len(calls) == len(verify.CATALOG_GENERATORS)
+
+
+def test_model_section_deforms_each_preset_once(monkeypatch):
+    calls = []
+    deform_sequence = models.deform_sequence
+    monkeypatch.setattr(models, "deform_sequence",
+                        lambda *args: calls.append(args) or deform_sequence(*args))
+    report = verify.run_suite(select=["model", "hermitian"])
+    assert report["all_pass"]
+    assert len(calls) == len(PRESETS)
 
 
 def test_symbolic_additivity_rejects_a_wrong_sum():
