@@ -1,10 +1,24 @@
 """Batch command-line front end.
 
-Commands: deform, commutator, gauge, verify, spectrum, holonomy.  Options
-may come from a flat key = value config file (--config); command-line flags
-win over config entries.  Output is canonical JSON (sorted keys, fixed
-separators), byte-identical across runs with the same config and seed;
-human-readable summaries go to stderr.
+Each command takes --config, --out and only the options it reads:
+
+    deform      --model --B --Q --expr
+    commutator  --a --b
+    gauge       --model --B --Q --coupling
+    verify      --seed --select --negative-control
+    spectrum    --model --seed --grid --k --constants --format
+    holonomy    --model --B --Q --coupling --constants --radius --center
+                --points
+
+A config file is a list of flags: each ``key = value`` line is the one
+token ``--key=value`` (``_`` in a key reads as ``-``), and a switch's
+``true`` is the bare flag, its ``false`` nothing; lines starting with #
+are skipped.  The tokens go between the command name and the command-line
+flags, so flags win, and the command's parser checks them as flags: an
+unknown key, a bad value, a line without '=' or an unreadable file exits 2.
+
+Output is canonical JSON (sorted keys, fixed separators), byte-identical
+across runs with the same options; human-readable summaries go to stderr.
 
 Exit codes: 0 success, 1 failed identity, 2 bad configuration,
 3 unsupported operator class, 4 numeric failure.
@@ -24,9 +38,7 @@ import sys
 from fractions import Fraction
 
 from . import __version__
-from .errors import (ConfigError, NonConvergenceError, ParseError,
-                     SingularLoopError, SingularMatrixError,
-                     SingularPointError, UnboundConstantError,
+from .errors import (ConfigError, ParseError, UnboundConstantError,
                      UnsupportedDegreeError, UnsupportedOperandError,
                      WarpconvError)
 
@@ -36,45 +48,90 @@ EXIT_CONFIG = 2
 EXIT_UNSUPPORTED = 3
 EXIT_NUMERIC = 4
 
+# Every option with its default, declared once, and the options each command
+# reads besides --config and --out.
+OPTIONS = {
+    "--config": {"help": "file of key = value lines, read as --key=value"},
+    "--out": {"help": "output path (default stdout)"},
+    "--model": {"help": "preset model name"},
+    "--B": {"help": "inline matrix: 0 | b1,b2,b3 | 9 entries"},
+    "--Q": {"default": "coordinate",
+            "help": "inline generator: coordinate | radial:n | transverse"},
+    "--coupling": {"default": "e", "help": "inline coupling, e.g. e or -m"},
+    "--constants": {"help": "numeric bindings k=v,k=v,..."},
+    "--expr": {"help": "operand (default: the preset base Hamiltonian)"},
+    "--a": {"help": "left expression"},
+    "--b": {"help": "right expression"},
+    # The suite draws nothing at random; verify echoes the seed for the schema.
+    "--seed": {"type": int, "default": 0,
+               "help": "eigensolver start-vector seed; verify echoes it"},
+    "--select": {"help": "comma-separated name prefixes; only the checks "
+                         "they name are computed"},
+    "--negative-control": {"action": "store_true", "help": "inject a "
+                           "wrong-sign commutator route (must fail)"},
+    "--grid": {"default": "64,10", "help": "N,L: points per axis, box extent"},
+    "--k": {"type": int, "default": 16, "help": "eigenvalues wanted (<= 64)"},
+    "--format": {"choices": ("json", "csv"), "default": "json"},
+    "--radius": {"type": float, "default": 1.0, "help": "loop radius"},
+    "--center": {"default": "0,0,0", "help": "c1,c2,c3 (loop center)"},
+    "--points": {"type": int, "default": 256, "help": "quadrature points"},
+}
+COMMAND_OPTIONS = {
+    "deform": ("deform an operator expression",
+               ("--model", "--B", "--Q", "--expr")),
+    "commutator": ("commutator of two expressions", ("--a", "--b")),
+    "gauge": ("induced gauge field and field strength",
+              ("--model", "--B", "--Q", "--coupling")),
+    "verify": ("run the symbolic identity suite",
+               ("--seed", "--select", "--negative-control")),
+    "spectrum": ("grid eigenvalues of a preset", ("--model", "--seed",
+                 "--grid", "--k", "--constants", "--format")),
+    "holonomy": ("loop integral of the gauge field", ("--model", "--B", "--Q",
+                 "--coupling", "--constants", "--radius", "--center",
+                 "--points")),
+}
+
 
 def _dump(obj: dict, out: str | None, fmt: str = "json") -> None:
     if fmt == "json":
         payload = json.dumps(obj, sort_keys=True, separators=(",", ":")) + "\n"
     else:
         payload = obj["csv"]
-    if out:
+    if not out:
+        sys.stdout.write(payload)
+        return
+    try:
         with open(out, "w") as fh:
             fh.write(payload)
-    else:
-        sys.stdout.write(payload)
-
-
-def _read_config(path: str) -> dict[str, str]:
-    out: dict[str, str] = {}
-    try:
-        with open(path) as fh:
-            for lineno, raw in enumerate(fh, start=1):
-                line = raw.strip()
-                if not line or line.startswith("#"):
-                    continue
-                if "=" not in line:
-                    raise ConfigError(
-                        f"{path}:{lineno}: expected key = value")
-                key, val = line.split("=", 1)
-                out[key.strip()] = val.strip()
     except OSError as exc:
+        raise ConfigError(f"cannot write --out: {exc}") from exc
+
+
+def _config_flags(path: str) -> list[str]:
+    """The flags a config file stands for: ``--key=value`` per line, one
+    token each; a switch's ``true`` is the bare flag, its ``false`` none."""
+    try:
+        with open(path, encoding="utf-8") as fh:
+            lines = fh.read().splitlines()
+    except (OSError, UnicodeDecodeError) as exc:
         raise ConfigError(f"cannot read config {path}: {exc}") from exc
-    return out
-
-
-def _merged(args: argparse.Namespace, key: str, default=None):
-    val = getattr(args, key, None)
-    if val is not None:
-        return val
-    cfg = getattr(args, "_config", {})
-    if key in cfg:
-        return cfg[key]
-    return default
+    flags = []
+    for lineno, raw in enumerate(lines, start=1):
+        line = raw.strip()
+        if not line or line.startswith("#"):
+            continue
+        key, eq, value = (part.strip() for part in line.partition("="))
+        if not eq:
+            raise ConfigError(f"{path}:{lineno}: expected key = value")
+        flag = "--" + key.replace("_", "-")
+        if OPTIONS.get(flag, {}).get("action") != "store_true":
+            flags.append(f"{flag}={value}")
+        elif value not in ("true", "false"):
+            raise ConfigError(
+                f"{path}:{lineno}: {key} is true or false, got {value!r}")
+        elif value == "true":
+            flags.append(flag)
+    return flags
 
 
 def _number(value, option: str, kind=float):
@@ -88,13 +145,9 @@ def _number(value, option: str, kind=float):
     return number
 
 
-def _parse_constants(text) -> dict[str, float]:
-    if text is None:
-        return {}
-    if isinstance(text, dict):
-        return text
+def _parse_constants(text: str | None) -> dict[str, float]:
     out = {}
-    for chunk in str(text).replace(",", " ").split():
+    for chunk in (text or "").replace(",", " ").split():
         if "=" not in chunk:
             raise ConfigError(f"constants entries are name=value, got {chunk!r}")
         name, val = chunk.split("=", 1)
@@ -105,7 +158,7 @@ def _parse_constants(text) -> dict[str, float]:
 def _parse_matrix(text: str):
     from .deform import DeformationMatrix
     vals = [_number(v, "--B", Fraction)
-            for v in str(text).replace(",", " ").split()]
+            for v in text.replace(",", " ").split()]
     if len(vals) == 1 and vals[0] == 0:
         return DeformationMatrix.zero()
     if len(vals) == 3:
@@ -120,7 +173,7 @@ def _parse_matrix(text: str):
 
 def _parse_generator(text: str):
     from .deform import QSpec
-    label, _, param = str(text).partition(":")
+    label, _, param = text.partition(":")
     label = label.strip().lower()
     if label in ("coordinate", "x"):
         return QSpec.coordinate()
@@ -135,7 +188,7 @@ def _parse_generator(text: str):
 
 def _parse_coupling(text: str):
     from .scalars import SymbolicScalar
-    text = str(text).strip()
+    text = text.strip()
     sign = 1
     if text.startswith("-"):
         sign = -1
@@ -145,23 +198,24 @@ def _parse_coupling(text: str):
     return SymbolicScalar.symbol(text, 1, sign)
 
 
+def _preset(name: str):
+    from .models import get_preset
+    try:
+        return get_preset(name)
+    except KeyError as exc:
+        raise ConfigError(exc.args[0]) from exc
+
+
 def _resolve_model(args) -> tuple[str | None, list, object]:
     """(name, specs, preset-or-None) from --model or inline --B/--Q."""
     from .deform import DeformationSpec
-    from .models import get_preset
-    name = _merged(args, "model")
-    if name is not None:
-        try:
-            preset = get_preset(str(name))
-        except KeyError as exc:
-            raise ConfigError(exc.args[0]) from exc
+    if args.model is not None:
+        preset = _preset(args.model)
         return preset.name, list(preset.specs), preset
-    b = _merged(args, "B")
-    if b is None:
+    if args.B is None:
         raise ConfigError("need --model or an inline --B matrix")
-    matrix = _parse_matrix(b)
-    gen = _parse_generator(_merged(args, "Q", "coordinate"))
-    return None, [DeformationSpec(matrix, gen)], None
+    spec = DeformationSpec(_parse_matrix(args.B), _parse_generator(args.Q))
+    return None, [spec], None
 
 
 def _expression_payload(expr) -> dict:
@@ -173,9 +227,8 @@ def cmd_deform(args) -> int:
     from .operators import OperatorExpr
     from .parsing import parse
     name, specs, preset = _resolve_model(args)
-    expr_text = _merged(args, "expr")
-    if expr_text is not None:
-        operand = parse(str(expr_text))
+    if args.expr is not None:
+        operand = parse(args.expr)
     elif preset is not None:
         operand = preset.base_hamiltonian()
     else:
@@ -189,21 +242,20 @@ def cmd_deform(args) -> int:
     }
     if preset is not None:
         payload["metadata"] = preset.metadata()
-    _dump(payload, _merged(args, "out"))
+    _dump(payload, args.out)
     print(f"deformed: {deformed}", file=sys.stderr)
     return EXIT_OK
 
 
 def cmd_commutator(args) -> int:
     from .parsing import parse
-    a_text, b_text = _merged(args, "a"), _merged(args, "b")
-    if not a_text or not b_text:
+    if not args.a or not args.b:
         raise ConfigError("commutator needs --a and --b expressions")
-    a, b = parse(str(a_text)), parse(str(b_text))
+    a, b = parse(args.a), parse(args.b)
     comm = a.commutator(b)
     payload = {"command": "commutator", "a": str(a), "b": str(b),
                **_expression_payload(comm)}
-    _dump(payload, _merged(args, "out"))
+    _dump(payload, args.out)
     print(f"[a, b] = {comm}", file=sys.stderr)
     return EXIT_OK
 
@@ -212,7 +264,7 @@ def cmd_gauge(args) -> int:
     from .gauge import bianchi_check, extract_gauge_field, field_strength
     from .operators import OperatorExpr
     name, specs, preset = _resolve_model(args)
-    coupling = (_parse_coupling(_merged(args, "coupling", "e"))
+    coupling = (_parse_coupling(args.coupling)
                 if preset is None else preset.coupling)
     fields = []
     for spec in specs:
@@ -230,24 +282,20 @@ def cmd_gauge(args) -> int:
         })
     payload = {"command": "gauge", "model": name,
                "coupling": str(coupling), "fields": fields}
-    _dump(payload, _merged(args, "out"))
+    _dump(payload, args.out)
     return EXIT_OK
 
 
 def cmd_verify(args) -> int:
     from .verify import run_suite
-    # The suite draws nothing at random; the schema keeps "seed", so echo it.
-    seed = _number(_merged(args, "seed", 0), "--seed", int)
-    select_raw = _merged(args, "select")
     select = None
-    if select_raw is not None:
-        select = [s.strip() for s in str(select_raw).split(",") if s.strip()]
-    negative = bool(_merged(args, "negative_control", False))
-    report = run_suite(select=select, negative_control=negative)
+    if args.select is not None:
+        select = [s.strip() for s in args.select.split(",") if s.strip()]
+    report = run_suite(select=select, negative_control=args.negative_control)
     if not report["checks"]:
-        raise ConfigError(f"--select {select_raw!r} matches no check")
-    payload = {"command": "verify", "seed": seed, **report}
-    _dump(payload, _merged(args, "out"))
+        raise ConfigError(f"--select {args.select!r} matches no check")
+    payload = {"command": "verify", "seed": args.seed, **report}
+    _dump(payload, args.out)
     failed = [c["name"] for c in report["checks"] if not c["passed"]]
     print(f"verify: {len(report['checks'])} checks, "
           f"{len(failed)} failed", file=sys.stderr)
@@ -258,11 +306,10 @@ def cmd_verify(args) -> int:
 
 def cmd_spectrum(args) -> int:
     from .models import GridSpec
-    name, specs, preset = _resolve_model(args)
-    if preset is None:
+    if args.model is None:
         raise ConfigError("spectrum needs --model (a preset name)")
-    grid_text = _merged(args, "grid", "64,10")
-    parts = str(grid_text).replace(",", " ").split()
+    preset = _preset(args.model)
+    parts = args.grid.replace(",", " ").split()
     if len(parts) != 2:
         raise ConfigError("--grid needs N,L")
     points = _number(parts[0], "--grid N", int)
@@ -271,27 +318,22 @@ def cmd_spectrum(args) -> int:
         grid = GridSpec(extent=extent, points=points)
     except ValueError as exc:
         raise ConfigError(f"--grid: {exc}") from exc
-    constants = _parse_constants(_merged(args, "constants"))
-    k = _number(_merged(args, "k", 16), "--k", int)
+    constants = _parse_constants(args.constants)
     k_max = min(64, points * points - 2)  # the limits eigenvalues() enforces
-    if not 1 <= k <= k_max:
+    if not 1 <= args.k <= k_max:
         raise ConfigError(f"--k must be between 1 and {k_max} on this grid")
-    seed = _number(_merged(args, "seed", 0), "--seed", int)
     # The refusals of discretize(), made before numpy and scipy are loaded.
     if "m" not in constants:
         raise UnboundConstantError("mass constant 'm' must be bound")
     preset.transverse_shift()
     from .spectra import discretize, eigenvalues
     matrix, info = discretize(preset, grid, constants)
-    result = eigenvalues(matrix, k, info, seed=seed)
-    payload = {"command": "spectrum", "model": name,
+    result = eigenvalues(matrix, args.k, info, seed=args.seed)
+    payload = {"command": "spectrum", "model": preset.name,
                **result.to_json_dict()}
-    fmt = str(_merged(args, "format", "json"))
-    if fmt == "csv":
+    if args.format == "csv":
         payload["csv"] = result.to_csv()
-    elif fmt != "json":
-        raise ConfigError(f"unknown format {fmt!r}")
-    _dump(payload, _merged(args, "out"), fmt)
+    _dump(payload, args.out, args.format)
     for w in result.warnings:
         print(f"warning: {w}", file=sys.stderr)
     return EXIT_OK
@@ -300,26 +342,23 @@ def cmd_spectrum(args) -> int:
 def cmd_holonomy(args) -> int:
     from .gauge import extract_gauge_field, holonomy
     name, specs, preset = _resolve_model(args)
-    coupling = (_parse_coupling(_merged(args, "coupling", "e"))
+    coupling = (_parse_coupling(args.coupling)
                 if preset is None else preset.coupling)
     gf = extract_gauge_field(specs[0], coupling)
-    radius = _number(_merged(args, "radius", 1.0), "--radius")
-    if not radius > 0:
-        raise ConfigError("--radius must be positive")
-    center_text = str(_merged(args, "center", "0,0,0"))
+    if not 0 < args.radius < math.inf:
+        raise ConfigError("--radius must be positive and finite")
     center = tuple(_number(v, "--center")
-                   for v in center_text.replace(",", " ").split())
+                   for v in args.center.replace(",", " ").split())
     if len(center) != 3:
         raise ConfigError("--center needs three components")
-    points = _number(_merged(args, "points", 256), "--points", int)
-    if points < 8:
+    if args.points < 8:
         raise ConfigError("--points must be at least 8")
-    constants = _parse_constants(_merged(args, "constants"))
-    value = holonomy(gf, radius, center=center, points=points,
+    constants = _parse_constants(args.constants)
+    value = holonomy(gf, args.radius, center=center, points=args.points,
                      constants=constants)
-    payload = {"command": "holonomy", "model": name, "radius": radius,
-               "center": list(center), "points": points, "value": value}
-    _dump(payload, _merged(args, "out"))
+    payload = {"command": "holonomy", "model": name, "radius": args.radius,
+               "center": list(center), "points": args.points, "value": value}
+    _dump(payload, args.out)
     print(f"holonomy = {value!r}", file=sys.stderr)
     return EXIT_OK
 
@@ -351,59 +390,22 @@ def build_parser() -> argparse.ArgumentParser:
                     "suite, gauge fields, spectra and holonomies.")
     ap.add_argument("--version", action="version", version=__version__)
     sub = ap.add_subparsers(dest="command", required=True)
-
-    def common(p):
-        p.add_argument("--config", help="flat key = value config file")
-        p.add_argument("--out", help="output path (default stdout)")
-        p.add_argument("--model", help="preset model name")
-        p.add_argument("--B", help="inline matrix: 0 | b1,b2,b3 | 9 entries")
-        p.add_argument("--Q", help="generator: coordinate | radial:n | transverse")
-        p.add_argument("--constants", help="numeric bindings k=v,k=v,...")
-        p.add_argument("--coupling", help="coupling constant name, e.g. e or -m")
-
-    p = sub.add_parser("deform", help="deform an operator expression")
-    common(p)
-    p.add_argument("--expr", help="operand expression (default: the preset "
-                                  "base Hamiltonian)")
-
-    p = sub.add_parser("commutator", help="commutator of two expressions")
-    common(p)
-    p.add_argument("--a", help="left expression")
-    p.add_argument("--b", help="right expression")
-
-    p = sub.add_parser("gauge", help="induced gauge field and field strength")
-    common(p)
-
-    p = sub.add_parser("verify", help="run the symbolic identity suite")
-    common(p)
-    p.add_argument("--seed", type=int,
-                   help="echoed in the report; the suite draws nothing at random")
-    p.add_argument("--select", help="comma-separated name prefixes; only the "
-                                    "checks they name are computed")
-    p.add_argument("--negative-control", dest="negative_control",
-                   action="store_true", default=None,
-                   help="inject a wrong-sign commutator route (must fail)")
-
-    p = sub.add_parser("spectrum", help="grid eigenvalues of a preset")
-    common(p)
-    p.add_argument("--seed", type=int, help="eigensolver start-vector seed "
-                                            "(default 0)")
-    p.add_argument("--grid", help="N,L (points per axis, box extent)")
-    p.add_argument("--k", type=int, help="number of eigenvalues (<= 64)")
-    p.add_argument("--format", choices=("json", "csv"), help="output format")
-
-    p = sub.add_parser("holonomy", help="loop integral of the gauge field")
-    common(p)
-    p.add_argument("--radius", type=float, help="loop radius")
-    p.add_argument("--center", help="c1,c2,c3 (loop center)")
-    p.add_argument("--points", type=int, help="quadrature points")
+    for command, (summary, options) in COMMAND_OPTIONS.items():
+        p = sub.add_parser(command, help=summary)
+        for flag in ("--config", "--out", *options):
+            p.add_argument(flag, **OPTIONS[flag])
     return ap
 
 
 def main(argv: list[str] | None = None) -> int:
+    argv = sys.argv[1:] if argv is None else list(argv)
     try:
-        args = build_parser().parse_args(argv)
-        args._config = _read_config(args.config) if args.config else {}
+        parser = build_parser()
+        args = parser.parse_args(argv)
+        if args.config:
+            at = argv.index(args.command) + 1
+            args = parser.parse_args(
+                argv[:at] + _config_flags(args.config) + argv[at:])
         return COMMANDS[args.command](args)
     except (ConfigError, ParseError, UnboundConstantError) as exc:
         print(f"error: {exc}", file=sys.stderr)
@@ -411,11 +413,7 @@ def main(argv: list[str] | None = None) -> int:
     except (UnsupportedDegreeError, UnsupportedOperandError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_UNSUPPORTED
-    except (NonConvergenceError, SingularLoopError, SingularPointError,
-            SingularMatrixError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_NUMERIC
-    except WarpconvError as exc:
+    except WarpconvError as exc:  # non-convergence, singular points and loops
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_NUMERIC
 

@@ -29,9 +29,10 @@ from .coords import CoordFunction
 from .deform import (DeformationMatrix, DeformationSpec, QSpec,
                      deform_coordinate, deform_sequence,
                      invert_transverse_block, momentum_shift)
-from .errors import NonPositiveParameterError, UnsupportedOperandError
+from .errors import (InternalInconsistencyError, NonPositiveParameterError,
+                     UnsupportedOperandError)
 from .operators import OperatorExpr, require_coordinate_only
-from .scalars import QC, SymbolicScalar
+from .scalars import QC, SymbolicScalar, mono_mul
 
 RAT = Fraction
 
@@ -516,6 +517,18 @@ def uncertainty_bound(m, omega) -> UncertaintyBound:
 
 
 def uncertainty_area_symbolic() -> SymbolicScalar:
-    """2 pi hbar / (m Omega) with every constant symbolic."""
-    return SymbolicScalar(QC(RAT(2)),
-                          (("Omega", -1), ("hbar", 1), ("m", -1), ("pi", 1)))
+    """The quantum-plane cell 2 pi hbar |theta_23|, computed from the algebra.
+
+    theta_23 is read off the gravitomagnetic guiding centers,
+    [Xg2, Xg3] = i theta_23 (hbar = 1 in the algebra, so hbar is restored
+    as a symbol).  With m and Omega positive the cell is 2 pi hbar/(m Omega).
+    """
+    _, comms = guiding_center(gravito_matrix())
+    theta = comms[1][2].scale(QC(0, -1))  # [Xg2, Xg3] = i theta_23
+    key = next(iter(theta.terms), None)
+    if (len(theta.terms) != 1 or key[:3] != ((0, 0, 0), 0, 0)
+            or theta.terms[key].im):
+        raise InternalInconsistencyError(
+            f"theta_23 = {theta} is not a real constant")
+    return SymbolicScalar(QC(2 * abs(theta.terms[key].re)),
+                          mono_mul(key[3], (("hbar", 1), ("pi", 1))))

@@ -1,3 +1,4 @@
+import argparse
 import json
 import os
 import subprocess
@@ -10,6 +11,8 @@ from warpconv import cli, spectra
 
 SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
                    "src")
+NOT_UTF8 = os.path.join(os.path.dirname(os.path.abspath(__file__)), "configs",
+                        "not_utf8.cfg")
 
 PUBLIC_NAMES = [
     "ConfigError", "CoordFunction", "DeformationMatrix", "DeformationSpec",
@@ -124,12 +127,102 @@ def test_every_public_name_resolves():
     (["holonomy", "--model", "landau", "--constants", "e=1,B=1",
       "--seed", "1"], cli.EXIT_CONFIG),
     (["deform", "--model", "nope"], cli.EXIT_CONFIG),
+    (["commutator", "--a", "X1", "--b", "P1", "--out",
+      "/nonexistent/dir/x.json"], cli.EXIT_CONFIG),
+    (["gauge", "--config", NOT_UTF8], cli.EXIT_CONFIG),
+    (["commutator", "--a", "X1", "--b", "P1", "--model", "landau"],
+     cli.EXIT_CONFIG),
+    (["verify", "--constants", "m=1"], cli.EXIT_CONFIG),
+    (["spectrum", "--model", "landau", "--B", "1,2,3", "--grid", "16,10",
+      "--k", "2", "--constants", "e=1,B=1,m=1"], cli.EXIT_CONFIG),
 ])
 def test_exit_codes(argv, code, capsys):
     assert cli.main(argv) == code
     err = capsys.readouterr().err
     if code != cli.EXIT_OK:
         assert err.startswith("error: ") and err.count("\n") == 1, err
+
+
+OPTIONS_READ = {
+    "deform": "--config --out --model --B --Q --expr",
+    "commutator": "--config --out --a --b",
+    "gauge": "--config --out --model --B --Q --coupling",
+    "verify": "--config --out --seed --select --negative-control",
+    "spectrum": "--config --out --model --seed --grid --k --constants "
+                "--format",
+    "holonomy": "--config --out --model --B --Q --coupling --constants "
+                "--radius --center --points",
+}
+
+
+def test_each_command_takes_only_the_options_it_reads():
+    [sub] = [action for action in cli.build_parser()._actions
+             if isinstance(action, argparse._SubParsersAction)]
+    offered = {command: [option for action in parser._actions
+                         if action.dest != "help"
+                         for option in action.option_strings]
+               for command, parser in sub.choices.items()}
+    assert offered == {command: options.split()
+                       for command, options in OPTIONS_READ.items()}
+    assert sum(map(len, offered.values())) == 39
+
+
+SPECTRUM_FLAGS = ["--model", "landau", "--grid", "20,10", "--k", "8",
+                  "--constants", "e=1,B=1,m=1"]
+SPECTRUM_CONFIG = ("model = landau\ngrid = 20,10\nk = 8\n"
+                   "constants = e=1,B=1,m=1\n")
+
+
+@pytest.mark.parametrize("command, config, flags", [
+    ("spectrum", "# a comment\n\n" + SPECTRUM_CONFIG, SPECTRUM_FLAGS),
+    ("commutator", "a = -X1\nb = P1 * X2\n", ["--a=-X1", "--b", "P1 * X2"]),
+    ("holonomy", "B = 1,0,0\ncoupling = -m\ncenter = -1,0,0\n"
+     "constants = m=2\n", ["--B", "1,0,0", "--coupling=-m",
+                            "--center=-1,0,0", "--constants", "m=2"]),
+])
+def test_config_file_reads_as_flags(command, config, flags, tmp_path, capsys):
+    path = tmp_path / "run.cfg"
+    path.write_text(config)
+    assert cli.main([command, "--config", str(path)]) == cli.EXIT_OK
+    from_config = capsys.readouterr().out
+    assert cli.main([command, *flags]) == cli.EXIT_OK
+    assert from_config == capsys.readouterr().out
+
+
+def test_flags_override_the_config(tmp_path, capsys):
+    path = tmp_path / "run.cfg"
+    path.write_text(SPECTRUM_CONFIG)
+    assert cli.main(["spectrum", "--config", str(path), "--k", "4"]) == 0
+    assert json.loads(capsys.readouterr().out)["count"] == 4
+
+
+@pytest.mark.parametrize("line", [
+    "radius = 2", "model landau", "k = 2.5", "format = xml", None,
+], ids=["unknown_key", "no_equals", "fractional_k", "unknown_format",
+        "missing_file"])
+def test_config_errors(line, tmp_path, capsys):
+    path = tmp_path / "run.cfg"
+    if line is not None:
+        # Valid but for its last line, which must not be dropped.
+        path.write_text("model = landau\ngrid = 16,10\nk = 2\n"
+                        f"constants = e=1,B=1,m=1\n{line}\n")
+    assert cli.main(["spectrum", "--config", str(path)]) == cli.EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1, err
+
+
+@pytest.mark.parametrize("value, code", [
+    ("true", cli.EXIT_IDENTITY), ("false", cli.EXIT_OK),
+    ("yes", cli.EXIT_CONFIG),
+])
+def test_negative_control_in_config(value, code, tmp_path, capsys):
+    path = tmp_path / "verify.cfg"
+    path.write_text(f"negative_control = {value}\n"
+                    "select = gauge_cross_check::landau\n")
+    assert cli.main(["verify", "--config", str(path)]) == code
+    out = capsys.readouterr().out
+    if code != cli.EXIT_CONFIG:
+        assert json.loads(out)["negative_control"] is (value == "true")
 
 
 def test_unknown_preset_lists_the_known_ones(capsys):

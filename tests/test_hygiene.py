@@ -1,7 +1,10 @@
-"""Every name a module in src/ or tests/ imports is used in that module."""
+"""Every name a module in src/ or tests/ imports is used in that module,
+and the public names no code in src/ uses are the known pending ones."""
 
 import ast
 import pathlib
+
+import warpconv
 
 ROOT = pathlib.Path(__file__).resolve().parent.parent
 
@@ -50,3 +53,27 @@ def test_no_unused_imports():
              if path.name != "__init__.py"]
     assert paths
     assert [hit for path in paths for hit in unused_imports(path)] == []
+
+
+# Public names with no caller in src/ yet (ROADMAP item 4). Wiring one up
+# or deleting it shrinks this list; a new public name without a caller
+# fails.
+UNCALLED_PUBLIC_NAMES = [
+    "distinct_level_spacings", "flux_equivalent", "interference_phase",
+    "landau_degeneracy", "lorentz_force", "phases_equal", "uncertainty_bound",
+]
+
+
+def test_public_names_without_a_caller():
+    referenced = set()
+    for path in (ROOT / "src").rglob("*.py"):
+        if path.name == "__init__.py":
+            continue
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Name):
+                referenced.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                referenced.add(node.attr)
+            elif isinstance(node, ast.ImportFrom) and node.module:
+                referenced.add(node.module.split(".")[-1])  # a submodule
+    assert sorted(set(warpconv.__all__) - referenced) == UNCALLED_PUBLIC_NAMES

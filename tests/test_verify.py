@@ -6,6 +6,7 @@ from warpconv import cli, models, verify
 from warpconv.deform import DeformationSpec, deform_operator
 from warpconv.models import PRESETS
 from warpconv.operators import OperatorExpr
+from warpconv.scalars import QC
 
 
 def test_negative_control_fails_exactly_the_gauge_cross_checks(capsys):
@@ -113,3 +114,12 @@ def test_unmatched_selection_computes_nothing(monkeypatch, capsys):
     assert cli.main(["verify", "--select", "modle"]) == cli.EXIT_CONFIG
     err = capsys.readouterr().err
     assert err.startswith("error: ") and err.count("\n") == 1, err
+
+
+def test_uncertainty_cell_is_computed_from_the_algebra(monkeypatch):
+    # Doubling theta doubles [Xg2, Xg3], and with it the cell.
+    deform_coordinate = models.deform_coordinate
+    monkeypatch.setattr(models, "deform_coordinate",
+                        lambda theta: deform_coordinate(theta.scale(QC(2))))
+    report = verify.run_suite(select=["uncertainty_area_symbolic"])
+    assert [c["passed"] for c in report["checks"]] == [False]
