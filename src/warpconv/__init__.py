@@ -24,10 +24,10 @@ _EXPORTS = {
                "deform_sequence", "factorization_check", "momentum_shift",
                "rieffel_product", "shifted_momentum"),
     "errors": ("ConfigError", "InternalInconsistencyError",
-               "NonConvergenceError", "NonExactPointError",
-               "NonPositiveParameterError", "ParseError", "SingularLoopError",
-               "SingularMatrixError", "SingularPointError",
-               "UnboundConstantError", "UnknownSymbolError",
+               "NonConvergenceError", "NonPositiveParameterError",
+               "ParseError", "SingularLoopError", "SingularMatrixError",
+               "SingularPointError", "UnboundConstantError",
+               "UnknownSymbolError",
                "UnsupportedDegreeError", "UnsupportedOperandError",
                "WarpconvError", "ZeroCouplingError"),
     "gauge": ("FieldStrength", "GaugeField", "LorentzForceResult",

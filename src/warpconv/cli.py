@@ -10,12 +10,16 @@ Each command takes --config, --out and only the options it reads:
     holonomy    --model --B --Q --coupling --constants --radius --center
                 --points
 
+--B, --Q and --coupling define an inline deformation; a --model preset
+brings its own, so with --model any of them exits 2.
+
 A config file is a list of flags: each ``key = value`` line is the one
 token ``--key=value`` (``_`` in a key reads as ``-``), and a switch's
 ``true`` is the bare flag, its ``false`` nothing; lines starting with #
 are skipped.  The tokens go between the command name and the command-line
 flags, so flags win, and the command's parser checks them as flags: an
-unknown key, a bad value, a line without '=' or an unreadable file exits 2.
+unknown or abbreviated key, a bad value, a line without '=' or an
+unreadable file exits 2.
 
 Output is canonical JSON (sorted keys, fixed separators), byte-identical
 across runs with the same options; human-readable summaries go to stderr.
@@ -55,9 +59,9 @@ OPTIONS = {
     "--out": {"help": "output path (default stdout)"},
     "--model": {"help": "preset model name"},
     "--B": {"help": "inline matrix: 0 | b1,b2,b3 | 9 entries"},
-    "--Q": {"default": "coordinate",
-            "help": "inline generator: coordinate | radial:n | transverse"},
-    "--coupling": {"default": "e", "help": "inline coupling, e.g. e or -m"},
+    "--Q": {"help": "inline generator: coordinate (default) | radial:n | "
+                    "transverse"},
+    "--coupling": {"help": "inline coupling, e.g. e (default) or -m"},
     "--constants": {"help": "numeric bindings k=v,k=v,..."},
     "--expr": {"help": "operand (default: the preset base Hamiltonian)"},
     "--a": {"help": "left expression"},
@@ -171,9 +175,9 @@ def _parse_matrix(text: str):
     raise ConfigError("--B needs 1 (zero), 3 (axial) or 9 (row-major) entries")
 
 
-def _parse_generator(text: str):
+def _parse_generator(text: str | None):
     from .deform import QSpec
-    label, _, param = text.partition(":")
+    label, _, param = ("coordinate" if text is None else text).partition(":")
     label = label.strip().lower()
     if label in ("coordinate", "x"):
         return QSpec.coordinate()
@@ -186,9 +190,9 @@ def _parse_generator(text: str):
     raise ConfigError(f"unknown generator {text!r}")
 
 
-def _parse_coupling(text: str):
+def _parse_coupling(text: str | None):
     from .scalars import SymbolicScalar
-    text = text.strip()
+    text = "e" if text is None else text.strip()
     sign = 1
     if text.startswith("-"):
         sign = -1
@@ -210,12 +214,18 @@ def _resolve_model(args) -> tuple[str | None, list, object]:
     """(name, specs, preset-or-None) from --model or inline --B/--Q."""
     from .deform import DeformationSpec
     if args.model is not None:
+        inline = [flag for flag in ("--B", "--Q", "--coupling")
+                  if getattr(args, flag[2:], None) is not None]
+        if inline:
+            raise ConfigError(f"--model excludes {' and '.join(inline)}, "
+                              "which define an inline deformation")
         preset = _preset(args.model)
         return preset.name, list(preset.specs), preset
     if args.B is None:
         raise ConfigError("need --model or an inline --B matrix")
     spec = DeformationSpec(_parse_matrix(args.B), _parse_generator(args.Q))
     return None, [spec], None
+
 
 
 def _expression_payload(expr) -> dict:
@@ -391,7 +401,8 @@ def build_parser() -> argparse.ArgumentParser:
     ap.add_argument("--version", action="version", version=__version__)
     sub = ap.add_subparsers(dest="command", required=True)
     for command, (summary, options) in COMMAND_OPTIONS.items():
-        p = sub.add_parser(command, help=summary)
+        # No prefix matching: a flag or config key names its option in full.
+        p = sub.add_parser(command, help=summary, allow_abbrev=False)
         for flag in ("--config", "--out", *options):
             p.add_argument(flag, **OPTIONS[flag])
     return ap

@@ -14,6 +14,11 @@ decided exactly, inside ``is_zero`` only, by reducing modulo the two rules
     x3^2 -> rho^2 - x2^2,     x1^2 -> r^2 - rho^2,
 
 after which x1 and x3 appear with exponent 0 or 1 and the form is unique.
+
+Numeric values come from ``compile``: it binds the constants once and
+returns a closure of plain arithmetic that samples a whole grid in one
+call on numpy arrays, or one loop point on floats, without this module
+importing numpy.
 """
 
 from __future__ import annotations
@@ -22,10 +27,9 @@ import math
 from fractions import Fraction
 from typing import Iterable, Mapping, Union
 
-from .errors import (NonExactPointError, SingularPointError,
-                     UnboundConstantError)
+from .errors import SingularPointError, UnboundConstantError
 from .scalars import (QC, QC_ONE, QC_ZERO, RationalLike, SymbolicScalar,
-                      mono_degree, mono_mul, mono_pow, mono_str, mono_value)
+                      mono_degree, mono_mul, mono_pow, mono_str)
 
 Axis = int  # 1, 2 or 3
 XExp = tuple  # (a1, a2, a3) nonnegative ints
@@ -211,55 +215,48 @@ class CoordFunction:
 
     # -- evaluation ----------------------------------------------------
 
-    def evaluate(self, point: tuple[RationalLike, RationalLike, RationalLike],
-                 constants: Mapping[str, RationalLike] | None = None) -> QC:
-        """Exact value at a rational point.
+    def compile(self, constants: Mapping[str, float] | None):
+        """Numeric closure (x1, x2, x3) -> complex with the constants bound.
 
-        Raises SingularPointError at r=0 / rho=0 with negative powers,
-        UnboundConstantError for missing constants, and NonExactPointError
-        when an odd or fractional radial power is requested at a point whose
-        radius (or its square root) is irrational.
+        ``pi`` is bound to math.pi unless ``constants`` gives it.  Each
+        term's coefficient is folded once; the closure multiplies it by
+        x1^a1 x2^a2 x3^a3, then by r^p and rho^q, using only ``*``, ``+``
+        and ``**``, so it takes floats or numpy arrays of one shape alike.
+        Raises UnboundConstantError for a missing constant, and the
+        closure raises SingularPointError when r = 0 (rho = 0) at any
+        point given and a term carries a negative power of r (rho).
         """
-        x = tuple(Fraction(v) for v in point)
-        constants = constants or {}
-        r2 = x[0] ** 2 + x[1] ** 2 + x[2] ** 2
-        rho2 = x[1] ** 2 + x[2] ** 2
-        total = QC_ZERO
-        for (a, p, q, m), c in self.terms.items():
-            val = c.scale(mono_value(m, constants))
-            for j in range(3):
-                if a[j]:
-                    val = val.scale(x[j] ** a[j])
-            if p != 0:
-                val = val.scale(_radical_power(r2, p, "r"))
-            if q != 0:
-                val = val.scale(_radical_power(rho2, q, "rho"))
-            total = total + val
-        return total
-
-    def evaluate_float(self, point, constants: Mapping[str, float]) -> complex:
-        """Floating-point value; constants must all be bound numerically."""
-        x1, x2, x3 = (float(v) for v in point)
-        r2 = x1 * x1 + x2 * x2 + x3 * x3
-        rho2 = x2 * x2 + x3 * x3
-        total = 0j
+        bound = {"pi": math.pi}
+        bound.update({k: float(v) for k, v in (constants or {}).items()})
+        terms = []
         for (a, p, q, m), c in self.terms.items():
             v = c.to_complex()
             for name, exp in m:
-                if name not in constants:
+                if name not in bound:
                     raise UnboundConstantError(f"constant '{name}' has no value")
-                v *= float(constants[name]) ** exp
-            v *= x1 ** a[0] * x2 ** a[1] * x3 ** a[2]
-            if p != 0:
-                if r2 == 0.0 and p < 0:
-                    raise SingularPointError("r=0 with negative power")
-                v *= r2 ** (float(p) / 2.0)
-            if q != 0:
-                if rho2 == 0.0 and q < 0:
-                    raise SingularPointError("rho=0 with negative power")
-                v *= rho2 ** (float(q) / 2.0)
-            total += v
-        return total
+                v *= bound[name] ** exp
+            terms.append((v, a, float(p) / 2.0, float(q) / 2.0))
+        r_singular = any(p < 0 for (_, p, _, _) in self.terms)
+        rho_singular = any(q < 0 for (_, _, q, _) in self.terms)
+
+        def value(x1, x2, x3):
+            r2 = x1 * x1 + x2 * x2 + x3 * x3
+            rho2 = x2 * x2 + x3 * x3
+            if r_singular and _hits_zero(r2):
+                raise SingularPointError("r=0 with negative power")
+            if rho_singular and _hits_zero(rho2):
+                raise SingularPointError("rho=0 with negative power")
+            total = 0j
+            for v, a, half_p, half_q in terms:
+                v = v * (x1 ** a[0] * x2 ** a[1] * x3 ** a[2])
+                if half_p:
+                    v = v * r2 ** half_p
+                if half_q:
+                    v = v * rho2 ** half_q
+                total = total + v
+            return total
+
+        return value
 
     # -- exact zero test -------------------------------------------------
 
@@ -356,40 +353,7 @@ def _term_str(key: TermKey, coeff: QC) -> str:
     return f"{cs}*{body}"
 
 
-# -- radical arithmetic on exact points ---------------------------------
-
-
-def _sqrt_exact(v: Fraction) -> Fraction | None:
-    if v < 0:
-        return None
-    n, d = v.numerator, v.denominator
-    rn, rd = math.isqrt(n), math.isqrt(d)
-    if rn * rn == n and rd * rd == d:
-        return Fraction(rn, rd)
-    return None
-
-
-def _radical_power(sq: Fraction, exp: Fraction, label: str) -> Fraction:
-    """Exact value of radius^exp given radius^2 = sq."""
-    if sq == 0:
-        if exp < 0:
-            raise SingularPointError(f"{label}=0 with negative power {exp}")
-        return Fraction(0)
-    d = exp.denominator
-    if d == 1 and exp.numerator % 2 == 0:
-        return sq ** (exp.numerator // 2)
-    root = _sqrt_exact(sq)
-    if root is None:
-        raise NonExactPointError(
-            f"{label}^({exp}) is irrational at this point; "
-            "choose a Pythagorean-style point")
-    if d == 1:
-        return root ** exp.numerator
-    if d == 2:
-        root4 = _sqrt_exact(root)
-        if root4 is None:
-            raise NonExactPointError(
-                f"{label}^({exp}) needs {label}^(1/2) rational at this point")
-        return root4 ** int(2 * exp)
-    raise NonExactPointError(
-        f"exponent {exp} of {label} is not exactly evaluable")
+def _hits_zero(square) -> bool:
+    """Whether a float, or any entry of a numpy array, is exactly 0."""
+    hit = square == 0.0
+    return hit if isinstance(hit, bool) else bool(hit.any())

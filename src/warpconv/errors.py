@@ -21,10 +21,6 @@ class SingularPointError(WarpconvError):
     """Negative power evaluated at its singular locus (r=0 or rho=0)."""
 
 
-class NonExactPointError(WarpconvError):
-    """Exact evaluation requested at a point whose radicals are irrational."""
-
-
 class UnboundConstantError(WarpconvError):
     """A symbolic constant has no value in the supplied constants map."""
 

@@ -224,41 +224,39 @@ def jacobi_maxwell_report(spec: DeformationSpec, potential: CoordFunction,
     }
 
 
-def _bind_constants(constants: dict | None) -> dict:
-    out = {"pi": math.pi}
-    if constants:
-        out.update({k: float(v) for k, v in constants.items()})
-    return out
-
-
 def holonomy(gauge: GaugeField, radius: float, center=(0.0, 0.0, 0.0),
              points: int = 256, constants: dict | None = None) -> float:
     """Line integral of A around a circle in the (x2, x3) plane.
 
     The loop is traversed counterclockwise as seen from +x1 (right-hand
     orientation about the x1 axis).  Trapezoidal quadrature on the closed
-    loop; raises SingularLoopError if a quadrature node falls on the axis
-    of a singular field.
+    loop, with A_2 and A_3 compiled once (``CoordFunction.compile``) and
+    called per node; raises SingularLoopError if a quadrature node falls
+    within 1e-9 of the axis (rho = 0) of a field with a negative rho power,
+    or of the origin (r = 0) of a field with a negative r power.
     """
     if radius <= 0:
         raise ValueError("loop radius must be positive")
     if points < 8:
         raise ValueError("need at least 8 quadrature points")
-    consts = _bind_constants(constants)
-    singular = any(q < 0 for comp in gauge.components
-                   for (_, _, q, _) in comp.terms)
-    c1, c2, c3 = center
+    a2 = gauge.components[1].compile(constants)
+    a3 = gauge.components[2].compile(constants)
+    keys = [key for comp in gauge.components for key in comp.terms]
+    r_singular = any(p < 0 for (_, p, _, _) in keys)
+    rho_singular = any(q < 0 for (_, _, q, _) in keys)
+    c1, c2, c3 = (float(c) for c in center)
     total = 0.0
     dtheta = 2.0 * math.pi / points
     for i in range(points):
         th = i * dtheta
         x2 = c2 + radius * math.cos(th)
         x3 = c3 + radius * math.sin(th)
-        if singular and math.hypot(x2, x3) < 1e-9:
+        if rho_singular and math.hypot(x2, x3) < 1e-9:
             raise SingularLoopError("loop touches the singular axis rho = 0")
-        a2 = gauge.components[1].evaluate_float((c1, x2, x3), consts).real
-        a3 = gauge.components[2].evaluate_float((c1, x2, x3), consts).real
-        total += (-a2 * math.sin(th) + a3 * math.cos(th)) * radius * dtheta
+        if r_singular and math.hypot(c1, x2, x3) < 1e-9:
+            raise SingularLoopError("loop touches the singular point r = 0")
+        total += (-a2(c1, x2, x3).real * math.sin(th)
+                  + a3(c1, x2, x3).real * math.cos(th)) * radius * dtheta
     return total
 
 

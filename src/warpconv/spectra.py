@@ -9,6 +9,9 @@ hermitian to machine precision.  Where the midpoint rule integrates the
 shift exactly along each link (a shift affine in x2, x3, as for a constant
 field in any linear gauge) a change of gauge conjugates the matrix by a
 diagonal unitary, so the spectrum depends on the field strength alone.
+Each profile (S at nodes or link midpoints, the potential) is one call of
+the compiled coordinate function (``CoordFunction.compile``) on the node
+meshgrid, the same evaluator ``gauge.holonomy`` calls per loop point.
 
 This is the one module that imports numpy and scipy.  The package and the
 CLI import it only when a spectrum is asked for, so the symbolic commands
@@ -31,7 +34,6 @@ import scipy.sparse.linalg
 from .coords import CoordFunction
 from .errors import (NonConvergenceError, UnboundConstantError,
                      UnsupportedOperandError)
-from .gauge import _bind_constants
 from .models import GridSpec, ModelPreset
 
 # Unknowns below which the dense solver is used: where the dense and the
@@ -73,15 +75,13 @@ class SpectrumResult:
 def _plane_profile(f: CoordFunction, xs2: np.ndarray, xs3: np.ndarray,
                    constants: dict, what: str) -> np.ndarray:
     """Sample a coordinate function on the x1 = 0 plane at (xs2 x xs3)."""
-    out = np.empty((len(xs2), len(xs3)), dtype=float)
-    for i2, x2 in enumerate(xs2):
-        for i3, x3 in enumerate(xs3):
-            v = f.evaluate_float((0.0, x2, x3), constants)
-            if abs(v.imag) > 1e-12 * (1.0 + abs(v.real)):
-                raise UnsupportedOperandError(
-                    f"{what} is not real on the grid: {v}")
-            out[i2, i3] = v.real
-    return out
+    x2, x3 = np.meshgrid(xs2, xs3, indexing="ij")
+    v = np.broadcast_to(f.compile(constants)(0.0, x2, x3), x2.shape)
+    not_real = np.abs(v.imag) > 1e-12 * (1.0 + np.abs(v.real))
+    if not_real.any():
+        raise UnsupportedOperandError(
+            f"{what} is not real on the grid: {complex(v[not_real][0])}")
+    return v.real
 
 
 def discretize(preset: ModelPreset, grid: GridSpec,
@@ -104,14 +104,19 @@ def discretize(preset: ModelPreset, grid: GridSpec,
     included, so it is positive semidefinite and the smallest diagonal
     value of S1^2/2m + potential is a lower bound on the spectrum.
 
+    ``constants`` binds every constant of the shift and the potential
+    (``pi`` is bound unless given) and must bind the mass ``m``.  Each
+    profile is sampled in one call on the meshgrid of its nodes; a
+    negative power of r or rho at a node on r = 0 or rho = 0 (an odd N
+    puts nodes on the axes) raises SingularPointError.
+
     Returns (matrix, info); info carries warnings (coarse grid, magnetic
     length under 4 spacings), the hermiticity defect and that spectral
     floor.
     """
-    consts = _bind_constants(constants)
-    if "m" not in consts:
+    if "m" not in constants:
         raise UnboundConstantError("mass constant 'm' must be bound")
-    mass = consts["m"]
+    mass = float(constants["m"])
     shift = preset.transverse_shift()
 
     n = grid.points
@@ -124,18 +129,19 @@ def discretize(preset: ModelPreset, grid: GridSpec,
     # their own axis, where the midpoint rule gives each link's phase.
     xs = np.array(grid.nodes())
     mid = xs[:-1] + 0.5 * h
-    s1 = _plane_profile(shift[0], xs, xs, consts, "S_1")
-    phase2 = h * _plane_profile(shift[1], mid, xs, consts, "S_2")
-    phase3 = h * _plane_profile(shift[2], xs, mid, consts, "S_3")
+    s1 = _plane_profile(shift[0], xs, xs, constants, "S_1")
+    phase2 = h * _plane_profile(shift[1], mid, xs, constants, "S_2")
+    phase3 = h * _plane_profile(shift[2], xs, mid, constants, "S_3")
 
     vpot = np.zeros((n, n))
     if preset.potential is not None:
-        vpot = _plane_profile(preset.potential, xs, xs, consts, "potential")
+        vpot = _plane_profile(preset.potential, xs, xs, constants,
+                              "potential")
 
     # Effective field strength at the box center for the coarseness check.
     probe = (0.0, 0.25 * h, 0.25 * h)
-    f23 = (shift[2].partial(2) - shift[1].partial(3)).evaluate_float(
-        probe, consts).real
+    f23 = (shift[2].partial(2) - shift[1].partial(3)).compile(constants)(
+        *probe).real
     if f23 != 0.0:
         ell = 1.0 / math.sqrt(abs(f23))
         if ell < 4 * h:

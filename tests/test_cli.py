@@ -18,7 +18,7 @@ PUBLIC_NAMES = [
     "ConfigError", "CoordFunction", "DeformationMatrix", "DeformationSpec",
     "DegeneracyReport", "FieldStrength", "GaugeField", "GridSpec",
     "InternalInconsistencyError", "LorentzForceResult", "ModelPreset",
-    "NonConvergenceError", "NonExactPointError", "NonPositiveParameterError",
+    "NonConvergenceError", "NonPositiveParameterError",
     "OperatorExpr", "PRESETS", "ParseError", "QC", "QSpec",
     "SingularLoopError", "SingularMatrixError", "SingularPointError",
     "SpectrumResult", "SymbolicScalar", "UnboundConstantError",
@@ -135,6 +135,17 @@ def test_every_public_name_resolves():
     (["verify", "--constants", "m=1"], cli.EXIT_CONFIG),
     (["spectrum", "--model", "landau", "--B", "1,2,3", "--grid", "16,10",
       "--k", "2", "--constants", "e=1,B=1,m=1"], cli.EXIT_CONFIG),
+    (["holonomy", "--model", "lense_thirring", "--center=0,1,0", "--radius",
+      "1", "--points", "8", "--constants", "m=1,Omega=1"], cli.EXIT_NUMERIC),
+    (["gauge", "--model", "landau", "--coupling", "zz", "--Q", "bogus"],
+     cli.EXIT_CONFIG),
+    (["holonomy", "--model", "landau", "--coupling", "e",
+      "--constants", "e=1,B=1"], cli.EXIT_CONFIG),
+    (["deform", "--model", "landau", "--Q", "transverse"], cli.EXIT_CONFIG),
+    (["holonomy", "--model", "landau", "--B", "1,0,0",
+      "--constants", "e=1,B=1"], cli.EXIT_CONFIG),
+    (["holonomy", "--model", "landau", "--rad", "2",
+      "--constants", "e=1,B=1"], cli.EXIT_CONFIG),
 ])
 def test_exit_codes(argv, code, capsys):
     assert cli.main(argv) == code
@@ -196,17 +207,25 @@ def test_flags_override_the_config(tmp_path, capsys):
     assert json.loads(capsys.readouterr().out)["count"] == 4
 
 
-@pytest.mark.parametrize("line", [
-    "radius = 2", "model landau", "k = 2.5", "format = xml", None,
+# Each valid but for the last line the test adds, which must not be dropped.
+VALID_CONFIG = {
+    "spectrum": ("model = landau\ngrid = 16,10\nk = 2\n"
+                 "constants = e=1,B=1,m=1\n"),
+    "holonomy": "model = landau\nconstants = e=1,B=1\n",
+}
+
+
+@pytest.mark.parametrize("command, line", [
+    ("spectrum", "radius = 2"), ("spectrum", "model landau"),
+    ("spectrum", "k = 2.5"), ("spectrum", "format = xml"), ("spectrum", None),
+    ("holonomy", "rad = 2"),  # not read as radius = 2
 ], ids=["unknown_key", "no_equals", "fractional_k", "unknown_format",
-        "missing_file"])
-def test_config_errors(line, tmp_path, capsys):
+        "missing_file", "abbreviated_key"])
+def test_config_errors(command, line, tmp_path, capsys):
     path = tmp_path / "run.cfg"
     if line is not None:
-        # Valid but for its last line, which must not be dropped.
-        path.write_text("model = landau\ngrid = 16,10\nk = 2\n"
-                        f"constants = e=1,B=1,m=1\n{line}\n")
-    assert cli.main(["spectrum", "--config", str(path)]) == cli.EXIT_CONFIG
+        path.write_text(f"{VALID_CONFIG[command]}{line}\n")
+    assert cli.main([command, "--config", str(path)]) == cli.EXIT_CONFIG
     err = capsys.readouterr().err
     assert err.startswith("error: ") and err.count("\n") == 1, err
 

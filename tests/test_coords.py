@@ -1,15 +1,85 @@
+import math
 import random
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 from conftest import rand_coord
 from warpconv.coords import CoordFunction
-from warpconv.errors import (NonExactPointError, SingularPointError,
-                             UnboundConstantError)
-from warpconv.scalars import QC, SymbolicScalar
+from warpconv.errors import SingularPointError, UnboundConstantError
+from warpconv.scalars import QC, SymbolicScalar, mono_value
 
 F = Fraction
+
+
+# -- exact evaluation at rational points: the oracle of the normal form ----
+
+
+class NonExactPointError(Exception):
+    """Exact evaluation requested at a point whose radicals are irrational."""
+
+
+def evaluate(f: CoordFunction, point, constants=None) -> QC:
+    """Exact value of f at a rational point.
+
+    Raises SingularPointError at r=0 / rho=0 with negative powers,
+    UnboundConstantError for missing constants, and NonExactPointError
+    when an odd or fractional radial power is requested at a point whose
+    radius (or its square root) is irrational.
+    """
+    x = tuple(Fraction(v) for v in point)
+    constants = constants or {}
+    r2 = x[0] ** 2 + x[1] ** 2 + x[2] ** 2
+    rho2 = x[1] ** 2 + x[2] ** 2
+    total = QC()
+    for (a, p, q, m), c in f.terms.items():
+        val = c.scale(mono_value(m, constants))
+        for j in range(3):
+            if a[j]:
+                val = val.scale(x[j] ** a[j])
+        if p != 0:
+            val = val.scale(_radical_power(r2, p, "r"))
+        if q != 0:
+            val = val.scale(_radical_power(rho2, q, "rho"))
+        total = total + val
+    return total
+
+
+def _sqrt_exact(v: Fraction) -> Fraction | None:
+    if v < 0:
+        return None
+    n, d = v.numerator, v.denominator
+    rn, rd = math.isqrt(n), math.isqrt(d)
+    if rn * rn == n and rd * rd == d:
+        return Fraction(rn, rd)
+    return None
+
+
+def _radical_power(sq: Fraction, exp: Fraction, label: str) -> Fraction:
+    """Exact value of radius^exp given radius^2 = sq."""
+    if sq == 0:
+        if exp < 0:
+            raise SingularPointError(f"{label}=0 with negative power {exp}")
+        return Fraction(0)
+    d = exp.denominator
+    if d == 1 and exp.numerator % 2 == 0:
+        return sq ** (exp.numerator // 2)
+    root = _sqrt_exact(sq)
+    if root is None:
+        raise NonExactPointError(
+            f"{label}^({exp}) is irrational at this point; "
+            "choose a Pythagorean-style point")
+    if d == 1:
+        return root ** exp.numerator
+    if d == 2:
+        root4 = _sqrt_exact(root)
+        if root4 is None:
+            raise NonExactPointError(
+                f"{label}^({exp}) needs {label}^(1/2) rational at this point")
+        return root4 ** int(2 * exp)
+    raise NonExactPointError(
+        f"exponent {exp} of {label} is not exactly evaluable")
 
 
 def test_product_merges_structurally_equal_terms():
@@ -55,36 +125,36 @@ def test_mixed_partials_commute_structurally():
 
 def test_evaluate_exact_pythagorean():
     f = CoordFunction.r_power(-1)
-    assert f.evaluate((3, 4, 0)) == QC(F(1, 5))
-    assert CoordFunction.x(1).evaluate((2, 0, 1)) == QC(F(2))
+    assert evaluate(f, (3, 4, 0)) == QC(F(1, 5))
+    assert evaluate(CoordFunction.x(1), (2, 0, 1)) == QC(F(2))
 
 
 def test_evaluate_singular_point():
     with pytest.raises(SingularPointError):
-        CoordFunction.r_power(-1).evaluate((0, 0, 0))
+        evaluate(CoordFunction.r_power(-1), (0, 0, 0))
     with pytest.raises(SingularPointError):
-        CoordFunction.rho_power(-2).evaluate((1, 0, 0))
+        evaluate(CoordFunction.rho_power(-2), (1, 0, 0))
 
 
 def test_evaluate_needs_exact_radical():
     with pytest.raises(NonExactPointError):
-        CoordFunction.r_power(-1).evaluate((1, 1, 0))
+        evaluate(CoordFunction.r_power(-1), (1, 1, 0))
     # even powers never need the radical
-    assert CoordFunction.r_power(-2).evaluate((1, 1, 0)) == QC(F(1, 2))
+    assert evaluate(CoordFunction.r_power(-2), (1, 1, 0)) == QC(F(1, 2))
 
 
 def test_evaluate_unbound_constant():
     f = CoordFunction.scalar(SymbolicScalar.symbol("e"))
     with pytest.raises(UnboundConstantError):
-        f.evaluate((1, 2, 3))
-    assert f.evaluate((1, 2, 3), {"e": F(5)}) == QC(F(5))
+        evaluate(f, (1, 2, 3))
+    assert evaluate(f, (1, 2, 3), {"e": F(5)}) == QC(F(5))
 
 
 def test_evaluate_half_integer_power():
     # r^(1/2) at a point where r is a perfect square: (12,3,4) has r=13;
     # scale by 13 to get r=169=13^2.
     f = CoordFunction.r_power(F(1, 2))
-    assert f.evaluate((156, 39, 52)) == QC(F(13))
+    assert evaluate(f, (156, 39, 52)) == QC(F(13))
 
 
 def test_oracle_transverse_identity():
@@ -133,7 +203,62 @@ def test_normal_form_matches_exact_evaluation():
         reduced = f.reduced()
         assert all(a[0] <= 1 and a[2] <= 1 for (a, _, _, _) in reduced.terms)
         for point in ((156, 39, 52), (-156, 39, -52)):
-            assert reduced.evaluate(point, consts) == f.evaluate(point, consts)
+            assert evaluate(reduced, point, consts) == evaluate(f, point, consts)
+
+
+def test_compiled_values_match_the_exact_oracle():
+    rng = random.Random(11)
+    consts = {"e": F(3, 2), "m": F(-5, 7), "B": F(2)}
+    for _ in range(200):
+        f = rand_coord(rng, max_terms=4, fractional=True)
+        f = f * rand_coord(rng, max_terms=2)
+        value = f.compile({k: float(v) for k, v in consts.items()})
+        for point in ((156, 39, 52), (-156, 39, -52)):
+            exact = evaluate(f, point, consts).to_complex()
+            got = value(*(float(x) for x in point))
+            assert abs(got - exact) <= 1e-12 * abs(exact), (f, point)
+
+
+def test_array_call_equals_scalar_calls():
+    # Products round the same on arrays and on floats, so multilinear terms
+    # agree bit for bit.  numpy's ** is not libm's pow, even for the
+    # exponent 2 (numpy squares; libm's pow is an ulp off at about 0.1% of
+    # doubles), so higher and radial powers agree within a few ulps of the
+    # terms' magnitude.
+    consts = {"e": 1.5, "m": -0.7, "B": 2.0}
+    xs = np.random.default_rng(2).uniform(-3.0, 3.0, (3, 6, 7))
+    points = list(zip(*(x.ravel() for x in xs)))
+    rng = random.Random(7)
+    for _ in range(50):
+        g = rand_coord(rng, max_terms=4, fractional=True)
+        multilinear = CoordFunction(
+            {(tuple(min(e, 1) for e in a), F(0), F(0), m): c
+             for (a, _, _, m), c in g.terms.items()})
+        for f, ulps in ((multilinear, 0), (g, 8)):
+            value = f.compile(consts)
+            array = value(*xs).ravel()
+            scalars = np.array([value(*map(float, p)) for p in points])
+            scale = sum(np.abs(CoordFunction({key: c}).compile(consts)(*xs))
+                        for key, c in f.terms.items()).ravel()
+            assert np.all(np.abs(array - scalars) <= ulps * 2.0 ** -52 * scale), f
+
+
+def test_compiled_singular_points():
+    with pytest.raises(SingularPointError, match="r=0"):
+        CoordFunction.r_power(-1).compile({})(0.0, 0.0, 0.0)
+    axis = np.array([-1.0, 0.0, 1.0])
+    with pytest.raises(SingularPointError, match="rho=0"):
+        CoordFunction.rho_power(-2).compile({})(1.0, axis, 0.0 * axis)
+    # Positive powers are finite there.
+    assert CoordFunction.r_power(1).compile({})(0.0, 0.0, 0.0) == 0
+
+
+def test_compile_needs_every_constant_but_pi():
+    f = CoordFunction.scalar(SymbolicScalar.symbol("e"))
+    with pytest.raises(UnboundConstantError):
+        f.compile({"m": 1.0})
+    pi = CoordFunction.scalar(SymbolicScalar.symbol("pi"))
+    assert pi.compile(None)(0.0, 0.0, 0.0) == math.pi
 
 
 def test_substitute_symbol():

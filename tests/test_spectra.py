@@ -7,13 +7,13 @@ import pytest
 
 from warpconv.coords import CoordFunction
 from warpconv.deform import DeformationSpec, QSpec
-from warpconv.errors import (SingularLoopError, UnboundConstantError,
-                             UnsupportedOperandError)
+from warpconv.errors import (SingularLoopError, SingularPointError,
+                             UnboundConstantError, UnsupportedOperandError)
 from warpconv.gauge import (extract_gauge_field, holonomy, interference_phase,
                             phases_equal)
 from warpconv import spectra
 from warpconv.models import (ModelPreset, aharonov_bohm, free, landau,
-                             lense_thirring)
+                             lense_thirring, zeeman)
 from warpconv.spectra import (GridSpec, discretize, distinct_level_spacings,
                               eigenvalues, landau_degeneracy)
 
@@ -74,6 +74,13 @@ def test_unbound_constant_raises():
         discretize(landau(), grid, {"e": 1.0, "m": 1.0})
     with pytest.raises(UnboundConstantError):
         discretize(landau(), grid, {"e": 1.0, "B": 1.0})
+
+
+def test_odd_grid_puts_a_node_on_the_coulomb_singularity():
+    # An odd N has a node at r = 0, where the zeeman potential is 1/r.
+    with pytest.raises(SingularPointError, match="r=0 with negative power"):
+        discretize(zeeman(), GridSpec(extent=10.0, points=33),
+                   {"e": 1.0, "B": 1.0, "m": 1.0})
 
 
 def test_lense_thirring_not_transverse():
@@ -205,6 +212,12 @@ def test_holonomy_validation_and_singular_loop():
         # center distance equals radius: the loop touches rho = 0
         holonomy(gf, 1.0, center=(0.0, 1.0, 0.0), points=16,
                  constants={"e": 1, "phi_M": 1})
+    lt = lense_thirring()
+    with pytest.raises(SingularLoopError, match="r = 0"):
+        # the node at theta = 3 pi / 2 lies within 2e-16 of the origin
+        holonomy(extract_gauge_field(lt.specs[0], lt.coupling), 1.0,
+                 center=(0.0, 1.0, 0.0), points=8,
+                 constants={"m": 1, "Omega": 1})
 
 
 def test_interference_phase():
