@@ -20,9 +20,8 @@ __version__ = "0.1.0"
 _EXPORTS = {
     "coords": ("CoordFunction",),
     "deform": ("DeformationMatrix", "DeformationSpec", "QSpec",
-               "check_additivity", "deform_coordinate", "deform_operator",
-               "deform_sequence", "factorization_check", "momentum_shift",
-               "rieffel_product", "shifted_momentum"),
+               "deform_coordinate", "deform_operator", "deform_sequence",
+               "momentum_shift", "rieffel_product", "shifted_momentum"),
     "errors": ("ConfigError", "InternalInconsistencyError",
                "NonConvergenceError", "NonPositiveParameterError",
                "ParseError", "SingularLoopError", "SingularMatrixError",
@@ -32,8 +31,8 @@ _EXPORTS = {
                "WarpconvError", "ZeroCouplingError"),
     "gauge": ("FieldStrength", "GaugeField", "LorentzForceResult",
               "bianchi_check", "extract_gauge_field", "field_strength",
-              "holonomy", "interference_phase", "jacobi_maxwell_report",
-              "lorentz_force", "phases_equal"),
+              "holonomy", "interference_phase", "lorentz_force",
+              "phases_equal"),
     "models": ("GridSpec", "ModelPreset", "PRESETS", "UncertaintyBound",
                "aharonov_bohm", "combined_em_gem", "coulomb_potential",
                "flux_equivalent", "free", "get_preset", "gravito_constant",

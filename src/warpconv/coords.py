@@ -289,7 +289,8 @@ class CoordFunction:
         """Exact test for the zero function, by the canonical reduction."""
         return not self.reduced().terms
 
-    def equivalent(self, other: "CoordFunction") -> bool:
+    def equals(self, other: "CoordFunction") -> bool:
+        """Exact equality: the difference is the zero function."""
         return (self - other).is_zero()
 
     # -- presentation ---------------------------------------------------

@@ -24,7 +24,7 @@ from .coords import CoordFunction, ScalarLike, _as_scalar
 from .errors import (SingularMatrixError, UnsupportedDegreeError,
                      UnsupportedOperandError)
 from .operators import OperatorExpr, require_coordinate_only
-from .scalars import QC, SymbolicScalar, mono_inv
+from .scalars import QC, mono_inv
 
 _EPS = ((0, 1, 2), (1, 2, 0), (2, 0, 1))  # even permutations of (0,1,2)
 
@@ -280,34 +280,6 @@ def rieffel_product(a: OperatorExpr, b: OperatorExpr,
                 out = out - OperatorExpr.from_coord(
                     (fg * corr).scale(QC(0, Fraction(1))))
     return out
-
-
-def check_additivity(a: OperatorExpr, spec1: DeformationSpec,
-                     spec2: DeformationSpec) -> bool:
-    """Deforming twice equals deforming once with the summed matrix.
-
-    With a shared generator the comparison is against B1 + B2; with two
-    different (necessarily commuting) generators the two application orders
-    are compared instead.
-    """
-    twice = deform_operator(deform_operator(a, spec1), spec2)
-    if spec1.generator == spec2.generator:
-        summed = DeformationSpec(spec1.matrix + spec2.matrix, spec1.generator)
-        return twice.equals(deform_operator(a, summed))
-    swapped = deform_operator(deform_operator(a, spec2), spec1)
-    return twice.equals(swapped)
-
-
-def factorization_check(spec: DeformationSpec) -> bool:
-    """Deformed free Hamiltonian equals the squared deformed momenta / 2m."""
-    h0 = OperatorExpr.free_hamiltonian()
-    lhs = deform_operator(h0, spec)
-    rhs = OperatorExpr.zero()
-    for j in (1, 2, 3):
-        pj = deform_operator(OperatorExpr.momentum(j), spec)
-        rhs = rhs + pj * pj
-    rhs = rhs.scale(SymbolicScalar.symbol("m", -1, Fraction(1, 2)))
-    return lhs.equals(rhs)
 
 
 def invert_transverse_block(matrix: DeformationMatrix,

@@ -6,7 +6,7 @@ two shifted momenta is then -i g F_ij with F the curl of A, the commutator
 with the shifted Hamiltonian produces the Lorentz force, and the Jacobi
 identity yields the homogeneous (source-free) field equations.  All fields
 here are static coordinate functions, so time-derivative terms vanish
-identically; reports state this restriction.
+identically.
 
 The loop integral of A (``holonomy``) and the Aharonov-Bohm interference
 phases are computed here too, with ``math`` alone, so every command but the
@@ -27,7 +27,6 @@ from .operators import OperatorExpr, require_coordinate_only
 from .scalars import QC, SymbolicScalar
 
 _I = QC(0, Fraction(1))
-_NEG_I = QC(0, Fraction(-1))
 
 
 @dataclass(frozen=True)
@@ -58,22 +57,6 @@ class FieldStrength:
     def __getitem__(self, ij: tuple[int, int]) -> CoordFunction:
         i, j = ij
         return self.rows[i - 1][j - 1]
-
-    def is_antisymmetric(self) -> bool:
-        for i in range(3):
-            for j in range(3):
-                s = self.rows[i][j] + self.rows[j][i]
-                if not s.is_structurally_zero():
-                    return False
-        return True
-
-    def equivalent(self, other: "FieldStrength") -> bool:
-        return all(f.equivalent(g)
-                   for row, other_row in zip(self.rows, other.rows)
-                   for f, g in zip(row, other_row))
-
-    def is_zero(self) -> bool:
-        return all(f.is_zero() for row in self.rows for f in row)
 
 
 def extract_gauge_field(spec: DeformationSpec,
@@ -158,70 +141,48 @@ def lorentz_force(spec: DeformationSpec, potential: CoordFunction,
     return LorentzForceResult(tuple(comms), ok, div)
 
 
-def bianchi_check(spec: DeformationSpec) -> bool:
-    """d_k F_ij + d_i F_jk + d_j F_ki = 0, checked symbolically."""
+def bianchi_sums(spec: DeformationSpec):
+    """The cyclic sums d_k F_ij + d_i F_jk + d_j F_ki over every k, i, j;
+    the Bianchi identity says each is the zero function."""
     fs = field_strength(spec)
     for k in (1, 2, 3):
         for i in (1, 2, 3):
             for j in (1, 2, 3):
-                total = (fs[(i, j)].partial(k) + fs[(j, k)].partial(i)
-                         + fs[(k, i)].partial(j))
-                if not total.is_zero():
-                    return False
-    return True
+                yield (fs[(i, j)].partial(k) + fs[(j, k)].partial(i)
+                       + fs[(k, i)].partial(j))
 
 
-def jacobi_maxwell_report(spec: DeformationSpec, potential: CoordFunction,
-                          coupling: SymbolicScalar) -> dict:
-    """Jacobi identities of the deformed momenta and Hamiltonian.
+def bianchi_check(spec: DeformationSpec) -> bool:
+    """d_k F_ij + d_i F_jk + d_j F_ki = 0, checked symbolically."""
+    return all(total.is_zero() for total in bianchi_sums(spec))
 
-    Every combination must normalize to exactly zero; for static fields the
-    electric identity reduces to the vanishing curl of the gradient of phi.
-    Returns a JSON-ready report with one entry per identity.
+
+def jacobi_maxwell_sums(spec: DeformationSpec, potential: CoordFunction,
+                        coupling: SymbolicScalar):
+    """The Jacobi sums of the deformed momenta and Hamiltonian, then the
+    curl of the static electric field E = -grad(phi), as operators.
+
+    Each must be exactly zero: the homogeneous field equations.  For
+    static fields the electric identity reduces to curl grad(phi) = 0.
     """
     h_def = deform_operator(OperatorExpr.free_hamiltonian(), spec)
     h_tot = h_def + OperatorExpr.from_coord(potential.scale(coupling))
     phat = [shifted_momentum(spec, j) for j in (1, 2, 3)]
 
-    identities = []
-
-    def record(name: str, expr: OperatorExpr):
-        zero = expr.equals(OperatorExpr.zero())
-        identities.append({
-            "identity": name,
-            "zero": bool(zero),
-            "residual": str(expr) if not zero else "0",
-        })
+    def jacobi(a, b, c):
+        return (a.commutator(b.commutator(c)) + b.commutator(c.commutator(a))
+                + c.commutator(a.commutator(b)))
 
     pairs = [(1, 2), (1, 3), (2, 3)]
     for k in (1, 2, 3):
         for (i, j) in pairs:
-            expr = (phat[k - 1].commutator(phat[i - 1].commutator(phat[j - 1]))
-                    + phat[i - 1].commutator(phat[j - 1].commutator(phat[k - 1]))
-                    + phat[j - 1].commutator(phat[k - 1].commutator(phat[i - 1])))
-            record(f"jacobi_spatial_P{k}_P{i}_P{j}", expr)
+            yield jacobi(phat[k - 1], phat[i - 1], phat[j - 1])
     for (i, j) in pairs:
-        expr = (h_tot.commutator(phat[i - 1].commutator(phat[j - 1]))
-                + phat[i - 1].commutator(phat[j - 1].commutator(h_tot))
-                + phat[j - 1].commutator(h_tot.commutator(phat[i - 1])))
-        record(f"jacobi_time_H_P{i}_P{j}", expr)
-
-    # Static electric field E = -grad(phi): curl E = 0 pairwise.
+        yield jacobi(h_tot, phat[i - 1], phat[j - 1])
     e_field = [-potential.partial(j) for j in (1, 2, 3)]
     for (i, j) in pairs:
-        resid = e_field[j - 1].partial(i) - e_field[i - 1].partial(j)
-        zero = resid.is_zero()
-        identities.append({
-            "identity": f"curl_E_{i}{j}",
-            "zero": bool(zero),
-            "residual": str(CoordFunction.zero() if zero else resid),
-        })
-
-    return {
-        "static_fields": True,
-        "all_zero": all(e["zero"] for e in identities),
-        "identities": identities,
-    }
+        yield OperatorExpr.from_coord(
+            e_field[j - 1].partial(i) - e_field[i - 1].partial(j))
 
 
 def holonomy(gauge: GaugeField, radius: float, center=(0.0, 0.0, 0.0),

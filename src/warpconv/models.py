@@ -74,18 +74,6 @@ class ModelPreset:
         # hermiticity checks all start from it.
         return deform_sequence(self.base_hamiltonian(), self.specs)
 
-    def matches_reference(self) -> bool:
-        return self.deformed().equals(self.reference_hamiltonian)
-
-    def matches_linearized(self) -> bool:
-        """Compare after the explicit degree >= 2 truncation in the small constants."""
-        if self.linearized_reference is None:
-            return True
-        lhs = self.deformed().drop_degree_at_least(self.small_constants, 2)
-        rhs = self.linearized_reference.drop_degree_at_least(
-            self.small_constants, 2)
-        return lhs.equals(rhs)
-
     def shift_functions(self) -> list[CoordFunction]:
         """Total momentum shift of all deformations (they commute)."""
         total = [CoordFunction.zero()] * 3

@@ -197,9 +197,6 @@ class OperatorExpr:
         operator is zero (see ``CoordFunction.reduced``)."""
         return OperatorExpr({pm: f.reduced() for pm, f in self.terms.items()})
 
-    def is_hermitian(self) -> bool:
-        return self.equals(self.adjoint())
-
     # -- serialization ------------------------------------------------------
 
     def to_json_dict(self) -> dict:

@@ -88,7 +88,6 @@ class QC:
 
 QC_ZERO = QC()
 QC_ONE = QC(Fraction(1))
-QC_I = QC(Fraction(0), Fraction(1))
 
 #: Monomial over named constants: sorted tuple of (name, nonzero exponent).
 Monomial = tuple

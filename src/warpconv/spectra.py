@@ -251,9 +251,6 @@ class DegeneracyReport:
     def sizes(self) -> list[int]:
         return [size for _, size in self.clusters]
 
-    def means(self) -> list[float]:
-        return [mean for mean, _ in self.clusters]
-
     def to_json_dict(self) -> dict:
         return {"tolerance": self.tolerance,
                 "clusters": [{"energy": m, "multiplicity": s}

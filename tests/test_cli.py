@@ -24,14 +24,14 @@ PUBLIC_NAMES = [
     "SpectrumResult", "SymbolicScalar", "UnboundConstantError",
     "UncertaintyBound", "UnknownSymbolError", "UnsupportedDegreeError",
     "UnsupportedOperandError", "WarpconvError", "ZeroCouplingError",
-    "aharonov_bohm", "bianchi_check", "check_additivity", "combined_em_gem",
+    "aharonov_bohm", "bianchi_check", "combined_em_gem",
     "coords", "coulomb_potential", "deform", "deform_coordinate",
     "deform_operator", "deform_sequence", "discretize",
     "distinct_level_spacings", "eigenvalues", "errors", "extract_gauge_field",
-    "factorization_check", "field_strength", "flux_equivalent", "free",
+    "field_strength", "flux_equivalent", "free",
     "gauge", "get_preset", "gravito_constant", "gravito_zeeman",
     "guiding_center", "holonomy", "interference_phase",
-    "jacobi_maxwell_report", "landau", "landau_degeneracy", "lense_thirring",
+    "landau", "landau_degeneracy", "lense_thirring",
     "lorentz_force", "models", "momentum_shift", "operators", "parse",
     "parsing", "phases_equal", "rieffel_product", "scalars",
     "shifted_momentum", "spectra", "uncertainty_area_symbolic",

@@ -6,7 +6,7 @@ from warpconv.coords import CoordFunction
 from warpconv.deform import DeformationSpec
 from warpconv.errors import ZeroCouplingError
 from warpconv.gauge import (bianchi_check, extract_gauge_field,
-                            field_strength, jacobi_maxwell_report,
+                            field_strength, jacobi_maxwell_sums,
                             lorentz_force)
 from warpconv.models import (aharonov_bohm, coulomb_potential, free,
                              get_preset, landau, lense_thirring,
@@ -16,6 +16,14 @@ from warpconv.scalars import QC, SymbolicScalar
 
 F = Fraction
 E = SymbolicScalar.symbol("e")
+
+
+def entries(fs):
+    return [f for row in fs.rows for f in row]
+
+
+def vanishes(fs):
+    return all(f.equals(CoordFunction.zero()) for f in entries(fs))
 
 
 def test_extract_landau_symmetric_gauge():
@@ -52,7 +60,8 @@ def test_extract_zero_coupling_error():
 def test_field_strength_landau_is_constant():
     preset = landau()
     fs = field_strength(preset.specs[0], E)
-    assert fs.is_antisymmetric()
+    assert all(fs[(i, j)].equals(-fs[(j, i)])
+               for i in (1, 2, 3) for j in (1, 2, 3))
     assert (fs[(2, 3)] - CoordFunction.scalar(
         SymbolicScalar.symbol("B"))).is_zero()
     for ij in ((1, 2), (1, 3)):
@@ -62,13 +71,13 @@ def test_field_strength_landau_is_constant():
 def test_field_strength_aharonov_bohm_vanishes_off_axis():
     preset = aharonov_bohm()
     fs = field_strength(preset.specs[0], E)
-    assert fs.is_zero()
+    assert vanishes(fs)
 
 
 def test_field_strength_zero_spec():
     preset = free()
     fs = field_strength(preset.specs[0], E)
-    assert fs.is_zero()
+    assert vanishes(fs)
 
 
 def test_curl_equals_commutator_route():
@@ -78,7 +87,7 @@ def test_curl_equals_commutator_route():
         for spec in preset.specs:
             fs = field_strength(spec, preset.coupling)
             curl = extract_gauge_field(spec, preset.coupling).curl()
-            assert fs.equivalent(curl)
+            assert all(f.equals(g) for f, g in zip(entries(fs), entries(curl)))
 
 
 def test_field_strength_scales_linearly():
@@ -136,13 +145,10 @@ def test_jacobi_maxwell_reports_all_zero():
     ]
     for name, pot in cases:
         preset = get_preset(name)
-        rep = jacobi_maxwell_report(preset.specs[0], pot, preset.coupling)
-        assert rep["static_fields"] is True
-        assert rep["all_zero"] is True
-        assert len(rep["identities"]) == 15
-        for entry in rep["identities"]:
-            assert entry["zero"] is True
-            assert entry["residual"] == "0"
+        sums = list(jacobi_maxwell_sums(preset.specs[0], pot, preset.coupling))
+        # 9 spatial and 3 time Jacobi sums, then the 3 components of curl E.
+        assert len(sums) == 15
+        assert all(s.equals(OperatorExpr.zero()) for s in sums)
 
 
 def test_noncommuting_momenta_iff_field():

@@ -1,0 +1,33 @@
+"""Property tests of the normal-ordered product, drawn by hypothesis.
+
+The operands are one- or two-term operators from the seeded generators of
+conftest, with hypothesis choosing (and shrinking) the seed.  The examples
+are derandomized, so a run is reproducible and writes no example database.
+"""
+
+import pytest
+
+hypothesis = pytest.importorskip("hypothesis")
+
+from conftest import rand_expr
+from hypothesis import given, settings, strategies as st
+
+PROPERTY = settings(max_examples=25, deadline=None, derandomize=True,
+                    database=None)
+
+
+def operators(max_degree: int):
+    return st.randoms(use_true_random=False).map(
+        lambda rng: rand_expr(rng, max_terms=2, max_degree=max_degree))
+
+
+@PROPERTY
+@given(operators(1), operators(1), operators(1))
+def test_normal_ordered_product_is_associative(a, b, c):
+    assert ((a * b) * c).equals(a * (b * c))
+
+
+@PROPERTY
+@given(operators(2), operators(2))
+def test_adjoint_reverses_products(a, b):
+    assert (a * b).adjoint().equals(b.adjoint() * a.adjoint())

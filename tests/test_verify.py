@@ -3,6 +3,7 @@ import json
 import pytest
 
 from warpconv import cli, models, verify
+from warpconv.coords import CoordFunction
 from warpconv.deform import DeformationSpec, deform_operator
 from warpconv.models import PRESETS
 from warpconv.operators import OperatorExpr
@@ -67,7 +68,8 @@ SECTION_PREFIXES = ["deformed_hamiltonian", "deformed_momentum",
                     "rieffel_diagonal", "coefficient_", "model",
                     "moyal_plane_random", "gauge_cross_check"]
 SELECTIONS = [[prefix] for prefix in SECTION_PREFIXES] + [
-    ["d"], ["hermitian"], ["bianchi::landau"], ["model", "gauge_cross_check"]]
+    ["d"], ["hermitian"], ["adjoint"], ["bianchi::landau"],
+    ["model", "gauge_cross_check"]]
 
 
 @pytest.fixture(scope="module")
@@ -103,10 +105,34 @@ def _refuse(*args, **kwargs):
 
 
 def test_selection_skips_the_checks_it_does_not_name(monkeypatch):
-    monkeypatch.setattr(verify, "jacobi_maxwell_report", _refuse)
-    monkeypatch.setattr(verify, "factorization_check", _refuse)
+    # Neither selection deforms an operator or builds a Jacobi or Bianchi
+    # sum; the checks that do are not computed.
+    for name in ("deform_operator", "jacobi_maxwell_sums", "bianchi_sums"):
+        monkeypatch.setattr(verify, name, _refuse)
     for select in (["gauge_cross_check"], ["deformed_coordinate"]):
         assert verify.run_suite(select=select)["all_pass"]
+
+
+def test_every_comparison_is_one_equals_with_a_residual(monkeypatch):
+    # With equality answering "unequal", every identity the suite decides
+    # fails and reports the reduced difference; only the logical
+    # noncommuting_iff_field check is decided otherwise.
+    for cls in (OperatorExpr, CoordFunction):
+        monkeypatch.setattr(cls, "equals", lambda self, other: False)
+    checks = verify.run_suite()["checks"]
+    assert len(checks) == 84
+    passed = [c["name"] for c in checks if c["passed"]]
+    assert passed == ["noncommuting_iff_field"]
+    assert all("residual" in c for c in checks if not c["passed"])
+
+
+def test_an_identity_adjoint_fails_the_adjoint_checks(monkeypatch):
+    # The hermitian checks pass vacuously when adjoint returns its operand;
+    # the adjoint checks must not.
+    monkeypatch.setattr(OperatorExpr, "adjoint", lambda self: self)
+    report = verify.run_suite()
+    assert [c["name"] for c in report["checks"] if not c["passed"]] == [
+        "adjoint::X1*P1", "adjoint::i*X1", "adjoint::product_reversal"]
 
 
 def test_unmatched_selection_computes_nothing(monkeypatch, capsys):
