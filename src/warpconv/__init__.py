@@ -29,15 +29,11 @@ _EXPORTS = {
                "UnknownSymbolError",
                "UnsupportedDegreeError", "UnsupportedOperandError",
                "WarpconvError", "ZeroCouplingError"),
-    "gauge": ("FieldStrength", "GaugeField", "LorentzForceResult",
-              "bianchi_check", "extract_gauge_field", "field_strength",
-              "holonomy", "interference_phase", "lorentz_force",
-              "phases_equal"),
-    "models": ("GridSpec", "ModelPreset", "PRESETS", "UncertaintyBound",
-               "aharonov_bohm", "combined_em_gem", "coulomb_potential",
-               "flux_equivalent", "free", "get_preset", "gravito_constant",
-               "gravito_zeeman", "guiding_center", "landau", "lense_thirring",
-               "uncertainty_area_symbolic", "uncertainty_bound", "zeeman"),
+    "gauge": ("FieldStrength", "GaugeField", "bianchi_check",
+              "extract_gauge_field", "field_strength", "holonomy",
+              "interference_phase", "lorentz_force", "phases_equal"),
+    "models": ("GridSpec", "ModelPreset", "PRESETS", "coulomb_potential",
+               "get_preset", "guiding_center", "uncertainty_area_symbolic"),
     "operators": ("OperatorExpr",),
     "parsing": ("parse",),
     "scalars": ("QC", "SymbolicScalar"),

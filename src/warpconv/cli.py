@@ -24,8 +24,9 @@ unreadable file exits 2.
 Output is canonical JSON (sorted keys, fixed separators), byte-identical
 across runs with the same options; human-readable summaries go to stderr.
 
-Exit codes: 0 success, 1 failed identity, 2 bad configuration,
-3 unsupported operator class, 4 numeric failure.
+Exit codes: 0 success, 1 failed identity, 2 bad configuration (a
+non-positive mass included), 3 unsupported operator class, 4 numeric
+failure (a non-finite result included).
 
 Building the parser and reading the options load no symbolic module: each
 command imports the modules it runs when it runs, so ``commutator`` loads
@@ -42,9 +43,9 @@ import sys
 from fractions import Fraction
 
 from . import __version__
-from .errors import (ConfigError, ParseError, UnboundConstantError,
-                     UnsupportedDegreeError, UnsupportedOperandError,
-                     WarpconvError)
+from .errors import (ConfigError, NonPositiveParameterError, ParseError,
+                     UnboundConstantError, UnsupportedDegreeError,
+                     UnsupportedOperandError, WarpconvError)
 
 EXIT_OK = 0
 EXIT_IDENTITY = 1
@@ -97,8 +98,14 @@ COMMAND_OPTIONS = {
 
 
 def _dump(obj: dict, out: str | None, fmt: str = "json") -> None:
+    """Write strict JSON (or the CSV text); a non-finite number in the
+    result, which JSON cannot carry, is a numeric failure."""
     if fmt == "json":
-        payload = json.dumps(obj, sort_keys=True, separators=(",", ":")) + "\n"
+        try:
+            payload = json.dumps(obj, sort_keys=True, separators=(",", ":"),
+                                 allow_nan=False) + "\n"
+        except ValueError as exc:
+            raise WarpconvError("the result is not finite") from exc
     else:
         payload = obj["csv"]
     if not out:
@@ -155,7 +162,11 @@ def _parse_constants(text: str | None) -> dict[str, float]:
         if "=" not in chunk:
             raise ConfigError(f"constants entries are name=value, got {chunk!r}")
         name, val = chunk.split("=", 1)
-        out[name] = float(_number(val, f"constant {name}", Fraction))
+        try:
+            out[name] = float(_number(val, f"constant {name}", Fraction))
+        except OverflowError as exc:
+            raise ConfigError(f"constant {name} is beyond the float range, "
+                              f"got {val!r}") from exc
     return out
 
 
@@ -335,6 +346,7 @@ def cmd_spectrum(args) -> int:
     # The refusals of discretize(), made before numpy and scipy are loaded.
     if "m" not in constants:
         raise UnboundConstantError("mass constant 'm' must be bound")
+    grid.hop(constants["m"])
     preset.transverse_shift()
     from .spectra import discretize, eigenvalues
     matrix, info = discretize(preset, grid, constants)
@@ -418,13 +430,16 @@ def main(argv: list[str] | None = None) -> int:
             args = parser.parse_args(
                 argv[:at] + _config_flags(args.config) + argv[at:])
         return COMMANDS[args.command](args)
-    except (ConfigError, ParseError, UnboundConstantError) as exc:
+    except (ConfigError, NonPositiveParameterError, ParseError,
+            UnboundConstantError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
     except (UnsupportedDegreeError, UnsupportedOperandError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_UNSUPPORTED
-    except WarpconvError as exc:  # non-convergence, singular points and loops
+    # Numeric failures: non-convergence, singular points and loops, and a
+    # result that is not finite.
+    except WarpconvError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_NUMERIC
 

@@ -32,8 +32,8 @@ from .scalars import (QC, QC_ONE, QC_ZERO, RationalLike, SymbolicScalar,
                       mono_degree, mono_mul, mono_pow, mono_str)
 
 Axis = int  # 1, 2 or 3
-XExp = tuple  # (a1, a2, a3) nonnegative ints
-TermKey = tuple  # (XExp, p: Fraction, q: Fraction, mono: Monomial)
+# ((a1, a2, a3) nonnegative ints, p: Fraction, q: Fraction, mono: Monomial)
+TermKey = tuple
 
 ScalarLike = Union[int, Fraction, QC, SymbolicScalar]
 
@@ -170,12 +170,6 @@ class CoordFunction:
 
     def is_structurally_zero(self) -> bool:
         return not self.terms
-
-    def constants_present(self) -> set[str]:
-        names: set[str] = set()
-        for (_, _, _, m) in self.terms:
-            names.update(n for n, _ in m)
-        return names
 
     def drop_degree_at_least(self, names: Iterable[str],
                              cutoff: int = 2) -> "CoordFunction":

@@ -26,9 +26,6 @@ from .errors import (SingularMatrixError, UnsupportedDegreeError,
 from .operators import OperatorExpr, require_coordinate_only
 from .scalars import QC, mono_inv
 
-_EPS = ((0, 1, 2), (1, 2, 0), (2, 0, 1))  # even permutations of (0,1,2)
-
-
 def _as_entry(v) -> CoordFunction:
     if isinstance(v, CoordFunction):
         f = v

@@ -95,27 +95,16 @@ def field_strength(spec: DeformationSpec,
     return FieldStrength(tuple(rows))
 
 
-@dataclass(frozen=True)
-class LorentzForceResult:
-    """Commutators [H_def + g*phi, P_j^def] and their closed-form identity."""
-
-    commutators: tuple[OperatorExpr, OperatorExpr, OperatorExpr]
-    identity_holds: bool
-    field_divergence: tuple[CoordFunction, CoordFunction, CoordFunction]
-
-
 def lorentz_force(spec: DeformationSpec, potential: CoordFunction,
-                  coupling: SymbolicScalar) -> LorentzForceResult:
-    """Equations of motion for the deformed system.
+                  coupling: SymbolicScalar):
+    """Equations of motion for the deformed system: for j = 1, 2, 3 the
+    commutator C_j = [H_def + g*phi, P_j^def] paired with its closed form
 
-    Computes C_j = [H_def + g*phi, P_j^def] and asserts the closed form
-
-        C_j = i g (dphi/dx_j) - (i g / 2m) sum_k (Phat_k F_kj + F_kj Phat_k),
+        i g (dphi/dx_j) - (i g / 2m) sum_k (Phat_k F_kj + F_kj Phat_k),
 
     i.e. electric force plus the magnetic part at the symmetric operator
-    ordering the commutator itself produces.  The divergence sum_k d_k F_kj
-    (zero for every catalog field) is returned so callers can rewrite the
-    magnetic part in the fully right-ordered form.
+    ordering the commutator itself produces.  The identity says that the
+    two sides of each pair are equal.
     """
     h_def = deform_operator(OperatorExpr.free_hamiltonian(), spec)
     h_tot = h_def + OperatorExpr.from_coord(potential.scale(coupling))
@@ -124,21 +113,13 @@ def lorentz_force(spec: DeformationSpec, potential: CoordFunction,
 
     ig = SymbolicScalar(_I) * coupling
     half_over_m = SymbolicScalar.symbol("m", -1, Fraction(1, 2))
-    comms = []
-    ok = True
     for j in (1, 2, 3):
-        c = h_tot.commutator(phat[j - 1])
         rhs = OperatorExpr.from_coord(potential.partial(j).scale(ig))
         for k in (1, 2, 3):
             fkj = OperatorExpr.from_coord(fs[(k, j)])
             sym = phat[k - 1] * fkj + fkj * phat[k - 1]
             rhs = rhs - sym.scale(ig * half_over_m)
-        ok = ok and c.equals(rhs)
-        comms.append(c)
-    div = tuple(
-        sum((fs[(k, j)].partial(k) for k in (1, 2, 3)), CoordFunction.zero())
-        for j in (1, 2, 3))
-    return LorentzForceResult(tuple(comms), ok, div)
+        yield h_tot.commutator(phat[j - 1]), rhs
 
 
 def bianchi_sums(spec: DeformationSpec):

@@ -1,17 +1,27 @@
 """Preset catalog of physical systems reproduced by deformation.
 
-Each preset bundles the deformation data (matrix + generator, possibly two
-of them for double deformations), the coupling, an optional scalar
-potential, and an independently constructed target Hamiltonian built from
-the textbook gauge field of the effect.  Verifying a preset means checking
-that the deformation machinery reproduces that target exactly, or exactly
-after the explicit small-constant truncation where the effect is only
-stated to linear order.
+Every preset is one row of ``_CATALOG``: its sources, an optional scalar
+potential and a sign note.  A *source* is one kind of field along x1 (none,
+constant magnetic, flux line, constant gravitomagnetic or Lense-Thirring)
+and carries all that a preset takes from it:
+
+- the gauge coupling g with which the momentum shift is S = g A;
+- the charge and the textbook field of its minimal-coupling reference,
+  written down independently of the deformation machinery;
+- its deformation matrix and generator;
+- whether the effect is stated only to linear order in Omega.
+
+``get_preset`` builds a preset from its row: the specs deform H0 (plus the
+potential) in turn, which commute because the generators do, and the
+reference is (1/2m) (P + sum_i g_i A_i)^2 plus the potential, g_i being
+each source's charge.  Verifying a preset means checking that the
+deformation reproduces that reference exactly, or, where a source is
+stated to linear order, exactly after the explicit truncation in Omega.
 
 Sign bookkeeping: the whole package works in plain Cartesian components
 with [X_j, P_k] = i delta_jk and H0 = P^2/2m.  In that convention an axial
 deformation matrix B_ij = epsilon_ijk b^k shifts P_j by -(B x)_j, so each
-preset's matrix is the sign-translated version of the mixed-convention
+source's matrix is the sign-translated version of the mixed-convention
 display it reproduces; the translation is recorded per preset in
 ``sign_note``.  Physical observables (spectra, field magnitudes, fluxes)
 do not depend on it.
@@ -23,7 +33,6 @@ import functools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable
 
 from .coords import CoordFunction
 from .deform import (DeformationMatrix, DeformationSpec, QSpec,
@@ -41,10 +50,6 @@ def _sym(name: str, exp: int = 1, value=1) -> SymbolicScalar:
     return SymbolicScalar.symbol(name, exp, value)
 
 
-def _half_over_m() -> SymbolicScalar:
-    return SymbolicScalar.symbol("m", -1, RAT(1, 2))
-
-
 @dataclass(frozen=True)
 class ModelPreset:
     """A named physical system obtained by deforming H0 (or H0 + potential)."""
@@ -57,7 +62,6 @@ class ModelPreset:
     linearized_reference: OperatorExpr | None = None
     small_constants: tuple[str, ...] = ()
     sign_note: str = ""
-    field_axis: int = 1
 
     def base_hamiltonian(self) -> OperatorExpr:
         h = OperatorExpr.free_hamiltonian()
@@ -106,28 +110,24 @@ class ModelPreset:
             "coupling": str(self.coupling),
             "potential": str(self.potential) if self.potential is not None else None,
             "sign_note": self.sign_note,
-            "field_axis": self.field_axis,
+            "field_axis": 1,  # every catalog field lies along x1
         }
 
 
 @dataclass(frozen=True)
 class GridSpec:
     """Transverse Dirichlet box of a grid spectrum: extent L, N points per
-    axis.  It needs no numpy, so the CLI validates it before loading
-    ``spectra``."""
+    axis in the (x2, x3) plane.  It needs no numpy, so the CLI validates it
+    before loading ``spectra``."""
 
     extent: float
     points: int
-    plane_axes: tuple[int, int] = (2, 3)
-    boundary: str = "dirichlet"
 
     def __post_init__(self):
         if self.extent <= 0:
             raise ValueError("grid extent must be positive")
         if self.points < 2:
             raise ValueError("need at least 2 points per axis")
-        if self.boundary != "dirichlet":
-            raise ValueError("only Dirichlet walls are implemented")
 
     @property
     def spacing(self) -> float:
@@ -137,307 +137,168 @@ class GridSpec:
         # of the spacing and never hit r = 0 or rho = 0.
         return self.extent / (self.points + 1)
 
+    def hop(self, mass: float) -> float:
+        """The stencil's hop scale t = 1/(2 m h^2); refused unless the mass
+        is positive and t is finite (2 m h^2 may underflow)."""
+        if not mass > 0:
+            raise NonPositiveParameterError(
+                f"mass m must be positive, got {mass!r}")
+        denominator = 2.0 * mass * self.spacing * self.spacing
+        if not (denominator > 0.0 and math.isfinite(1.0 / denominator)):
+            raise NonPositiveParameterError(
+                f"2 m h^2 = {denominator!r} leaves the hop 1/(2 m h^2) "
+                f"infinite (m = {mass!r}, h = {self.spacing!r})")
+        return 1.0 / denominator
+
     def nodes(self) -> list[float]:
         h = self.spacing
         return [-self.extent / 2.0 + (i + 1) * h for i in range(self.points)]
 
     def metadata(self) -> dict:
         return {"extent": self.extent, "points": self.points,
-                "plane_axes": list(self.plane_axes), "boundary": self.boundary}
+                "plane_axes": [2, 3], "boundary": "dirichlet"}
 
 
-# -- gauge fields written down independently of the deformation machinery --
+# -- the catalog -------------------------------------------------------------
 
 
-def symmetric_gauge_field() -> list[CoordFunction]:
-    """A = (1/2) B x x for a constant field B along x1: (0, -B x3/2, B x2/2)."""
-    b_half = _sym("B", 1, RAT(1, 2))
-    return [
-        CoordFunction.zero(),
-        -CoordFunction.x(3).scale(b_half),
-        CoordFunction.x(2).scale(b_half),
-    ]
-
-
-def flux_line_field() -> list[CoordFunction]:
-    """A = (phi_M / 2 pi) (0, -x3, x2) / rho^2: flux phi_M along x1."""
-    c = SymbolicScalar(QC(RAT(1, 2)),
-                       (("phi_M", 1), ("pi", -1)))
-    rho2 = CoordFunction.rho_power(-2)
-    return [
-        CoordFunction.zero(),
-        -(CoordFunction.x(3) * rho2).scale(c),
-        (CoordFunction.x(2) * rho2).scale(c),
-    ]
-
-
-def constant_gravitomagnetic_potential() -> list[CoordFunction]:
-    """h = x cross Omega for Omega along x1: (0, Omega x3, -Omega x2)."""
-    om = _sym("Omega")
-    return [
-        CoordFunction.zero(),
-        CoordFunction.x(3).scale(om),
-        -CoordFunction.x(2).scale(om),
-    ]
-
-
-def lense_thirring_potential() -> list[CoordFunction]:
-    """h = (x cross Omega) / r^3 for Omega along x1."""
-    om = _sym("Omega")
-    r3 = CoordFunction.r_power(-3)
-    return [
-        CoordFunction.zero(),
-        (CoordFunction.x(3) * r3).scale(om),
-        -(CoordFunction.x(2) * r3).scale(om),
-    ]
+def azimuthal_field(c: SymbolicScalar,
+                    radial: CoordFunction) -> tuple[CoordFunction, ...]:
+    """c (0, -x3, x2) f: every textbook field of the catalog has this form,
+    written down independently of the deformation machinery."""
+    return (CoordFunction.zero(), -(CoordFunction.x(3) * radial).scale(c),
+            (CoordFunction.x(2) * radial).scale(c))
 
 
 def coulomb_potential() -> CoordFunction:
-    """e^2 / r."""
+    """+e^2 / r, the repulsive sign: the zeeman and gravito_zeeman presets
+    have the hydrogen atom's Coulomb term with its sign flipped."""
     return CoordFunction.term(_sym("e", 2), (0, 0, 0), -1, 0)
 
 
-def minimal_coupling_hamiltonian(charges: list[tuple[SymbolicScalar, list[CoordFunction]]],
-                                 potential: CoordFunction | None = None) -> OperatorExpr:
-    """(1/2m) sum_j (P_j + sum_i g_i A_i,j)^2 (+ potential), by direct expansion."""
-    h = OperatorExpr.zero()
+def _coupled_momenta(charges) -> list[OperatorExpr]:
+    """P_j + sum_i g_i A_i,j for j = 1, 2, 3, over (g_i, A_i) pairs."""
+    out = []
     for j in (1, 2, 3):
         factor = OperatorExpr.momentum(j)
         for g, a in charges:
             factor = factor + OperatorExpr.from_coord(a[j - 1].scale(g))
+        out.append(factor)
+    return out
+
+
+def minimal_coupling_hamiltonian(charges: list[tuple[SymbolicScalar, tuple[CoordFunction, ...]]],
+                                 potential: CoordFunction | None = None) -> OperatorExpr:
+    """(1/2m) sum_j (P_j + sum_i g_i A_i,j)^2 (+ potential), by direct expansion."""
+    h = OperatorExpr.zero()
+    for factor in _coupled_momenta(charges):
         h = h + factor * factor
-    h = h.scale(_half_over_m())
+    h = h.scale(_sym("m", -1, RAT(1, 2)))
     if potential is not None:
         h = h + OperatorExpr.from_coord(potential)
     return h
 
 
-# -- deformation matrices (sign-translated, see module docstring) -----------
+@dataclass(frozen=True)
+class _Source:
+    """One field kind of the catalog (see the module docstring)."""
+
+    coupling: SymbolicScalar
+    charge: SymbolicScalar
+    field: tuple[CoordFunction, ...]
+    spec: DeformationSpec  # the sign-translated matrix and the generator
+    linear: bool = False
 
 
-def landau_matrix() -> DeformationMatrix:
-    """Axial (e B / 2) along x1; shifts P by +e A_sym."""
-    return DeformationMatrix.axial(
-        SymbolicScalar(QC(RAT(1, 2)), (("B", 1), ("e", 1))))
+_E, _M, _OMEGA = _sym("e"), _sym("m"), _sym("Omega")
+_B_HALF = _sym("B", 1, RAT(1, 2))
+_PHI_2PI = SymbolicScalar(QC(RAT(1, 2)), (("phi_M", 1), ("pi", -1)))
+_ONE = CoordFunction.scalar(1)
+# Axial -m Omega shifts P by +m h.
+_GRAVITO = DeformationMatrix.axial(-_M * _OMEGA)
 
-
-def aharonov_bohm_matrix() -> DeformationMatrix:
-    """Axial (e phi_M / 2 pi) along x1; shifts P by +e A_flux."""
-    return DeformationMatrix.axial(
-        SymbolicScalar(QC(RAT(1, 2)), (("e", 1), ("phi_M", 1), ("pi", -1))))
-
-
-def gravito_matrix() -> DeformationMatrix:
-    """Axial (-m Omega) along x1; shifts P by +m h."""
-    return DeformationMatrix.axial(
-        SymbolicScalar(QC(RAT(-1)), (("Omega", 1), ("m", 1))))
-
+_NO_FIELD = _Source(_E, _E, (CoordFunction.zero(),) * 3, DeformationSpec(
+    DeformationMatrix.zero(), QSpec.coordinate()))
+# A = (1/2) B cross x, the symmetric gauge; axial e B/2 shifts P by +e A.
+_MAGNETIC = _Source(_E, _E, azimuthal_field(_B_HALF, _ONE), DeformationSpec(
+    DeformationMatrix.axial(_E * _B_HALF), QSpec.coordinate()))
+# A = (phi_M / 2 pi) (0, -x3, x2) / rho^2; axial e phi_M / 2 pi shifts P
+# by +e A.
+_FLUX_LINE = _Source(
+    _E, _E, azimuthal_field(_PHI_2PI, CoordFunction.rho_power(-2)),
+    DeformationSpec(DeformationMatrix.axial(_E * _PHI_2PI),
+                    QSpec.transverse_radial()))
+# h = x cross Omega.
+_GRAVITO_CONSTANT = _Source(-_M, _M, azimuthal_field(-_OMEGA, _ONE),
+                            DeformationSpec(_GRAVITO, QSpec.coordinate()),
+                            linear=True)
+# h = (x cross Omega) / r^3, generated by Q_j = x_j / r^(3/2).
+_LENSE_THIRRING = _Source(
+    -_M, _M, azimuthal_field(-_OMEGA, CoordFunction.r_power(-3)),
+    DeformationSpec(_GRAVITO, QSpec.radial_power(RAT(3, 2))), linear=True)
 
 _SIGN_NOTE = ("matrix is the Cartesian translation (overall sign) of the "
               "mixed-convention display; with [X,P]=+i the induced shift is "
               "-(Bx)_j and this sign reproduces the target gauge field "
               "verbatim")
 
-
-# -- presets -----------------------------------------------------------------
-
-
-def free() -> ModelPreset:
-    """Undeformed free particle; useful as the numeric baseline."""
-    spec = DeformationSpec(DeformationMatrix.zero(), QSpec.coordinate())
-    return ModelPreset(
-        name="free",
-        specs=(spec,),
-        coupling=_sym("e"),
-        potential=None,
-        reference_hamiltonian=OperatorExpr.free_hamiltonian(),
-        sign_note="no deformation",
-    )
-
-
-def landau() -> ModelPreset:
-    """Charged particle in a constant magnetic field B along x1 (symmetric gauge)."""
-    spec = DeformationSpec(landau_matrix(), QSpec.coordinate())
-    ref = minimal_coupling_hamiltonian([(_sym("e"), symmetric_gauge_field())])
-    return ModelPreset(
-        name="landau",
-        specs=(spec,),
-        coupling=_sym("e"),
-        potential=None,
-        reference_hamiltonian=ref,
-        sign_note=_SIGN_NOTE,
-    )
-
-
-def zeeman() -> ModelPreset:
-    """Hydrogen atom in a constant magnetic field: Landau shift plus e^2/r."""
-    spec = DeformationSpec(landau_matrix(), QSpec.coordinate())
-    pot = coulomb_potential()
-    ref = minimal_coupling_hamiltonian(
-        [(_sym("e"), symmetric_gauge_field())], potential=pot)
-    return ModelPreset(
-        name="zeeman",
-        specs=(spec,),
-        coupling=_sym("e"),
-        potential=pot,
-        reference_hamiltonian=ref,
-        sign_note=_SIGN_NOTE,
-    )
-
-
-def aharonov_bohm() -> ModelPreset:
-    """Flux line phi_M along x1; the field strength vanishes off the axis."""
-    spec = DeformationSpec(aharonov_bohm_matrix(), QSpec.transverse_radial())
-    ref = minimal_coupling_hamiltonian([(_sym("e"), flux_line_field())])
-    return ModelPreset(
-        name="aharonov_bohm",
-        specs=(spec,),
-        coupling=_sym("e"),
-        potential=None,
-        reference_hamiltonian=ref,
-        sign_note=_SIGN_NOTE,
-    )
-
-
-def gravito_constant() -> ModelPreset:
-    """Constant gravitomagnetic field Omega along x1 (hollow spinning sphere).
-
-    Omega stands for (2 G M / r_hs) omega; the symbol is kept atomic so the
-    lemma checks stay exact, and numeric values enter via the constants map.
-    """
-    spec = DeformationSpec(gravito_matrix(), QSpec.coordinate())
-    h = constant_gravitomagnetic_potential()
-    ref = minimal_coupling_hamiltonian([(_sym("m"), h)])
-    lin = OperatorExpr.free_hamiltonian()
-    for j in (2, 3):
-        lin = lin + OperatorExpr.momentum(j).coord_multiply(h[j - 1])
-    return ModelPreset(
-        name="gravito_constant",
-        specs=(spec,),
-        coupling=_sym("m", 1, -1),
-        potential=None,
-        reference_hamiltonian=ref,
-        linearized_reference=lin,
-        small_constants=("Omega",),
-        sign_note=_SIGN_NOTE + "; Omega = (2*G*M/r_hs)*omega",
-    )
-
-
-def lense_thirring() -> ModelPreset:
-    """Gravitomagnetic field of a stationary spinning sphere, h = (x cross Omega)/r^3.
-
-    Omega stands for 2 G I omega.  The generator is Q_j = x_j / r^(3/2).
-    """
-    spec = DeformationSpec(gravito_matrix(), QSpec.radial_power(RAT(3, 2)))
-    h = lense_thirring_potential()
-    ref = minimal_coupling_hamiltonian([(_sym("m"), h)])
-    lin = OperatorExpr.free_hamiltonian()
-    for j in (2, 3):
-        lin = lin + OperatorExpr.momentum(j).coord_multiply(h[j - 1])
-    return ModelPreset(
-        name="lense_thirring",
-        specs=(spec,),
-        coupling=_sym("m", 1, -1),
-        potential=None,
-        reference_hamiltonian=ref,
-        linearized_reference=lin,
-        small_constants=("Omega",),
-        sign_note=_SIGN_NOTE + "; Omega = 2*G*I*omega",
-    )
-
-
-def gravito_zeeman() -> ModelPreset:
-    """Hydrogen atom in a constant gravitomagnetic field."""
-    spec = DeformationSpec(gravito_matrix(), QSpec.coordinate())
-    pot = coulomb_potential()
-    h = constant_gravitomagnetic_potential()
-    ref = minimal_coupling_hamiltonian([(_sym("m"), h)], potential=pot)
-    lin = OperatorExpr.free_hamiltonian() + OperatorExpr.from_coord(pot)
-    for j in (2, 3):
-        lin = lin + OperatorExpr.momentum(j).coord_multiply(h[j - 1])
-    return ModelPreset(
-        name="gravito_zeeman",
-        specs=(spec,),
-        coupling=_sym("m", 1, -1),
-        potential=pot,
-        reference_hamiltonian=ref,
-        linearized_reference=lin,
-        small_constants=("Omega",),
-        sign_note=_SIGN_NOTE,
-    )
-
-
-def combined_em_gem(kind: str = "constant") -> ModelPreset:
-    """Double deformation: magnetic field plus a gravitomagnetic field.
-
-    kind = "constant" couples the hollow-sphere field (both generators are
-    the coordinate operator); kind = "lense_thirring" uses the spinning
-    sphere with Q_j = x_j / r^(3/2).  The order of the two deformations is
-    irrelevant because the generators commute.
-    """
-    em_spec = DeformationSpec(landau_matrix(), QSpec.coordinate())
-    if kind == "constant":
-        gem_spec = DeformationSpec(gravito_matrix(), QSpec.coordinate())
-        h = constant_gravitomagnetic_potential()
-    elif kind == "lense_thirring":
-        gem_spec = DeformationSpec(gravito_matrix(),
-                                   QSpec.radial_power(RAT(3, 2)))
-        h = lense_thirring_potential()
-    else:
-        raise ValueError(f"unknown combined kind {kind!r}")
-    a = symmetric_gauge_field()
-    ref = minimal_coupling_hamiltonian([(_sym("e"), a), (_sym("m"), h)])
-    # Linear order in Omega: (1/2m)(P + eA)^2 + sum_j h_j (P_j + e A_j).
-    lin = minimal_coupling_hamiltonian([(_sym("e"), a)])
-    for j in (1, 2, 3):
-        term = OperatorExpr.momentum(j) + OperatorExpr.from_coord(
-            a[j - 1].scale(_sym("e")))
-        lin = lin + term.coord_multiply(h[j - 1])
-    return ModelPreset(
-        name=f"combined_{kind}",
-        specs=(em_spec, gem_spec),
-        coupling=_sym("e"),
-        potential=None,
-        reference_hamiltonian=ref,
-        linearized_reference=lin,
-        small_constants=("Omega",),
-        sign_note=_SIGN_NOTE,
-    )
-
-
-PRESETS: dict[str, Callable[[], ModelPreset]] = {
-    "free": free,
-    "landau": landau,
-    "zeeman": zeeman,
-    "aharonov_bohm": aharonov_bohm,
-    "gravito_constant": gravito_constant,
-    "lense_thirring": lense_thirring,
-    "gravito_zeeman": gravito_zeeman,
-    "combined_constant": lambda: combined_em_gem("constant"),
-    "combined_lense_thirring": lambda: combined_em_gem("lense_thirring"),
+# name -> (sources, potential, sign note).  Omega is kept an atomic symbol
+# so the checks stay exact; numeric values enter through the constants map.
+_CATALOG = {
+    # Undeformed free particle; the numeric baseline.
+    "free": ((_NO_FIELD,), None, "no deformation"),
+    # Charged particle in a constant field B (symmetric gauge).
+    "landau": ((_MAGNETIC,), None, _SIGN_NOTE),
+    # Landau plus coulomb_potential(), which is the repulsive +e^2/r: a
+    # hydrogen atom in a magnetic field, but with the Coulomb sign flipped.
+    "zeeman": ((_MAGNETIC,), coulomb_potential(), _SIGN_NOTE),
+    # Flux line phi_M; the field strength vanishes off the axis.
+    "aharonov_bohm": ((_FLUX_LINE,), None, _SIGN_NOTE),
+    # Hollow spinning sphere.
+    "gravito_constant": ((_GRAVITO_CONSTANT,), None,
+                         _SIGN_NOTE + "; Omega = (2*G*M/r_hs)*omega"),
+    # Stationary spinning sphere, h = (x cross Omega)/r^3.
+    "lense_thirring": ((_LENSE_THIRRING,), None,
+                       _SIGN_NOTE + "; Omega = 2*G*I*omega"),
+    # The hollow sphere's field plus the same repulsive +e^2/r as zeeman.
+    "gravito_zeeman": ((_GRAVITO_CONSTANT,), coulomb_potential(),
+                       _SIGN_NOTE),
+    # Double deformations: a magnetic plus a gravitomagnetic field.
+    "combined_constant": ((_MAGNETIC, _GRAVITO_CONSTANT), None, _SIGN_NOTE),
+    "combined_lense_thirring": ((_MAGNETIC, _LENSE_THIRRING), None,
+                                _SIGN_NOTE),
 }
+
+PRESETS = tuple(_CATALOG)
 
 
 def get_preset(name: str) -> ModelPreset:
-    if name not in PRESETS:
+    """Build the catalog preset ``name`` from its row of ``_CATALOG``."""
+    if name not in _CATALOG:
         raise KeyError(f"unknown model preset {name!r}; "
                        f"known: {', '.join(sorted(PRESETS))}")
-    return PRESETS[name]()
-
-
-# -- flux quantization and interference ------------------------------------
-
-
-def flux_equivalent(phi1_in_pi: Fraction, phi2_in_pi: Fraction,
-                    e: Fraction) -> bool:
-    """Two flux values give the same interference pattern iff
-    e (phi1 - phi2) is an integer multiple of 2 pi.
-
-    Fluxes are passed as exact rational multiples of pi, so the criterion
-    e (phi1 - phi2) / (2 pi) in Z is decidable exactly.
-    """
-    n = Fraction(e) * (Fraction(phi1_in_pi) - Fraction(phi2_in_pi)) / 2
-    return n.denominator == 1
+    sources, potential, sign_note = _CATALOG[name]
+    exact = [(s.charge, s.field) for s in sources if not s.linear]
+    linear = [(s.charge, s.field) for s in sources if s.linear]
+    linearized = None
+    if linear:
+        # Linear order in Omega: the exact part plus sum_j h_j (P_j + e A_j),
+        # since each linear source couples with charge m and (1/2m) 2 m = 1.
+        linearized = minimal_coupling_hamiltonian(exact, potential)
+        for j, term in enumerate(_coupled_momenta(exact)):
+            for _, h in linear:
+                linearized = linearized + term.coord_multiply(h[j])
+    return ModelPreset(
+        name=name,
+        specs=tuple(s.spec for s in sources),
+        coupling=sources[0].coupling,
+        potential=potential,
+        reference_hamiltonian=minimal_coupling_hamiltonian(exact + linear,
+                                                           potential),
+        linearized_reference=linearized,
+        small_constants=("Omega",) if linear else (),
+        sign_note=sign_note,
+    )
 
 
 # -- noncommuting coordinates ------------------------------------------------
@@ -469,41 +330,6 @@ def guiding_center(matrix: DeformationMatrix):
     return coords, tuple(comms)
 
 
-# -- uncertainty bound --------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class UncertaintyBound:
-    """Measurement bound of the gravitomagnetic quantum plane.
-
-    ``bound`` is hbar/(m Omega) with hbar = 1; the exact symbolic forms keep
-    hbar (and pi for the area) as symbols.
-    """
-
-    bound: Fraction
-    area_in_pi_units: Fraction
-    bound_symbolic: SymbolicScalar
-    area_symbolic: SymbolicScalar
-
-    @property
-    def area(self) -> float:
-        return float(self.area_in_pi_units) * math.pi
-
-
-def uncertainty_bound(m, omega) -> UncertaintyBound:
-    """hbar/(m Omega) and the cell area 2 pi hbar/(m Omega)."""
-    m, omega = Fraction(m), Fraction(omega)
-    if m <= 0 or omega <= 0:
-        raise NonPositiveParameterError("m and Omega must be positive")
-    bound = 1 / (m * omega)
-    return UncertaintyBound(
-        bound=bound,
-        area_in_pi_units=2 * bound,
-        bound_symbolic=SymbolicScalar(QC(bound), (("hbar", 1),)),
-        area_symbolic=SymbolicScalar(QC(2 * bound), (("hbar", 1), ("pi", 1))),
-    )
-
-
 def uncertainty_area_symbolic() -> SymbolicScalar:
     """The quantum-plane cell 2 pi hbar |theta_23|, computed from the algebra.
 
@@ -511,7 +337,7 @@ def uncertainty_area_symbolic() -> SymbolicScalar:
     [Xg2, Xg3] = i theta_23 (hbar = 1 in the algebra, so hbar is restored
     as a symbol).  With m and Omega positive the cell is 2 pi hbar/(m Omega).
     """
-    _, comms = guiding_center(gravito_matrix())
+    _, comms = guiding_center(_GRAVITO)
     theta = comms[1][2].scale(QC(0, -1))  # [Xg2, Xg3] = i theta_23
     key = next(iter(theta.terms), None)
     if (len(theta.terms) != 1 or key[:3] != ((0, 0, 0), 0, 0)

@@ -160,17 +160,8 @@ class OperatorExpr:
     def coordinate_part(self) -> CoordFunction:
         return self.terms.get(P_ZERO, CoordFunction.zero())
 
-    def coefficient(self, pm: PMulti) -> CoordFunction:
-        return self.terms.get(tuple(pm), CoordFunction.zero())
-
     def is_structurally_zero(self) -> bool:
         return not self.terms
-
-    def constants_present(self) -> set[str]:
-        names: set[str] = set()
-        for f in self.terms.values():
-            names |= f.constants_present()
-        return names
 
     def drop_degree_at_least(self, names, cutoff: int = 2) -> "OperatorExpr":
         """Explicit truncation: drop terms of degree >= cutoff in the constants."""

@@ -105,7 +105,9 @@ def discretize(preset: ModelPreset, grid: GridSpec,
     value of S1^2/2m + potential is a lower bound on the spectrum.
 
     ``constants`` binds every constant of the shift and the potential
-    (``pi`` is bound unless given) and must bind the mass ``m``.  Each
+    (``pi`` is bound unless given) and must bind the mass ``m``; a mass
+    that is not positive, or one that leaves t infinite, raises
+    NonPositiveParameterError (``GridSpec.hop``).  Each
     profile is sampled in one call on the meshgrid of its nodes; a
     negative power of r or rho at a node on r = 0 or rho = 0 (an odd N
     puts nodes on the axes) raises SingularPointError.
@@ -117,6 +119,7 @@ def discretize(preset: ModelPreset, grid: GridSpec,
     if "m" not in constants:
         raise UnboundConstantError("mass constant 'm' must be bound")
     mass = float(constants["m"])
+    t = grid.hop(mass)
     shift = preset.transverse_shift()
 
     n = grid.points
@@ -149,7 +152,6 @@ def discretize(preset: ModelPreset, grid: GridSpec,
                 f"grid-too-coarse: magnetic length {ell:.3g} < 4 spacings")
 
     size = n * n
-    t = 1.0 / (2.0 * mass * h * h)
     ghost = np.zeros(n)  # odd-reflection ghosts of the wall-adjacent nodes
     ghost[[0, -1]] = t / 12.0
     diag = (5.0 * t - ghost[:, None] - ghost[None, :]

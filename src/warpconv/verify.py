@@ -31,7 +31,7 @@ from .deform import (DeformationMatrix, DeformationSpec, QSpec,
                      invert_transverse_block, momentum_shift_via_commutators,
                      rieffel_product, shifted_momentum)
 from .gauge import (bianchi_sums, extract_gauge_field, field_strength,
-                    jacobi_maxwell_sums)
+                    jacobi_maxwell_sums, lorentz_force)
 from .models import (PRESETS, coulomb_potential, get_preset, guiding_center,
                      uncertainty_area_symbolic)
 from .operators import OperatorExpr
@@ -352,6 +352,16 @@ def _gauge_checks(wants: Wants, negative_control: bool = False) -> list[Check]:
             out.append(_exact(f"jacobi_maxwell::{name}", (
                 (total, OperatorExpr.zero()) for total in jacobi_maxwell_sums(
                     preset.specs[0], pot(), preset.coupling))))
+
+    for name in ("landau", "zeeman", "aharonov_bohm", "lense_thirring"):
+        if wants(f"lorentz_force::{name}"):
+            preset = get_preset(name)
+            # The scalar potential phi with g phi = the preset's potential.
+            phi = (CoordFunction.zero() if preset.potential is None else
+                   preset.potential.scale(preset.coupling.inverse()))
+            out.append(_exact(f"lorentz_force::{name}", (
+                pair for spec in preset.specs
+                for pair in lorentz_force(spec, phi, preset.coupling))))
 
     if wants("noncommuting_iff_field"):
         landau = get_preset("landau")

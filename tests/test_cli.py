@@ -17,25 +17,19 @@ NOT_UTF8 = os.path.join(os.path.dirname(os.path.abspath(__file__)), "configs",
 PUBLIC_NAMES = [
     "ConfigError", "CoordFunction", "DeformationMatrix", "DeformationSpec",
     "DegeneracyReport", "FieldStrength", "GaugeField", "GridSpec",
-    "InternalInconsistencyError", "LorentzForceResult", "ModelPreset",
-    "NonConvergenceError", "NonPositiveParameterError",
-    "OperatorExpr", "PRESETS", "ParseError", "QC", "QSpec",
-    "SingularLoopError", "SingularMatrixError", "SingularPointError",
+    "InternalInconsistencyError", "ModelPreset", "NonConvergenceError",
+    "NonPositiveParameterError", "OperatorExpr", "PRESETS", "ParseError", "QC",
+    "QSpec", "SingularLoopError", "SingularMatrixError", "SingularPointError",
     "SpectrumResult", "SymbolicScalar", "UnboundConstantError",
-    "UncertaintyBound", "UnknownSymbolError", "UnsupportedDegreeError",
-    "UnsupportedOperandError", "WarpconvError", "ZeroCouplingError",
-    "aharonov_bohm", "bianchi_check", "combined_em_gem",
-    "coords", "coulomb_potential", "deform", "deform_coordinate",
-    "deform_operator", "deform_sequence", "discretize",
-    "distinct_level_spacings", "eigenvalues", "errors", "extract_gauge_field",
-    "field_strength", "flux_equivalent", "free",
-    "gauge", "get_preset", "gravito_constant", "gravito_zeeman",
-    "guiding_center", "holonomy", "interference_phase",
-    "landau", "landau_degeneracy", "lense_thirring",
+    "UnknownSymbolError", "UnsupportedDegreeError", "UnsupportedOperandError",
+    "WarpconvError", "ZeroCouplingError", "bianchi_check", "coords",
+    "coulomb_potential", "deform", "deform_coordinate", "deform_operator",
+    "deform_sequence", "discretize", "distinct_level_spacings", "eigenvalues",
+    "errors", "extract_gauge_field", "field_strength", "gauge", "get_preset",
+    "guiding_center", "holonomy", "interference_phase", "landau_degeneracy",
     "lorentz_force", "models", "momentum_shift", "operators", "parse",
     "parsing", "phases_equal", "rieffel_product", "scalars",
     "shifted_momentum", "spectra", "uncertainty_area_symbolic",
-    "uncertainty_bound", "zeeman",
 ]
 
 # Runs one command in a fresh process and prints its exit code and the
@@ -68,8 +62,10 @@ NUMERIC = ("numpy", "scipy")
     (["verify", "--select", "model"], 0, NUMERIC),
     (["spectrum", "--model", "lense_thirring", "--grid", "32,10",
       "--constants", "m=1,Omega=1"], 3, NUMERIC),
+    (["spectrum", "--model", "free", "--grid", "8,10", "--k", "2",
+      "--constants", "m=0"], 2, NUMERIC),
 ], ids=["version", "commutator", "deform", "gauge", "holonomy", "verify",
-        "refused_spectrum"])
+        "refused_spectrum", "refused_mass"])
 def test_command_loads_only_what_it_runs(argv, code, unloaded):
     env = dict(os.environ, PYTHONPATH=SRC)
     proc = subprocess.run([sys.executable, "-c", LOADED_RUN, *argv], env=env,
@@ -146,6 +142,20 @@ def test_every_public_name_resolves():
       "--constants", "e=1,B=1"], cli.EXIT_CONFIG),
     (["holonomy", "--model", "landau", "--rad", "2",
       "--constants", "e=1,B=1"], cli.EXIT_CONFIG),
+    # A mass that is not positive, or a hop 1/(2 m h^2) that overflows.
+    (["spectrum", "--model", "free", "--constants", "m=0", "--grid", "8,10",
+      "--k", "2"], cli.EXIT_CONFIG),
+    (["spectrum", "--model", "free", "--constants", "m=1", "--grid",
+      "3,1e-320", "--k", "2"], cli.EXIT_CONFIG),
+    (["spectrum", "--model", "free", "--constants", "m=-1", "--grid", "8,10",
+      "--k", "2"], cli.EXIT_CONFIG),
+    # Constants beyond the float range, and a result that is not finite.
+    (["spectrum", "--model", "free", "--grid", "8,10", "--k", "2",
+      "--constants", "m=1e400"], cli.EXIT_CONFIG),
+    (["holonomy", "--model", "landau", "--constants", "B=1e400"],
+     cli.EXIT_CONFIG),
+    (["holonomy", "--model", "landau", "--constants", "e=1,B=1", "--points",
+      "8", "--radius", "1e308"], cli.EXIT_NUMERIC),
 ])
 def test_exit_codes(argv, code, capsys):
     assert cli.main(argv) == code

@@ -1,5 +1,6 @@
 """Every name a module in src/ or tests/ imports is used in that module,
-and the public names no code in src/ uses are the known pending ones."""
+every name src/ defines is used in src/, and the exceptions to the second
+rule are the known ones."""
 
 import ast
 import pathlib
@@ -59,17 +60,34 @@ def test_no_unused_imports():
 # or deleting it shrinks this list; a new public name without a caller
 # fails.
 UNCALLED_PUBLIC_NAMES = [
-    "distinct_level_spacings", "flux_equivalent", "interference_phase",
-    "landau_degeneracy", "lorentz_force", "phases_equal", "uncertainty_bound",
+    "distinct_level_spacings", "interference_phase", "landau_degeneracy",
+    "phases_equal",
 ]
+
+# Names defined in src/ that nothing in src/ refers to, each kept on purpose.
+UNREFERENCED_DEFINITIONS = {
+    "error": "_Parser.error overrides argparse, which calls it",
+    "from_json_dict": "OperatorExpr.from_json_dict inverts to_json_dict; "
+                      "the JSON round-trip test calls it",
+    "substitute": "SymbolicScalar.substitute; only tests call it",
+    "sizes": "DegeneracyReport.sizes; only tests call it",
+    "substitute_symbol": "CoordFunction and OperatorExpr.substitute_symbol; "
+                         "only tests call them",
+    **{name: "public, pending a caller" for name in UNCALLED_PUBLIC_NAMES},
+}
+
+
+def _src_trees():
+    return {path: ast.parse(path.read_text(), filename=str(path))
+            for path in sorted((ROOT / "src").rglob("*.py"))}
 
 
 def test_public_names_without_a_caller():
     referenced = set()
-    for path in (ROOT / "src").rglob("*.py"):
+    for path, tree in _src_trees().items():
         if path.name == "__init__.py":
             continue
-        for node in ast.walk(ast.parse(path.read_text())):
+        for node in ast.walk(tree):
             if isinstance(node, ast.Name):
                 referenced.add(node.id)
             elif isinstance(node, ast.Attribute):
@@ -77,3 +95,41 @@ def test_public_names_without_a_caller():
             elif isinstance(node, ast.ImportFrom) and node.module:
                 referenced.add(node.module.split(".")[-1])  # a submodule
     assert sorted(set(warpconv.__all__) - referenced) == UNCALLED_PUBLIC_NAMES
+
+
+def _definitions(tree):
+    """(name, node) for each module-level function, class and constant, and
+    each method; dunders are called by Python itself and are left out."""
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            yield node.name, node
+            if isinstance(node, ast.ClassDef):
+                yield from ((item.name, item) for item in node.body
+                            if isinstance(item, ast.FunctionDef))
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [
+                node.target]
+            yield from ((part.id, node) for target in targets
+                        for part in ast.walk(target)
+                        if isinstance(part, ast.Name))
+
+
+def test_every_definition_in_src_is_referenced_in_src():
+    # A reference is a loaded name or attribute anywhere in src/ outside
+    # every definition of that name, so recursion is no caller.
+    trees = _src_trees()
+    spans, loads = {}, []
+    for path, tree in trees.items():
+        for name, node in _definitions(tree):
+            if not (name.startswith("__") and name.endswith("__")):
+                spans.setdefault(name, []).append(
+                    (path, node.lineno, node.end_lineno))
+        for node in ast.walk(tree):
+            if isinstance(getattr(node, "ctx", None), ast.Load):
+                name = node.id if isinstance(node, ast.Name) else getattr(
+                    node, "attr", None)
+                loads.append((name, path, node.lineno))
+    referenced = {name for name, path, line in loads if name in spans
+                  and not any(path == p and first <= line <= last
+                              for p, first, last in spans[name])}
+    assert sorted(set(spans) - referenced) == sorted(UNREFERENCED_DEFINITIONS)

@@ -1,15 +1,12 @@
+import hashlib
 from fractions import Fraction
 
 import pytest
 
+from warpconv import cli
 from warpconv.coords import CoordFunction
 from warpconv.deform import DeformationMatrix, deform_operator
-from warpconv.errors import NonPositiveParameterError
-from warpconv.models import (PRESETS, combined_em_gem, flux_equivalent, free,
-                             get_preset, gravito_constant, gravito_zeeman,
-                             guiding_center, landau, lense_thirring,
-                             uncertainty_area_symbolic, uncertainty_bound,
-                             zeeman)
+from warpconv.models import PRESETS, get_preset, guiding_center
 from warpconv.operators import OperatorExpr
 from warpconv.parsing import parse
 from warpconv.scalars import QC, SymbolicScalar
@@ -30,7 +27,7 @@ def test_every_preset_matches_its_reference():
 
 
 def test_landau_reference_is_minimal_coupling():
-    preset = landau()
+    preset = get_preset("landau")
     ref = parse(
         "(1/(2*m)) * ((P1*P1) + (P2 - (e*B/2)*X3)*(P2 - (e*B/2)*X3)"
         " + (P3 + (e*B/2)*X2)*(P3 + (e*B/2)*X2))")
@@ -38,20 +35,20 @@ def test_landau_reference_is_minimal_coupling():
 
 
 def test_landau_degenerate_field_reduces_to_free():
-    preset = landau()
+    preset = get_preset("landau")
     h = preset.deformed().substitute_symbol("B", SymbolicScalar.of(0))
     assert h.equals(OperatorExpr.free_hamiltonian())
 
 
 def test_zeeman_is_landau_plus_coulomb():
-    z = zeeman()
-    lan = landau()
+    z = get_preset("zeeman")
+    lan = get_preset("landau")
     pot = OperatorExpr.from_coord(z.potential)
     assert z.deformed().equals(lan.deformed() + pot)
 
 
 def test_zeeman_potential_unchanged_by_deformation():
-    z = zeeman()
+    z = get_preset("zeeman")
     deformed_pot = deform_operator(OperatorExpr.from_coord(z.potential),
                                    z.specs[0])
     assert deformed_pot == OperatorExpr.from_coord(z.potential)
@@ -59,23 +56,15 @@ def test_zeeman_potential_unchanged_by_deformation():
 
 def test_zeeman_paramagnetic_term():
     # momentum-linear part equals (eB/2m) L1 with L1 = X2 P3 - X3 P2
-    z = zeeman()
+    z = get_preset("zeeman")
     h = z.deformed()
     lin = OperatorExpr({pm: f for pm, f in h.terms.items() if sum(pm) == 1})
     expected = parse("(e*B/(2*m)) * (X2*P3 - X3*P2)")
     assert lin.equals(expected)
 
 
-def test_aharonov_bohm_flux_quantization_examples():
-    assert flux_equivalent(F(2), F(0), F(1))      # e (phi1-phi2) = 2 pi
-    assert flux_equivalent(F(5, 2), F(5, 2), F(7))  # equal fluxes
-    assert not flux_equivalent(F(1), F(0), F(1))  # difference pi
-    assert flux_equivalent(F(3), F(-1), F(1))
-    assert not flux_equivalent(F(1, 3), F(0), F(2))
-
-
 def test_gravito_constant_linearization():
-    g = gravito_constant()
+    g = get_preset("gravito_constant")
     deformed = g.deformed()
     # exact reference is quadratic; linear truncation matches H0 + h.P
     truncated = deformed.drop_degree_at_least(("Omega",), 2)
@@ -84,14 +73,14 @@ def test_gravito_constant_linearization():
 
 
 def test_gravito_is_free_at_zero_field():
-    g = gravito_constant()
+    g = get_preset("gravito_constant")
     h = g.deformed().substitute_symbol("Omega", SymbolicScalar.of(0))
     assert h.equals(OperatorExpr.free_hamiltonian())
 
 
 def test_lense_thirring_shift_structure():
     # the induced shift is -(BX)_j / r^3
-    lt = lense_thirring()
+    lt = get_preset("lense_thirring")
     shift = lt.shift_functions()
     bx = lt.specs[0].matrix.apply(
         [CoordFunction.x(1), CoordFunction.x(2), CoordFunction.x(3)])
@@ -101,14 +90,14 @@ def test_lense_thirring_shift_structure():
 
 
 def test_lense_thirring_zero_inertia():
-    lt = lense_thirring()
+    lt = get_preset("lense_thirring")
     h = lt.deformed().substitute_symbol("Omega", SymbolicScalar.of(0))
     assert h.equals(OperatorExpr.free_hamiltonian())
 
 
 def test_combined_order_independence():
     for kind in ("constant", "lense_thirring"):
-        preset = combined_em_gem(kind)
+        preset = get_preset(f"combined_{kind}")
         s1, s2 = preset.specs
         base = preset.base_hamiltonian()
         a = deform_operator(deform_operator(base, s1), s2)
@@ -117,17 +106,17 @@ def test_combined_order_independence():
 
 
 def test_combined_reduces_to_single_model():
-    preset = combined_em_gem("constant")
+    preset = get_preset("combined_constant")
     h = preset.deformed()
     assert h.substitute_symbol("Omega", SymbolicScalar.of(0)).equals(
-        landau().deformed())
+        get_preset("landau").deformed())
     assert h.substitute_symbol("B", SymbolicScalar.of(0)).equals(
-        gravito_constant().deformed())
+        get_preset("gravito_constant").deformed())
 
 
 def test_combined_cross_terms():
     # truncated combined Hamiltonian = Landau + sum_j h_j (P_j + e A_j)
-    preset = combined_em_gem("constant")
+    preset = get_preset("combined_constant")
     truncated = preset.deformed().drop_degree_at_least(("Omega",), 2)
     lin = preset.linearized_reference
     assert truncated.equals(lin)
@@ -138,8 +127,8 @@ def test_combined_cross_terms():
 
 
 def test_gravito_zeeman_matches_zeeman_pattern():
-    gz = gravito_zeeman()
-    z = zeeman()
+    gz = get_preset("gravito_zeeman")
+    z = get_preset("zeeman")
     # map -(e/2) B -> m Omega: substitute the Landau axial constant
     h_z = z.deformed()
     swapped = h_z.substitute_symbol(
@@ -152,18 +141,18 @@ def test_landau_gravito_structural_map():
     lam = SymbolicScalar.symbol("lam")
     template = deform_operator(
         OperatorExpr.free_hamiltonian(),
-        type(landau().specs[0])(DeformationMatrix.axial(lam),
-                                landau().specs[0].generator))
+        type(get_preset("landau").specs[0])(DeformationMatrix.axial(lam),
+                                get_preset("landau").specs[0].generator))
     to_landau = template.substitute_symbol(
         "lam", SymbolicScalar(QC(F(1, 2)), (("B", 1), ("e", 1))))
     to_gravito = template.substitute_symbol(
         "lam", SymbolicScalar(QC(F(-1)), (("Omega", 1), ("m", 1))))
-    assert to_landau.equals(landau().deformed())
-    assert to_gravito.equals(gravito_constant().deformed())
+    assert to_landau.equals(get_preset("landau").deformed())
+    assert to_gravito.equals(get_preset("gravito_constant").deformed())
 
 
 def test_free_preset():
-    f = free()
+    f = get_preset("free")
     assert f.deformed() == OperatorExpr.free_hamiltonian()
 
 
@@ -196,22 +185,44 @@ def test_guiding_center_rejects_non_axial():
         guiding_center(DeformationMatrix.axial(1, 1, 0))
 
 
-def test_uncertainty_bound_values():
-    u = uncertainty_bound(1, 1)
-    assert u.bound == 1
-    assert u.area_in_pi_units == 2
-    # doubling Omega halves the bound
-    assert uncertainty_bound(1, 2).bound == F(1, 2)
-    sym = uncertainty_area_symbolic()
-    assert sym.mono == (("Omega", -1), ("hbar", 1), ("m", -1), ("pi", 1))
-    assert sym.coeff == QC(F(2))
-    with pytest.raises(NonPositiveParameterError):
-        uncertainty_bound(0, 1)
-    with pytest.raises(NonPositiveParameterError):
-        uncertainty_bound(1, -2)
+# sha256 of the stdout of `deform --model P` and `gauge --model P`: the
+# catalog's output bytes, which change only deliberately.
+CATALOG_STDOUT_SHA256 = {
+    "free": (
+        "d5f60744fef86fb959293263efcc34bd279e9617041f0e8c8b2604cf42f77136",
+        "3bc8809c37cf7d7a454ea51c5aa06e40de25ccac2fc1fa6b2160d7bbf504cf99"),
+    "landau": (
+        "c901d62fcf677d9c6609ba740e5d473fe79b1da1ee5d17de782a534883524eb0",
+        "bdbcf7b3d608953cfa24e0570593d39236b3489946c2970f77ce13771cb76d09"),
+    "zeeman": (
+        "1555526d839190b1ecbd90dacaf267362b6356c102fbe3c074a406b82e1bc7cc",
+        "f5ba68cf8b147cb7285ebe491c55f84eadc3551121867a6034fb07f147ad986d"),
+    "aharonov_bohm": (
+        "5f8d655148e3244bcb331ccadc2eb8cc0222e02763fca96dd9298010a2af87fa",
+        "398c91432ff5da21a8c295e4bcbb9df7a01f755df0bd1ec5982406a22bf3fb31"),
+    "gravito_constant": (
+        "1447f65087380b984d757b9c2045e9f2f045ec57841160c8caa06c8f3464b2e1",
+        "255c3734b89be8589b894d6fe0a067f64d640f0911ab077433f192f1bbc4f206"),
+    "lense_thirring": (
+        "cc893e3fd233de176dce1351d2f606902c1bcc0b78cb240804997bb9817a3031",
+        "918b2f7b047efd27e4f2a3484f938cb5406aa658ed91cedbd14c35a9d6d50583"),
+    "gravito_zeeman": (
+        "acd4e303d6d77bba213e67d681a4e90d440e451ab93edabdbff2a7633c1298ba",
+        "2254bcb3c77a118aed46b0b810ea2a4ac5f9941a93ab0510838198deaece840f"),
+    "combined_constant": (
+        "38915a8acc4a59a58e7ab4c7bca3915a3c74d6fb218c0455abc1b397b658e5aa",
+        "5613ab67475af207833d59fb672ec62e1dddca77fddb7afed949f8e3acc3ccc6"),
+    "combined_lense_thirring": (
+        "a0eef4da201ee76eb0f449c7b47bc867485917ef877583db4c481a56012373c0",
+        "5f3b75ea72ae0d19ed21282b925cd42bf97c8ad1ace788ff50b268a2ed95e339"),
+}
 
 
-def test_numeric_uncertainty_bound():
-    u = uncertainty_bound(F(2), F(1, 4))
-    assert u.bound == F(2)
-    assert abs(u.area - 4 * 3.141592653589793) < 1e-12
+@pytest.mark.parametrize("name", PRESETS)
+def test_catalog_output_bytes(name, capsys):
+    digests = []
+    for command in ("deform", "gauge"):
+        assert cli.main([command, "--model", name]) == cli.EXIT_OK
+        digests.append(hashlib.sha256(
+            capsys.readouterr().out.encode()).hexdigest())
+    assert tuple(digests) == CATALOG_STDOUT_SHA256[name]

@@ -7,13 +7,13 @@ import pytest
 
 from warpconv.coords import CoordFunction
 from warpconv.deform import DeformationSpec, QSpec
-from warpconv.errors import (SingularLoopError, SingularPointError,
-                             UnboundConstantError, UnsupportedOperandError)
+from warpconv.errors import (NonPositiveParameterError, SingularLoopError,
+                             SingularPointError, UnboundConstantError,
+                             UnsupportedOperandError)
 from warpconv.gauge import (extract_gauge_field, holonomy, interference_phase,
                             phases_equal)
 from warpconv import spectra
-from warpconv.models import (ModelPreset, aharonov_bohm, free, landau,
-                             lense_thirring, zeeman)
+from warpconv.models import ModelPreset, get_preset
 from warpconv.spectra import (GridSpec, discretize, distinct_level_spacings,
                               eigenvalues, landau_degeneracy)
 
@@ -31,16 +31,21 @@ def test_grid_spec_validation():
         GridSpec(extent=-1.0, points=32)
     with pytest.raises(ValueError):
         GridSpec(extent=1.0, points=1)
-    with pytest.raises(ValueError):
-        GridSpec(extent=1.0, points=32, boundary="periodic")
     g = GridSpec(extent=4.0, points=32)
     assert g.spacing == pytest.approx(4.0 / 33)
     assert 0.0 not in set(np.round(g.nodes(), 12))
+    assert g.hop(0.5) == 1.0 / (g.spacing * g.spacing)
+    # A mass that is not positive, or a hop 1/(2 m h^2) that overflows.
+    for grid, mass in ((g, 0.0), (g, -1.0), (GridSpec(1e-320, 3), 1.0)):
+        with pytest.raises(NonPositiveParameterError):
+            grid.hop(mass)
+    with pytest.raises(NonPositiveParameterError):
+        discretize(get_preset("free"), g, {"m": -1.0})
 
 
 def test_box_spectrum_within_one_percent():
     grid = GridSpec(extent=4.0, points=40)
-    mat, info = discretize(free(), grid, {"m": 1.0})
+    mat, info = discretize(get_preset("free"), grid, {"m": 1.0})
     res = eigenvalues(mat, 6, info)
     exact = box_levels(4.0, 1.0, 6)
     # first 3 distinct levels: E11, E12=E21, E22
@@ -51,47 +56,51 @@ def test_box_spectrum_within_one_percent():
 
 def test_hermiticity_defect_machine_zero():
     grid = GridSpec(extent=10.0, points=32)
-    mat, info = discretize(landau(), grid, {"e": 1.0, "B": 1.0, "m": 1.0})
+    mat, info = discretize(get_preset("landau"), grid,
+                           {"e": 1.0, "B": 1.0, "m": 1.0})
     assert info["hermiticity_defect"] < 1e-12
 
 
 def test_coarse_grid_warning():
     grid = GridSpec(extent=4.0, points=8)
-    mat, info = discretize(free(), grid, {"m": 1.0})
+    mat, info = discretize(get_preset("free"), grid, {"m": 1.0})
     assert any("grid-too-coarse" in w for w in info["warnings"])
 
 
 def test_magnetic_length_warning():
     # huge field on a coarse grid: magnetic length < 4 spacings
     grid = GridSpec(extent=10.0, points=24)
-    mat, info = discretize(landau(), grid, {"e": 1.0, "B": 30.0, "m": 1.0})
+    mat, info = discretize(get_preset("landau"), grid,
+                           {"e": 1.0, "B": 30.0, "m": 1.0})
     assert any("magnetic length" in w for w in info["warnings"])
 
 
 def test_unbound_constant_raises():
     grid = GridSpec(extent=10.0, points=16)
     with pytest.raises(UnboundConstantError):
-        discretize(landau(), grid, {"e": 1.0, "m": 1.0})
+        discretize(get_preset("landau"), grid, {"e": 1.0, "m": 1.0})
     with pytest.raises(UnboundConstantError):
-        discretize(landau(), grid, {"e": 1.0, "B": 1.0})
+        discretize(get_preset("landau"), grid, {"e": 1.0, "B": 1.0})
 
 
 def test_odd_grid_puts_a_node_on_the_coulomb_singularity():
     # An odd N has a node at r = 0, where the zeeman potential is 1/r.
     with pytest.raises(SingularPointError, match="r=0 with negative power"):
-        discretize(zeeman(), GridSpec(extent=10.0, points=33),
+        discretize(get_preset("zeeman"), GridSpec(extent=10.0, points=33),
                    {"e": 1.0, "B": 1.0, "m": 1.0})
 
 
 def test_lense_thirring_not_transverse():
     grid = GridSpec(extent=10.0, points=16)
     with pytest.raises(UnsupportedOperandError):
-        discretize(lense_thirring(), grid, {"m": 1.0, "Omega": 1.0})
+        discretize(get_preset("lense_thirring"), grid,
+                   {"m": 1.0, "Omega": 1.0})
 
 
 def test_landau_spacings_small_grid():
     grid = GridSpec(extent=10.0, points=64)
-    mat, info = discretize(landau(), grid, {"e": 1.0, "B": 1.0, "m": 1.0})
+    mat, info = discretize(get_preset("landau"), grid,
+                           {"e": 1.0, "B": 1.0, "m": 1.0})
     res = eigenvalues(mat, 40, info, seed=5)
     spacings = distinct_level_spacings(res, 1.0, levels=3)
     for s in spacings:
@@ -102,7 +111,7 @@ def test_eigenvalue_convergence_under_refinement():
     vals = {}
     for n in (32, 64):
         grid = GridSpec(extent=10.0, points=n)
-        mat, info = discretize(landau(), grid,
+        mat, info = discretize(get_preset("landau"), grid,
                                {"e": 1.0, "B": 1.0, "m": 1.0})
         res = eigenvalues(mat, 8, info, seed=2)
         vals[n] = res.eigenvalues
@@ -112,7 +121,8 @@ def test_eigenvalue_convergence_under_refinement():
 
 def test_eigenvalues_deterministic_for_seed():
     grid = GridSpec(extent=10.0, points=64)  # 4096 unknowns: sparse path
-    mat, info = discretize(landau(), grid, {"e": 1.0, "B": 1.0, "m": 1.0})
+    mat, info = discretize(get_preset("landau"), grid,
+                           {"e": 1.0, "B": 1.0, "m": 1.0})
     r1 = eigenvalues(mat, 12, info, seed=9)
     r2 = eigenvalues(mat, 12, info, seed=9)
     assert r1.eigenvalues == r2.eigenvalues
@@ -120,7 +130,7 @@ def test_eigenvalues_deterministic_for_seed():
 
 def test_eigenvalues_k_validation():
     grid = GridSpec(extent=4.0, points=16)
-    mat, info = discretize(free(), grid, {"m": 1.0})
+    mat, info = discretize(get_preset("free"), grid, {"m": 1.0})
     with pytest.raises(ValueError):
         eigenvalues(mat, 0, info)
     with pytest.raises(ValueError):
@@ -130,7 +140,7 @@ def test_eigenvalues_k_validation():
 def test_gauge_translation_leaves_spectrum_invariant():
     # Same field strength, gauge shifted by a constant vector: use the
     # generator Q = X + c, whose shift is -(BX)_j - (Bc)_j.
-    base = landau()
+    base = get_preset("landau")
     shifted_q = QSpec((
         CoordFunction.x(1),
         CoordFunction.x(2) + CoordFunction.scalar(F(7, 5)),
@@ -158,7 +168,7 @@ def _both(pair):
 
 def test_degeneracy_report():
     grid = GridSpec(extent=4.0, points=32)
-    mat, info = discretize(free(), grid, {"m": 1.0})
+    mat, info = discretize(get_preset("free"), grid, {"m": 1.0})
     res = eigenvalues(mat, 8, info)
     # tol=0 makes every eigenvalue its own cluster
     assert landau_degeneracy(res, 0.0).sizes() == [1] * 8
@@ -171,7 +181,7 @@ def test_lowest_cluster_grows_with_field():
     sizes = {}
     for bval in (1.0, 2.0):
         grid = GridSpec(extent=10.0, points=64)
-        mat, info = discretize(landau(), grid,
+        mat, info = discretize(get_preset("landau"), grid,
                                {"e": 1.0, "B": bval, "m": 1.0})
         res = eigenvalues(mat, 40, info, seed=3)
         rep = landau_degeneracy(res, 0.05 * bval)
@@ -182,7 +192,7 @@ def test_lowest_cluster_grows_with_field():
 
 
 def test_holonomy_flux_line():
-    ab = aharonov_bohm()
+    ab = get_preset("aharonov_bohm")
     gf = extract_gauge_field(ab.specs[0], ab.coupling)
     consts = {"e": 2.0, "phi_M": 3.7}
     for radius in (0.5, 1.0, 2.0):
@@ -194,7 +204,7 @@ def test_holonomy_flux_line():
 
 
 def test_holonomy_constant_field():
-    lan = landau()
+    lan = get_preset("landau")
     gf = extract_gauge_field(lan.specs[0], lan.coupling)
     val = holonomy(gf, 1.5, constants={"e": 1.0, "B": 2.0})
     expected = 2.0 * math.pi * 1.5 ** 2
@@ -202,7 +212,7 @@ def test_holonomy_constant_field():
 
 
 def test_holonomy_validation_and_singular_loop():
-    ab = aharonov_bohm()
+    ab = get_preset("aharonov_bohm")
     gf = extract_gauge_field(ab.specs[0], ab.coupling)
     with pytest.raises(ValueError):
         holonomy(gf, -1.0, constants={"e": 1, "phi_M": 1})
@@ -212,7 +222,7 @@ def test_holonomy_validation_and_singular_loop():
         # center distance equals radius: the loop touches rho = 0
         holonomy(gf, 1.0, center=(0.0, 1.0, 0.0), points=16,
                  constants={"e": 1, "phi_M": 1})
-    lt = lense_thirring()
+    lt = get_preset("lense_thirring")
     with pytest.raises(SingularLoopError, match="r = 0"):
         # the node at theta = 3 pi / 2 lies within 2e-16 of the origin
         holonomy(extract_gauge_field(lt.specs[0], lt.coupling), 1.0,
@@ -229,21 +239,25 @@ def test_interference_phase():
 
 
 def test_phase_consistency_with_flux_condition():
-    from warpconv.models import flux_equivalent
-    cases = [(F(1), F(2), F(0)), (F(1), F(1), F(0)), (F(3), F(4, 3), F(-2, 3)),
-             (F(2), F(5, 2), F(1, 2)), (F(5), F(7, 5), F(3, 5))]
-    for e, p1, p2 in cases:
-        assert phases_equal(e, p1, p2) == flux_equivalent(p1, p2, e)
-        if phases_equal(e, p1, p2):
+    # Two fluxes give the same interference pattern iff e (phi1 - phi2) is
+    # an integer multiple of 2 pi; fluxes are rational multiples of pi.
+    cases = [(F(1), F(2), F(0), True), (F(1), F(1), F(0), False),
+             (F(3), F(4, 3), F(-2, 3), True), (F(2), F(5, 2), F(1, 2), True),
+             (F(5), F(7, 5), F(3, 5), True), (F(7), F(5, 2), F(5, 2), True),
+             (F(1), F(3), F(-1), True), (F(2), F(1, 3), F(0), False)]
+    for e, p1, p2, equal in cases:
+        assert phases_equal(e, p1, p2) is equal
+        if equal:
             assert interference_phase(e, p1) == interference_phase(e, p2)
 
 
 def test_dense_and_sparse_paths_agree(monkeypatch):
     cases = [
-        (landau(), GridSpec(extent=10.0, points=16),
+        (get_preset("landau"), GridSpec(extent=10.0, points=16),
          {"e": 1.0, "B": 1.0, "m": 1.0}),
         # The lowest levels are negative and far from zero.
-        (dataclasses.replace(free(), potential=CoordFunction.scalar(-5)),
+        (dataclasses.replace(get_preset("free"),
+                             potential=CoordFunction.scalar(-5)),
          GridSpec(extent=4.0, points=20), {"m": 1.0}),
     ]
     for preset, grid, consts in cases:

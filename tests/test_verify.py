@@ -69,7 +69,7 @@ SECTION_PREFIXES = ["deformed_hamiltonian", "deformed_momentum",
                     "moyal_plane_random", "gauge_cross_check"]
 SELECTIONS = [[prefix] for prefix in SECTION_PREFIXES] + [
     ["d"], ["hermitian"], ["adjoint"], ["bianchi::landau"],
-    ["model", "gauge_cross_check"]]
+    ["model", "gauge_cross_check"], ["lorentz_force"]]
 
 
 @pytest.fixture(scope="module")
@@ -105,9 +105,10 @@ def _refuse(*args, **kwargs):
 
 
 def test_selection_skips_the_checks_it_does_not_name(monkeypatch):
-    # Neither selection deforms an operator or builds a Jacobi or Bianchi
-    # sum; the checks that do are not computed.
-    for name in ("deform_operator", "jacobi_maxwell_sums", "bianchi_sums"):
+    # Neither selection deforms an operator or builds a Jacobi, Bianchi or
+    # Lorentz sum; the checks that do are not computed.
+    for name in ("deform_operator", "jacobi_maxwell_sums", "bianchi_sums",
+                 "lorentz_force"):
         monkeypatch.setattr(verify, name, _refuse)
     for select in (["gauge_cross_check"], ["deformed_coordinate"]):
         assert verify.run_suite(select=select)["all_pass"]
@@ -120,7 +121,7 @@ def test_every_comparison_is_one_equals_with_a_residual(monkeypatch):
     for cls in (OperatorExpr, CoordFunction):
         monkeypatch.setattr(cls, "equals", lambda self, other: False)
     checks = verify.run_suite()["checks"]
-    assert len(checks) == 84
+    assert len(checks) == 88
     passed = [c["name"] for c in checks if c["passed"]]
     assert passed == ["noncommuting_iff_field"]
     assert all("residual" in c for c in checks if not c["passed"])
