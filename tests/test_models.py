@@ -6,6 +6,7 @@ import pytest
 from warpconv import cli
 from warpconv.coords import CoordFunction
 from warpconv.deform import DeformationMatrix, deform_operator
+from warpconv.gauge import phases_equal
 from warpconv.models import PRESETS, get_preset, guiding_center
 from warpconv.operators import OperatorExpr
 from warpconv.parsing import parse
@@ -61,6 +62,15 @@ def test_zeeman_paramagnetic_term():
     lin = OperatorExpr({pm: f for pm, f in h.terms.items() if sum(pm) == 1})
     expected = parse("(e*B/(2*m)) * (X2*P3 - X3*P2)")
     assert lin.equals(expected)
+
+
+def test_aharonov_bohm_flux_quantization_examples():
+    # phases_equal(e, phi1, phi2): e (phi1 - phi2) is a multiple of 2 pi.
+    assert phases_equal(F(1), F(2), F(0))          # e (phi1-phi2) = 2 pi
+    assert phases_equal(F(7), F(5, 2), F(5, 2))    # equal fluxes
+    assert not phases_equal(F(1), F(1), F(0))      # difference pi
+    assert phases_equal(F(1), F(3), F(-1))
+    assert not phases_equal(F(2), F(1, 3), F(0))
 
 
 def test_gravito_constant_linearization():
