@@ -236,3 +236,51 @@ def test_catalog_output_bytes(name, capsys):
         digests.append(hashlib.sha256(
             capsys.readouterr().out.encode()).hexdigest())
     assert tuple(digests) == CATALOG_STDOUT_SHA256[name]
+
+
+# sha256 of the stdout of `verify`, `verify --negative-control` and
+# `commutator` on expressions that reach every parser branch touching a
+# constant: negative powers of constants and literals, division by a
+# constant, by r^p and by rho^q, complex literals and phi_M/pi.
+VERIFY_STDOUT_SHA256 = {
+    # flags: (exit code, digest)
+    (): (cli.EXIT_OK,
+         "e4a8ed23a56a4da2dc39df7250b2238e8f9ad381a863d30f002aec556ab0705b"),
+    ("--negative-control",): (
+        cli.EXIT_IDENTITY,
+        "0c16b8ef8d7bc1e7813b1cbc5be2cf95ee5423a1d17ebba676ded226d383a778"),
+}
+COMMUTATOR_STDOUT_SHA256 = [
+    ("e^-2*X1", "P1",
+     "06832459362c29a54d3c6210ae29c5c02c5df48c30e1e31055ea07fe7d710324"),
+    ("X1^2/e", "P1^2",
+     "f58b17e36aea81e76eb3bd0bc1eea2291264c6955244b31b613f2846bf1cad65"),
+    ("X1/r^(3/2)", "P1 + P2",
+     "d8f989b62a35983d9b5905621baf0d761a6defd54ef5f31c7dbffdfd74a9c423"),
+    ("X2/rho^2", "P3",
+     "fb98b326cd5299e9c1ec1a07f56aec85f472c4b79f7b3c022e2320bbd2a9eaf9"),
+    ("(1 + 2*i)*X1/(2 - i)", "P1*X2",
+     "1811e15f7031abb9e324a3343677f4f783fce60b8a7b9d27b68ffe9bc0c7aae7"),
+    ("phi_M/pi*X3/rho", "P2",
+     "184bb1609de9680e452f361b814addaccac8a449b683e0aef7dee343b598fd7e"),
+    ("hbar^2*pi^-1*X2/(2*m)", "2^-3*P2^2",
+     "bc22a174322a4126d89e996a2868bcb637cb1e76d1d455e585edbb737ab38e46"),
+    ("i^-3*X1 + 3^-2*e^-1*X2", "P1*P2",
+     "8001a5ac435212ee8ed34bb666fae9dd27009160b3a0f7f131015762d854259a"),
+    ("e^2/r/(3/7)", "(B*e/2)*X3*P2 - i*m^-1*P1",
+     "1a526c03bac233dd3d64380074ccb33e6e97737bfe4bd26af3da24b4fc8157cc"),
+]
+
+
+@pytest.mark.parametrize("flags", list(VERIFY_STDOUT_SHA256))
+def test_verify_output_bytes(flags, capsys):
+    code = cli.main(["verify", *flags])
+    digest = hashlib.sha256(capsys.readouterr().out.encode()).hexdigest()
+    assert (code, digest) == VERIFY_STDOUT_SHA256[flags]
+
+
+@pytest.mark.parametrize("a, b, sha256", COMMUTATOR_STDOUT_SHA256)
+def test_commutator_output_bytes(a, b, sha256, capsys):
+    assert cli.main(["commutator", "--a", a, "--b", b]) == cli.EXIT_OK
+    assert hashlib.sha256(
+        capsys.readouterr().out.encode()).hexdigest() == sha256
