@@ -36,7 +36,7 @@ _EXPORTS = {
                "get_preset", "guiding_center", "uncertainty_area_symbolic"),
     "operators": ("OperatorExpr",),
     "parsing": ("parse",),
-    "scalars": ("QC", "SymbolicScalar"),
+    "scalars": ("QC",),
     "spectra": ("DegeneracyReport", "SpectrumResult", "discretize",
                 "distinct_level_spacings", "eigenvalues", "landau_degeneracy"),
 }

@@ -202,7 +202,7 @@ def _parse_generator(text: str | None):
 
 
 def _parse_coupling(text: str | None):
-    from .scalars import SymbolicScalar
+    from .coords import CoordFunction
     text = "e" if text is None else text.strip()
     sign = 1
     if text.startswith("-"):
@@ -210,7 +210,7 @@ def _parse_coupling(text: str | None):
         text = text[1:].strip()
     if not text.isidentifier():
         raise ConfigError(f"coupling must be a constant name, got {text!r}")
-    return SymbolicScalar.symbol(text, 1, sign)
+    return CoordFunction.constant(text, 1, sign)
 
 
 def _preset(name: str):

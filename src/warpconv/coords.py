@@ -4,7 +4,9 @@ Here r = |x| and rho = sqrt(x2^2 + x3^2); the exponents p, q are rational,
 the x-exponents nonnegative integers, and each coefficient is a rational
 complex number times a monomial in named constants.  The class is closed
 under pointwise products and partial derivatives, which is everything the
-operator algebra needs.
+operator algebra needs.  A constant, such as a coupling, a deformation-matrix
+entry or a scale factor, is a function whose terms carry no power of x, r or
+rho (``as_constant``).
 
 Terms are stored as built: powers of r and rho are not rewritten against
 the polynomial part (x2^2 + x3^2 is not collapsed to rho^2), so printing
@@ -28,22 +30,20 @@ from fractions import Fraction
 from typing import Iterable, Mapping, Union
 
 from .errors import SingularPointError, UnboundConstantError
-from .scalars import (QC, QC_ONE, QC_ZERO, RationalLike, SymbolicScalar,
-                      mono_degree, mono_mul, mono_pow, mono_str)
+from .scalars import (QC, QC_ONE, QC_ZERO, RationalLike, mono_degree,
+                      mono_inv, mono_make, mono_mul, mono_str)
 
 Axis = int  # 1, 2 or 3
 # ((a1, a2, a3) nonnegative ints, p: Fraction, q: Fraction, mono: Monomial)
 TermKey = tuple
 
-ScalarLike = Union[int, Fraction, QC, SymbolicScalar]
+ScalarLike = Union[int, Fraction, QC]
+
+_NO_COORDS = ((0, 0, 0), Fraction(0), Fraction(0))
 
 
-def _as_scalar(v: ScalarLike) -> SymbolicScalar:
-    if isinstance(v, SymbolicScalar):
-        return v
-    if isinstance(v, QC):
-        return SymbolicScalar(v)
-    return SymbolicScalar(QC(Fraction(v)))
+def _as_qc(v: ScalarLike) -> QC:
+    return v if isinstance(v, QC) else QC(v)
 
 
 class CoordFunction:
@@ -68,9 +68,15 @@ class CoordFunction:
     @staticmethod
     def term(coeff: ScalarLike, a: tuple[int, int, int] = (0, 0, 0),
              p: RationalLike = 0, q: RationalLike = 0) -> "CoordFunction":
-        s = _as_scalar(coeff)
-        key = (tuple(a), Fraction(p), Fraction(q), s.mono)
-        return CoordFunction({key: s.coeff})
+        key = (tuple(a), Fraction(p), Fraction(q), ())
+        return CoordFunction({key: _as_qc(coeff)})
+
+    @staticmethod
+    def constant(name: str, exp: int = 1,
+                 value: RationalLike = 1) -> "CoordFunction":
+        """value * name^exp, a named constant."""
+        return CoordFunction({(*_NO_COORDS, mono_make([(name, exp)])):
+                              QC(value)})
 
     @staticmethod
     def one() -> "CoordFunction":
@@ -127,14 +133,26 @@ class CoordFunction:
                     out[key] = acc
         return CoordFunction(out)
 
-    def scale(self, v: ScalarLike) -> "CoordFunction":
-        s = _as_scalar(v)
-        if s.is_zero():
-            return CoordFunction.zero()
-        out: dict[TermKey, QC] = {}
-        for (a, p, q, m), c in self.terms.items():
-            out[(a, p, q, mono_mul(m, s.mono))] = c * s.coeff
-        return CoordFunction(out)
+    def scale(self, v: "ScalarLike | CoordFunction") -> "CoordFunction":
+        """Product with an exact number or a constant (see ``as_constant``)."""
+        if isinstance(v, CoordFunction):
+            return self * as_constant(v, "scale factors")
+        c = _as_qc(v)
+        return CoordFunction({key: d * c for key, d in self.terms.items()})
+
+    def inverse(self) -> "CoordFunction":
+        """Exact reciprocal of one term c * constants * r^p * rho^q: the
+        coefficient inverted, every exponent negated.  Zero, a sum or a
+        power of x1, x2 or x3 raises ValueError."""
+        if not self.terms:
+            raise ValueError("cannot divide by zero")
+        if len(self.terms) != 1:
+            raise ValueError("cannot divide by a multi-term expression")
+        ((a, p, q, m), c), = self.terms.items()
+        if any(a):
+            raise ValueError(
+                "cannot divide by positions; only scalars, r and rho invert")
+        return CoordFunction({((0, 0, 0), -p, -q, mono_inv(m)): QC_ONE / c})
 
     def conjugate(self) -> "CoordFunction":
         return CoordFunction({k: c.conjugate() for k, c in self.terms.items()})
@@ -171,41 +189,28 @@ class CoordFunction:
     def is_structurally_zero(self) -> bool:
         return not self.terms
 
-    def drop_degree_at_least(self, names: Iterable[str],
-                             cutoff: int = 2) -> "CoordFunction":
-        """Drop terms of combined degree >= cutoff in the listed constants."""
+    def truncate_to_linear(self, names: Iterable[str]) -> "CoordFunction":
+        """Drop terms of combined degree >= 2 in the listed constants."""
         names = set(names)
         return CoordFunction({
             (a, p, q, m): c for (a, p, q, m), c in self.terms.items()
-            if mono_degree(m, names) < cutoff
+            if mono_degree(m, names) < 2
         })
 
     def substitute_symbol(self, name: str,
-                          value: SymbolicScalar) -> "CoordFunction":
-        """Replace a named constant by another scalar, exactly."""
-        out: dict[TermKey, QC] = {}
+                          value: "CoordFunction") -> "CoordFunction":
+        """Replace a named constant by ``value``, exactly; a negative power
+        of it needs a ``value`` that ``inverse`` takes."""
+        out = CoordFunction.zero()
         for (a, p, q, m), c in self.terms.items():
             exp = dict(m).get(name, 0)
-            if exp == 0:
-                key, coeff = (a, p, q, m), c
-            else:
-                rest = tuple(pair for pair in m if pair[0] != name)
-                if exp > 0:
-                    factor = QC_ONE
-                    for _ in range(exp):
-                        factor = factor * value.coeff
-                else:
-                    factor = QC_ONE
-                    for _ in range(-exp):
-                        factor = factor / value.coeff
-                key = (a, p, q, mono_mul(rest, mono_pow(value.mono, exp)))
-                coeff = c * factor
-            acc = out.get(key, QC_ZERO) + coeff
-            if acc.is_zero():
-                out.pop(key, None)
-            else:
-                out[key] = acc
-        return CoordFunction(out)
+            piece = CoordFunction(
+                {(a, p, q, tuple(pair for pair in m if pair[0] != name)): c})
+            factor = value if exp >= 0 else value.inverse()
+            for _ in range(abs(exp)):
+                piece = piece * factor
+            out = out + piece
+        return out
 
     # -- evaluation ----------------------------------------------------
 
@@ -314,6 +319,15 @@ class CoordFunction:
 
     def __repr__(self) -> str:
         return f"CoordFunction({self})"
+
+
+def as_constant(v: "ScalarLike | CoordFunction", what: str) -> CoordFunction:
+    """``v`` as a function, refused with ValueError unless it is constant:
+    an exact number, or terms without a power of x1, x2, x3, r or rho."""
+    f = v if isinstance(v, CoordFunction) else CoordFunction.scalar(v)
+    if any(key[:3] != _NO_COORDS for key in f.terms):
+        raise ValueError(f"{what} must be constants, got {f}")
+    return f
 
 
 def _exp_str(base: str, e: Fraction) -> str:

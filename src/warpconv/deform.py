@@ -1,7 +1,7 @@
 """Closed-form warped-convolution deformation of operator expressions.
 
 A deformation is specified by a real skew-symmetric 3x3 matrix B with
-symbolic scalar entries and a generator Q(X), a commuting triple of
+constant entries and a generator Q(X), a commuting triple of
 coordinate functions.  On the momentum-degree <= 2 class the deformation
 acts by the in-place substitution
 
@@ -20,25 +20,19 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Sequence
 
-from .coords import CoordFunction, ScalarLike, _as_scalar
+from .coords import CoordFunction, ScalarLike, as_constant
 from .errors import (SingularMatrixError, UnsupportedDegreeError,
                      UnsupportedOperandError)
 from .operators import OperatorExpr, require_coordinate_only
-from .scalars import QC, mono_inv
+from .scalars import QC
+
 
 def _as_entry(v) -> CoordFunction:
-    if isinstance(v, CoordFunction):
-        f = v
-    else:
-        f = CoordFunction.scalar(_as_scalar(v))
-    for (a, p, q, _) in f.terms:
-        if any(a) or p != 0 or q != 0:
-            raise ValueError("deformation-matrix entries must be scalars")
-    return f
+    return as_constant(v, "deformation-matrix entries")
 
 
 class DeformationMatrix:
-    """Real skew-symmetric 3x3 matrix of symbolic scalars."""
+    """Real skew-symmetric 3x3 matrix of constants."""
 
     __slots__ = ("rows",)
 
@@ -83,7 +77,7 @@ class DeformationMatrix:
     def __neg__(self) -> "DeformationMatrix":
         return DeformationMatrix([[-v for v in row] for row in self.rows])
 
-    def scale(self, s: ScalarLike) -> "DeformationMatrix":
+    def scale(self, s: "ScalarLike | CoordFunction") -> "DeformationMatrix":
         return DeformationMatrix([[v.scale(s) for v in row]
                                   for row in self.rows])
 
@@ -291,13 +285,11 @@ def invert_transverse_block(matrix: DeformationMatrix,
     b = matrix.rows[i][j]
     if b.is_structurally_zero():
         raise SingularMatrixError("transverse block is singular")
-    if len(b.terms) != 1:
-        raise SingularMatrixError(
-            "transverse block entry is a sum; no exact scalar inverse")
-    ((a, p, q, mono), coeff), = b.terms.items()
-    inv_entry = CoordFunction(
-        {((0, 0, 0), Fraction(0), Fraction(0), mono_inv(mono)):
-         QC(Fraction(1)) / coeff})
+    try:
+        inv_entry = b.inverse()
+    except ValueError as exc:
+        raise SingularMatrixError("transverse block entry is a sum; "
+                                  "no exact scalar inverse") from exc
     z = CoordFunction.zero()
     rows = [[z, z, z], [z, z, z], [z, z, z]]
     rows[i][j] = -inv_entry

@@ -14,7 +14,7 @@ class ParseError(WarpconvError):
 
 
 class UnknownSymbolError(ParseError):
-    """Identifier not among X1..X3, P1..P3, r, rho, i or declared constants."""
+    """Identifier not among X1..X3, P1..P3, r, rho, i or the known constants."""
 
 
 class SingularPointError(WarpconvError):

@@ -20,11 +20,11 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .coords import CoordFunction
+from .coords import CoordFunction, as_constant
 from .deform import DeformationSpec, deform_operator, momentum_shift, shifted_momentum
 from .errors import SingularLoopError, ZeroCouplingError
-from .operators import OperatorExpr, require_coordinate_only
-from .scalars import QC, SymbolicScalar
+from .operators import HALF_OVER_M, OperatorExpr, require_coordinate_only
+from .scalars import QC
 
 _I = QC(0, Fraction(1))
 
@@ -34,7 +34,7 @@ class GaugeField:
     """Vector potential A_r with its coupling g, so that S_r = g A_r."""
 
     components: tuple[CoordFunction, CoordFunction, CoordFunction]
-    coupling: SymbolicScalar
+    coupling: CoordFunction
 
     def curl(self) -> "FieldStrength":
         """F_ij = dA_j/dx_i - dA_i/dx_j, independent of any commutator."""
@@ -59,30 +59,33 @@ class FieldStrength:
         return self.rows[i - 1][j - 1]
 
 
-def extract_gauge_field(spec: DeformationSpec,
-                        coupling: SymbolicScalar) -> GaugeField:
-    """A_r = S_r / g where S is the momentum shift of the deformation."""
+def _inverse_coupling(coupling: CoordFunction, what: str) -> CoordFunction:
+    """1/g for a constant coupling g of one term."""
+    coupling = as_constant(coupling, "couplings")
     if coupling.is_zero():
-        raise ZeroCouplingError("gauge field extraction needs a nonzero coupling")
-    inv = coupling.inverse()
+        raise ZeroCouplingError(f"{what} needs a nonzero coupling")
+    return coupling.inverse()
+
+
+def extract_gauge_field(spec: DeformationSpec,
+                        coupling: CoordFunction) -> GaugeField:
+    """A_r = S_r / g where S is the momentum shift of the deformation."""
+    inv = _inverse_coupling(coupling, "gauge field extraction")
     comps = tuple(s.scale(inv) for s in momentum_shift(spec))
     return GaugeField(comps, coupling)
 
 
 def field_strength(spec: DeformationSpec,
-                   coupling: SymbolicScalar | None = None) -> FieldStrength:
+                   coupling: CoordFunction | None = None) -> FieldStrength:
     """F_ij from the commutators of the shifted momenta, divided by -i g.
 
     The commutator must close on a pure coordinate function; a momentum
     remainder would mean the normal-ordering engine is broken and raises
     InternalInconsistencyError.
     """
-    if coupling is None:
-        coupling = SymbolicScalar.of(1)
-    if coupling.is_zero():
-        raise ZeroCouplingError("field strength needs a nonzero coupling")
+    norm = (CoordFunction.one() if coupling is None
+            else _inverse_coupling(coupling, "field strength"))
     phat = [shifted_momentum(spec, j) for j in (1, 2, 3)]
-    norm = coupling.inverse()
     rows = []
     for i in range(3):
         row = []
@@ -96,7 +99,7 @@ def field_strength(spec: DeformationSpec,
 
 
 def lorentz_force(spec: DeformationSpec, potential: CoordFunction,
-                  coupling: SymbolicScalar):
+                  coupling: CoordFunction):
     """Equations of motion for the deformed system: for j = 1, 2, 3 the
     commutator C_j = [H_def + g*phi, P_j^def] paired with its closed form
 
@@ -111,14 +114,13 @@ def lorentz_force(spec: DeformationSpec, potential: CoordFunction,
     phat = [shifted_momentum(spec, j) for j in (1, 2, 3)]
     fs = field_strength(spec, coupling)
 
-    ig = SymbolicScalar(_I) * coupling
-    half_over_m = SymbolicScalar.symbol("m", -1, Fraction(1, 2))
+    ig = coupling.scale(_I)
     for j in (1, 2, 3):
         rhs = OperatorExpr.from_coord(potential.partial(j).scale(ig))
         for k in (1, 2, 3):
             fkj = OperatorExpr.from_coord(fs[(k, j)])
             sym = phat[k - 1] * fkj + fkj * phat[k - 1]
-            rhs = rhs - sym.scale(ig * half_over_m)
+            rhs = rhs - sym.scale(ig * HALF_OVER_M)
         yield h_tot.commutator(phat[j - 1]), rhs
 
 
@@ -139,7 +141,7 @@ def bianchi_check(spec: DeformationSpec) -> bool:
 
 
 def jacobi_maxwell_sums(spec: DeformationSpec, potential: CoordFunction,
-                        coupling: SymbolicScalar):
+                        coupling: CoordFunction):
     """The Jacobi sums of the deformed momenta and Hamiltonian, then the
     curl of the static electric field E = -grad(phi), as operators.
 

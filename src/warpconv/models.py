@@ -40,14 +40,10 @@ from .deform import (DeformationMatrix, DeformationSpec, QSpec,
                      invert_transverse_block, momentum_shift)
 from .errors import (InternalInconsistencyError, NonPositiveParameterError,
                      UnsupportedOperandError)
-from .operators import OperatorExpr, require_coordinate_only
-from .scalars import QC, SymbolicScalar, mono_mul
+from .operators import HALF_OVER_M, OperatorExpr, require_coordinate_only
+from .scalars import QC
 
 RAT = Fraction
-
-
-def _sym(name: str, exp: int = 1, value=1) -> SymbolicScalar:
-    return SymbolicScalar.symbol(name, exp, value)
 
 
 @dataclass(frozen=True)
@@ -56,7 +52,7 @@ class ModelPreset:
 
     name: str
     specs: tuple[DeformationSpec, ...]
-    coupling: SymbolicScalar
+    coupling: CoordFunction
     potential: CoordFunction | None
     reference_hamiltonian: OperatorExpr
     linearized_reference: OperatorExpr | None = None
@@ -71,6 +67,13 @@ class ModelPreset:
 
     def deformed(self) -> OperatorExpr:
         return self._deformed
+
+    def scalar_potential(self) -> CoordFunction:
+        """phi with coupling * phi = potential (zero without a potential),
+        the electric potential that pairs with the preset's coupling."""
+        if self.potential is None:
+            return CoordFunction.zero()
+        return self.potential.scale(self.coupling.inverse())
 
     @functools.cached_property
     def _deformed(self) -> OperatorExpr:
@@ -162,7 +165,7 @@ class GridSpec:
 # -- the catalog -------------------------------------------------------------
 
 
-def azimuthal_field(c: SymbolicScalar,
+def azimuthal_field(c: CoordFunction,
                     radial: CoordFunction) -> tuple[CoordFunction, ...]:
     """c (0, -x3, x2) f: every textbook field of the catalog has this form,
     written down independently of the deformation machinery."""
@@ -173,7 +176,7 @@ def azimuthal_field(c: SymbolicScalar,
 def coulomb_potential() -> CoordFunction:
     """+e^2 / r, the repulsive sign: the zeeman and gravito_zeeman presets
     have the hydrogen atom's Coulomb term with its sign flipped."""
-    return CoordFunction.term(_sym("e", 2), (0, 0, 0), -1, 0)
+    return CoordFunction.constant("e", 2) * CoordFunction.r_power(-1)
 
 
 def _coupled_momenta(charges) -> list[OperatorExpr]:
@@ -187,13 +190,14 @@ def _coupled_momenta(charges) -> list[OperatorExpr]:
     return out
 
 
-def minimal_coupling_hamiltonian(charges: list[tuple[SymbolicScalar, tuple[CoordFunction, ...]]],
-                                 potential: CoordFunction | None = None) -> OperatorExpr:
+def minimal_coupling_hamiltonian(
+        charges: list[tuple[CoordFunction, tuple[CoordFunction, ...]]],
+        potential: CoordFunction | None = None) -> OperatorExpr:
     """(1/2m) sum_j (P_j + sum_i g_i A_i,j)^2 (+ potential), by direct expansion."""
     h = OperatorExpr.zero()
     for factor in _coupled_momenta(charges):
         h = h + factor * factor
-    h = h.scale(_sym("m", -1, RAT(1, 2)))
+    h = h.scale(HALF_OVER_M)
     if potential is not None:
         h = h + OperatorExpr.from_coord(potential)
     return h
@@ -203,16 +207,17 @@ def minimal_coupling_hamiltonian(charges: list[tuple[SymbolicScalar, tuple[Coord
 class _Source:
     """One field kind of the catalog (see the module docstring)."""
 
-    coupling: SymbolicScalar
-    charge: SymbolicScalar
+    coupling: CoordFunction
+    charge: CoordFunction
     field: tuple[CoordFunction, ...]
     spec: DeformationSpec  # the sign-translated matrix and the generator
     linear: bool = False
 
 
-_E, _M, _OMEGA = _sym("e"), _sym("m"), _sym("Omega")
-_B_HALF = _sym("B", 1, RAT(1, 2))
-_PHI_2PI = SymbolicScalar(QC(RAT(1, 2)), (("phi_M", 1), ("pi", -1)))
+_E, _M, _OMEGA = (CoordFunction.constant(n) for n in ("e", "m", "Omega"))
+_B_HALF = CoordFunction.constant("B", 1, RAT(1, 2))
+_PHI_2PI = (CoordFunction.constant("phi_M", 1, RAT(1, 2))
+            * CoordFunction.constant("pi", -1))
 _ONE = CoordFunction.scalar(1)
 # Axial -m Omega shifts P by +m h.
 _GRAVITO = DeformationMatrix.axial(-_M * _OMEGA)
@@ -330,7 +335,7 @@ def guiding_center(matrix: DeformationMatrix):
     return coords, tuple(comms)
 
 
-def uncertainty_area_symbolic() -> SymbolicScalar:
+def uncertainty_area_symbolic() -> CoordFunction:
     """The quantum-plane cell 2 pi hbar |theta_23|, computed from the algebra.
 
     theta_23 is read off the gravitomagnetic guiding centers,
@@ -344,5 +349,6 @@ def uncertainty_area_symbolic() -> SymbolicScalar:
             or theta.terms[key].im):
         raise InternalInconsistencyError(
             f"theta_23 = {theta} is not a real constant")
-    return SymbolicScalar(QC(2 * abs(theta.terms[key].re)),
-                          mono_mul(key[3], (("hbar", 1), ("pi", 1))))
+    cell = CoordFunction({key: QC(2 * abs(theta.terms[key].re))})
+    return (cell * CoordFunction.constant("hbar")
+            * CoordFunction.constant("pi"))

@@ -26,11 +26,14 @@ from typing import Mapping
 
 from .coords import CoordFunction, ScalarLike
 from .errors import InternalInconsistencyError
-from .scalars import QC, SymbolicScalar
+from .scalars import QC
 
 PMulti = tuple  # (k1, k2, k3) nonnegative ints
 
 P_ZERO: PMulti = (0, 0, 0)
+
+#: 1/(2m), the kinetic prefactor with symbolic mass m.
+HALF_OVER_M = CoordFunction.constant("m", -1, Fraction(1, 2))
 
 
 class OperatorExpr:
@@ -77,10 +80,9 @@ class OperatorExpr:
     @staticmethod
     def free_hamiltonian() -> "OperatorExpr":
         """(P1^2 + P2^2 + P3^2) / (2m) with symbolic mass m."""
-        half_over_m = SymbolicScalar.symbol("m", -1, Fraction(1, 2))
-        coeff = CoordFunction.scalar(half_over_m)
         return OperatorExpr({
-            (2, 0, 0): coeff, (0, 2, 0): coeff, (0, 0, 2): coeff,
+            (2, 0, 0): HALF_OVER_M, (0, 2, 0): HALF_OVER_M,
+            (0, 0, 2): HALF_OVER_M,
         })
 
     # -- linear structure ----------------------------------------------
@@ -102,7 +104,7 @@ class OperatorExpr:
     def __neg__(self) -> "OperatorExpr":
         return OperatorExpr({pm: -f for pm, f in self.terms.items()})
 
-    def scale(self, v: ScalarLike) -> "OperatorExpr":
+    def scale(self, v: "ScalarLike | CoordFunction") -> "OperatorExpr":
         return OperatorExpr({pm: f.scale(v) for pm, f in self.terms.items()})
 
     def coord_multiply(self, f: CoordFunction) -> "OperatorExpr":
@@ -163,14 +165,14 @@ class OperatorExpr:
     def is_structurally_zero(self) -> bool:
         return not self.terms
 
-    def drop_degree_at_least(self, names, cutoff: int = 2) -> "OperatorExpr":
-        """Explicit truncation: drop terms of degree >= cutoff in the constants."""
+    def truncate_to_linear(self, names) -> "OperatorExpr":
+        """Explicit truncation: drop terms of degree >= 2 in the constants."""
         return OperatorExpr({
-            pm: f.drop_degree_at_least(names, cutoff)
-            for pm, f in self.terms.items()
+            pm: f.truncate_to_linear(names) for pm, f in self.terms.items()
         })
 
-    def substitute_symbol(self, name: str, value: SymbolicScalar) -> "OperatorExpr":
+    def substitute_symbol(self, name: str,
+                          value: CoordFunction) -> "OperatorExpr":
         return OperatorExpr({
             pm: f.substitute_symbol(name, value)
             for pm, f in self.terms.items()

@@ -23,8 +23,8 @@ from fractions import Fraction
 
 from .coords import CoordFunction
 from .errors import ParseError, UnknownSymbolError
-from .operators import OperatorExpr, P_ZERO
-from .scalars import QC, SymbolicScalar, mono_inv, DEFAULT_CONSTANTS
+from .operators import OperatorExpr
+from .scalars import QC, DEFAULT_CONSTANTS
 
 _OPS = set("+-*/^()")
 
@@ -70,10 +70,9 @@ def _tokenize(text: str) -> list[_Token]:
 
 
 class Parser:
-    def __init__(self, text: str, extra_constants: tuple[str, ...] = ()):
+    def __init__(self, text: str):
         self.tokens = _tokenize(text)
         self.k = 0
-        self.constants = set(DEFAULT_CONSTANTS) | set(extra_constants)
 
     def peek(self) -> _Token:
         return self.tokens[self.k]
@@ -137,23 +136,13 @@ class Parser:
                 f"fractional exponent {exp} only allowed on r and rho", tok.pos)
         n = exp.numerator
         if base_kind == "const":
-            name = tok.text
-            return OperatorExpr.scalar(SymbolicScalar.symbol(name, n))
-        if base_kind == "num":
-            coeff = _single_qc(base)
-            acc = QC(Fraction(1))
-            if n >= 0:
-                for _ in range(n):
-                    acc = acc * coeff
-            else:
-                if coeff.is_zero():
-                    raise ParseError("zero to a negative power", tok.pos)
-                for _ in range(-n):
-                    acc = acc / coeff
-            return OperatorExpr.scalar(acc)
+            return OperatorExpr.from_coord(CoordFunction.constant(tok.text, n))
         if n < 0:
-            raise ParseError(
-                f"negative exponent {n} not allowed for {tok.text!r}", tok.pos)
+            if base_kind != "num":
+                raise ParseError(
+                    f"negative exponent {n} not allowed for {tok.text!r}",
+                    tok.pos)
+            base, n = _invert(base, tok.pos), -n
         return base.power(n)
 
     def atom(self) -> tuple[str, OperatorExpr]:
@@ -176,8 +165,9 @@ class Parser:
                 return "rho", OperatorExpr.from_coord(CoordFunction.rho_power(1))
             if name == "i":
                 return "num", OperatorExpr.scalar(QC(0, Fraction(1)))
-            if name in self.constants:
-                return "const", OperatorExpr.scalar(SymbolicScalar.symbol(name))
+            if name in DEFAULT_CONSTANTS:
+                return "const", OperatorExpr.from_coord(
+                    CoordFunction.constant(name))
             raise UnknownSymbolError(f"unknown symbol {name!r}", tok.pos)
         raise ParseError(f"unexpected token {tok.text!r}", tok.pos)
 
@@ -202,28 +192,17 @@ class Parser:
         return Fraction(sign * num, den)
 
 
-def _single_qc(expr: OperatorExpr) -> QC:
-    f = expr.coordinate_part()
-    ((_, coeff),) = f.terms.items()
-    return coeff
-
-
 def _invert(expr: OperatorExpr, pos: int) -> OperatorExpr:
     """Exact inverse of a single scalar * r^p * rho^q term."""
-    if list(expr.terms.keys()) != [P_ZERO]:
+    if any(any(pm) for pm in expr.terms):
         raise ParseError("cannot divide by an expression with momentum", pos)
-    f = expr.coordinate_part()
-    if len(f.terms) != 1:
-        raise ParseError("cannot divide by a multi-term expression", pos)
-    ((a, p, q, mono), coeff), = f.terms.items()
-    if any(a):
-        raise ParseError(
-            "cannot divide by positions; only scalars, r and rho invert", pos)
-    inv = CoordFunction({((0, 0, 0), -p, -q, mono_inv(mono)):
-                         QC(Fraction(1)) / coeff})
-    return OperatorExpr.from_coord(inv)
+    try:
+        inverse = expr.coordinate_part().inverse()
+    except ValueError as exc:
+        raise ParseError(str(exc), pos) from None
+    return OperatorExpr.from_coord(inverse)
 
 
-def parse(text: str, extra_constants: tuple[str, ...] = ()) -> OperatorExpr:
+def parse(text: str) -> OperatorExpr:
     """Parse expression text into a normal-ordered OperatorExpr."""
-    return Parser(text, extra_constants).parse()
+    return Parser(text).parse()

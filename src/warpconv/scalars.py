@@ -1,39 +1,44 @@
 """Exact scalar arithmetic: rational complex numbers and constant monomials.
 
-A ``SymbolicScalar`` is a rational complex coefficient times a single
-monomial in named physical constants (integer exponents).  Sums of scalars
-with different monomials are not closed here; they live one level up in
-``CoordFunction``, which keys its terms by monomial.
+A monomial is a product of named physical constants with integer
+exponents.  A coefficient times a monomial is not a type of its own: it is
+a one-term ``CoordFunction`` without coordinate dependence, which also
+closes sums of different monomials.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Mapping, Union
-
-from .errors import UnboundConstantError
+from typing import Iterable, Union
 
 RationalLike = Union[int, Fraction]
 
-#: Constants the expression grammar knows out of the box.  Users may declare
-#: more at parse time; the algebra itself accepts any name.
+#: Constants the expression grammar knows; the algebra itself accepts any
+#: name.
 DEFAULT_CONSTANTS = (
     "e", "m", "G", "M", "I", "r_hs", "phi_M", "Omega", "B", "omega",
     "hbar", "pi",
 )
 
 
-@dataclass(frozen=True)
 class QC:
     """Complex number with exact rational real and imaginary parts."""
 
-    re: Fraction = Fraction(0)
-    im: Fraction = Fraction(0)
+    __slots__ = ("re", "im")
 
-    def __post_init__(self):
-        object.__setattr__(self, "re", Fraction(self.re))
-        object.__setattr__(self, "im", Fraction(self.im))
+    def __init__(self, re: RationalLike = 0, im: RationalLike = 0):
+        self.re = Fraction(re)
+        self.im = Fraction(im)
+
+    def __eq__(self, other) -> bool:
+        return (isinstance(other, QC) and self.re == other.re
+                and self.im == other.im)
+
+    def __hash__(self):
+        return hash((self.re, self.im))
+
+    def __repr__(self) -> str:
+        return f"QC(re={self.re!r}, im={self.im!r})"
 
     def __add__(self, other: "QC") -> "QC":
         return QC(self.re + other.re, self.im + other.im)
@@ -92,8 +97,6 @@ QC_ONE = QC(Fraction(1))
 #: Monomial over named constants: sorted tuple of (name, nonzero exponent).
 Monomial = tuple
 
-MONO_ONE: Monomial = ()
-
 
 def mono_make(pairs: Iterable[tuple[str, int]]) -> Monomial:
     acc: dict[str, int] = {}
@@ -114,30 +117,10 @@ def mono_inv(a: Monomial) -> Monomial:
     return tuple((n, -e) for n, e in a)
 
 
-def mono_pow(a: Monomial, k: int) -> Monomial:
-    if k == 0 or not a:
-        return MONO_ONE
-    return tuple((n, e * k) for n, e in a)
-
-
-def mono_degree(a: Monomial, names: Iterable[str] | None = None) -> int:
-    """Total degree, restricted to ``names`` when given (negative exponents count)."""
-    if names is None:
-        return sum(e for _, e in a)
+def mono_degree(a: Monomial, names: Iterable[str]) -> int:
+    """Combined degree in ``names`` (negative exponents count)."""
     names = set(names)
     return sum(e for n, e in a if n in names)
-
-
-def mono_value(a: Monomial, constants: Mapping[str, RationalLike]) -> Fraction:
-    out = Fraction(1)
-    for name, exp in a:
-        if name not in constants:
-            raise UnboundConstantError(f"constant '{name}' has no value")
-        v = Fraction(constants[name])
-        if v == 0 and exp < 0:
-            raise ZeroDivisionError(f"constant '{name}' is 0 with negative exponent")
-        out *= v ** exp
-    return out
 
 
 def mono_str(a: Monomial) -> str:
@@ -145,64 +128,3 @@ def mono_str(a: Monomial) -> str:
     for name, exp in a:
         parts.append(name if exp == 1 else f"{name}^{exp}")
     return "*".join(parts)
-
-
-@dataclass(frozen=True)
-class SymbolicScalar:
-    """Rational complex coefficient times a monomial in named constants."""
-
-    coeff: QC = QC_ONE
-    mono: Monomial = MONO_ONE
-
-    @staticmethod
-    def of(value: RationalLike, imag: RationalLike = 0) -> "SymbolicScalar":
-        return SymbolicScalar(QC(Fraction(value), Fraction(imag)))
-
-    @staticmethod
-    def symbol(name: str, exp: int = 1,
-               value: RationalLike = 1) -> "SymbolicScalar":
-        return SymbolicScalar(QC(Fraction(value)), mono_make([(name, exp)]))
-
-    def __mul__(self, other: "SymbolicScalar") -> "SymbolicScalar":
-        return SymbolicScalar(self.coeff * other.coeff,
-                              mono_mul(self.mono, other.mono))
-
-    def __neg__(self) -> "SymbolicScalar":
-        return SymbolicScalar(-self.coeff, self.mono)
-
-    def __add__(self, other: "SymbolicScalar") -> "SymbolicScalar":
-        # Only same-monomial sums are closed at this level.
-        if self.coeff.is_zero():
-            return other
-        if other.coeff.is_zero():
-            return self
-        if self.mono != other.mono:
-            raise ValueError(
-                "sum of SymbolicScalars with different monomials is not a "
-                "SymbolicScalar; use CoordFunction")
-        return SymbolicScalar(self.coeff + other.coeff, self.mono)
-
-    def inverse(self) -> "SymbolicScalar":
-        return SymbolicScalar(QC_ONE / self.coeff, mono_inv(self.mono))
-
-    def conjugate(self) -> "SymbolicScalar":
-        return SymbolicScalar(self.coeff.conjugate(), self.mono)
-
-    def is_zero(self) -> bool:
-        return self.coeff.is_zero()
-
-    def substitute(self, constants: Mapping[str, RationalLike]) -> QC:
-        return self.coeff.scale(mono_value(self.mono, constants))
-
-    def __str__(self) -> str:
-        if self.is_zero():
-            return "0"
-        ms = mono_str(self.mono)
-        cs = str(self.coeff)
-        if not ms:
-            return cs
-        if cs == "1":
-            return ms
-        if cs == "-1":
-            return f"-{ms}"
-        return f"{cs}*{ms}"

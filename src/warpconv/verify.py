@@ -32,10 +32,10 @@ from .deform import (DeformationMatrix, DeformationSpec, QSpec,
                      rieffel_product, shifted_momentum)
 from .gauge import (bianchi_sums, extract_gauge_field, field_strength,
                     jacobi_maxwell_sums, lorentz_force)
-from .models import (PRESETS, coulomb_potential, get_preset, guiding_center,
+from .models import (PRESETS, get_preset, guiding_center,
                      uncertainty_area_symbolic)
-from .operators import OperatorExpr
-from .scalars import QC, SymbolicScalar
+from .operators import HALF_OVER_M, OperatorExpr
+from .scalars import QC
 
 CATALOG_GENERATORS = (
     ("Q=X", QSpec.coordinate),
@@ -50,14 +50,10 @@ COEFFICIENT_EXPONENTS = (Fraction(-1), Fraction(0), Fraction(1),
 
 
 # Every real skew 3x3 matrix is axial(b1, b2, b3) for some real b.
-SKEW_B = DeformationMatrix.axial(*(SymbolicScalar.symbol(f"b{k}")
+SKEW_B = DeformationMatrix.axial(*(CoordFunction.constant(f"b{k}")
                                    for k in (1, 2, 3)))
-SKEW_C = DeformationMatrix.axial(*(SymbolicScalar.symbol(f"c{k}")
+SKEW_C = DeformationMatrix.axial(*(CoordFunction.constant(f"c{k}")
                                    for k in (1, 2, 3)))
-
-
-def _half_over_m() -> SymbolicScalar:
-    return SymbolicScalar.symbol("m", -1, Fraction(1, 2))
 
 
 class Check:
@@ -104,7 +100,7 @@ def _deformed_hamiltonian_closed_form(tag: str, spec: DeformationSpec,
     for j, shift in enumerate(shifts(), start=1):
         phat = OperatorExpr.momentum(j) + OperatorExpr.from_coord(shift)
         rhs = rhs + phat * phat
-    return [_exact(name, [(lhs, rhs.scale(_half_over_m()))])]
+    return [_exact(name, [(lhs, rhs.scale(HALF_OVER_M))])]
 
 
 def _deformed_momentum_closed_form(tag: str, spec: DeformationSpec,
@@ -137,7 +133,7 @@ def _factorization_pairs(spec: DeformationSpec):
         pj = deform_operator(OperatorExpr.momentum(j), spec)
         squares = squares + pj * pj
     yield (deform_operator(OperatorExpr.free_hamiltonian(), spec),
-           squares.scale(_half_over_m()))
+           squares.scale(HALF_OVER_M))
 
 
 def _factorization_checks(wants: Wants) -> list[Check]:
@@ -167,7 +163,6 @@ def _additivity_check(wants: Wants) -> list[Check]:
 
 def _rieffel_checks(wants: Wants) -> list[Check]:
     out = []
-    half = _half_over_m()
     plain = (OperatorExpr.momentum(1) * OperatorExpr.momentum(1)
              + OperatorExpr.momentum(2) * OperatorExpr.momentum(2)
              + OperatorExpr.momentum(3) * OperatorExpr.momentum(3))
@@ -183,7 +178,7 @@ def _rieffel_checks(wants: Wants) -> list[Check]:
         # The deformed scalar product also reproduces the free Hamiltonian.
         out.append(_exact(name, [
             (total, plain),
-            (total.scale(half), OperatorExpr.free_hamiltonian())]))
+            (total.scale(HALF_OVER_M), OperatorExpr.free_hamiltonian())]))
     return out
 
 
@@ -260,7 +255,7 @@ def _model_checks(wants: Wants) -> list[Check]:
             # Compared after the explicit degree >= 2 truncation in the
             # small constants.
             out.append(_exact(linearized, [tuple(
-                h.drop_degree_at_least(preset.small_constants, 2)
+                h.truncate_to_linear(preset.small_constants)
                 for h in (preset.deformed(), preset.linearized_reference))]))
         if wants(hermitian):
             out.append(_exact(hermitian, [(preset.deformed(),
@@ -291,8 +286,8 @@ def _moyal_checks(wants: Wants) -> list[Check]:
                    "theta^ij in the raised-index display)"))
 
     if wants("guiding_center_plane"):
-        bmat = DeformationMatrix.axial(
-            SymbolicScalar(QC(Fraction(-1)), (("Omega", 1), ("m", 1))))
+        bmat = DeformationMatrix.axial(-CoordFunction.constant("Omega")
+                                       * CoordFunction.constant("m"))
         _, comms = guiding_center(bmat)
         binv = invert_transverse_block(bmat, 1)
         out.append(_exact("guiding_center_plane", (
@@ -301,11 +296,13 @@ def _moyal_checks(wants: Wants) -> list[Check]:
             detail="[Xg_i, Xg_j] = i (B^-1)_ji exactly"))
 
     if wants("uncertainty_area_symbolic"):
-        expected = SymbolicScalar(QC(Fraction(2)), (("Omega", -1), ("hbar", 1),
-                                                    ("m", -1), ("pi", 1)))
+        # 2 pi hbar / (m Omega)
+        expected = (CoordFunction.constant("Omega", -1, 2)
+                    * CoordFunction.constant("m", -1)
+                    * CoordFunction.constant("hbar")
+                    * CoordFunction.constant("pi"))
         out.append(_exact("uncertainty_area_symbolic", [(
-            CoordFunction.scalar(uncertainty_area_symbolic()),
-            CoordFunction.scalar(expected))]))
+            uncertainty_area_symbolic(), expected)]))
     return out
 
 
@@ -344,24 +341,21 @@ def _gauge_checks(wants: Wants, negative_control: bool = False) -> list[Check]:
         out.append(_exact("ab_field_strength_zero_off_axis", (
             (f, CoordFunction.zero()) for row in fs.rows for f in row)))
 
-    for name, pot in (("landau", CoordFunction.zero),
-                      ("aharonov_bohm", CoordFunction.zero),
-                      ("zeeman", coulomb_potential)):
+    for name in ("landau", "aharonov_bohm", "zeeman"):
         if wants(f"jacobi_maxwell::{name}"):
             preset = get_preset(name)
             out.append(_exact(f"jacobi_maxwell::{name}", (
                 (total, OperatorExpr.zero()) for total in jacobi_maxwell_sums(
-                    preset.specs[0], pot(), preset.coupling))))
+                    preset.specs[0], preset.scalar_potential(),
+                    preset.coupling))))
 
     for name in ("landau", "zeeman", "aharonov_bohm", "lense_thirring"):
         if wants(f"lorentz_force::{name}"):
             preset = get_preset(name)
-            # The scalar potential phi with g phi = the preset's potential.
-            phi = (CoordFunction.zero() if preset.potential is None else
-                   preset.potential.scale(preset.coupling.inverse()))
             out.append(_exact(f"lorentz_force::{name}", (
                 pair for spec in preset.specs
-                for pair in lorentz_force(spec, phi, preset.coupling))))
+                for pair in lorentz_force(spec, preset.scalar_potential(),
+                                          preset.coupling))))
 
     if wants("noncommuting_iff_field"):
         landau = get_preset("landau")
@@ -374,11 +368,11 @@ def _gauge_checks(wants: Wants, negative_control: bool = False) -> list[Check]:
                          noncomm == fnonzero and fnonzero))
 
     if wants("gauge_field_linearity"):
-        lam = SymbolicScalar.symbol("lam")
+        lam, e = CoordFunction.constant("lam"), CoordFunction.constant("e")
         spec = DeformationSpec(SKEW_B, QSpec.radial_power(2))
         scaled = DeformationSpec(SKEW_B.scale(lam), spec.generator)
-        a1 = extract_gauge_field(spec, SymbolicScalar.symbol("e"))
-        a2 = extract_gauge_field(scaled, SymbolicScalar.symbol("e"))
+        a1 = extract_gauge_field(spec, e)
+        a2 = extract_gauge_field(scaled, e)
         out.append(_exact("gauge_field_linearity", (
             (a2.components[i], a1.components[i].scale(lam))
             for i in range(3))))

@@ -5,7 +5,7 @@ from fractions import Fraction
 
 from warpconv.coords import CoordFunction
 from warpconv.operators import OperatorExpr
-from warpconv.scalars import QC, SymbolicScalar
+from warpconv.scalars import QC
 
 MONO_POOL = (
     (),
@@ -35,8 +35,7 @@ def rand_coord(rng: random.Random, max_terms: int = 2,
         if fractional and rng.random() < 0.3:
             p = p + Fraction(1, 2)
         mono = rng.choice(MONO_POOL)
-        coeff = SymbolicScalar(rand_qc(rng), mono)
-        out = out + CoordFunction.term(coeff, a, p, q)
+        out = out + CoordFunction({(a, p, q, mono): rand_qc(rng)})
     return out
 
 

@@ -20,7 +20,7 @@ PUBLIC_NAMES = [
     "InternalInconsistencyError", "ModelPreset", "NonConvergenceError",
     "NonPositiveParameterError", "OperatorExpr", "PRESETS", "ParseError", "QC",
     "QSpec", "SingularLoopError", "SingularMatrixError", "SingularPointError",
-    "SpectrumResult", "SymbolicScalar", "UnboundConstantError",
+    "SpectrumResult", "UnboundConstantError",
     "UnknownSymbolError", "UnsupportedDegreeError", "UnsupportedOperandError",
     "WarpconvError", "ZeroCouplingError", "bianchi_check", "coords",
     "coulomb_potential", "deform", "deform_coordinate", "deform_operator",
@@ -33,7 +33,7 @@ PUBLIC_NAMES = [
 ]
 
 # Runs one command in a fresh process and prints its exit code and the
-# warpconv, numpy and scipy modules it loaded.
+# warpconv, numpy, scipy, dataclasses and inspect modules it loaded.
 LOADED_RUN = """
 import contextlib, io, json, sys
 import warpconv.cli as cli
@@ -43,7 +43,8 @@ with contextlib.redirect_stdout(io.StringIO()):
     except SystemExit as exc:  # --version
         code = exc.code
 print(json.dumps([code, sorted(m for m in sys.modules if m.split(".")[0]
-                               in ("warpconv", "numpy", "scipy"))]))
+                               in ("warpconv", "numpy", "scipy", "dataclasses",
+                                   "inspect"))]))
 """
 
 SYMBOLIC_MODULES = ("warpconv.scalars", "warpconv.coords", "warpconv.operators",
@@ -55,7 +56,7 @@ NUMERIC = ("numpy", "scipy")
 @pytest.mark.parametrize("argv, code, unloaded", [
     (["--version"], 0, SYMBOLIC_MODULES + NUMERIC),
     (["commutator", "--a", "X1", "--b", "P1"], 0,
-     SYMBOLIC_MODULES[4:] + NUMERIC),
+     SYMBOLIC_MODULES[4:] + NUMERIC + ("dataclasses", "inspect")),
     (["deform", "--model", "landau"], 0, NUMERIC),
     (["gauge", "--model", "landau"], 0, NUMERIC),
     (["holonomy", "--model", "landau", "--constants", "e=1,B=1"], 0, NUMERIC),
@@ -156,6 +157,12 @@ def test_every_public_name_resolves():
      cli.EXIT_CONFIG),
     (["holonomy", "--model", "landau", "--constants", "e=1,B=1", "--points",
       "8", "--radius", "1e308"], cli.EXIT_NUMERIC),
+    # Residuals that overflow fail with one line, on both solver paths.
+    (["spectrum", "--model", "free", "--grid", "8,10", "--k", "2",
+      "--constants", "m=1e-300"], cli.EXIT_NUMERIC),
+    (["spectrum", "--model", "free", "--grid", "20,10", "--k", "2",
+      "--constants", "m=1e-300"], cli.EXIT_NUMERIC),
+    (["commutator", "--a", "0^-1", "--b", "P1"], cli.EXIT_CONFIG),
 ])
 def test_exit_codes(argv, code, capsys):
     assert cli.main(argv) == code

@@ -6,9 +6,9 @@ import numpy as np
 import pytest
 
 from conftest import rand_coord
-from warpconv.coords import CoordFunction
+from warpconv.coords import CoordFunction, as_constant
 from warpconv.errors import SingularPointError, UnboundConstantError
-from warpconv.scalars import QC, SymbolicScalar, mono_value
+from warpconv.scalars import QC
 
 F = Fraction
 
@@ -34,7 +34,11 @@ def evaluate(f: CoordFunction, point, constants=None) -> QC:
     rho2 = x[1] ** 2 + x[2] ** 2
     total = QC()
     for (a, p, q, m), c in f.terms.items():
-        val = c.scale(mono_value(m, constants))
+        val = c
+        for name, exp in m:
+            if name not in constants:
+                raise UnboundConstantError(f"constant '{name}' has no value")
+            val = val.scale(Fraction(constants[name]) ** exp)
         for j in range(3):
             if a[j]:
                 val = val.scale(x[j] ** a[j])
@@ -144,7 +148,7 @@ def test_evaluate_needs_exact_radical():
 
 
 def test_evaluate_unbound_constant():
-    f = CoordFunction.scalar(SymbolicScalar.symbol("e"))
+    f = CoordFunction.constant("e")
     with pytest.raises(UnboundConstantError):
         evaluate(f, (1, 2, 3))
     assert evaluate(f, (1, 2, 3), {"e": F(5)}) == QC(F(5))
@@ -254,30 +258,54 @@ def test_compiled_singular_points():
 
 
 def test_compile_needs_every_constant_but_pi():
-    f = CoordFunction.scalar(SymbolicScalar.symbol("e"))
+    f = CoordFunction.constant("e")
     with pytest.raises(UnboundConstantError):
         f.compile({"m": 1.0})
-    pi = CoordFunction.scalar(SymbolicScalar.symbol("pi"))
+    pi = CoordFunction.constant("pi")
     assert pi.compile(None)(0.0, 0.0, 0.0) == math.pi
 
 
 def test_substitute_symbol():
-    f = CoordFunction.term(SymbolicScalar.symbol("lam", 2), (1, 0, 0))
-    g = f.substitute_symbol("lam", SymbolicScalar.symbol("e", 1, F(1, 2)))
-    assert g == CoordFunction.term(
-        SymbolicScalar(QC(F(1, 4)), (("e", 2),)), (1, 0, 0))
+    f = CoordFunction.constant("lam", 2) * CoordFunction.x(1)
+    g = f.substitute_symbol("lam", CoordFunction.constant("e", 1, F(1, 2)))
+    assert g == CoordFunction.constant("e", 2, F(1, 4)) * CoordFunction.x(1)
 
 
 def test_degree_truncation():
-    f = CoordFunction.scalar(SymbolicScalar.symbol("Omega", 2)) + \
-        CoordFunction.scalar(SymbolicScalar.symbol("Omega")) + \
+    f = CoordFunction.constant("Omega", 2) + \
+        CoordFunction.constant("Omega") + \
         CoordFunction.one()
-    t = f.drop_degree_at_least(["Omega"], 2)
-    assert t == CoordFunction.scalar(SymbolicScalar.symbol("Omega")) + \
-        CoordFunction.one()
+    t = f.truncate_to_linear(["Omega"])
+    assert t == CoordFunction.constant("Omega") + CoordFunction.one()
 
 
 def test_conjugate():
-    f = CoordFunction.term(SymbolicScalar(QC(F(1), F(2))), (1, 0, 0))
-    assert f.conjugate() == CoordFunction.term(
-        SymbolicScalar(QC(F(1), F(-2))), (1, 0, 0))
+    f = CoordFunction.term(QC(F(1), F(2)), (1, 0, 0))
+    assert f.conjugate() == CoordFunction.term(QC(F(1), F(-2)), (1, 0, 0))
+
+
+def test_constant_product_and_inverse():
+    s = CoordFunction.constant("e", 2, F(3, 4))
+    t = CoordFunction.constant("m", -1, 2)
+    st = s * t
+    assert st.terms == {((0, 0, 0), 0, 0, (("e", 2), ("m", -1))): QC(F(3, 2))}
+    assert st * st.inverse() == CoordFunction.one()
+    # One term with r and rho powers inverts too; its exponents negate.
+    f = (st * CoordFunction.r_power(F(3, 2)) * CoordFunction.rho_power(-2)
+         ).scale(QC(1, 1))
+    assert f * f.inverse() == CoordFunction.one()
+    for bad in (CoordFunction.zero(), s + t, CoordFunction.x(2)):
+        with pytest.raises(ValueError):
+            bad.inverse()
+
+
+def test_constants_refuse_coordinate_dependence():
+    assert as_constant(F(1, 2), "x") == CoordFunction.scalar(F(1, 2))
+    s = CoordFunction.constant("e") + CoordFunction.constant("m")
+    assert as_constant(s, "x") is s
+    for f in (CoordFunction.x(1), CoordFunction.r_power(1),
+              CoordFunction.rho_power(-1) + CoordFunction.one()):
+        with pytest.raises(ValueError):
+            as_constant(f, "x")
+        with pytest.raises(ValueError):
+            CoordFunction.one().scale(f)

@@ -12,7 +12,7 @@ from warpconv.errors import (SingularMatrixError, UnsupportedDegreeError,
                              UnsupportedOperandError)
 from warpconv.operators import OperatorExpr
 from warpconv.parsing import parse
-from warpconv.scalars import QC, SymbolicScalar
+from warpconv.scalars import QC
 
 F = Fraction
 
@@ -98,7 +98,7 @@ def test_deform_free_hamiltonian_expands():
     for j in (1, 2, 3):
         f = OperatorExpr.momentum(j) + OperatorExpr.from_coord(s[j - 1])
         expected = expected + f * f
-    expected = expected.scale(SymbolicScalar.symbol("m", -1, F(1, 2)))
+    expected = expected.scale(CoordFunction.constant("m", -1, F(1, 2)))
     assert h == expected
 
 
@@ -195,7 +195,7 @@ def test_order_independence_different_generators():
 
 def test_factorization_catalog():
     # deform(H0) = (1/2m) sum_j deform(P_j)^2.
-    half_over_m = SymbolicScalar.symbol("m", -1, F(1, 2))
+    half_over_m = CoordFunction.constant("m", -1, F(1, 2))
     for spec in (DeformationSpec(DeformationMatrix.zero(), QSpec.coordinate()),
                  DeformationSpec(axial(F(1, 2)), QSpec.coordinate()),
                  DeformationSpec(axial(2), QSpec.transverse_radial())):
@@ -206,13 +206,16 @@ def test_factorization_catalog():
 
 
 def test_invert_transverse_block():
-    b = SymbolicScalar.symbol("e", 1, F(1, 2))
+    b = CoordFunction.constant("e", 1, F(1, 2))
     m = DeformationMatrix.axial(b)
     inv = invert_transverse_block(m, 1)
     prod_entry = m.rows[1][2] * inv.rows[2][1]
     assert prod_entry == CoordFunction.one()
     with pytest.raises(SingularMatrixError):
         invert_transverse_block(DeformationMatrix.zero(), 1)
+    with pytest.raises(SingularMatrixError):
+        invert_transverse_block(
+            DeformationMatrix.axial(b + CoordFunction.one()), 1)
 
 
 def test_hermiticity_of_deformed_hamiltonian():

@@ -10,10 +10,10 @@ from warpconv.gauge import (bianchi_check, extract_gauge_field,
                             lorentz_force)
 from warpconv.models import coulomb_potential, get_preset
 from warpconv.operators import OperatorExpr
-from warpconv.scalars import QC, SymbolicScalar
+from warpconv.scalars import QC
 
 F = Fraction
-E = SymbolicScalar.symbol("e")
+E = CoordFunction.constant("e")
 
 
 def entries(fs):
@@ -28,7 +28,7 @@ def test_extract_landau_symmetric_gauge():
     # A = (1/2) B cross x = (0, -B x3/2, B x2/2) for B along x1.
     preset = get_preset("landau")
     gf = extract_gauge_field(preset.specs[0], E)
-    b_half = SymbolicScalar.symbol("B", 1, F(1, 2))
+    b_half = CoordFunction.constant("B", 1, F(1, 2))
     textbook = (CoordFunction.zero(), -CoordFunction.x(3).scale(b_half),
                 CoordFunction.x(2).scale(b_half))
     for got, expected in zip(gf.components, textbook):
@@ -39,7 +39,8 @@ def test_extract_flux_line():
     # A = (phi_M / 2 pi) (0, -x3, x2) / rho^2: flux phi_M along x1.
     preset = get_preset("aharonov_bohm")
     gf = extract_gauge_field(preset.specs[0], E)
-    c = SymbolicScalar(QC(F(1, 2)), (("phi_M", 1), ("pi", -1)))
+    c = (CoordFunction.constant("phi_M", 1, F(1, 2))
+         * CoordFunction.constant("pi", -1))
     rho2 = CoordFunction.rho_power(-2)
     textbook = (CoordFunction.zero(), -(CoordFunction.x(3) * rho2).scale(c),
                 (CoordFunction.x(2) * rho2).scale(c))
@@ -51,7 +52,7 @@ def test_extract_lense_thirring_proportional_to_vortex():
     preset = get_preset("lense_thirring")
     gf = extract_gauge_field(preset.specs[0], preset.coupling)
     # components proportional to epsilon_jkl x_k Omega_l / r^3
-    om = SymbolicScalar.symbol("Omega")
+    om = CoordFunction.constant("Omega")
     r3 = CoordFunction.r_power(-3)
     assert gf.components[0].is_structurally_zero()
     assert (gf.components[1] + (CoordFunction.x(3) * r3).scale(om)).is_zero()
@@ -61,7 +62,16 @@ def test_extract_lense_thirring_proportional_to_vortex():
 def test_extract_zero_coupling_error():
     preset = get_preset("landau")
     with pytest.raises(ZeroCouplingError):
-        extract_gauge_field(preset.specs[0], SymbolicScalar.of(0))
+        extract_gauge_field(preset.specs[0], CoordFunction.zero())
+
+
+def test_coupling_must_be_a_constant():
+    spec = get_preset("landau").specs[0]
+    for coupling in (CoordFunction.x(2), CoordFunction.r_power(1)):
+        with pytest.raises(ValueError):
+            extract_gauge_field(spec, coupling)
+        with pytest.raises(ValueError):
+            field_strength(spec, coupling)
 
 
 def test_field_strength_landau_is_constant():
@@ -69,8 +79,7 @@ def test_field_strength_landau_is_constant():
     fs = field_strength(preset.specs[0], E)
     assert all(fs[(i, j)].equals(-fs[(j, i)])
                for i in (1, 2, 3) for j in (1, 2, 3))
-    assert (fs[(2, 3)] - CoordFunction.scalar(
-        SymbolicScalar.symbol("B"))).is_zero()
+    assert (fs[(2, 3)] - CoordFunction.constant("B")).is_zero()
     for ij in ((1, 2), (1, 3)):
         assert fs[ij].is_zero()
 
@@ -126,7 +135,7 @@ def test_lorentz_force_coulomb():
     phi = coulomb_potential()
     pairs = list(lorentz_force(preset.specs[0], phi, E))
     assert all(c.equals(closed) for c, closed in pairs)
-    ig = SymbolicScalar(QC(0, F(1))) * E
+    ig = E.scale(QC(0, F(1)))
     for j in (1, 2, 3):
         expected = OperatorExpr.from_coord(phi.partial(j).scale(ig))
         assert pairs[j - 1][0].equals(expected)

@@ -69,7 +69,6 @@ UNREFERENCED_DEFINITIONS = {
     "error": "_Parser.error overrides argparse, which calls it",
     "from_json_dict": "OperatorExpr.from_json_dict inverts to_json_dict; "
                       "the JSON round-trip test calls it",
-    "substitute": "SymbolicScalar.substitute; only tests call it",
     "sizes": "DegeneracyReport.sizes; only tests call it",
     "substitute_symbol": "CoordFunction and OperatorExpr.substitute_symbol; "
                          "only tests call them",

@@ -10,7 +10,7 @@ from warpconv.gauge import phases_equal
 from warpconv.models import PRESETS, get_preset, guiding_center
 from warpconv.operators import OperatorExpr
 from warpconv.parsing import parse
-from warpconv.scalars import QC, SymbolicScalar
+from warpconv.scalars import QC
 
 F = Fraction
 
@@ -21,7 +21,7 @@ def test_every_preset_matches_its_reference():
         assert preset.deformed().equals(preset.reference_hamiltonian), name
         if preset.linearized_reference is not None:
             # Equal after the degree >= 2 truncation in the small constants.
-            lhs, rhs = (h.drop_degree_at_least(preset.small_constants, 2)
+            lhs, rhs = (h.truncate_to_linear(preset.small_constants)
                         for h in (preset.deformed(),
                                   preset.linearized_reference))
             assert lhs.equals(rhs), name
@@ -37,8 +37,19 @@ def test_landau_reference_is_minimal_coupling():
 
 def test_landau_degenerate_field_reduces_to_free():
     preset = get_preset("landau")
-    h = preset.deformed().substitute_symbol("B", SymbolicScalar.of(0))
+    h = preset.deformed().substitute_symbol("B", CoordFunction.zero())
     assert h.equals(OperatorExpr.free_hamiltonian())
+
+
+def test_scalar_potential_times_coupling_is_the_potential():
+    with_potential = [name for name in PRESETS
+                      if get_preset(name).potential is not None]
+    assert with_potential == ["zeeman", "gravito_zeeman"]
+    for name in with_potential:
+        preset = get_preset(name)
+        assert (preset.scalar_potential() * preset.coupling).equals(
+            preset.potential)
+    assert get_preset("landau").scalar_potential() == CoordFunction.zero()
 
 
 def test_zeeman_is_landau_plus_coulomb():
@@ -77,14 +88,14 @@ def test_gravito_constant_linearization():
     g = get_preset("gravito_constant")
     deformed = g.deformed()
     # exact reference is quadratic; linear truncation matches H0 + h.P
-    truncated = deformed.drop_degree_at_least(("Omega",), 2)
+    truncated = deformed.truncate_to_linear(("Omega",))
     lin = parse("(P1*P1 + P2*P2 + P3*P3)/(2*m) + Omega*X3*P2 - Omega*X2*P3")
     assert truncated.equals(lin)
 
 
 def test_gravito_is_free_at_zero_field():
     g = get_preset("gravito_constant")
-    h = g.deformed().substitute_symbol("Omega", SymbolicScalar.of(0))
+    h = g.deformed().substitute_symbol("Omega", CoordFunction.zero())
     assert h.equals(OperatorExpr.free_hamiltonian())
 
 
@@ -101,7 +112,7 @@ def test_lense_thirring_shift_structure():
 
 def test_lense_thirring_zero_inertia():
     lt = get_preset("lense_thirring")
-    h = lt.deformed().substitute_symbol("Omega", SymbolicScalar.of(0))
+    h = lt.deformed().substitute_symbol("Omega", CoordFunction.zero())
     assert h.equals(OperatorExpr.free_hamiltonian())
 
 
@@ -118,16 +129,16 @@ def test_combined_order_independence():
 def test_combined_reduces_to_single_model():
     preset = get_preset("combined_constant")
     h = preset.deformed()
-    assert h.substitute_symbol("Omega", SymbolicScalar.of(0)).equals(
+    assert h.substitute_symbol("Omega", CoordFunction.zero()).equals(
         get_preset("landau").deformed())
-    assert h.substitute_symbol("B", SymbolicScalar.of(0)).equals(
+    assert h.substitute_symbol("B", CoordFunction.zero()).equals(
         get_preset("gravito_constant").deformed())
 
 
 def test_combined_cross_terms():
     # truncated combined Hamiltonian = Landau + sum_j h_j (P_j + e A_j)
     preset = get_preset("combined_constant")
-    truncated = preset.deformed().drop_degree_at_least(("Omega",), 2)
+    truncated = preset.deformed().truncate_to_linear(("Omega",))
     lin = preset.linearized_reference
     assert truncated.equals(lin)
     # and the pure cross piece contains e Omega B terms
@@ -142,21 +153,23 @@ def test_gravito_zeeman_matches_zeeman_pattern():
     # map -(e/2) B -> m Omega: substitute the Landau axial constant
     h_z = z.deformed()
     swapped = h_z.substitute_symbol(
-        "B", SymbolicScalar(QC(F(-2)), (("Omega", 1), ("m", 1), ("e", -1))))
+        "B", CoordFunction.constant("Omega", 1, -2)
+        * CoordFunction.constant("m") * CoordFunction.constant("e", -1))
     assert swapped.equals(gz.deformed())
 
 
 def test_landau_gravito_structural_map():
     # both presets are the same template with the axial scalar swapped
-    lam = SymbolicScalar.symbol("lam")
+    lam = CoordFunction.constant("lam")
     template = deform_operator(
         OperatorExpr.free_hamiltonian(),
         type(get_preset("landau").specs[0])(DeformationMatrix.axial(lam),
                                 get_preset("landau").specs[0].generator))
     to_landau = template.substitute_symbol(
-        "lam", SymbolicScalar(QC(F(1, 2)), (("B", 1), ("e", 1))))
+        "lam", CoordFunction.constant("B", 1, F(1, 2))
+        * CoordFunction.constant("e"))
     to_gravito = template.substitute_symbol(
-        "lam", SymbolicScalar(QC(F(-1)), (("Omega", 1), ("m", 1))))
+        "lam", -CoordFunction.constant("Omega") * CoordFunction.constant("m"))
     assert to_landau.equals(get_preset("landau").deformed())
     assert to_gravito.equals(get_preset("gravito_constant").deformed())
 
@@ -175,13 +188,14 @@ def test_metadata_shapes():
 
 
 def test_guiding_center_commutators():
-    b = SymbolicScalar(QC(F(-1)), (("Omega", 1), ("m", 1)))
+    b = -CoordFunction.constant("Omega") * CoordFunction.constant("m")
     coords, comms = guiding_center(DeformationMatrix.axial(b))
     # X1 untouched, commutators confined to the (2,3) block
     assert coords[0] == OperatorExpr.position(1)
     # (B^-1)_23 = -1/b = +1/(m Omega); [Xg_2, Xg_3] = -i (B^-1)_23
-    inv_entry = SymbolicScalar(QC(F(1)), (("Omega", -1), ("m", -1)))
-    expected = CoordFunction.scalar(inv_entry * SymbolicScalar(QC(0, F(-1))))
+    inv_entry = (CoordFunction.constant("Omega", -1)
+                 * CoordFunction.constant("m", -1))
+    expected = inv_entry.scale(QC(0, F(-1)))
     assert (comms[1][2] - expected).is_structurally_zero()
     assert (comms[2][1] + expected).is_structurally_zero()
     for j in range(3):

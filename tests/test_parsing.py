@@ -6,7 +6,7 @@ from warpconv.coords import CoordFunction
 from warpconv.errors import ParseError, UnknownSymbolError
 from warpconv.operators import OperatorExpr
 from warpconv.parsing import parse
-from warpconv.scalars import QC, SymbolicScalar
+from warpconv.scalars import QC
 
 F = Fraction
 
@@ -34,9 +34,9 @@ def test_radial_term():
 def test_fraction_literals_and_division():
     assert parse("3/7") == OperatorExpr.scalar(QC(F(3, 7)))
     assert parse("e^2/r") == OperatorExpr.from_coord(
-        CoordFunction.term(SymbolicScalar.symbol("e", 2), (0, 0, 0), -1, 0))
-    assert parse("1/(2*m)") == OperatorExpr.scalar(
-        SymbolicScalar.symbol("m", -1, F(1, 2)))
+        CoordFunction.constant("e", 2) * CoordFunction.r_power(-1))
+    assert parse("1/(2*m)") == OperatorExpr.from_coord(
+        CoordFunction.constant("m", -1, F(1, 2)))
 
 
 def test_rational_exponents_need_parens():
@@ -46,7 +46,8 @@ def test_rational_exponents_need_parens():
     assert e2 == OperatorExpr.from_coord(CoordFunction.rho_power(F(1, 2)))
     # without parens the slash is division
     e3 = parse("e^2/3")
-    assert e3 == OperatorExpr.scalar(SymbolicScalar.symbol("e", 2, F(1, 3)))
+    assert e3 == OperatorExpr.from_coord(
+        CoordFunction.constant("e", 2, F(1, 3)))
 
 
 def test_imaginary_unit():
@@ -78,10 +79,6 @@ def test_unknown_symbol():
         parse("X4")
     with pytest.raises(UnknownSymbolError):
         parse("X1 + foo")
-    # user-declared constants are accepted
-    e = parse("lam*X1", extra_constants=("lam",))
-    assert e == OperatorExpr.from_coord(
-        CoordFunction.x(1).scale(SymbolicScalar.symbol("lam")))
 
 
 def test_division_restrictions():
@@ -93,6 +90,14 @@ def test_division_restrictions():
         parse("1/X1")
 
 
+def test_powers_of_zero_and_division_by_zero():
+    assert parse("0^2 + X1*0^0") == parse("X1")
+    for text, position in (("1/0", 1), ("0^-1", 0), ("X1/(e - e)", 2)):
+        with pytest.raises(ParseError, match="cannot divide by zero") as err:
+            parse(text)
+        assert err.value.position == position
+
+
 def test_trailing_garbage():
     with pytest.raises(ParseError):
         parse("X1 X2")
@@ -100,5 +105,5 @@ def test_trailing_garbage():
 
 def test_constants_with_powers():
     e = parse("hbar^2*pi^-1")
-    assert e == OperatorExpr.scalar(
-        SymbolicScalar(QC(F(1)), (("hbar", 2), ("pi", -1))))
+    assert e == OperatorExpr.from_coord(
+        CoordFunction.constant("hbar", 2) * CoordFunction.constant("pi", -1))

@@ -2,9 +2,8 @@ from fractions import Fraction
 
 import pytest
 
-from warpconv.errors import UnboundConstantError
-from warpconv.scalars import (QC, SymbolicScalar, mono_degree, mono_inv,
-                              mono_make, mono_mul, mono_value)
+from warpconv.coords import CoordFunction
+from warpconv.scalars import QC, mono_degree, mono_inv, mono_make, mono_mul
 
 
 def test_qc_arithmetic_exact():
@@ -15,6 +14,16 @@ def test_qc_arithmetic_exact():
     assert (a / b) * b == a
     assert a.conjugate().conjugate() == a
     assert (-a) + a == QC()
+
+
+def test_qc_coerces_compares_and_hashes():
+    a = QC(1, Fraction(-2, 4))
+    assert (a.re, a.im) == (Fraction(1), Fraction(-1, 2))
+    assert a == QC(Fraction(2, 2), Fraction(-1, 2)) and a != QC(1)
+    assert a != (1, Fraction(-1, 2))
+    assert hash(a) == hash((Fraction(1), Fraction(-1, 2)))
+    assert {a: 1}[QC(1, Fraction(-1, 2))] == 1
+    assert repr(QC(1)) == "QC(re=Fraction(1, 1), im=Fraction(0, 1))"
 
 
 def test_qc_division_by_zero():
@@ -31,44 +40,11 @@ def test_mono_make_merges_and_sorts():
 
 def test_mono_degree_restricted():
     m = (("G", 1), ("Omega", 2), ("m", -1))
-    assert mono_degree(m) == 2
     assert mono_degree(m, ["Omega"]) == 2
     assert mono_degree(m, ["G", "m"]) == 0
 
 
-def test_mono_value_and_unbound():
-    m = (("e", 2), ("m", -1))
-    assert mono_value(m, {"e": Fraction(3), "m": Fraction(2)}) == Fraction(9, 2)
-    with pytest.raises(UnboundConstantError):
-        mono_value(m, {"e": 3})
-
-
-def test_symbolic_scalar_product_and_inverse():
-    s = SymbolicScalar.symbol("e", 2, Fraction(3, 4))
-    t = SymbolicScalar.symbol("m", -1, 2)
-    st = s * t
-    assert st.coeff == QC(Fraction(3, 2))
-    assert st.mono == (("e", 2), ("m", -1))
-    inv = st.inverse()
-    assert (st * inv).coeff == QC(Fraction(1))
-    assert (st * inv).mono == ()
-
-
-def test_symbolic_scalar_sum_needs_same_monomial():
-    a = SymbolicScalar.symbol("e")
-    b = SymbolicScalar.symbol("m")
-    assert (a + SymbolicScalar.symbol("e", 1, 2)).coeff == QC(Fraction(3))
-    with pytest.raises(ValueError):
-        a + b
-
-
-def test_symbolic_scalar_substitute():
-    s = SymbolicScalar(QC(Fraction(1, 2), Fraction(1)), (("e", 1), ("m", -2)))
-    v = s.substitute({"e": 4, "m": 2})
-    assert v == QC(Fraction(1, 2), Fraction(1))
-
-
 def test_str_forms():
-    assert str(SymbolicScalar.of(0)) == "0"
-    assert str(SymbolicScalar.symbol("e", 2)) == "e^2"
+    assert str(CoordFunction.zero()) == "0"
+    assert str(CoordFunction.constant("e", 2)) == "e^2"
     assert str(QC(Fraction(0), Fraction(-1))) == "-i"

@@ -4,6 +4,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+import scipy.linalg
 
 from warpconv.coords import CoordFunction
 from warpconv.deform import DeformationSpec, QSpec
@@ -268,3 +269,16 @@ def test_dense_and_sparse_paths_agree(monkeypatch):
             levels.append(eigenvalues(mat, 8, info, seed=4).eigenvalues)
         dense, sparse = levels
         assert max(abs(a - b) for a, b in zip(dense, sparse)) < 1e-10
+
+
+def test_small_k_sparse_spectrum_matches_dense_eigh():
+    # The lowest Landau band is nearly degenerate: Lanczos asked for only
+    # these two levels used to stall here instead of converging.
+    mat, info = discretize(get_preset("landau"), GridSpec(10.0, 20),
+                           {"e": 1.0, "B": 1.5, "m": 1.0})
+    assert mat.shape[0] >= spectra._DENSE_LIMIT  # the sparse path
+    got = eigenvalues(mat, 2, info).eigenvalues
+    ref = scipy.linalg.eigh(mat.toarray(), eigvals_only=True,
+                            subset_by_index=[0, 1])
+    assert len(got) == 2
+    assert max(abs(a - b) for a, b in zip(got, ref)) < 1e-10
