@@ -11,7 +11,9 @@ Each command takes --config, --out and only the options it reads:
                 --points
 
 --B, --Q and --coupling define an inline deformation; a --model preset
-brings its own, so with --model any of them exits 2.
+brings its own, so with --model any of them exits 2.  A value that starts
+with '-' is written in the one-token form, ``--coupling=-m`` or
+``--B=-1,0,0``: argparse reads a separate ``-m`` as another flag.
 
 A config file is a list of flags: each ``key = value`` line is the one
 token ``--key=value`` (``_`` in a key reads as ``-``), and a switch's
@@ -31,7 +33,9 @@ failure (a non-finite result included).
 Building the parser and reading the options load no symbolic module: each
 command imports the modules it runs when it runs, so ``commutator`` loads
 only the parser and the exact kernel, and only ``spectrum`` loads numpy
-and scipy, after the checks that can refuse its input.
+and scipy, after the checks that can refuse its input.  No module of the
+package imports ``dataclasses``, which would load ``inspect``, ``ast``,
+``dis`` and ``tokenize``; only scipy does, so only ``spectrum`` loads them.
 """
 
 from __future__ import annotations
@@ -62,7 +66,8 @@ OPTIONS = {
     "--B": {"help": "inline matrix: 0 | b1,b2,b3 | 9 entries"},
     "--Q": {"help": "inline generator: coordinate (default) | radial:n | "
                     "transverse"},
-    "--coupling": {"help": "inline coupling, e.g. e (default) or -m"},
+    "--coupling": {"help": "inline coupling, e.g. e (default) or, "
+                           "negated, --coupling=-m"},
     "--constants": {"help": "numeric bindings k=v,k=v,..."},
     "--expr": {"help": "operand (default: the preset base Hamiltonian)"},
     "--a": {"help": "left expression"},
@@ -299,7 +304,7 @@ def cmd_gauge(args) -> int:
             ],
             "field_strength": [[str(fs.rows[i][j]) for j in range(3)]
                                for i in range(3)],
-            "bianchi_zero": bool(bianchi_check(spec)),
+            "bianchi_zero": bool(bianchi_check(fs)),
         })
     payload = {"command": "gauge", "model": name,
                "coupling": str(coupling), "fields": fields}

@@ -16,7 +16,6 @@ has no closed form here and is rejected.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Sequence
 
@@ -103,13 +102,17 @@ class DeformationMatrix:
             ", ".join(str(v) for v in row) for row in self.rows) + "]"
 
 
-@dataclass(frozen=True)
 class QSpec:
     """Deformation generator Q(X): a commuting triple of coordinate functions."""
 
-    components: tuple[CoordFunction, CoordFunction, CoordFunction]
-    tag: str = "custom"
-    param: Fraction | None = None
+    __slots__ = ("components", "tag", "param")
+
+    def __init__(self,
+                 components: tuple[CoordFunction, CoordFunction, CoordFunction],
+                 tag: str = "custom", param: Fraction | None = None):
+        self.components = components
+        self.tag = tag
+        self.param = param
 
     @staticmethod
     def coordinate() -> "QSpec":
@@ -138,16 +141,25 @@ class QSpec:
         return hash(self.components)
 
 
-@dataclass(frozen=True)
 class DeformationSpec:
     """Matrix-generator pair defining one warped-convolution deformation."""
 
-    matrix: DeformationMatrix
-    generator: QSpec = field(default_factory=QSpec.coordinate)
+    __slots__ = ("matrix", "generator")
 
-    def __post_init__(self):
-        if not self.matrix.is_skew_symmetric():
+    def __init__(self, matrix: DeformationMatrix, generator: QSpec):
+        if not matrix.is_skew_symmetric():
             raise ValueError("deformation matrix must be skew-symmetric")
+        self.matrix = matrix
+        self.generator = generator
+
+    # By value: the benchmark's tracer counts distinct specs in a set.
+    def __eq__(self, other) -> bool:
+        return (isinstance(other, DeformationSpec)
+                and self.matrix == other.matrix
+                and self.generator == other.generator)
+
+    def __hash__(self):
+        return hash((self.matrix, self.generator))
 
 
 def momentum_shift(spec: DeformationSpec) -> list[CoordFunction]:

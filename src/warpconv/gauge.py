@@ -17,7 +17,6 @@ from __future__ import annotations
 
 import cmath
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 
 from .coords import CoordFunction, as_constant
@@ -29,12 +28,16 @@ from .scalars import QC
 _I = QC(0, Fraction(1))
 
 
-@dataclass(frozen=True)
 class GaugeField:
     """Vector potential A_r with its coupling g, so that S_r = g A_r."""
 
-    components: tuple[CoordFunction, CoordFunction, CoordFunction]
-    coupling: CoordFunction
+    __slots__ = ("components", "coupling")
+
+    def __init__(self,
+                 components: tuple[CoordFunction, CoordFunction, CoordFunction],
+                 coupling: CoordFunction):
+        self.components = components
+        self.coupling = coupling
 
     def curl(self) -> "FieldStrength":
         """F_ij = dA_j/dx_i - dA_i/dx_j, independent of any commutator."""
@@ -48,11 +51,13 @@ class GaugeField:
         return FieldStrength(tuple(rows))
 
 
-@dataclass(frozen=True)
 class FieldStrength:
     """Antisymmetric 3x3 matrix of coordinate functions."""
 
-    rows: tuple
+    __slots__ = ("rows",)
+
+    def __init__(self, rows: tuple):
+        self.rows = rows
 
     def __getitem__(self, ij: tuple[int, int]) -> CoordFunction:
         i, j = ij
@@ -124,10 +129,9 @@ def lorentz_force(spec: DeformationSpec, potential: CoordFunction,
         yield h_tot.commutator(phat[j - 1]), rhs
 
 
-def bianchi_sums(spec: DeformationSpec):
+def bianchi_sums(fs: FieldStrength):
     """The cyclic sums d_k F_ij + d_i F_jk + d_j F_ki over every k, i, j;
     the Bianchi identity says each is the zero function."""
-    fs = field_strength(spec)
     for k in (1, 2, 3):
         for i in (1, 2, 3):
             for j in (1, 2, 3):
@@ -135,9 +139,10 @@ def bianchi_sums(spec: DeformationSpec):
                        + fs[(k, i)].partial(j))
 
 
-def bianchi_check(spec: DeformationSpec) -> bool:
-    """d_k F_ij + d_i F_jk + d_j F_ki = 0, checked symbolically."""
-    return all(total.is_zero() for total in bianchi_sums(spec))
+def bianchi_check(fs: FieldStrength) -> bool:
+    """d_k F_ij + d_i F_jk + d_j F_ki = 0, checked symbolically.  A nonzero
+    constant factor in F (such as 1/g) does not change the verdict."""
+    return all(total.is_zero() for total in bianchi_sums(fs))
 
 
 def jacobi_maxwell_sums(spec: DeformationSpec, potential: CoordFunction,

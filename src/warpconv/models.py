@@ -31,7 +31,6 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 
 from .coords import CoordFunction
@@ -46,18 +45,24 @@ from .scalars import QC
 RAT = Fraction
 
 
-@dataclass(frozen=True)
 class ModelPreset:
     """A named physical system obtained by deforming H0 (or H0 + potential)."""
 
-    name: str
-    specs: tuple[DeformationSpec, ...]
-    coupling: CoordFunction
-    potential: CoordFunction | None
-    reference_hamiltonian: OperatorExpr
-    linearized_reference: OperatorExpr | None = None
-    small_constants: tuple[str, ...] = ()
-    sign_note: str = ""
+    # No __slots__: the cached_property ``_deformed`` keeps its value in the
+    # instance __dict__.
+    def __init__(self, name: str, specs: tuple[DeformationSpec, ...],
+                 coupling: CoordFunction, potential: CoordFunction | None,
+                 reference_hamiltonian: OperatorExpr,
+                 linearized_reference: OperatorExpr | None = None,
+                 small_constants: tuple[str, ...] = (), sign_note: str = ""):
+        self.name = name
+        self.specs = specs
+        self.coupling = coupling
+        self.potential = potential
+        self.reference_hamiltonian = reference_hamiltonian
+        self.linearized_reference = linearized_reference
+        self.small_constants = small_constants
+        self.sign_note = sign_note
 
     def base_hamiltonian(self) -> OperatorExpr:
         h = OperatorExpr.free_hamiltonian()
@@ -117,20 +122,20 @@ class ModelPreset:
         }
 
 
-@dataclass(frozen=True)
 class GridSpec:
     """Transverse Dirichlet box of a grid spectrum: extent L, N points per
     axis in the (x2, x3) plane.  It needs no numpy, so the CLI validates it
     before loading ``spectra``."""
 
-    extent: float
-    points: int
+    __slots__ = ("extent", "points")
 
-    def __post_init__(self):
-        if self.extent <= 0:
+    def __init__(self, extent: float, points: int):
+        if extent <= 0:
             raise ValueError("grid extent must be positive")
-        if self.points < 2:
+        if points < 2:
             raise ValueError("need at least 2 points per axis")
+        self.extent = extent
+        self.points = points
 
     @property
     def spacing(self) -> float:
@@ -203,15 +208,19 @@ def minimal_coupling_hamiltonian(
     return h
 
 
-@dataclass(frozen=True)
 class _Source:
     """One field kind of the catalog (see the module docstring)."""
 
-    coupling: CoordFunction
-    charge: CoordFunction
-    field: tuple[CoordFunction, ...]
-    spec: DeformationSpec  # the sign-translated matrix and the generator
-    linear: bool = False
+    __slots__ = ("coupling", "charge", "field", "spec", "linear")
+
+    def __init__(self, coupling: CoordFunction, charge: CoordFunction,
+                 field: tuple[CoordFunction, ...], spec: DeformationSpec,
+                 linear: bool = False):
+        self.coupling = coupling
+        self.charge = charge
+        self.field = field
+        self.spec = spec  # the sign-translated matrix and the generator
+        self.linear = linear
 
 
 _E, _M, _OMEGA = (CoordFunction.constant(n) for n in ("e", "m", "Omega"))

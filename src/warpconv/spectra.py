@@ -24,7 +24,6 @@ grid or a preset without that reduction before it imports this module.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
 
 import numpy as np
 import scipy.linalg
@@ -48,15 +47,18 @@ _LANCZOS_MIN_LEVELS = 16
 _RESIDUAL_TOL = 1e-8
 
 
-@dataclass
 class SpectrumResult:
     """Ascending eigenvalues with residual certificates and grid metadata."""
 
-    eigenvalues: list[float]
-    residuals: list[float]
-    grid: dict
-    warnings: list[str] = field(default_factory=list)
-    seed: int = 0
+    __slots__ = ("eigenvalues", "residuals", "grid", "warnings", "seed")
+
+    def __init__(self, eigenvalues: list[float], residuals: list[float],
+                 grid: dict, warnings: list[str], seed: int):
+        self.eigenvalues = eigenvalues
+        self.residuals = residuals
+        self.grid = grid
+        self.warnings = warnings
+        self.seed = seed
 
     @property
     def count(self) -> int:
@@ -257,10 +259,12 @@ def eigenvalues(matrix: scipy.sparse.spmatrix, k: int, info: dict,
     )
 
 
-@dataclass(frozen=True)
 class DegeneracyReport:
-    tolerance: float
-    clusters: tuple  # of (mean energy, multiplicity)
+    __slots__ = ("tolerance", "clusters")
+
+    def __init__(self, tolerance: float, clusters: tuple):
+        self.tolerance = tolerance
+        self.clusters = clusters  # of (mean energy, multiplicity)
 
     def sizes(self) -> list[int]:
         return [size for _, size in self.clusters]

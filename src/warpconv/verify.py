@@ -333,7 +333,7 @@ def _gauge_checks(wants: Wants, negative_control: bool = False) -> list[Check]:
             out.append(_exact(f"bianchi::{name}", (
                 (total, CoordFunction.zero())
                 for spec in get_preset(name).specs
-                for total in bianchi_sums(spec))))
+                for total in bianchi_sums(field_strength(spec)))))
 
     if wants("ab_field_strength_zero_off_axis"):
         ab = get_preset("aharonov_bohm")

@@ -154,7 +154,7 @@ def test_bianchi_catalog():
     for name in ("landau", "lense_thirring", "aharonov_bohm"):
         preset = get_preset(name)
         for spec in preset.specs:
-            assert bianchi_check(spec)
+            assert bianchi_check(field_strength(spec))
 
 
 def test_jacobi_maxwell_reports_all_zero():

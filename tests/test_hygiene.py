@@ -56,6 +56,23 @@ def test_no_unused_imports():
     assert [hit for path in paths for hit in unused_imports(path)] == []
 
 
+def _imported_modules(tree):
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            yield from (alias.name for alias in node.names)
+        elif isinstance(node, ast.ImportFrom) and node.module:
+            yield node.module
+
+
+def test_no_module_imports_dataclasses():
+    # dataclasses loads inspect, ast, dis and tokenize, about 10 ms of each
+    # CLI call; only scipy, inside `spectrum`, may load it.
+    hits = [path.name for path, tree in _src_trees().items()
+            if any(name.split(".")[0] == "dataclasses"
+                   for name in _imported_modules(tree))]
+    assert hits == []
+
+
 # Public names with no caller in src/ yet (ROADMAP item 4). Wiring one up
 # or deleting it shrinks this list; a new public name without a caller
 # fails.

@@ -1,4 +1,3 @@
-import dataclasses
 import math
 from fractions import Fraction
 
@@ -252,12 +251,14 @@ def test_phase_consistency_with_flux_condition():
 
 
 def test_dense_and_sparse_paths_agree(monkeypatch):
+    free = get_preset("free")
     cases = [
         (get_preset("landau"), GridSpec(extent=10.0, points=16),
          {"e": 1.0, "B": 1.0, "m": 1.0}),
         # The lowest levels are negative and far from zero.
-        (dataclasses.replace(get_preset("free"),
-                             potential=CoordFunction.scalar(-5)),
+        (ModelPreset(name=free.name, specs=free.specs, coupling=free.coupling,
+                     potential=CoordFunction.scalar(-5),
+                     reference_hamiltonian=free.reference_hamiltonian),
          GridSpec(extent=4.0, points=20), {"m": 1.0}),
     ]
     for preset, grid, consts in cases:
