@@ -407,6 +407,11 @@ class _Parser(argparse.ArgumentParser):
     """Reports a usage error like any other bad input: one line, exit 2."""
 
     def error(self, message: str):
+        if message.endswith("expected one argument"):
+            # argparse reads a value that starts with '-' as another flag.
+            flag = message.split()[1].rstrip(":")
+            message += (f"; a value that starts with '-' takes the one-token "
+                        f"form {flag}=VALUE")
         raise ConfigError(message)
 
 

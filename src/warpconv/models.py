@@ -13,10 +13,11 @@ and carries all that a preset takes from it:
 
 ``get_preset`` builds a preset from its row: the specs deform H0 (plus the
 potential) in turn, which commute because the generators do, and the
-reference is (1/2m) (P + sum_i g_i A_i)^2 plus the potential, g_i being
-each source's charge.  Verifying a preset means checking that the
-deformation reproduces that reference exactly, or, where a source is
-stated to linear order, exactly after the explicit truncation in Omega.
+reference, built on first read, is (1/2m) (P + sum_i g_i A_i)^2 plus the
+potential, g_i being each source's charge.  Verifying a preset means
+checking that the deformation reproduces that reference exactly, or, where
+a source is stated to linear order, exactly after the explicit truncation
+in Omega.
 
 Sign bookkeeping: the whole package works in plain Cartesian components
 with [X_j, P_k] = i delta_jk and H0 = P^2/2m.  In that convention an axial
@@ -48,20 +49,16 @@ RAT = Fraction
 class ModelPreset:
     """A named physical system obtained by deforming H0 (or H0 + potential)."""
 
-    # No __slots__: the cached_property ``_deformed`` keeps its value in the
-    # instance __dict__.
+    # No __slots__: each cached_property keeps its value in the instance
+    # __dict__.
     def __init__(self, name: str, specs: tuple[DeformationSpec, ...],
                  coupling: CoordFunction, potential: CoordFunction | None,
-                 reference_hamiltonian: OperatorExpr,
-                 linearized_reference: OperatorExpr | None = None,
-                 small_constants: tuple[str, ...] = (), sign_note: str = ""):
+                 sources: tuple[_Source, ...], sign_note: str = ""):
         self.name = name
         self.specs = specs
         self.coupling = coupling
         self.potential = potential
-        self.reference_hamiltonian = reference_hamiltonian
-        self.linearized_reference = linearized_reference
-        self.small_constants = small_constants
+        self.sources = sources  # the catalog sources the references read
         self.sign_note = sign_note
 
     def base_hamiltonian(self) -> OperatorExpr:
@@ -85,6 +82,32 @@ class ModelPreset:
         # Computed once per preset object: the reference, linearized and
         # hermiticity checks all start from it.
         return deform_sequence(self.base_hamiltonian(), self.specs)
+
+    # The references are built on first read: only the model checks of
+    # ``verify`` and the tests read them.
+    @functools.cached_property
+    def reference_hamiltonian(self) -> OperatorExpr:
+        return minimal_coupling_hamiltonian(
+            [(s.charge, s.field) for s in self.sources], self.potential)
+
+    @functools.cached_property
+    def linearized_reference(self) -> OperatorExpr | None:
+        """The reference to linear order in Omega, or None without a source
+        stated to that order: the exact part plus sum_j h_j (P_j + e A_j),
+        since each linear source couples with charge m and (1/2m) 2 m = 1."""
+        linear = [s.field for s in self.sources if s.linear]
+        if not linear:
+            return None
+        exact = [(s.charge, s.field) for s in self.sources if not s.linear]
+        linearized = minimal_coupling_hamiltonian(exact, self.potential)
+        for j, term in enumerate(_coupled_momenta(exact)):
+            for h in linear:
+                linearized = linearized + term.coord_multiply(h[j])
+        return linearized
+
+    @property
+    def small_constants(self) -> tuple[str, ...]:
+        return ("Omega",) if any(s.linear for s in self.sources) else ()
 
     def shift_functions(self) -> list[CoordFunction]:
         """Total momentum shift of all deformations (they commute)."""
@@ -284,6 +307,9 @@ _CATALOG = {
 }
 
 PRESETS = tuple(_CATALOG)
+# The presets with a linearized reference, known without building them.
+LINEARIZED_PRESETS = tuple(name for name, (sources, _, _) in _CATALOG.items()
+                           if any(s.linear for s in sources))
 
 
 def get_preset(name: str) -> ModelPreset:
@@ -292,27 +318,9 @@ def get_preset(name: str) -> ModelPreset:
         raise KeyError(f"unknown model preset {name!r}; "
                        f"known: {', '.join(sorted(PRESETS))}")
     sources, potential, sign_note = _CATALOG[name]
-    exact = [(s.charge, s.field) for s in sources if not s.linear]
-    linear = [(s.charge, s.field) for s in sources if s.linear]
-    linearized = None
-    if linear:
-        # Linear order in Omega: the exact part plus sum_j h_j (P_j + e A_j),
-        # since each linear source couples with charge m and (1/2m) 2 m = 1.
-        linearized = minimal_coupling_hamiltonian(exact, potential)
-        for j, term in enumerate(_coupled_momenta(exact)):
-            for _, h in linear:
-                linearized = linearized + term.coord_multiply(h[j])
-    return ModelPreset(
-        name=name,
-        specs=tuple(s.spec for s in sources),
-        coupling=sources[0].coupling,
-        potential=potential,
-        reference_hamiltonian=minimal_coupling_hamiltonian(exact + linear,
-                                                           potential),
-        linearized_reference=linearized,
-        small_constants=("Omega",) if linear else (),
-        sign_note=sign_note,
-    )
+    return ModelPreset(name=name, specs=tuple(s.spec for s in sources),
+                       coupling=sources[0].coupling, potential=potential,
+                       sources=sources, sign_note=sign_note)
 
 
 # -- noncommuting coordinates ------------------------------------------------

@@ -225,6 +225,18 @@ def test_documented_negative_values_parse(capsys):
     example = cli.OPTIONS["--coupling"]["help"].split()[-1]
     assert cli.main(["gauge", "--B=-1,0,0", example]) == cli.EXIT_OK
     assert json.loads(capsys.readouterr().out)["coupling"] == "-m"
+    assert cli.main(["commutator", "--a=-X1", "--b", "P1"]) == cli.EXIT_OK
+    assert json.loads(capsys.readouterr().out)["pretty"] == "-i"
+    assert cli.main(["holonomy", "--model", "landau", "--center=-1,0,0",
+                     "--constants", "e=1,B=1"]) == cli.EXIT_OK
+    assert json.loads(capsys.readouterr().out)["center"] == [-1.0, 0.0, 0.0]
+
+
+def test_a_separate_negative_value_names_the_one_token_form(capsys):
+    # argparse reads "-1,0,0" as another flag; the error says how to write it.
+    assert cli.main(["gauge", "--B", "-1,0,0"]) == cli.EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and "--B=" in err, err
 
 
 def test_flags_override_the_config(tmp_path, capsys):

@@ -3,7 +3,7 @@ from fractions import Fraction
 
 import pytest
 
-from warpconv import cli
+from warpconv import cli, models
 from warpconv.coords import CoordFunction
 from warpconv.deform import DeformationMatrix, deform_operator
 from warpconv.gauge import phases_equal
@@ -25,6 +25,21 @@ def test_every_preset_matches_its_reference():
                         for h in (preset.deformed(),
                                   preset.linearized_reference))
             assert lhs.equals(rhs), name
+
+
+def _refuse(*args):
+    raise AssertionError("built a reference Hamiltonian")
+
+
+def test_commands_build_no_reference_hamiltonian(monkeypatch, capsys):
+    # Only verify's model checks and the tests read the references.
+    monkeypatch.setattr(models, "minimal_coupling_hamiltonian", _refuse)
+    for name in sorted(PRESETS):
+        for argv in (["deform", "--model", name], ["gauge", "--model", name],
+                     ["holonomy", "--model", name, "--center=0,0.5,0",
+                      "--constants", "e=1,B=1,m=1,Omega=1,phi_M=1"]):
+            assert cli.main(argv) == cli.EXIT_OK, argv
+    capsys.readouterr()
 
 
 def test_landau_reference_is_minimal_coupling():

@@ -1,4 +1,5 @@
-"""Property tests of the normal-ordered product, drawn by hypothesis.
+"""Property tests of the normal-ordered product and the commutator, drawn
+by hypothesis.
 
 The operands are one- or two-term operators from the seeded generators of
 conftest, with hypothesis choosing (and shrinking) the seed.  The examples
@@ -31,3 +32,19 @@ def test_normal_ordered_product_is_associative(a, b, c):
 @given(operators(2), operators(2))
 def test_adjoint_reverses_products(a, b):
     assert (a * b).adjoint().equals(b.adjoint() * a.adjoint())
+
+
+@PROPERTY
+@given(operators(1), operators(1), operators(1))
+def test_commutator_satisfies_the_jacobi_identity(a, b, c):
+    total = (a.commutator(b.commutator(c)) + b.commutator(c.commutator(a))
+             + c.commutator(a.commutator(b)))
+    assert total.equals(total.zero())
+
+
+@PROPERTY
+@given(operators(1), operators(1), operators(1))
+def test_commutator_is_a_derivation(a, b, c):
+    # Leibniz: [A, BC] = [A, B] C + B [A, C].
+    assert a.commutator(b * c).equals(
+        a.commutator(b) * c + b * a.commutator(c))

@@ -151,7 +151,7 @@ def test_gauge_translation_leaves_spectrum_invariant():
         specs=(DeformationSpec(base.specs[0].matrix, shifted_q),),
         coupling=base.coupling,
         potential=None,
-        reference_hamiltonian=base.reference_hamiltonian,
+        sources=base.sources,
     )
     grid = GridSpec(extent=10.0, points=48)
     consts = {"e": 1.0, "B": 1.0, "m": 1.0}
@@ -258,7 +258,7 @@ def test_dense_and_sparse_paths_agree(monkeypatch):
         # The lowest levels are negative and far from zero.
         (ModelPreset(name=free.name, specs=free.specs, coupling=free.coupling,
                      potential=CoordFunction.scalar(-5),
-                     reference_hamiltonian=free.reference_hamiltonian),
+                     sources=free.sources),
          GridSpec(extent=4.0, points=20), {"m": 1.0}),
     ]
     for preset, grid, consts in cases:

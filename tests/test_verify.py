@@ -113,6 +113,22 @@ def test_selection_skips_the_checks_it_does_not_name(monkeypatch):
         monkeypatch.setattr(verify, name, _refuse)
     for select in (["gauge_cross_check"], ["deformed_coordinate"]):
         assert verify.run_suite(select=select)["all_pass"]
+    # Nor does a selection without a model or gauge check build a preset.
+    monkeypatch.setattr(verify, "get_preset", _refuse)
+    for select in (["deformed_coordinate"], ["adjoint"]):
+        assert verify.run_suite(select=select)["all_pass"]
+
+
+def test_each_check_selected_alone_equals_the_filtered_full_run(full_runs):
+    for negative_control, full in full_runs.items():
+        for name in [c["name"] for c in full["checks"]]:
+            chosen = [c for c in full["checks"] if c["name"].startswith(name)]
+            assert verify.run_suite(select=[name],
+                                    negative_control=negative_control) == {
+                "negative_control": negative_control,
+                "all_pass": all(c["passed"] for c in chosen),
+                "checks": chosen,
+            }, name
 
 
 def test_every_comparison_is_one_equals_with_a_residual(monkeypatch):
