@@ -21,7 +21,7 @@ _EXPORTS = {
     "coords": ("CoordFunction",),
     "deform": ("DeformationMatrix", "DeformationSpec", "QSpec",
                "deform_coordinate", "deform_operator", "deform_sequence",
-               "momentum_shift", "rieffel_product", "shifted_momentum"),
+               "momentum_shift", "rieffel_product"),
     "errors": ("ConfigError", "InternalInconsistencyError",
                "NonConvergenceError", "NonPositiveParameterError",
                "ParseError", "SingularLoopError", "SingularMatrixError",

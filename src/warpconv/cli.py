@@ -11,9 +11,10 @@ Each command takes --config, --out and only the options it reads:
                 --points
 
 --B, --Q and --coupling define an inline deformation; a --model preset
-brings its own, so with --model any of them exits 2.  A value that starts
-with '-' is written in the one-token form, ``--coupling=-m`` or
-``--B=-1,0,0``: argparse reads a separate ``-m`` as another flag.
+brings its own, so with --model any of them exits 2.  ``holonomy`` takes
+one deformation: a preset with two (``combined_*``) exits 3.  A value
+that starts with '-' is written in the one-token form, ``--coupling=-m``
+or ``--B=-1,0,0``: argparse reads a separate ``-m`` as another flag.
 
 A config file is a list of flags: each ``key = value`` line is the one
 token ``--key=value`` (``_`` in a key reads as ``-``), and a switch's
@@ -32,10 +33,11 @@ failure (a non-finite result included).
 
 Building the parser and reading the options load no symbolic module: each
 command imports the modules it runs when it runs, so ``commutator`` loads
-only the parser and the exact kernel, and only ``spectrum`` loads numpy
-and scipy, after the checks that can refuse its input.  No module of the
-package imports ``dataclasses``, which would load ``inspect``, ``ast``,
-``dis`` and ``tokenize``; only scipy does, so only ``spectrum`` loads them.
+only the parser and the exact kernel, ``deform`` loads the parser only
+for ``--expr``, and only ``spectrum`` loads numpy and scipy, after the
+checks that can refuse its input.  No module of the package imports
+``dataclasses``, which would load ``inspect``, ``ast``, ``dis`` and
+``tokenize``; only scipy does, so only ``spectrum`` loads them.
 """
 
 from __future__ import annotations
@@ -251,9 +253,9 @@ def _expression_payload(expr) -> dict:
 def cmd_deform(args) -> int:
     from .deform import deform_sequence
     from .operators import OperatorExpr
-    from .parsing import parse
     name, specs, preset = _resolve_model(args)
     if args.expr is not None:
+        from .parsing import parse
         operand = parse(args.expr)
     elif preset is not None:
         operand = preset.base_hamiltonian()
@@ -369,6 +371,9 @@ def cmd_spectrum(args) -> int:
 def cmd_holonomy(args) -> int:
     from .gauge import extract_gauge_field, holonomy
     name, specs, preset = _resolve_model(args)
+    if len(specs) != 1:
+        raise UnsupportedOperandError(
+            f"holonomy integrates one deformation; {name} has {len(specs)}")
     coupling = (_parse_coupling(args.coupling)
                 if preset is None else preset.coupling)
     gf = extract_gauge_field(specs[0], coupling)

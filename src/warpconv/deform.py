@@ -8,7 +8,8 @@ acts by the in-place substitution
     P_j  ->  P_j + S_j,      S_j = -(B Q)_k dQ_k/dx_j,
 
 with coordinate-only parts unchanged; the shift S_j is again a coordinate
-function, so the result stays in the algebra.  The truncated
+function, so the result stays in the algebra; a ``DeformationSpec``
+computes S and P_j + S_j once, when it is built.  The truncated
 Baker-Campbell-Hausdorff expansion behind this rule closes after the first
 commutator because the generator components commute.  Momentum degree >= 3
 has no closed form here and is rejected.
@@ -142,15 +143,20 @@ class QSpec:
 
 
 class DeformationSpec:
-    """Matrix-generator pair defining one warped-convolution deformation."""
+    """Matrix-generator pair of one warped-convolution deformation, with its
+    ``shift`` S and deformed ``momenta`` P_j + S_j, computed once, here."""
 
-    __slots__ = ("matrix", "generator")
+    __slots__ = ("matrix", "generator", "shift", "momenta")
 
     def __init__(self, matrix: DeformationMatrix, generator: QSpec):
         if not matrix.is_skew_symmetric():
             raise ValueError("deformation matrix must be skew-symmetric")
         self.matrix = matrix
         self.generator = generator
+        self.shift = tuple(momentum_shift(self))
+        self.momenta = tuple(
+            OperatorExpr.momentum(j) + OperatorExpr.from_coord(s)
+            for j, s in enumerate(self.shift, start=1))
 
     # By value: the benchmark's tracer counts distinct specs in a set.
     def __eq__(self, other) -> bool:
@@ -195,12 +201,6 @@ def momentum_shift_via_commutators(spec: DeformationSpec) -> list[CoordFunction]
     return out
 
 
-def shifted_momentum(spec: DeformationSpec, axis: int) -> OperatorExpr:
-    """Deformed momentum component P_axis + S_axis."""
-    s = momentum_shift(spec)[axis - 1]
-    return OperatorExpr.momentum(axis) + OperatorExpr.from_coord(s)
-
-
 def deform_operator(a: OperatorExpr, spec: DeformationSpec) -> OperatorExpr:
     """Deform a momentum polynomial of total degree <= 2.
 
@@ -214,15 +214,12 @@ def deform_operator(a: OperatorExpr, spec: DeformationSpec) -> OperatorExpr:
             f"no closed-form deformation for momentum degree {deg} > 2")
     if spec.matrix.is_zero():
         return a
-    shifts = momentum_shift(spec)
-    phat = [OperatorExpr.momentum(j) + OperatorExpr.from_coord(shifts[j - 1])
-            for j in (1, 2, 3)]
     out = OperatorExpr.zero()
     for pm, f in a.terms.items():
         piece = OperatorExpr.from_coord(f)
         for j in (1, 2, 3):
             for _ in range(pm[j - 1]):
-                piece = piece * phat[j - 1]
+                piece = piece * spec.momenta[j - 1]
         out = out + piece
     return out
 

@@ -1,7 +1,8 @@
 """Gauge structure induced by deformation.
 
 A deformation shifts each momentum by a coordinate function S_j; writing
-S_j = g A_j identifies a gauge field A with coupling g.  The commutator of
+S_j = g A_j identifies a gauge field A with coupling g; S and P_j + S_j
+are read from the spec, which computed them once.  The commutator of
 two shifted momenta is then -i g F_ij with F the curl of A, the commutator
 with the shifted Hamiltonian produces the Lorentz force, and the Jacobi
 identity yields the homogeneous (source-free) field equations.  All fields
@@ -20,7 +21,7 @@ import math
 from fractions import Fraction
 
 from .coords import CoordFunction, as_constant
-from .deform import DeformationSpec, deform_operator, momentum_shift, shifted_momentum
+from .deform import DeformationSpec, deform_operator
 from .errors import SingularLoopError, ZeroCouplingError
 from .operators import HALF_OVER_M, OperatorExpr, require_coordinate_only
 from .scalars import QC
@@ -29,15 +30,13 @@ _I = QC(0, Fraction(1))
 
 
 class GaugeField:
-    """Vector potential A_r with its coupling g, so that S_r = g A_r."""
+    """Vector potential A_r = S_r / g of one deformation and coupling g."""
 
-    __slots__ = ("components", "coupling")
+    __slots__ = ("components",)
 
     def __init__(self,
-                 components: tuple[CoordFunction, CoordFunction, CoordFunction],
-                 coupling: CoordFunction):
+                 components: tuple[CoordFunction, CoordFunction, CoordFunction]):
         self.components = components
-        self.coupling = coupling
 
     def curl(self) -> "FieldStrength":
         """F_ij = dA_j/dx_i - dA_i/dx_j, independent of any commutator."""
@@ -76,8 +75,7 @@ def extract_gauge_field(spec: DeformationSpec,
                         coupling: CoordFunction) -> GaugeField:
     """A_r = S_r / g where S is the momentum shift of the deformation."""
     inv = _inverse_coupling(coupling, "gauge field extraction")
-    comps = tuple(s.scale(inv) for s in momentum_shift(spec))
-    return GaugeField(comps, coupling)
+    return GaugeField(tuple(s.scale(inv) for s in spec.shift))
 
 
 def field_strength(spec: DeformationSpec,
@@ -90,12 +88,11 @@ def field_strength(spec: DeformationSpec,
     """
     norm = (CoordFunction.one() if coupling is None
             else _inverse_coupling(coupling, "field strength"))
-    phat = [shifted_momentum(spec, j) for j in (1, 2, 3)]
     rows = []
     for i in range(3):
         row = []
         for j in range(3):
-            comm = phat[i].commutator(phat[j])
+            comm = spec.momenta[i].commutator(spec.momenta[j])
             f = require_coordinate_only(comm, f"[P{i+1}^def, P{j+1}^def]")
             # divide by -i g:  f / (-i g) = f * i / g
             row.append(f.scale(_I).scale(norm))
@@ -116,7 +113,6 @@ def lorentz_force(spec: DeformationSpec, potential: CoordFunction,
     """
     h_def = deform_operator(OperatorExpr.free_hamiltonian(), spec)
     h_tot = h_def + OperatorExpr.from_coord(potential.scale(coupling))
-    phat = [shifted_momentum(spec, j) for j in (1, 2, 3)]
     fs = field_strength(spec, coupling)
 
     ig = coupling.scale(_I)
@@ -124,9 +120,9 @@ def lorentz_force(spec: DeformationSpec, potential: CoordFunction,
         rhs = OperatorExpr.from_coord(potential.partial(j).scale(ig))
         for k in (1, 2, 3):
             fkj = OperatorExpr.from_coord(fs[(k, j)])
-            sym = phat[k - 1] * fkj + fkj * phat[k - 1]
+            sym = spec.momenta[k - 1] * fkj + fkj * spec.momenta[k - 1]
             rhs = rhs - sym.scale(ig * HALF_OVER_M)
-        yield h_tot.commutator(phat[j - 1]), rhs
+        yield h_tot.commutator(spec.momenta[j - 1]), rhs
 
 
 def bianchi_sums(fs: FieldStrength):
@@ -155,7 +151,7 @@ def jacobi_maxwell_sums(spec: DeformationSpec, potential: CoordFunction,
     """
     h_def = deform_operator(OperatorExpr.free_hamiltonian(), spec)
     h_tot = h_def + OperatorExpr.from_coord(potential.scale(coupling))
-    phat = [shifted_momentum(spec, j) for j in (1, 2, 3)]
+    phat = spec.momenta
 
     def jacobi(a, b, c):
         return (a.commutator(b.commutator(c)) + b.commutator(c.commutator(a))

@@ -37,7 +37,7 @@ from fractions import Fraction
 from .coords import CoordFunction
 from .deform import (DeformationMatrix, DeformationSpec, QSpec,
                      deform_coordinate, deform_sequence,
-                     invert_transverse_block, momentum_shift)
+                     invert_transverse_block)
 from .errors import (InternalInconsistencyError, NonPositiveParameterError,
                      UnsupportedOperandError)
 from .operators import HALF_OVER_M, OperatorExpr, require_coordinate_only
@@ -113,8 +113,7 @@ class ModelPreset:
         """Total momentum shift of all deformations (they commute)."""
         total = [CoordFunction.zero()] * 3
         for spec in self.specs:
-            s = momentum_shift(spec)
-            total = [a + b for a, b in zip(total, s)]
+            total = [a + b for a, b in zip(total, spec.shift)]
         return total
 
     def transverse_shift(self) -> list[CoordFunction]:
@@ -232,17 +231,20 @@ def minimal_coupling_hamiltonian(
 
 
 class _Source:
-    """One field kind of the catalog (see the module docstring)."""
+    """One field kind of the catalog (see the module docstring); it holds
+    the sign-translated matrix and the generator, not a built spec."""
 
-    __slots__ = ("coupling", "charge", "field", "spec", "linear")
+    __slots__ = ("coupling", "charge", "field", "matrix", "generator",
+                 "linear")
 
     def __init__(self, coupling: CoordFunction, charge: CoordFunction,
-                 field: tuple[CoordFunction, ...], spec: DeformationSpec,
-                 linear: bool = False):
+                 field: tuple[CoordFunction, ...], matrix: DeformationMatrix,
+                 generator: QSpec, linear: bool = False):
         self.coupling = coupling
         self.charge = charge
         self.field = field
-        self.spec = spec  # the sign-translated matrix and the generator
+        self.matrix = matrix
+        self.generator = generator
         self.linear = linear
 
 
@@ -254,25 +256,23 @@ _ONE = CoordFunction.scalar(1)
 # Axial -m Omega shifts P by +m h.
 _GRAVITO = DeformationMatrix.axial(-_M * _OMEGA)
 
-_NO_FIELD = _Source(_E, _E, (CoordFunction.zero(),) * 3, DeformationSpec(
-    DeformationMatrix.zero(), QSpec.coordinate()))
+_NO_FIELD = _Source(_E, _E, (CoordFunction.zero(),) * 3,
+                    DeformationMatrix.zero(), QSpec.coordinate())
 # A = (1/2) B cross x, the symmetric gauge; axial e B/2 shifts P by +e A.
-_MAGNETIC = _Source(_E, _E, azimuthal_field(_B_HALF, _ONE), DeformationSpec(
-    DeformationMatrix.axial(_E * _B_HALF), QSpec.coordinate()))
+_MAGNETIC = _Source(_E, _E, azimuthal_field(_B_HALF, _ONE),
+                    DeformationMatrix.axial(_E * _B_HALF), QSpec.coordinate())
 # A = (phi_M / 2 pi) (0, -x3, x2) / rho^2; axial e phi_M / 2 pi shifts P
 # by +e A.
 _FLUX_LINE = _Source(
     _E, _E, azimuthal_field(_PHI_2PI, CoordFunction.rho_power(-2)),
-    DeformationSpec(DeformationMatrix.axial(_E * _PHI_2PI),
-                    QSpec.transverse_radial()))
+    DeformationMatrix.axial(_E * _PHI_2PI), QSpec.transverse_radial())
 # h = x cross Omega.
 _GRAVITO_CONSTANT = _Source(-_M, _M, azimuthal_field(-_OMEGA, _ONE),
-                            DeformationSpec(_GRAVITO, QSpec.coordinate()),
-                            linear=True)
+                            _GRAVITO, QSpec.coordinate(), linear=True)
 # h = (x cross Omega) / r^3, generated by Q_j = x_j / r^(3/2).
 _LENSE_THIRRING = _Source(
     -_M, _M, azimuthal_field(-_OMEGA, CoordFunction.r_power(-3)),
-    DeformationSpec(_GRAVITO, QSpec.radial_power(RAT(3, 2))), linear=True)
+    _GRAVITO, QSpec.radial_power(RAT(3, 2)), linear=True)
 
 _SIGN_NOTE = ("matrix is the Cartesian translation (overall sign) of the "
               "mixed-convention display; with [X,P]=+i the induced shift is "
@@ -313,12 +313,13 @@ LINEARIZED_PRESETS = tuple(name for name, (sources, _, _) in _CATALOG.items()
 
 
 def get_preset(name: str) -> ModelPreset:
-    """Build the catalog preset ``name`` from its row of ``_CATALOG``."""
+    """Build the catalog preset ``name``, with fresh specs, from its row."""
     if name not in _CATALOG:
         raise KeyError(f"unknown model preset {name!r}; "
                        f"known: {', '.join(sorted(PRESETS))}")
     sources, potential, sign_note = _CATALOG[name]
-    return ModelPreset(name=name, specs=tuple(s.spec for s in sources),
+    specs = tuple(DeformationSpec(s.matrix, s.generator) for s in sources)
+    return ModelPreset(name=name, specs=specs,
                        coupling=sources[0].coupling, potential=potential,
                        sources=sources, sign_note=sign_note)
 

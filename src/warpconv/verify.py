@@ -31,7 +31,7 @@ from .coords import CoordFunction
 from .deform import (DeformationMatrix, DeformationSpec, QSpec,
                      deform_coordinate, deform_operator,
                      invert_transverse_block, momentum_shift_via_commutators,
-                     rieffel_product, shifted_momentum)
+                     rieffel_product)
 from .gauge import (bianchi_sums, extract_gauge_field, field_strength,
                     jacobi_maxwell_sums, lorentz_force)
 from .models import (LINEARIZED_PRESETS, PRESETS, get_preset, guiding_center,
@@ -350,8 +350,7 @@ def _gauge_checks(wants: Wants, presets,
     if wants("noncommuting_iff_field"):
         landau = presets("landau")
         fs = field_strength(landau.specs[0], landau.coupling)
-        p2 = shifted_momentum(landau.specs[0], 2)
-        p3 = shifted_momentum(landau.specs[0], 3)
+        _, p2, p3 = landau.specs[0].momenta
         noncomm = not p2.commutator(p3).equals(OperatorExpr.zero())
         fnonzero = not fs[(2, 3)].is_zero()
         out.append(Check("noncommuting_iff_field",
@@ -380,7 +379,8 @@ def run_suite(select: list[str] | None = None,
     checks += _rieffel_checks(wants)
     checks += _coefficient_checks(wants)
     checks += _adjoint_checks(wants)
-    # Each preset is built, and deformed, at most once per run.
+    # Each preset, with its specs' shifts, is built and deformed at most
+    # once per run.
     presets = cache(get_preset)
     checks += _model_checks(wants, presets)
     checks += _moyal_checks(wants)

@@ -29,7 +29,7 @@ PUBLIC_NAMES = [
     "guiding_center", "holonomy", "interference_phase", "landau_degeneracy",
     "lorentz_force", "models", "momentum_shift", "operators", "parse",
     "parsing", "phases_equal", "rieffel_product", "scalars",
-    "shifted_momentum", "spectra", "uncertainty_area_symbolic",
+    "spectra", "uncertainty_area_symbolic",
 ]
 
 # Runs one command in a fresh process and prints its exit code and the
@@ -59,7 +59,7 @@ NUMERIC = ("numpy", "scipy", "dataclasses", "inspect")
     (["--version"], 0, SYMBOLIC_MODULES + NUMERIC),
     (["commutator", "--a", "X1", "--b", "P1"], 0,
      SYMBOLIC_MODULES[4:] + NUMERIC),
-    (["deform", "--model", "landau"], 0, NUMERIC),
+    (["deform", "--model", "landau"], 0, ("warpconv.parsing",) + NUMERIC),
     (["gauge", "--model", "landau"], 0, NUMERIC),
     (["holonomy", "--model", "landau", "--constants", "e=1,B=1"], 0, NUMERIC),
     (["verify", "--select", "model"], 0, NUMERIC),
@@ -165,12 +165,20 @@ def test_every_public_name_resolves():
     (["spectrum", "--model", "free", "--grid", "20,10", "--k", "2",
       "--constants", "m=1e-300"], cli.EXIT_NUMERIC),
     (["commutator", "--a", "0^-1", "--b", "P1"], cli.EXIT_CONFIG),
+    # holonomy integrates one deformation; a combined preset has two.
+    (["holonomy", "--model", "combined_constant",
+      "--constants", "e=1,B=1,m=1,Omega=5", "--center=0,0.5,0"],
+     cli.EXIT_UNSUPPORTED),
+    (["holonomy", "--model", "combined_lense_thirring",
+      "--constants", "e=1,B=1,m=1,Omega=5", "--center=0,0.5,0"],
+     cli.EXIT_UNSUPPORTED),
 ])
 def test_exit_codes(argv, code, capsys):
     assert cli.main(argv) == code
-    err = capsys.readouterr().err
+    out, err = capsys.readouterr()
     if code != cli.EXIT_OK:
         assert err.startswith("error: ") and err.count("\n") == 1, err
+        assert out == ""
 
 
 OPTIONS_READ = {
@@ -281,6 +289,19 @@ def test_negative_control_in_config(value, code, tmp_path, capsys):
     out = capsys.readouterr().out
     if code != cli.EXIT_CONFIG:
         assert json.loads(out)["negative_control"] is (value == "true")
+
+
+def test_spectrum_csv_rows_round_trip_to_the_json_run(capsys):
+    argv = ["spectrum", "--model", "landau", "--grid", "12,10", "--k", "4",
+            "--constants", "e=1,B=1,m=1"]
+    assert cli.main(argv) == 0
+    report = json.loads(capsys.readouterr().out)
+    assert cli.main([*argv, "--format", "csv"]) == 0
+    header, *rows = capsys.readouterr().out.splitlines()
+    assert header == "index,eigenvalue,residual"
+    assert rows == [f"{i},{ev!r},{res!r}" for i, (ev, res) in enumerate(
+        zip(report["eigenvalues"], report["residuals"]))]
+    assert len(rows) == report["count"] == 4
 
 
 def test_unknown_preset_lists_the_known_ones(capsys):

@@ -1,8 +1,14 @@
+import contextlib
+import io
+import os
 import random
+import subprocess
+import sys
 from fractions import Fraction
 
 import pytest
 
+from warpconv import cli, deform
 from warpconv.coords import CoordFunction
 from warpconv.deform import (DeformationMatrix, DeformationSpec, QSpec,
                              deform_coordinate, deform_operator,
@@ -10,11 +16,15 @@ from warpconv.deform import (DeformationMatrix, DeformationSpec, QSpec,
                              momentum_shift_via_commutators, rieffel_product)
 from warpconv.errors import (SingularMatrixError, UnsupportedDegreeError,
                              UnsupportedOperandError)
+from warpconv.models import get_preset
 from warpconv.operators import OperatorExpr
 from warpconv.parsing import parse
 from warpconv.scalars import QC
+from warpconv.verify import run_suite
 
 F = Fraction
+SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
+                   "src")
 
 
 def axial(b1=0, b2=0, b3=0):
@@ -224,3 +234,60 @@ def test_hermiticity_of_deformed_hamiltonian():
         spec = DeformationSpec(axial(F(1, 2), F(1, 3), F(-2)), q)
         h = deform_operator(OperatorExpr.free_hamiltonian(), spec)
         assert h.adjoint().equals(h)
+
+
+def test_spec_carries_its_shift_and_deformed_momenta():
+    spec = DeformationSpec(axial(F(1, 2), 1, -3), QSpec.radial_power(F(3, 2)))
+    assert spec.shift == tuple(momentum_shift(spec))
+    for j, (phat, s) in enumerate(zip(spec.momenta, spec.shift), start=1):
+        assert phat == OperatorExpr.momentum(j) + OperatorExpr.from_coord(s)
+        assert deform_operator(OperatorExpr.momentum(j), spec) == phat
+
+
+@pytest.fixture
+def shift_calls(monkeypatch):
+    """The specs ``momentum_shift`` is called on, one entry per call; the
+    list keeps each spec alive, so no two of them share an ``id``."""
+    calls = []
+    shift = deform.momentum_shift
+
+    def counted(spec):
+        calls.append(spec)
+        return shift(spec)
+    monkeypatch.setattr(deform, "momentum_shift", counted)
+    return calls
+
+
+def computed_once(calls):
+    return len({id(spec) for spec in calls}) == len(calls)
+
+
+def test_run_suite_computes_each_shift_once(shift_calls):
+    assert run_suite()["all_pass"]
+    assert computed_once(shift_calls)
+    assert 0 < len(shift_calls) <= 45
+
+
+def test_gauge_command_computes_one_shift_per_spec(shift_calls):
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert cli.main(["gauge", "--model", "combined_lense_thirring"]) == 0
+    assert len(shift_calls) == 2 and computed_once(shift_calls)
+
+
+def test_get_preset_builds_fresh_specs():
+    assert get_preset("landau").specs[0] is not get_preset("landau").specs[0]
+    assert get_preset("landau").specs[0] == get_preset("landau").specs[0]
+
+
+def test_importing_the_package_computes_no_shift():
+    code = ("import warpconv.deform as d\n"
+            "calls = []\n"
+            "shift = d.momentum_shift\n"
+            "d.momentum_shift = lambda s: calls.append(s) or shift(s)\n"
+            "import warpconv.models, warpconv.gauge, warpconv.verify\n"
+            "print(len(calls))\n")
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                          text=True, timeout=120,
+                          env=dict(os.environ, PYTHONPATH=SRC))
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "0\n"
