@@ -31,14 +31,13 @@ _EXPORTS = {
                "WarpconvError", "ZeroCouplingError"),
     "gauge": ("FieldStrength", "GaugeField", "bianchi_check",
               "extract_gauge_field", "field_strength", "holonomy",
-              "interference_phase", "lorentz_force", "phases_equal"),
+              "lorentz_force"),
     "models": ("GridSpec", "ModelPreset", "PRESETS", "coulomb_potential",
                "get_preset", "guiding_center", "uncertainty_area_symbolic"),
     "operators": ("OperatorExpr",),
     "parsing": ("parse",),
     "scalars": ("QC",),
-    "spectra": ("DegeneracyReport", "SpectrumResult", "discretize",
-                "distinct_level_spacings", "eigenvalues", "landau_degeneracy"),
+    "spectra": ("SpectrumResult", "discretize", "eigenvalues"),
 }
 
 _HOME = {**{module: module for module in _EXPORTS},

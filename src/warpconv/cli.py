@@ -11,8 +11,10 @@ Each command takes --config, --out and only the options it reads:
                 --points
 
 --B, --Q and --coupling define an inline deformation; a --model preset
-brings its own, so with --model any of them exits 2.  ``holonomy`` takes
-one deformation: a preset with two (``combined_*``) exits 3.  A value
+brings its own, so with --model any of them exits 2.  Each deformation
+of a preset has its own source's coupling: ``gauge`` reports it per
+field, and its top-level ``coupling`` is the first field's.  ``holonomy``
+takes one deformation: a preset with two (``combined_*``) exits 3.  A value
 that starts with '-' is written in the one-token form, ``--coupling=-m``
 or ``--B=-1,0,0``: argparse reads a separate ``-m`` as another flag.
 
@@ -29,7 +31,7 @@ across runs with the same options; human-readable summaries go to stderr.
 
 Exit codes: 0 success, 1 failed identity, 2 bad configuration (a
 non-positive mass included), 3 unsupported operator class, 4 numeric
-failure (a non-finite result included).
+failure (a non-finite result, or running out of memory, included).
 
 Building the parser and reading the options load no symbolic module: each
 command imports the modules it runs when it runs, so ``commutator`` loads
@@ -229,7 +231,8 @@ def _preset(name: str):
 
 
 def _resolve_model(args) -> tuple[str | None, list, object]:
-    """(name, specs, preset-or-None) from --model or inline --B/--Q."""
+    """(name, (spec, coupling) pairs, preset-or-None) from --model, whose
+    specs take their own sources' couplings, or from --B/--Q/--coupling."""
     from .deform import DeformationSpec
     if args.model is not None:
         inline = [flag for flag in ("--B", "--Q", "--coupling")
@@ -238,11 +241,12 @@ def _resolve_model(args) -> tuple[str | None, list, object]:
             raise ConfigError(f"--model excludes {' and '.join(inline)}, "
                               "which define an inline deformation")
         preset = _preset(args.model)
-        return preset.name, list(preset.specs), preset
+        return preset.name, preset.coupled_specs(), preset
     if args.B is None:
         raise ConfigError("need --model or an inline --B matrix")
     spec = DeformationSpec(_parse_matrix(args.B), _parse_generator(args.Q))
-    return None, [spec], None
+    coupling = _parse_coupling(getattr(args, "coupling", None))  # e for deform
+    return None, [(spec, coupling)], None
 
 
 
@@ -253,7 +257,7 @@ def _expression_payload(expr) -> dict:
 def cmd_deform(args) -> int:
     from .deform import deform_sequence
     from .operators import OperatorExpr
-    name, specs, preset = _resolve_model(args)
+    name, pairs, preset = _resolve_model(args)
     if args.expr is not None:
         from .parsing import parse
         operand = parse(args.expr)
@@ -261,7 +265,7 @@ def cmd_deform(args) -> int:
         operand = preset.base_hamiltonian()
     else:
         operand = OperatorExpr.free_hamiltonian()
-    deformed = deform_sequence(operand, specs)
+    deformed = deform_sequence(operand, [spec for spec, _ in pairs])
     payload = {
         "command": "deform",
         "model": name,
@@ -291,14 +295,13 @@ def cmd_commutator(args) -> int:
 def cmd_gauge(args) -> int:
     from .gauge import bianchi_check, extract_gauge_field, field_strength
     from .operators import OperatorExpr
-    name, specs, preset = _resolve_model(args)
-    coupling = (_parse_coupling(args.coupling)
-                if preset is None else preset.coupling)
+    name, pairs, _ = _resolve_model(args)
     fields = []
-    for spec in specs:
+    for spec, coupling in pairs:
         gf = extract_gauge_field(spec, coupling)
         fs = field_strength(spec, coupling)
         fields.append({
+            "coupling": str(coupling),
             "components": [str(c) for c in gf.components],
             "components_json": [
                 OperatorExpr.from_coord(c).to_json_dict()
@@ -309,7 +312,7 @@ def cmd_gauge(args) -> int:
             "bianchi_zero": bool(bianchi_check(fs)),
         })
     payload = {"command": "gauge", "model": name,
-               "coupling": str(coupling), "fields": fields}
+               "coupling": fields[0]["coupling"], "fields": fields}
     _dump(payload, args.out)
     return EXIT_OK
 
@@ -370,13 +373,11 @@ def cmd_spectrum(args) -> int:
 
 def cmd_holonomy(args) -> int:
     from .gauge import extract_gauge_field, holonomy
-    name, specs, preset = _resolve_model(args)
-    if len(specs) != 1:
+    name, pairs, _ = _resolve_model(args)
+    if len(pairs) != 1:
         raise UnsupportedOperandError(
-            f"holonomy integrates one deformation; {name} has {len(specs)}")
-    coupling = (_parse_coupling(args.coupling)
-                if preset is None else preset.coupling)
-    gf = extract_gauge_field(specs[0], coupling)
+            f"holonomy integrates one deformation; {name} has {len(pairs)}")
+    gf = extract_gauge_field(*pairs[0])
     if not 0 < args.radius < math.inf:
         raise ConfigError("--radius must be positive and finite")
     center = tuple(_number(v, "--center")
@@ -452,10 +453,14 @@ def main(argv: list[str] | None = None) -> int:
     except (UnsupportedDegreeError, UnsupportedOperandError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_UNSUPPORTED
-    # Numeric failures: non-convergence, singular points and loops, and a
-    # result that is not finite.
+    # Numeric failures: non-convergence, singular points and loops, a
+    # result that is not finite, and a grid too large for memory.
     except WarpconvError as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return EXIT_NUMERIC
+    except MemoryError as exc:
+        detail = f": {exc}" if str(exc) else ""
+        print(f"error: out of memory{detail}", file=sys.stderr)
         return EXIT_NUMERIC
 
 

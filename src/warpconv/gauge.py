@@ -9,14 +9,12 @@ identity yields the homogeneous (source-free) field equations.  All fields
 here are static coordinate functions, so time-derivative terms vanish
 identically.
 
-The loop integral of A (``holonomy``) and the Aharonov-Bohm interference
-phases are computed here too, with ``math`` alone, so every command but the
-grid spectrum runs without numpy or scipy.
+The loop integral of A (``holonomy``) is computed here too, with ``math``
+alone, so every command but the grid spectrum runs without numpy or scipy.
 """
 
 from __future__ import annotations
 
-import cmath
 import math
 from fractions import Fraction
 
@@ -203,23 +201,3 @@ def holonomy(gauge: GaugeField, radius: float, center=(0.0, 0.0, 0.0),
         total += (-a2(c1, x2, x3).real * math.sin(th)
                   + a3(c1, x2, x3).real * math.cos(th)) * radius * dtheta
     return total
-
-
-def interference_phase(e, phi_in_pi) -> complex:
-    """exp(i e phi) for a flux phi given as a rational multiple of pi.
-
-    Reduced exactly modulo 2 pi first, so e.g. e*phi = 2 pi returns exactly
-    1 and e*phi = pi returns exactly -1.
-    """
-    x = Fraction(e) * Fraction(phi_in_pi) % 2  # angle in units of pi
-    if x == 0:
-        return complex(1.0, 0.0)
-    if x == 1:
-        return complex(-1.0, 0.0)
-    return cmath.exp(1j * math.pi * float(x))
-
-
-def phases_equal(e, phi1_in_pi, phi2_in_pi) -> bool:
-    """Exact equality of interference phases for two fluxes."""
-    diff = Fraction(e) * (Fraction(phi1_in_pi) - Fraction(phi2_in_pi)) % 2
-    return diff == 0

@@ -47,19 +47,30 @@ RAT = Fraction
 
 
 class ModelPreset:
-    """A named physical system obtained by deforming H0 (or H0 + potential)."""
+    """A named physical system obtained by deforming H0 (or H0 + potential);
+    ``specs[i]`` is the deformation of ``sources[i]``, coupling included."""
 
     # No __slots__: each cached_property keeps its value in the instance
     # __dict__.
     def __init__(self, name: str, specs: tuple[DeformationSpec, ...],
-                 coupling: CoordFunction, potential: CoordFunction | None,
+                 potential: CoordFunction | None,
                  sources: tuple[_Source, ...], sign_note: str = ""):
         self.name = name
         self.specs = specs
-        self.coupling = coupling
         self.potential = potential
         self.sources = sources  # the catalog sources the references read
         self.sign_note = sign_note
+
+    @property
+    def coupling(self) -> CoordFunction:
+        """The first source's coupling: the one the scalar potential pairs
+        with and the metadata reports."""
+        return self.sources[0].coupling
+
+    def coupled_specs(self) -> list[tuple[DeformationSpec, CoordFunction]]:
+        """Each spec with its own source's coupling g (S = g A)."""
+        return [(spec, source.coupling)
+                for spec, source in zip(self.specs, self.sources)]
 
     def base_hamiltonian(self) -> OperatorExpr:
         h = OperatorExpr.free_hamiltonian()
@@ -319,8 +330,7 @@ def get_preset(name: str) -> ModelPreset:
                        f"known: {', '.join(sorted(PRESETS))}")
     sources, potential, sign_note = _CATALOG[name]
     specs = tuple(DeformationSpec(s.matrix, s.generator) for s in sources)
-    return ModelPreset(name=name, specs=specs,
-                       coupling=sources[0].coupling, potential=potential,
+    return ModelPreset(name=name, specs=specs, potential=potential,
                        sources=sources, sign_note=sign_note)
 
 

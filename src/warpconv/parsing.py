@@ -186,7 +186,10 @@ class Parser:
         den = 1
         if paren and self.peek().kind == "/":
             self.next()
-            den = int(self.expect("num").text)
+            tok = self.expect("num")
+            den = int(tok.text)
+            if den == 0:
+                raise ParseError("exponent has a zero denominator", tok.pos)
         if paren:
             self.expect(")")
         return Fraction(sign * num, den)

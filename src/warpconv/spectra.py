@@ -60,15 +60,11 @@ class SpectrumResult:
         self.warnings = warnings
         self.seed = seed
 
-    @property
-    def count(self) -> int:
-        return len(self.eigenvalues)
-
     def to_json_dict(self) -> dict:
         return {
             "eigenvalues": [float(v) for v in self.eigenvalues],
             "residuals": [float(v) for v in self.residuals],
-            "count": self.count,
+            "count": len(self.eigenvalues),
             "grid": self.grid,
             "warnings": list(self.warnings),
             "seed": self.seed,
@@ -257,70 +253,3 @@ def eigenvalues(matrix: scipy.sparse.spmatrix, k: int, info: dict,
         warnings=list(info["warnings"]),
         seed=seed,
     )
-
-
-class DegeneracyReport:
-    __slots__ = ("tolerance", "clusters")
-
-    def __init__(self, tolerance: float, clusters: tuple):
-        self.tolerance = tolerance
-        self.clusters = clusters  # of (mean energy, multiplicity)
-
-    def sizes(self) -> list[int]:
-        return [size for _, size in self.clusters]
-
-    def to_json_dict(self) -> dict:
-        return {"tolerance": self.tolerance,
-                "clusters": [{"energy": m, "multiplicity": s}
-                             for m, s in self.clusters]}
-
-
-def landau_degeneracy(result: SpectrumResult, tol: float) -> DegeneracyReport:
-    """Cluster ascending eigenvalues and report level multiplicities.
-
-    A level joins the current cluster when its gap to the level below is
-    less than tol, so tol=0 makes every level its own cluster.
-    """
-    clusters = []
-    current: list[float] = []
-    for ev in result.eigenvalues:
-        if current and ev - current[-1] >= tol:
-            clusters.append((sum(current) / len(current), len(current)))
-            current = []
-        current.append(ev)
-    if current:
-        clusters.append((sum(current) / len(current), len(current)))
-    return DegeneracyReport(tolerance=tol, clusters=tuple(clusters))
-
-
-def landau_level_values(result: SpectrumResult, omega_hint: float,
-                        levels: int = 4, window: float = 0.08) -> list[float]:
-    """Band-head energies of the lowest Landau-like levels.
-
-    In a Dirichlet box each bulk level appears as a tight cluster whose
-    lowest member (the band head) is exponentially close to the ideal
-    (n + 1/2) omega; edge states climb upward from each band and leave a
-    clean gap (about 0.12 omega empirically) below the next head.
-    ``omega_hint`` locates a +-window*omega search interval around
-    head_0 + n*omega; the head is the smallest eigenvalue inside it.
-    The hint only needs to be right to ~8 percent, far looser than any
-    accuracy claim tested against the returned values.
-    """
-    evs = result.eigenvalues
-    heads = [evs[0]]
-    for n in range(1, levels):
-        target = heads[0] + n * omega_hint
-        cands = [e for e in evs if abs(e - target) < window * omega_hint]
-        if not cands:
-            raise NonConvergenceError(
-                f"no eigenvalue near expected level {n}",
-                {"target": target, "count": len(evs)})
-        heads.append(min(cands))
-    return heads
-
-
-def distinct_level_spacings(result: SpectrumResult, omega_hint: float,
-                            levels: int = 4) -> list[float]:
-    """Spacings between consecutive band heads (see landau_level_values)."""
-    heads = landau_level_values(result, omega_hint, levels)
-    return [b - a for a, b in zip(heads, heads[1:])]

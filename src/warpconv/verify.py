@@ -294,9 +294,7 @@ def _gauge_checks(wants: Wants, presets,
     def cross_check(name):
         """Entries of F from the commutators of the shifted momenta, paired
         with the entries of the curl of A, spec by spec."""
-        preset = presets(name)
-        g = preset.coupling
-        for spec in preset.specs:
+        for spec, g in presets(name).coupled_specs():
             comm = [f for row in field_strength(spec, g).rows for f in row]
             if negative_control:
                 # Wrong-convention injection: divide by +ig instead of -ig.

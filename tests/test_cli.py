@@ -16,7 +16,7 @@ NOT_UTF8 = os.path.join(os.path.dirname(os.path.abspath(__file__)), "configs",
 
 PUBLIC_NAMES = [
     "ConfigError", "CoordFunction", "DeformationMatrix", "DeformationSpec",
-    "DegeneracyReport", "FieldStrength", "GaugeField", "GridSpec",
+    "FieldStrength", "GaugeField", "GridSpec",
     "InternalInconsistencyError", "ModelPreset", "NonConvergenceError",
     "NonPositiveParameterError", "OperatorExpr", "PRESETS", "ParseError", "QC",
     "QSpec", "SingularLoopError", "SingularMatrixError", "SingularPointError",
@@ -24,11 +24,11 @@ PUBLIC_NAMES = [
     "UnknownSymbolError", "UnsupportedDegreeError", "UnsupportedOperandError",
     "WarpconvError", "ZeroCouplingError", "bianchi_check", "coords",
     "coulomb_potential", "deform", "deform_coordinate", "deform_operator",
-    "deform_sequence", "discretize", "distinct_level_spacings", "eigenvalues",
+    "deform_sequence", "discretize", "eigenvalues",
     "errors", "extract_gauge_field", "field_strength", "gauge", "get_preset",
-    "guiding_center", "holonomy", "interference_phase", "landau_degeneracy",
+    "guiding_center", "holonomy",
     "lorentz_force", "models", "momentum_shift", "operators", "parse",
-    "parsing", "phases_equal", "rieffel_product", "scalars",
+    "parsing", "rieffel_product", "scalars",
     "spectra", "uncertainty_area_symbolic",
 ]
 
@@ -172,6 +172,10 @@ def test_every_public_name_resolves():
     (["holonomy", "--model", "combined_lense_thirring",
       "--constants", "e=1,B=1,m=1,Omega=5", "--center=0,0.5,0"],
      cli.EXIT_UNSUPPORTED),
+    # A rational exponent with a zero denominator is a parse error.
+    (["commutator", "--a", "r^(1/0)", "--b", "P1"], cli.EXIT_CONFIG),
+    (["commutator", "--a", "X1^(2/0)", "--b", "P1"], cli.EXIT_CONFIG),
+    (["commutator", "--a", "e^(1/0)", "--b", "P1"], cli.EXIT_CONFIG),
 ])
 def test_exit_codes(argv, code, capsys):
     assert cli.main(argv) == code
@@ -179,6 +183,21 @@ def test_exit_codes(argv, code, capsys):
     if code != cli.EXIT_OK:
         assert err.startswith("error: ") and err.count("\n") == 1, err
         assert out == ""
+
+
+# numpy names the allocation; a failed allocation in C has no message.
+@pytest.mark.parametrize("message, line", [
+    ("Unable to allocate 2.98 GiB", "out of memory: Unable to allocate 2.98 GiB"),
+    ("", "out of memory")])
+def test_out_of_memory_is_a_numeric_failure(message, line, monkeypatch,
+                                            capsys):
+    def exhausted(*args):
+        raise MemoryError(message)
+    monkeypatch.setattr(spectra, "discretize", exhausted)
+    assert cli.main(["spectrum", "--model", "free", "--grid", "20000,10",
+                     "--k", "2", "--constants", "m=1"]) == cli.EXIT_NUMERIC
+    out, err = capsys.readouterr()
+    assert (out, err) == ("", f"error: {line}\n")
 
 
 OPTIONS_READ = {

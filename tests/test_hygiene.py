@@ -88,20 +88,15 @@ def test_only_the_filter_asks_what_a_selection_wants():
     assert [call for call in calls if not call.startswith(allowed)] == []
 
 
-# Public names with no caller in src/ yet (ROADMAP item 4). Wiring one up
-# or deleting it shrinks this list; a new public name without a caller
-# fails.
-UNCALLED_PUBLIC_NAMES = [
-    "distinct_level_spacings", "interference_phase", "landau_degeneracy",
-    "phases_equal",
-]
+# Public names with no caller in src/; a new public name without a caller
+# fails until it gains one or is listed here.
+UNCALLED_PUBLIC_NAMES = []
 
 # Names defined in src/ that nothing in src/ refers to, each kept on purpose.
 UNREFERENCED_DEFINITIONS = {
     "error": "_Parser.error overrides argparse, which calls it",
     "from_json_dict": "OperatorExpr.from_json_dict inverts to_json_dict; "
                       "the JSON round-trip test calls it",
-    "sizes": "DegeneracyReport.sizes; only tests call it",
     "substitute_symbol": "CoordFunction and OperatorExpr.substitute_symbol; "
                          "only tests call them",
     **{name: "public, pending a caller" for name in UNCALLED_PUBLIC_NAMES},

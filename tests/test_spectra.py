@@ -10,12 +10,10 @@ from warpconv.deform import DeformationSpec, QSpec
 from warpconv.errors import (NonPositiveParameterError, SingularLoopError,
                              SingularPointError, UnboundConstantError,
                              UnsupportedOperandError)
-from warpconv.gauge import (extract_gauge_field, holonomy, interference_phase,
-                            phases_equal)
+from warpconv.gauge import extract_gauge_field, holonomy
 from warpconv import spectra
 from warpconv.models import ModelPreset, get_preset
-from warpconv.spectra import (GridSpec, discretize, distinct_level_spacings,
-                              eigenvalues, landau_degeneracy)
+from warpconv.spectra import GridSpec, discretize, eigenvalues
 
 F = Fraction
 
@@ -101,10 +99,12 @@ def test_landau_spacings_small_grid():
     grid = GridSpec(extent=10.0, points=64)
     mat, info = discretize(get_preset("landau"), grid,
                            {"e": 1.0, "B": 1.0, "m": 1.0})
-    res = eigenvalues(mat, 40, info, seed=5)
-    spacings = distinct_level_spacings(res, 1.0, levels=3)
-    for s in spacings:
-        assert abs(s - 1.0) < 0.02
+    evs = eigenvalues(mat, 40, info, seed=5).eigenvalues
+    # The band head of level n is the lowest eigenvalue within 8% of
+    # omega = eB/m = 1 of E_0 + n omega; edge states climb above each head.
+    heads = [min(e for e in evs if abs(e - evs[0] - n) < 0.08)
+             for n in range(3)]
+    assert all(abs(b - a - 1.0) < 0.02 for a, b in zip(heads, heads[1:]))
 
 
 def test_eigenvalue_convergence_under_refinement():
@@ -149,7 +149,6 @@ def test_gauge_translation_leaves_spectrum_invariant():
     shifted = ModelPreset(
         name="landau_translated",
         specs=(DeformationSpec(base.specs[0].matrix, shifted_q),),
-        coupling=base.coupling,
         potential=None,
         sources=base.sources,
     )
@@ -166,15 +165,59 @@ def _both(pair):
     return mat, 10, info
 
 
+def _warped_convolution(preset, grid, constants):
+    """The free lattice Hamiltonian deformed as the paper's warped
+    convolution deforms it, written down without ``discretize``'s Peierls
+    phases: (H_B)_ab = (H_free)_ab exp(i Q(x_a)^T B Q(x_b)), the phase
+    summed over the preset's specs, at the nodes x_a of the x1 = 0 plane.
+
+    For a generator linear in x this is the Peierls phase of every hop,
+    whose link integrals the midpoint rule takes exactly.  The flux line's
+    Q = x / rho gives b sin(dtheta) where the Peierls phase is b dtheta,
+    dtheta being the angle a hop subtends at the axis: at N = 32, L = 10,
+    e = phi_M = 1 the two matrices differ by 1.15 off the diagonal, so
+    aharonov_bohm is not compared.
+    """
+    free, _ = discretize(get_preset("free"), grid, {"m": constants["m"]})
+    xs = np.array(grid.nodes())
+    x2, x3 = (v.ravel() for v in np.meshgrid(xs, xs, indexing="ij"))
+    phase = 0.0
+    for spec in preset.specs:
+        q = np.array([np.broadcast_to(c.compile(constants)(0.0, x2, x3),
+                                      x2.shape).real
+                      for c in spec.generator.components])
+        b = np.array([[entry.compile(constants)(0.0, 0.0, 0.0).real
+                       for entry in row] for row in spec.matrix.rows])
+        phase = phase + q.T @ b @ q
+    return free.toarray() * np.exp(1j * phase)
+
+
+@pytest.mark.parametrize("name", ["landau", "gravito_constant", "zeeman",
+                                  "combined_constant"])
+def test_peierls_phases_are_the_warped_convolution(name):
+    # Constants under which no deformation cancels: at Omega = 3/4 the
+    # combined matrix would be the free one.
+    grid = GridSpec(extent=10.0, points=32)
+    constants = {"e": 1.0, "m": 1.0, "B": 1.5, "Omega": 0.25}
+    preset = get_preset(name)
+    mat, _ = discretize(preset, grid, constants)
+    oracle = _warped_convolution(preset, grid, constants)
+    off_diagonal = ~np.eye(oracle.shape[0], dtype=bool)
+
+    def departure(candidate):
+        return np.abs(candidate.toarray() - oracle)[off_diagonal].max()
+    # Measured: 1.3e-14 to 4.5e-14 here, and 5.1 to 12.7 for the mutant
+    # whose Peierls phases have the wrong sign.
+    assert departure(mat) < 1e-12 * grid.hop(1.0)
+    assert departure(mat.conj()) > 1.0
+
+
 def test_degeneracy_report():
     grid = GridSpec(extent=4.0, points=32)
     mat, info = discretize(get_preset("free"), grid, {"m": 1.0})
-    res = eigenvalues(mat, 8, info)
-    # tol=0 makes every eigenvalue its own cluster
-    assert landau_degeneracy(res, 0.0).sizes() == [1] * 8
-    # box degeneracy pattern 1, 2, 1, 2, ...
-    rep = landau_degeneracy(res, 0.05)
-    assert rep.sizes()[:4] == [1, 2, 1, 2]
+    evs = eigenvalues(mat, 8, info).eigenvalues
+    # box degeneracy pattern 1, 2, 1, 2: E11, E12 = E21, E22, E13 = E31
+    assert list(np.diff(evs[:6]) < 0.05) == [False, True, False, False, True]
 
 
 def test_lowest_cluster_grows_with_field():
@@ -183,9 +226,9 @@ def test_lowest_cluster_grows_with_field():
         grid = GridSpec(extent=10.0, points=64)
         mat, info = discretize(get_preset("landau"), grid,
                                {"e": 1.0, "B": bval, "m": 1.0})
-        res = eigenvalues(mat, 40, info, seed=3)
-        rep = landau_degeneracy(res, 0.05 * bval)
-        sizes[bval] = rep.sizes()[0]
+        evs = eigenvalues(mat, 40, info, seed=3).eigenvalues
+        # levels chained to the lowest by gaps under 0.05 B
+        sizes[bval] = 1 + np.argmin(np.diff(evs) < 0.05 * bval)
     # flux counting: doubling B roughly doubles the lowest-level count
     ratio = sizes[2.0] / sizes[1.0]
     assert 1.4 < ratio < 3.0
@@ -230,33 +273,13 @@ def test_holonomy_validation_and_singular_loop():
                  constants={"m": 1, "Omega": 1})
 
 
-def test_interference_phase():
-    assert interference_phase(1, 2) == 1.0            # e phi = 2 pi
-    assert interference_phase(1, 0) == 1.0
-    assert interference_phase(1, 1) == -1.0           # e phi = pi
-    z = interference_phase(F(1, 2), F(1, 2))          # e phi = pi/4
-    assert abs(z - complex(math.cos(math.pi / 4), math.sin(math.pi / 4))) < 1e-15
-
-
-def test_phase_consistency_with_flux_condition():
-    # Two fluxes give the same interference pattern iff e (phi1 - phi2) is
-    # an integer multiple of 2 pi; fluxes are rational multiples of pi.
-    cases = [(F(1), F(2), F(0), True), (F(1), F(1), F(0), False),
-             (F(3), F(4, 3), F(-2, 3), True), (F(2), F(5, 2), F(1, 2), True),
-             (F(5), F(7, 5), F(3, 5), True)]
-    for e, p1, p2, equal in cases:
-        assert phases_equal(e, p1, p2) is equal
-        if equal:
-            assert interference_phase(e, p1) == interference_phase(e, p2)
-
-
 def test_dense_and_sparse_paths_agree(monkeypatch):
     free = get_preset("free")
     cases = [
         (get_preset("landau"), GridSpec(extent=10.0, points=16),
          {"e": 1.0, "B": 1.0, "m": 1.0}),
         # The lowest levels are negative and far from zero.
-        (ModelPreset(name=free.name, specs=free.specs, coupling=free.coupling,
+        (ModelPreset(name=free.name, specs=free.specs,
                      potential=CoordFunction.scalar(-5),
                      sources=free.sources),
          GridSpec(extent=4.0, points=20), {"m": 1.0}),
