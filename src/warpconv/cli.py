@@ -184,14 +184,15 @@ def _parse_matrix(text: str):
     vals = [_number(v, "--B", Fraction)
             for v in text.replace(",", " ").split()]
     if len(vals) == 1 and vals[0] == 0:
-        return DeformationMatrix.zero()
+        return DeformationMatrix()
     if len(vals) == 3:
-        return DeformationMatrix.axial(*vals)
+        return DeformationMatrix(*vals)
     if len(vals) == 9:
-        matrix = DeformationMatrix([vals[0:3], vals[3:6], vals[6:9]])
-        if not matrix.is_skew_symmetric():
-            raise ConfigError("--B must be skew-symmetric")
-        return matrix
+        try:
+            return DeformationMatrix.from_rows([vals[0:3], vals[3:6],
+                                                vals[6:9]])
+        except ValueError as exc:
+            raise ConfigError("--B must be skew-symmetric") from exc
     raise ConfigError("--B needs 1 (zero), 3 (axial) or 9 (row-major) entries")
 
 
@@ -436,15 +437,25 @@ def build_parser() -> argparse.ArgumentParser:
     return ap
 
 
+def _parse_args(parser: argparse.ArgumentParser, argv: list[str]):
+    """The parsed options.  argparse stores [] for ``--flag=--``; no option
+    takes several values, so a list is an option without a value."""
+    args = parser.parse_args(argv)
+    for dest, value in vars(args).items():
+        if isinstance(value, list):
+            raise ConfigError(f"--{dest.replace('_', '-')} needs a value")
+    return args
+
+
 def main(argv: list[str] | None = None) -> int:
     argv = sys.argv[1:] if argv is None else list(argv)
     try:
         parser = build_parser()
-        args = parser.parse_args(argv)
+        args = _parse_args(parser, argv)
         if args.config:
             at = argv.index(args.command) + 1
-            args = parser.parse_args(
-                argv[:at] + _config_flags(args.config) + argv[at:])
+            args = _parse_args(
+                parser, argv[:at] + _config_flags(args.config) + argv[at:])
         return COMMANDS[args.command](args)
     except (ConfigError, NonPositiveParameterError, ParseError,
             UnboundConstantError) as exc:

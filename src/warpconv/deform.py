@@ -2,8 +2,11 @@
 
 A deformation is specified by a real skew-symmetric 3x3 matrix B with
 constant entries and a generator Q(X), a commuting triple of
-coordinate functions.  On the momentum-degree <= 2 class the deformation
-acts by the in-place substitution
+coordinate functions.  B is held by its axial vector b, B_ij =
+epsilon_ijk b^k, so it is skew by construction; only nine entries given
+from outside (``DeformationMatrix.from_rows``) are checked for skewness.
+On the momentum-degree <= 2 class the deformation acts by the in-place
+substitution
 
     P_j  ->  P_j + S_j,      S_j = -(B Q)_k dQ_k/dx_j,
 
@@ -32,54 +35,36 @@ def _as_entry(v) -> CoordFunction:
 
 
 class DeformationMatrix:
-    """Real skew-symmetric 3x3 matrix of constants."""
+    """Real skew-symmetric 3x3 matrix of constants, B_ij = epsilon_ijk b^k,
+    stored by its axial vector ``axial`` = (b1, b2, b3); ``rows``, the
+    nine entries, are built from it once, so B is skew by construction."""
 
-    __slots__ = ("rows",)
+    __slots__ = ("axial", "rows")
 
-    def __init__(self, rows: Sequence[Sequence]):
-        self.rows = tuple(tuple(_as_entry(v) for v in row) for row in rows)
-        if len(self.rows) != 3 or any(len(r) != 3 for r in self.rows):
-            raise ValueError("expected a 3x3 matrix")
+    def __init__(self, b1=0, b2=0, b3=0):
+        b = self.axial = (_as_entry(b1), _as_entry(b2), _as_entry(b3))
+        z = CoordFunction.zero()
+        self.rows = ((z, b[2], -b[1]), (-b[2], z, b[0]), (b[1], -b[0], z))
 
     @staticmethod
-    def zero() -> "DeformationMatrix":
-        z = CoordFunction.zero()
-        return DeformationMatrix([[z, z, z], [z, z, z], [z, z, z]])
-
-    @staticmethod
-    def axial(b1=0, b2=0, b3=0) -> "DeformationMatrix":
-        """B_ij = epsilon_ijk b^k for an axial vector (b1, b2, b3)."""
-        b = [_as_entry(b1), _as_entry(b2), _as_entry(b3)]
-        z = CoordFunction.zero()
-        return DeformationMatrix([
-            [z, b[2], -b[1]],
-            [-b[2], z, b[0]],
-            [b[1], -b[0], z],
-        ])
-
-    def axial_part(self) -> tuple[CoordFunction, CoordFunction, CoordFunction]:
-        """Recover b^k from B_ij = epsilon_ijk b^k (valid for skew B)."""
-        return (self.rows[1][2], self.rows[2][0], self.rows[0][1])
-
-    def is_skew_symmetric(self) -> bool:
-        for i in range(3):
-            for j in range(3):
-                if not (self.rows[i][j] + self.rows[j][i]).is_structurally_zero():
-                    return False
-        return True
+    def from_rows(rows: Sequence[Sequence]) -> "DeformationMatrix":
+        """The matrix of nine row-major entries; ValueError unless they
+        form a skew-symmetric 3x3 matrix of constants."""
+        matrix = DeformationMatrix(rows[1][2], rows[2][0], rows[0][1])
+        if matrix.rows != tuple(tuple(_as_entry(v) for v in row)
+                                for row in rows):
+            raise ValueError("deformation matrix must be skew-symmetric")
+        return matrix
 
     def __add__(self, other: "DeformationMatrix") -> "DeformationMatrix":
-        return DeformationMatrix([
-            [self.rows[i][j] + other.rows[i][j] for j in range(3)]
-            for i in range(3)
-        ])
+        return DeformationMatrix(*(b + c for b, c in zip(self.axial,
+                                                         other.axial)))
 
     def __neg__(self) -> "DeformationMatrix":
-        return DeformationMatrix([[-v for v in row] for row in self.rows])
+        return DeformationMatrix(*(-b for b in self.axial))
 
     def scale(self, s: "ScalarLike | CoordFunction") -> "DeformationMatrix":
-        return DeformationMatrix([[v.scale(s) for v in row]
-                                  for row in self.rows])
+        return DeformationMatrix(*(b.scale(s) for b in self.axial))
 
     def apply(self, vec: Sequence[CoordFunction]) -> list[CoordFunction]:
         """(B v)_i = sum_j B_ij v_j for a triple of coordinate functions."""
@@ -90,13 +75,14 @@ class DeformationMatrix:
         ]
 
     def is_zero(self) -> bool:
-        return all(v.is_structurally_zero() for row in self.rows for v in row)
+        return all(b.is_structurally_zero() for b in self.axial)
 
     def __eq__(self, other) -> bool:
-        return isinstance(other, DeformationMatrix) and self.rows == other.rows
+        return (isinstance(other, DeformationMatrix)
+                and self.axial == other.axial)
 
     def __hash__(self):
-        return hash(self.rows)
+        return hash(self.axial)
 
     def __str__(self) -> str:
         return "[" + "; ".join(
@@ -149,8 +135,6 @@ class DeformationSpec:
     __slots__ = ("matrix", "generator", "shift", "momenta")
 
     def __init__(self, matrix: DeformationMatrix, generator: QSpec):
-        if not matrix.is_skew_symmetric():
-            raise ValueError("deformation matrix must be skew-symmetric")
         self.matrix = matrix
         self.generator = generator
         self.shift = tuple(momentum_shift(self))
@@ -234,8 +218,6 @@ def deform_sequence(a: OperatorExpr,
 
 def deform_coordinate(theta: DeformationMatrix) -> tuple[OperatorExpr, ...]:
     """Deformed coordinates X_j - (theta P)_j for a skew matrix theta."""
-    if not theta.is_skew_symmetric():
-        raise ValueError("theta must be skew-symmetric")
     out = []
     for j in range(3):
         expr = OperatorExpr.position(j + 1)
@@ -287,11 +269,10 @@ def invert_transverse_block(matrix: DeformationMatrix,
     """Inverse of the 2x2 block transverse to ``axis`` (zero elsewhere).
 
     For an axial matrix B = epsilon_ijk b^k along ``axis`` the block is
-    [[0, b], [-b, 0]] with inverse [[0, -1/b], [1/b, 0]].
+    [[0, b], [-b, 0]] with inverse [[0, -1/b], [1/b, 0]], the axial matrix
+    of -1/b along ``axis``.
     """
-    others = [k for k in range(3) if k != axis - 1]
-    i, j = others
-    b = matrix.rows[i][j]
+    b = matrix.axial[axis - 1]
     if b.is_structurally_zero():
         raise SingularMatrixError("transverse block is singular")
     try:
@@ -299,8 +280,6 @@ def invert_transverse_block(matrix: DeformationMatrix,
     except ValueError as exc:
         raise SingularMatrixError("transverse block entry is a sum; "
                                   "no exact scalar inverse") from exc
-    z = CoordFunction.zero()
-    rows = [[z, z, z], [z, z, z], [z, z, z]]
-    rows[i][j] = -inv_entry
-    rows[j][i] = inv_entry
-    return DeformationMatrix(rows)
+    axial = [0, 0, 0]
+    axial[axis - 1] = -inv_entry
+    return DeformationMatrix(*axial)

@@ -5,7 +5,10 @@ S_j = g A_j identifies a gauge field A with coupling g; S and P_j + S_j
 are read from the spec, which computed them once.  The commutator of
 two shifted momenta is then -i g F_ij with F the curl of A, the commutator
 with the shifted Hamiltonian produces the Lorentz force, and the Jacobi
-identity yields the homogeneous (source-free) field equations.  All fields
+identity yields the homogeneous (source-free) field equations.  F is
+antisymmetric, so only F12, F13 and F23 are computed, by three
+commutators or three curl entries; they are the (gravito)magnetic axial
+field, and the one Bianchi sum they leave is its divergence.  All fields
 here are static coordinate functions, so time-derivative terms vanish
 identically.
 
@@ -25,6 +28,8 @@ from .operators import HALF_OVER_M, OperatorExpr, require_coordinate_only
 from .scalars import QC
 
 _I = QC(0, Fraction(1))
+# The index pairs (i, j) above the diagonal, in row-major order.
+_UPPER = ((1, 2), (1, 3), (2, 3))
 
 
 class GaugeField:
@@ -39,22 +44,22 @@ class GaugeField:
     def curl(self) -> "FieldStrength":
         """F_ij = dA_j/dx_i - dA_i/dx_j, independent of any commutator."""
         a = self.components
-        rows = []
-        for i in (1, 2, 3):
-            row = []
-            for j in (1, 2, 3):
-                row.append(a[j - 1].partial(i) - a[i - 1].partial(j))
-            rows.append(tuple(row))
-        return FieldStrength(tuple(rows))
+        return FieldStrength(*(a[j - 1].partial(i) - a[i - 1].partial(j)
+                               for i, j in _UPPER))
 
 
 class FieldStrength:
-    """Antisymmetric 3x3 matrix of coordinate functions."""
+    """Antisymmetric 3x3 matrix of coordinate functions, stored by its
+    entries above the diagonal, ``upper`` = (F12, F13, F23); ``rows``, the
+    nine entries, are built from them once."""
 
-    __slots__ = ("rows",)
+    __slots__ = ("upper", "rows")
 
-    def __init__(self, rows: tuple):
-        self.rows = rows
+    def __init__(self, f12: CoordFunction, f13: CoordFunction,
+                 f23: CoordFunction):
+        self.upper = (f12, f13, f23)
+        z = CoordFunction.zero()
+        self.rows = ((z, f12, f13), (-f12, z, f23), (-f13, -f23, z))
 
     def __getitem__(self, ij: tuple[int, int]) -> CoordFunction:
         i, j = ij
@@ -86,16 +91,13 @@ def field_strength(spec: DeformationSpec,
     """
     norm = (CoordFunction.one() if coupling is None
             else _inverse_coupling(coupling, "field strength"))
-    rows = []
-    for i in range(3):
-        row = []
-        for j in range(3):
-            comm = spec.momenta[i].commutator(spec.momenta[j])
-            f = require_coordinate_only(comm, f"[P{i+1}^def, P{j+1}^def]")
-            # divide by -i g:  f / (-i g) = f * i / g
-            row.append(f.scale(_I).scale(norm))
-        rows.append(tuple(row))
-    return FieldStrength(tuple(rows))
+
+    def entry(i, j):
+        comm = spec.momenta[i - 1].commutator(spec.momenta[j - 1])
+        f = require_coordinate_only(comm, f"[P{i}^def, P{j}^def]")
+        # divide by -i g:  f / (-i g) = f * i / g
+        return f.scale(_I).scale(norm)
+    return FieldStrength(*(entry(i, j) for i, j in _UPPER))
 
 
 def lorentz_force(spec: DeformationSpec, potential: CoordFunction,
@@ -124,13 +126,12 @@ def lorentz_force(spec: DeformationSpec, potential: CoordFunction,
 
 
 def bianchi_sums(fs: FieldStrength):
-    """The cyclic sums d_k F_ij + d_i F_jk + d_j F_ki over every k, i, j;
-    the Bianchi identity says each is the zero function."""
-    for k in (1, 2, 3):
-        for i in (1, 2, 3):
-            for j in (1, 2, 3):
-                yield (fs[(i, j)].partial(k) + fs[(j, k)].partial(i)
-                       + fs[(k, i)].partial(j))
+    """The cyclic sum d_1 F_23 + d_2 F_31 + d_3 F_12 (div B for the axial
+    field B); by antisymmetry every other cyclic sum d_k F_ij + d_i F_jk +
+    d_j F_ki is zero or this one up to sign.  The Bianchi identity says it
+    is the zero function."""
+    f12, f13, f23 = fs.upper
+    yield f23.partial(1) - f13.partial(2) + f12.partial(3)
 
 
 def bianchi_check(fs: FieldStrength) -> bool:
@@ -155,14 +156,13 @@ def jacobi_maxwell_sums(spec: DeformationSpec, potential: CoordFunction,
         return (a.commutator(b.commutator(c)) + b.commutator(c.commutator(a))
                 + c.commutator(a.commutator(b)))
 
-    pairs = [(1, 2), (1, 3), (2, 3)]
     for k in (1, 2, 3):
-        for (i, j) in pairs:
+        for (i, j) in _UPPER:
             yield jacobi(phat[k - 1], phat[i - 1], phat[j - 1])
-    for (i, j) in pairs:
+    for (i, j) in _UPPER:
         yield jacobi(h_tot, phat[i - 1], phat[j - 1])
     e_field = [-potential.partial(j) for j in (1, 2, 3)]
-    for (i, j) in pairs:
+    for (i, j) in _UPPER:
         yield OperatorExpr.from_coord(
             e_field[j - 1].partial(i) - e_field[i - 1].partial(j))
 

@@ -265,18 +265,18 @@ _PHI_2PI = (CoordFunction.constant("phi_M", 1, RAT(1, 2))
             * CoordFunction.constant("pi", -1))
 _ONE = CoordFunction.scalar(1)
 # Axial -m Omega shifts P by +m h.
-_GRAVITO = DeformationMatrix.axial(-_M * _OMEGA)
+_GRAVITO = DeformationMatrix(-_M * _OMEGA)
 
 _NO_FIELD = _Source(_E, _E, (CoordFunction.zero(),) * 3,
-                    DeformationMatrix.zero(), QSpec.coordinate())
+                    DeformationMatrix(), QSpec.coordinate())
 # A = (1/2) B cross x, the symmetric gauge; axial e B/2 shifts P by +e A.
 _MAGNETIC = _Source(_E, _E, azimuthal_field(_B_HALF, _ONE),
-                    DeformationMatrix.axial(_E * _B_HALF), QSpec.coordinate())
+                    DeformationMatrix(_E * _B_HALF), QSpec.coordinate())
 # A = (phi_M / 2 pi) (0, -x3, x2) / rho^2; axial e phi_M / 2 pi shifts P
 # by +e A.
 _FLUX_LINE = _Source(
     _E, _E, azimuthal_field(_PHI_2PI, CoordFunction.rho_power(-2)),
-    DeformationMatrix.axial(_E * _PHI_2PI), QSpec.transverse_radial())
+    DeformationMatrix(_E * _PHI_2PI), QSpec.transverse_radial())
 # h = x cross Omega.
 _GRAVITO_CONSTANT = _Source(-_M, _M, azimuthal_field(-_OMEGA, _ONE),
                             _GRAVITO, QSpec.coordinate(), linear=True)
@@ -344,8 +344,8 @@ def guiding_center(matrix: DeformationMatrix):
     the nondegenerate transverse 2x2 block.  Returns (coords, comms) where
     comms[i][j] is the coordinate function of the commutator [Xg_i, Xg_j].
     """
-    axial = matrix.axial_part()
-    nonzero = [k for k in range(3) if not axial[k].is_structurally_zero()]
+    nonzero = [k for k, b in enumerate(matrix.axial)
+               if not b.is_structurally_zero()]
     if len(nonzero) != 1:
         raise ValueError("guiding-center construction needs an axial matrix "
                          "along a single axis")

@@ -131,11 +131,16 @@ class OperatorExpr:
         return OperatorExpr(out)
 
     def power(self, n: int) -> "OperatorExpr":
+        """self^n by square-and-multiply: about 2 log2(n) products."""
         if n < 0:
             raise ValueError("negative operator powers are not defined")
-        acc = OperatorExpr.identity()
-        for _ in range(n):
-            acc = acc * self
+        acc, base = OperatorExpr.identity(), self
+        while n:
+            if n & 1:
+                acc = acc * base
+            n >>= 1
+            if n:
+                base = base * base
         return acc
 
     def commutator(self, other: "OperatorExpr") -> "OperatorExpr":
@@ -265,39 +270,29 @@ def _push_momentum_past(alpha: PMulti, g: CoordFunction):
     if not any(alpha):
         yield alpha, g
         return
-    derivs = _derivative_table(g, alpha)
-    for b1 in range(alpha[0] + 1):
-        for b2 in range(alpha[1] + 1):
-            for b3 in range(alpha[2] + 1):
-                delta = (alpha[0] - b1, alpha[1] - b2, alpha[2] - b3)
-                d = derivs[delta]
-                if d.is_structurally_zero():
-                    continue
-                n = sum(delta)
-                c = (math.comb(alpha[0], b1) * math.comb(alpha[1], b2)
-                     * math.comb(alpha[2], b3))
-                # (-i)^n cycles 1, -i, -1, i
-                rot = n % 4
-                scalar = QC(Fraction(c))
-                if rot == 1:
-                    scalar = QC(0, Fraction(-c))
-                elif rot == 2:
-                    scalar = QC(Fraction(-c))
-                elif rot == 3:
-                    scalar = QC(0, Fraction(c))
-                yield (b1, b2, b3), d.scale(scalar)
+    # Descending delta is ascending beta, the order the terms are built in.
+    for delta, d in sorted(_derivative_table(g, alpha).items(), reverse=True):
+        c = (math.comb(alpha[0], delta[0]) * math.comb(alpha[1], delta[1])
+             * math.comb(alpha[2], delta[2]))
+        # c (-i)^n, where (-i)^n cycles 1, -i, -1, i
+        scalar = QC(*((c, 0), (0, -c), (-c, 0), (0, c))[sum(delta) % 4])
+        yield ((alpha[0] - delta[0], alpha[1] - delta[1],
+                alpha[2] - delta[2]), d.scale(scalar))
 
 
 def _derivative_table(g: CoordFunction, alpha: PMulti) -> dict:
-    """All partial derivatives d^delta g for delta <= alpha."""
+    """The nonzero partial derivatives d^delta g for delta <= alpha, by
+    delta.  Along each axis differentiation stops at the first derivative
+    that is structurally zero, since every later one is zero too."""
     table = {(0, 0, 0): g}
     for axis in (1, 2, 3):
         new = {}
-        for delta, f in table.items():
-            cur = f
+        for delta, cur in table.items():
             new[delta] = cur
             for k in range(1, alpha[axis - 1] + 1):
                 cur = cur.partial(axis)
+                if cur.is_structurally_zero():
+                    break
                 d = list(delta)
                 d[axis - 1] = k
                 new[tuple(d)] = cur

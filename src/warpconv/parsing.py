@@ -46,9 +46,10 @@ def _tokenize(text: str) -> list[_Token]:
         if c.isspace():
             i += 1
             continue
-        if c.isdigit():
+        # INT is ASCII: str.isdigit() holds for '²' too, which int() refuses.
+        if "0" <= c <= "9":
             j = i
-            while j < n and text[j].isdigit():
+            while j < n and "0" <= text[j] <= "9":
                 j += 1
             out.append(_Token("num", text[i:j], i))
             i = j

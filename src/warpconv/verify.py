@@ -15,6 +15,12 @@ commutator route inside the gauge cross-check only: a deliberate
 wrong-convention injection that must leave additivity passing while the
 curl comparison fails, confirming the suite actually has teeth.
 
+A field strength is antisymmetric by construction: the gauge checks
+compare F12, F13 and F23, in row-major order, and the Bianchi check the
+one cyclic sum antisymmetry leaves, div B.  An entry below the diagonal
+is the same terms subtracted the other way, so it fails only with its
+mirror.
+
 Every identity but the logical ``noncommuting_iff_field`` is decided here,
 by ``_exact`` alone, which compares each pair by its one exact ``equals``.
 A failing check carries the canonically reduced difference of its first
@@ -52,10 +58,10 @@ COEFFICIENT_EXPONENTS = (Fraction(-1), Fraction(0), Fraction(1),
 
 
 # Every real skew 3x3 matrix is axial(b1, b2, b3) for some real b.
-SKEW_B = DeformationMatrix.axial(*(CoordFunction.constant(f"b{k}")
-                                   for k in (1, 2, 3)))
-SKEW_C = DeformationMatrix.axial(*(CoordFunction.constant(f"c{k}")
-                                   for k in (1, 2, 3)))
+SKEW_B = DeformationMatrix(*(CoordFunction.constant(f"b{k}")
+                             for k in (1, 2, 3)))
+SKEW_C = DeformationMatrix(*(CoordFunction.constant(f"c{k}")
+                             for k in (1, 2, 3)))
 
 
 class Check:
@@ -269,8 +275,8 @@ def _moyal_checks(wants: Wants) -> list[Check]:
                     SKEW_B.rows[i][j].scale(QC(0, Fraction(2))))
 
     def guiding():
-        bmat = DeformationMatrix.axial(-CoordFunction.constant("Omega")
-                                       * CoordFunction.constant("m"))
+        bmat = DeformationMatrix(-CoordFunction.constant("Omega")
+                                 * CoordFunction.constant("m"))
         _, comms = guiding_center(bmat)
         binv = invert_transverse_block(bmat, 1)
         for i in range(3):
@@ -292,15 +298,14 @@ def _moyal_checks(wants: Wants) -> list[Check]:
 def _gauge_checks(wants: Wants, presets,
                   negative_control: bool) -> list[Check]:
     def cross_check(name):
-        """Entries of F from the commutators of the shifted momenta, paired
-        with the entries of the curl of A, spec by spec."""
+        """F12, F13 and F23 from the commutators of the shifted momenta,
+        paired with the same entries of the curl of A, spec by spec."""
         for spec, g in presets(name).coupled_specs():
-            comm = [f for row in field_strength(spec, g).rows for f in row]
+            comm = field_strength(spec, g).upper
             if negative_control:
                 # Wrong-convention injection: divide by +ig instead of -ig.
                 comm = [-f for f in comm]
-            curl = extract_gauge_field(spec, g).curl()
-            yield from zip(comm, (f for row in curl.rows for f in row))
+            yield from zip(comm, extract_gauge_field(spec, g).curl().upper)
 
     def bianchi(name):
         for spec in presets(name).specs:
@@ -309,9 +314,8 @@ def _gauge_checks(wants: Wants, presets,
 
     def ab_off_axis():
         ab = presets("aharonov_bohm")
-        for row in field_strength(ab.specs[0], ab.coupling).rows:
-            for f in row:
-                yield f, CoordFunction.zero()
+        for f in field_strength(ab.specs[0], ab.coupling).upper:
+            yield f, CoordFunction.zero()
 
     def jacobi_maxwell(name):
         preset = presets(name)

@@ -11,8 +11,9 @@ from warpconv import cli, spectra
 
 SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
                    "src")
-NOT_UTF8 = os.path.join(os.path.dirname(os.path.abspath(__file__)), "configs",
-                        "not_utf8.cfg")
+CONFIGS = os.path.join(os.path.dirname(os.path.abspath(__file__)), "configs")
+NOT_UTF8 = os.path.join(CONFIGS, "not_utf8.cfg")
+SELECT_WITHOUT_VALUE = os.path.join(CONFIGS, "select_without_value.cfg")
 
 PUBLIC_NAMES = [
     "ConfigError", "CoordFunction", "DeformationMatrix", "DeformationSpec",
@@ -176,6 +177,28 @@ def test_every_public_name_resolves():
     (["commutator", "--a", "r^(1/0)", "--b", "P1"], cli.EXIT_CONFIG),
     (["commutator", "--a", "X1^(2/0)", "--b", "P1"], cli.EXIT_CONFIG),
     (["commutator", "--a", "e^(1/0)", "--b", "P1"], cli.EXIT_CONFIG),
+    # Numbers are ASCII digits: a superscript or another script's digit is
+    # an unexpected character.
+    (["commutator", "--a", "\u00b2", "--b", "X1"], cli.EXIT_CONFIG),
+    (["commutator", "--a", "X1^\u00b2", "--b", "X1"], cli.EXIT_CONFIG),
+    (["commutator", "--a", "2\u00b2", "--b", "X1"], cli.EXIT_CONFIG),
+    (["commutator", "--a", "r^(\u00b9/2)", "--b", "X1"], cli.EXIT_CONFIG),
+    (["commutator", "--a", "\u0661", "--b", "X1"], cli.EXIT_CONFIG),
+    # argparse reads the one-token --flag=-- as a flag without a value.
+    (["gauge", "--B=1,0,0", "--coupling=--"], cli.EXIT_CONFIG),
+    (["gauge", "--B=--"], cli.EXIT_CONFIG),
+    (["deform", "--model=--"], cli.EXIT_CONFIG),
+    (["verify", "--seed=--"], cli.EXIT_CONFIG),
+    (["verify", "--select=--"], cli.EXIT_CONFIG),
+    (["commutator", "--a", "X1", "--b", "P1", "--out=--"], cli.EXIT_CONFIG),
+    (["verify", "--select", "model::free", "--config=--"], cli.EXIT_CONFIG),
+    (["spectrum", "--model", "free", "--grid=--", "--constants", "m=1"],
+     cli.EXIT_CONFIG),
+    (["spectrum", "--model", "free", "--grid", "8,10", "--k=--",
+      "--constants", "m=1", "--format=--"], cli.EXIT_CONFIG),
+    (["holonomy", "--model", "landau", "--constants", "e=1,B=1",
+      "--center=--"], cli.EXIT_CONFIG),
+    (["verify", "--config", SELECT_WITHOUT_VALUE], cli.EXIT_CONFIG),
 ])
 def test_exit_codes(argv, code, capsys):
     assert cli.main(argv) == code

@@ -5,9 +5,9 @@ import pytest
 from warpconv.coords import CoordFunction
 from warpconv.deform import DeformationSpec
 from warpconv.errors import ZeroCouplingError
-from warpconv.gauge import (bianchi_check, extract_gauge_field,
-                            field_strength, jacobi_maxwell_sums,
-                            lorentz_force)
+from warpconv.gauge import (FieldStrength, bianchi_check, bianchi_sums,
+                            extract_gauge_field, field_strength,
+                            jacobi_maxwell_sums, lorentz_force)
 from warpconv.models import coulomb_potential, get_preset
 from warpconv.operators import OperatorExpr
 from warpconv.scalars import QC
@@ -176,3 +176,33 @@ def test_noncommuting_momenta_iff_field():
     assert not p2.commutator(p3).equals(OperatorExpr.zero())
     _, q2, q3 = get_preset("aharonov_bohm").specs[0].momenta
     assert q2.commutator(q3).equals(OperatorExpr.zero())
+
+
+def test_field_strength_takes_three_commutators(monkeypatch):
+    spec = get_preset("combined_lense_thirring").specs[1]
+    commutator, calls = OperatorExpr.commutator, []
+
+    def counted(a, b):
+        calls.append(None)
+        return commutator(a, b)
+    monkeypatch.setattr(OperatorExpr, "commutator", counted)
+    fs = field_strength(spec, E)
+    assert len(calls) == 3
+    assert len(list(bianchi_sums(fs))) == 1
+
+
+def test_antisymmetry_leaves_one_bianchi_sum():
+    # A generic antisymmetric F, which need not satisfy the identity: each
+    # of the 27 cyclic sums d_k F_ij + d_i F_jk + d_j F_ki is 0 or +-div B.
+    x1, x2, x3 = (CoordFunction.x(j) for j in (1, 2, 3))
+    fs = FieldStrength(x3 * x3 * x1, x2 * CoordFunction.r_power(-1),
+                       x1 * x1 * x2)
+    (kept,) = bianchi_sums(fs)
+    assert not kept.is_zero()
+    for k in (1, 2, 3):
+        for i in (1, 2, 3):
+            for j in (1, 2, 3):
+                total = (fs[(i, j)].partial(k) + fs[(j, k)].partial(i)
+                         + fs[(k, i)].partial(j))
+                assert any(total.equals(v) for v in
+                           (CoordFunction.zero(), kept, -kept))

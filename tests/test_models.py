@@ -174,7 +174,7 @@ def test_landau_gravito_structural_map():
     lam = CoordFunction.constant("lam")
     template = deform_operator(
         OperatorExpr.free_hamiltonian(),
-        type(get_preset("landau").specs[0])(DeformationMatrix.axial(lam),
+        type(get_preset("landau").specs[0])(DeformationMatrix(lam),
                                 get_preset("landau").specs[0].generator))
     to_landau = template.substitute_symbol(
         "lam", CoordFunction.constant("B", 1, F(1, 2))
@@ -200,7 +200,7 @@ def test_metadata_shapes():
 
 def test_guiding_center_commutators():
     b = -CoordFunction.constant("Omega") * CoordFunction.constant("m")
-    coords, comms = guiding_center(DeformationMatrix.axial(b))
+    coords, comms = guiding_center(DeformationMatrix(b))
     # X1 untouched, commutators confined to the (2,3) block
     assert coords[0] == OperatorExpr.position(1)
     # (B^-1)_23 = -1/b = +1/(m Omega); [Xg_2, Xg_3] = -i (B^-1)_23
@@ -217,7 +217,7 @@ def test_guiding_center_commutators():
 
 def test_guiding_center_rejects_non_axial():
     with pytest.raises(ValueError):
-        guiding_center(DeformationMatrix.axial(1, 1, 0))
+        guiding_center(DeformationMatrix(1, 1, 0))
 
 
 # sha256 of the stdout of `deform --model P` and `gauge --model P`: the

@@ -137,3 +137,37 @@ def test_drop_degree():
     a = parse("Omega^2*X1*P1 + Omega*P2 + P3")
     t = a.truncate_to_linear(["Omega"])
     assert t == parse("Omega*P2 + P3")
+
+
+def _capped(method, cap):
+    """``method`` wrapped to count its calls and fail past ``cap`` of them."""
+    calls = []
+
+    def counted(*args):
+        calls.append(None)
+        assert len(calls) <= cap, f"more than {cap} calls"
+        return method(*args)
+    return counted, calls
+
+
+def test_power_squares_and_multiplies(monkeypatch):
+    counted, calls = _capped(OperatorExpr.__mul__, 42)
+    monkeypatch.setattr(OperatorExpr, "__mul__", counted)
+    assert op_x(1).power(10 ** 6) == OperatorExpr.position(1, 10 ** 6)
+    assert len(calls) <= 42
+
+
+def test_momentum_power_stops_at_the_first_zero_derivative(monkeypatch):
+    # P1^k past the constant 1 needs one derivative, which is zero.
+    counted, calls = _capped(CoordFunction.partial, 48)
+    monkeypatch.setattr(CoordFunction, "partial", counted)
+    assert op_p(1).power(2 ** 20) == OperatorExpr.momentum(1, 2 ** 20)
+    assert len(calls) <= 48
+
+
+def test_power_equals_the_repeated_product():
+    a = parse("X1 + P1 + r")
+    product = OperatorExpr.identity()
+    for n in range(7):
+        assert a.power(n) == product
+        product = product * a
