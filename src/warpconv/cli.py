@@ -61,6 +61,19 @@ EXIT_CONFIG = 2
 EXIT_UNSUPPORTED = 3
 EXIT_NUMERIC = 4
 
+
+def _seed(text: str) -> int:
+    """A --seed value: numpy seeds its generator with integers >= 0 only."""
+    try:
+        seed = int(text)
+    except ValueError:
+        seed = -1
+    if seed < 0:
+        raise argparse.ArgumentTypeError(
+            f"needs an integer >= 0, got {text!r}")
+    return seed
+
+
 # Every option with its default, declared once, and the options each command
 # reads besides --config and --out.
 OPTIONS = {
@@ -77,7 +90,7 @@ OPTIONS = {
     "--a": {"help": "left expression"},
     "--b": {"help": "right expression"},
     # The suite draws nothing at random; verify echoes the seed for the schema.
-    "--seed": {"type": int, "default": 0,
+    "--seed": {"type": _seed, "default": 0,
                "help": "eigensolver start-vector seed; verify echoes it"},
     "--select": {"help": "comma-separated name prefixes; only the checks "
                          "they name are computed"},
@@ -171,6 +184,8 @@ def _parse_constants(text: str | None) -> dict[str, float]:
         if "=" not in chunk:
             raise ConfigError(f"constants entries are name=value, got {chunk!r}")
         name, val = chunk.split("=", 1)
+        if name in out:
+            raise ConfigError(f"constant {name} is given twice")
         try:
             out[name] = float(_number(val, f"constant {name}", Fraction))
         except OverflowError as exc:

@@ -10,8 +10,11 @@ rho (``as_constant``).
 
 Terms are stored as built: powers of r and rho are not rewritten against
 the polynomial part (x2^2 + x3^2 is not collapsed to rho^2), so printing
-and serialization show the structure a computation produced.  Equality is
-decided exactly, inside ``is_zero`` only, by reducing modulo the two rules
+and serialization show the structure a computation produced.  No stored
+coefficient is zero, and the constructor is the one zero filter: sums,
+products and derivatives accumulate into a plain dict and hand it over
+whole.  Equality is decided exactly, inside ``is_zero`` only, by reducing
+modulo the two rules
 
     x3^2 -> rho^2 - x2^2,     x1^2 -> r^2 - rho^2,
 
@@ -105,11 +108,7 @@ class CoordFunction:
     def __add__(self, other: "CoordFunction") -> "CoordFunction":
         out = dict(self.terms)
         for key, c in other.terms.items():
-            acc = out.get(key, QC_ZERO) + c
-            if acc.is_zero():
-                out.pop(key, None)
-            else:
-                out[key] = acc
+            out[key] = out.get(key, QC_ZERO) + c
         return CoordFunction(out)
 
     def __sub__(self, other: "CoordFunction") -> "CoordFunction":
@@ -126,11 +125,7 @@ class CoordFunction:
                     (a1[0] + a2[0], a1[1] + a2[1], a1[2] + a2[2]),
                     p1 + p2, q1 + q2, mono_mul(m1, m2),
                 )
-                acc = out.get(key, QC_ZERO) + c1 * c2
-                if acc.is_zero():
-                    out.pop(key, None)
-                else:
-                    out[key] = acc
+                out[key] = out.get(key, QC_ZERO) + c1 * c2
         return CoordFunction(out)
 
     def scale(self, v: "ScalarLike | CoordFunction") -> "CoordFunction":
@@ -163,11 +158,7 @@ class CoordFunction:
         out: dict[TermKey, QC] = {}
 
         def _acc(key: TermKey, c: QC):
-            s = out.get(key, QC_ZERO) + c
-            if s.is_zero():
-                out.pop(key, None)
-            else:
-                out[key] = s
+            out[key] = out.get(key, QC_ZERO) + c
 
         for (a, p, q, m), c in self.terms.items():
             if a[j] > 0:

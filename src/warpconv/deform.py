@@ -222,10 +222,8 @@ def deform_coordinate(theta: DeformationMatrix) -> tuple[OperatorExpr, ...]:
     for j in range(3):
         expr = OperatorExpr.position(j + 1)
         for k in range(3):
-            entry = theta.rows[j][k]
-            if entry.is_structurally_zero():
-                continue
-            expr = expr - OperatorExpr.momentum(k + 1).coord_multiply(entry)
+            expr = expr - OperatorExpr.momentum(k + 1).coord_multiply(
+                theta.rows[j][k])
         out.append(expr)
     return tuple(out)
 
@@ -255,10 +253,8 @@ def rieffel_product(a: OperatorExpr, b: OperatorExpr,
                 corr = CoordFunction.zero()
                 for l in range(3):
                     for s in range(3):
-                        entry = spec.matrix.rows[l][s]
-                        if entry.is_structurally_zero():
-                            continue
-                        corr = corr + entry * grad[l][k] * grad[s][j]
+                        corr = (corr + spec.matrix.rows[l][s] * grad[l][k]
+                                * grad[s][j])
                 out = out - OperatorExpr.from_coord(
                     (fg * corr).scale(QC(0, Fraction(1))))
     return out

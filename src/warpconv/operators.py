@@ -10,6 +10,10 @@ so products are normal-ordered by repeatedly commuting momenta past
 coordinate functions, which stays inside the class because CoordFunction
 is closed under partial derivatives.
 
+No stored momentum coefficient is the empty function, and the constructor
+is the one zero filter: sums and products accumulate into a plain dict and
+hand it over whole.
+
 Structural normal forms are unique, but algebraically equal expressions can
 differ structurally (powers of r and rho are not rewritten against the
 polynomial part), so ``==`` compares structure only.  The authoritative
@@ -90,12 +94,7 @@ class OperatorExpr:
     def __add__(self, other: "OperatorExpr") -> "OperatorExpr":
         out = dict(self.terms)
         for pm, f in other.terms.items():
-            acc = out.get(pm)
-            acc = f if acc is None else acc + f
-            if acc.is_structurally_zero():
-                out.pop(pm, None)
-            else:
-                out[pm] = acc
+            out[pm] = out[pm] + f if pm in out else f
         return OperatorExpr(out)
 
     def __sub__(self, other: "OperatorExpr") -> "OperatorExpr":
@@ -122,12 +121,7 @@ class OperatorExpr:
                     pm = (gamma[0] + beta[0], gamma[1] + beta[1],
                           gamma[2] + beta[2])
                     piece = f * h
-                    acc = out.get(pm)
-                    acc = piece if acc is None else acc + piece
-                    if acc.is_structurally_zero():
-                        out.pop(pm, None)
-                    else:
-                        out[pm] = acc
+                    out[pm] = out[pm] + piece if pm in out else piece
         return OperatorExpr(out)
 
     def power(self, n: int) -> "OperatorExpr":

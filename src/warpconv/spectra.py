@@ -197,12 +197,15 @@ def eigenvalues(matrix: scipy.sparse.spmatrix, k: int, info: dict,
 
     Dense solver below _DENSE_LIMIT unknowns, shift-invert Lanczos from
     there up; the Lanczos start vector is seeded, so results are
-    reproducible.  Shift-invert returns the eigenvalues nearest the shift,
+    reproducible.  The seed is an integer >= 0 on both paths, as numpy
+    takes it; anything else raises ValueError.  Shift-invert returns the eigenvalues nearest the shift,
     so the shift sits at min(0, info["spectral_floor"]), at or below the
     whole spectrum; ``info`` is the second value ``discretize`` returns.
     """
     if not 1 <= k <= 64:
         raise ValueError("k must be between 1 and 64")
+    if seed < 0:
+        raise ValueError("seed must be an integer >= 0")
     size = matrix.shape[0]
     if k >= size - 1:
         raise ValueError("k must be smaller than the matrix dimension - 1")

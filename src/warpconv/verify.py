@@ -21,9 +21,9 @@ one cyclic sum antisymmetry leaves, div B.  An entry below the diagonal
 is the same terms subtracted the other way, so it fails only with its
 mirror.
 
-Every identity but the logical ``noncommuting_iff_field`` is decided here,
-by ``_exact`` alone, which compares each pair by its one exact ``equals``.
-A failing check carries the canonically reduced difference of its first
+Every identity is decided here, by ``_exact`` alone, which compares each
+pair by its one exact ``equals`` and builds the check's report entry.  A
+failing check carries the canonically reduced difference of its first
 unequal pair as its residual.
 """
 
@@ -64,37 +64,27 @@ SKEW_C = DeformationMatrix(*(CoordFunction.constant(f"c{k}")
                              for k in (1, 2, 3)))
 
 
-class Check:
-    def __init__(self, name: str, passed: bool, detail: str = "",
-                 residual: str = ""):
-        self.name = name
-        self.passed = bool(passed)
-        self.detail = detail
-        self.residual = residual
-
-    def to_json_dict(self) -> dict:
-        out = {"name": self.name, "passed": self.passed}
-        if self.detail:
-            out["detail"] = self.detail
-        if self.residual:
-            out["residual"] = self.residual
-        return out
-
-
 Wants = Callable[[str], bool]
 
 
-def _exact(name: str, pairs, detail: str = "") -> Check:
-    """Check ``name``: each (lhs, rhs) pair of operators or coordinate
-    functions is equal.  A failure reports the reduced difference of the
-    first unequal pair; a pass computes nothing beyond the comparisons."""
+def _exact(name: str, pairs, detail: str = "") -> dict:
+    """The report entry of check ``name``: each (lhs, rhs) pair of
+    operators or coordinate functions is equal.  The entry is {"name",
+    "passed"[, "detail"][, "residual"]}; a failure reports the reduced
+    difference of the first unequal pair, and a pass computes nothing
+    beyond the comparisons."""
+    entry = {"name": name, "passed": True}
+    if detail:
+        entry["detail"] = detail
     for lhs, rhs in pairs:
         if not lhs.equals(rhs):
-            return Check(name, False, detail, str((lhs - rhs).reduced()))
-    return Check(name, True, detail)
+            entry["passed"] = False
+            entry["residual"] = str((lhs - rhs).reduced())
+            break
+    return entry
 
 
-def _decide(wants: Wants, rows) -> list[Check]:
+def _decide(wants: Wants, rows) -> list[dict]:
     """Decide, in order, the rows the selection names.  A row is (name,
     pairs) or (name, pairs, detail), and ``pairs()``, which builds the
     (lhs, rhs) sequence, is called only for a wanted row."""
@@ -110,7 +100,7 @@ def _closed_form(make_q) -> tuple[DeformationSpec, list]:
 
 
 def _deformed_hamiltonian_closed_form(tag: str, closed_form,
-                                      wants: Wants) -> list[Check]:
+                                      wants: Wants) -> list[dict]:
     """deform(H0) against (1/2m) sum_j Phat_j^2, Phat_j = P_j + shift_j."""
     def pairs():
         spec, shift = closed_form()
@@ -124,7 +114,7 @@ def _deformed_hamiltonian_closed_form(tag: str, closed_form,
 
 
 def _deformed_momentum_closed_form(tag: str, closed_form,
-                                   wants: Wants) -> list[Check]:
+                                   wants: Wants) -> list[dict]:
     def pairs():
         spec, shift = closed_form()
         for j, s in enumerate(shift, start=1):
@@ -133,7 +123,7 @@ def _deformed_momentum_closed_form(tag: str, closed_form,
     return _decide(wants, [(f"deformed_momentum::{tag}", pairs)])
 
 
-def _deformed_coordinate_check(wants: Wants) -> list[Check]:
+def _deformed_coordinate_check(wants: Wants) -> list[dict]:
     def pairs():
         coords = deform_coordinate(SKEW_B)
         for j in range(3):
@@ -143,7 +133,7 @@ def _deformed_coordinate_check(wants: Wants) -> list[Check]:
     return _decide(wants, [("deformed_coordinate", pairs)])
 
 
-def _factorization_checks(wants: Wants) -> list[Check]:
+def _factorization_checks(wants: Wants) -> list[dict]:
     def pairs(make_q):
         """deform(H0) against the squared deformed momenta over 2m."""
         spec = DeformationSpec(SKEW_B, make_q())
@@ -157,7 +147,7 @@ def _factorization_checks(wants: Wants) -> list[Check]:
                            for tag, make_q in CATALOG_GENERATORS])
 
 
-def _additivity_check(wants: Wants) -> list[Check]:
+def _additivity_check(wants: Wants) -> list[dict]:
     def pairs():
         """Deforming by B and then by C against deforming once by B + C."""
         h0 = OperatorExpr.free_hamiltonian()
@@ -171,7 +161,7 @@ def _additivity_check(wants: Wants) -> list[Check]:
                             "Q = X, X/r, X/r^2, X/rho")])
 
 
-def _rieffel_checks(wants: Wants) -> list[Check]:
+def _rieffel_checks(wants: Wants) -> list[dict]:
     def pairs(make_q):
         spec = DeformationSpec(SKEW_B, make_q())
         total = OperatorExpr.zero()
@@ -187,7 +177,7 @@ def _rieffel_checks(wants: Wants) -> list[Check]:
                            for tag, make_q in CATALOG_GENERATORS])
 
 
-def _coefficient_checks(wants: Wants) -> list[Check]:
+def _coefficient_checks(wants: Wants) -> list[dict]:
     """The radial-generator bracket coefficients a(n) = n^2 - 3n and
     n^2 - 2n + 3, recovered from engine anticommutators and products."""
     def anticommutator(n):
@@ -219,7 +209,7 @@ def _coefficient_checks(wants: Wants) -> list[Check]:
          f"n^2-2n+3 = {n * n - 2 * n + 3}"))])
 
 
-def _adjoint_checks(wants: Wants) -> list[Check]:
+def _adjoint_checks(wants: Wants) -> list[dict]:
     """The adjoint on its own, so that the hermitian checks below cannot
     pass merely because ``adjoint`` returns its operand."""
     i = QC(0, Fraction(1))
@@ -237,7 +227,7 @@ def _adjoint_checks(wants: Wants) -> list[Check]:
         ("adjoint::product_reversal", product_reversal)])
 
 
-def _model_checks(wants: Wants, presets) -> list[Check]:
+def _model_checks(wants: Wants, presets) -> list[dict]:
     """``presets(name)`` is the run's preset cache, read only by the rows
     decided."""
     def rows(name):
@@ -266,7 +256,7 @@ def _model_checks(wants: Wants, presets) -> list[Check]:
           for kind in ("constant", "lense_thirring"))])
 
 
-def _moyal_checks(wants: Wants) -> list[Check]:
+def _moyal_checks(wants: Wants) -> list[dict]:
     def moyal():
         coords = deform_coordinate(SKEW_B)
         for i in range(3):
@@ -296,7 +286,7 @@ def _moyal_checks(wants: Wants) -> list[Check]:
 
 
 def _gauge_checks(wants: Wants, presets,
-                  negative_control: bool) -> list[Check]:
+                  negative_control: bool) -> list[dict]:
     def cross_check(name):
         """F12, F13 and F23 from the commutators of the shifted momenta,
         paired with the same entries of the curl of A, spec by spec."""
@@ -329,6 +319,14 @@ def _gauge_checks(wants: Wants, presets,
             yield from lorentz_force(spec, preset.scalar_potential(),
                                      preset.coupling)
 
+    def noncommuting():
+        """[P2hat, P3hat] = -i e B: the deformed momenta fail to commute
+        by exactly the field, which is nonzero."""
+        _, p2, p3 = presets("landau").specs[0].momenta
+        yield p2.commutator(p3), OperatorExpr.from_coord(
+            (CoordFunction.constant("e") * CoordFunction.constant("B"))
+            .scale(QC(0, -1)))
+
     def linearity():
         lam, e = CoordFunction.constant("lam"), CoordFunction.constant("e")
         spec = DeformationSpec(SKEW_B, QSpec.radial_power(2))
@@ -337,7 +335,7 @@ def _gauge_checks(wants: Wants, presets,
             DeformationSpec(SKEW_B.scale(lam), spec.generator), e)
         for i in range(3):
             yield a2.components[i], a1.components[i].scale(lam)
-    out = _decide(wants, [
+    return _decide(wants, [
         *((f"gauge_cross_check::{name}", partial(cross_check, name))
           for name in sorted(PRESETS)),
         *((f"bianchi::{name}", partial(bianchi, name))
@@ -348,16 +346,9 @@ def _gauge_checks(wants: Wants, presets,
           for name in ("landau", "aharonov_bohm", "zeeman")),
         *((f"lorentz_force::{name}", partial(lorentz, name))
           for name in ("landau", "zeeman", "aharonov_bohm",
-                       "lense_thirring"))])
-    if wants("noncommuting_iff_field"):
-        landau = presets("landau")
-        fs = field_strength(landau.specs[0], landau.coupling)
-        _, p2, p3 = landau.specs[0].momenta
-        noncomm = not p2.commutator(p3).equals(OperatorExpr.zero())
-        fnonzero = not fs[(2, 3)].is_zero()
-        out.append(Check("noncommuting_iff_field",
-                         noncomm == fnonzero and fnonzero))
-    return out + _decide(wants, [("gauge_field_linearity", linearity)])
+                       "lense_thirring")),
+        ("noncommuting_iff_field", noncommuting),
+        ("gauge_field_linearity", linearity)])
 
 
 def run_suite(select: list[str] | None = None,
@@ -369,7 +360,7 @@ def run_suite(select: list[str] | None = None,
     def wants(name: str) -> bool:
         return prefixes is None or name.startswith(prefixes)
 
-    checks: list[Check] = []
+    checks: list[dict] = []
     for tag, make_q in CATALOG_GENERATORS:
         # One spec and one commutator shift per generator, for both forms.
         closed_form = cache(partial(_closed_form, make_q))
@@ -389,6 +380,6 @@ def run_suite(select: list[str] | None = None,
     checks += _gauge_checks(wants, presets, negative_control)
     return {
         "negative_control": negative_control,
-        "all_pass": all(c.passed for c in checks),
-        "checks": [c.to_json_dict() for c in checks],
+        "all_pass": all(c["passed"] for c in checks),
+        "checks": checks,
     }

@@ -199,6 +199,15 @@ def test_every_public_name_resolves():
     (["holonomy", "--model", "landau", "--constants", "e=1,B=1",
       "--center=--"], cli.EXIT_CONFIG),
     (["verify", "--config", SELECT_WITHOUT_VALUE], cli.EXIT_CONFIG),
+    # A seed is an integer >= 0, on both solver paths and for verify.
+    (["spectrum", "--model", "landau", "--grid", "20,10", "--k", "2",
+      "--constants", "e=1,B=1,m=1", "--seed=-1"], cli.EXIT_CONFIG),
+    (["spectrum", "--model", "landau", "--grid", "8,10", "--k", "2",
+      "--constants", "e=1,B=1,m=1", "--seed=-1"], cli.EXIT_CONFIG),
+    (["verify", "--seed=-5"], cli.EXIT_CONFIG),
+    # A constant is bound once.
+    (["spectrum", "--model", "free", "--grid", "8,10", "--k", "2",
+      "--constants", "m=1,m=2"], cli.EXIT_CONFIG),
 ])
 def test_exit_codes(argv, code, capsys):
     assert cli.main(argv) == code

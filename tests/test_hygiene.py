@@ -75,15 +75,13 @@ def test_no_module_imports_dataclasses():
 
 def test_only_the_filter_asks_what_a_selection_wants():
     # Each verify check is a row that _decide filters; a per-check
-    # wants(...) guard elsewhere would split the table again.  Only the
-    # logical noncommuting_iff_field check keeps its own guard.
+    # wants(...) guard elsewhere would split the table again.
     tree = _src_trees()[ROOT / "src" / "warpconv" / "verify.py"]
     calls = [f"{fn.name}({', '.join(ast.unparse(a) for a in node.args)})"
              for fn in tree.body if isinstance(fn, ast.FunctionDef)
              for node in ast.walk(fn) if isinstance(node, ast.Call)
              and isinstance(node.func, ast.Name) and node.func.id == "wants"]
-    allowed = ("_decide(", "run_suite(",
-               "_gauge_checks('noncommuting_iff_field')")
+    allowed = ("_decide(", "run_suite(")
     assert "_decide(name)" in calls
     assert [call for call in calls if not call.startswith(allowed)] == []
 

@@ -10,8 +10,10 @@ import pytest
 
 hypothesis = pytest.importorskip("hypothesis")
 
-from conftest import rand_expr
+from conftest import rand_coord, rand_expr, rand_qc
 from hypothesis import given, settings, strategies as st
+from warpconv.coords import CoordFunction
+from warpconv.scalars import QC_ZERO
 
 PROPERTY = settings(max_examples=25, deadline=None, derandomize=True,
                     database=None)
@@ -48,3 +50,25 @@ def test_commutator_is_a_derivation(a, b, c):
     # Leibniz: [A, BC] = [A, B] C + B [A, C].
     assert a.commutator(b * c).equals(
         a.commutator(b) * c + b * a.commutator(c))
+
+
+def _stores_no_zero(x) -> bool:
+    """No zero coefficient in a function; no empty momentum coefficient,
+    nor a zero inside one, in an operator."""
+    if isinstance(x, CoordFunction):
+        return not any(c.is_zero() for c in x.terms.values())
+    return all(f.terms and _stores_no_zero(f) for f in x.terms.values())
+
+
+@PROPERTY
+@given(operators(2), operators(2), st.randoms(use_true_random=False),
+       st.integers(1, 3))
+def test_results_keep_the_normal_form(a, b, rng, axis):
+    # The constructors are the one zero filter; a - a and a scale by 0
+    # cancel every term, and the product and the adjoint reorder momenta.
+    f, c = rand_coord(rng, max_terms=3), rand_qc(rng)
+    results = [a + b, a - b, a - a, a * b, a.commutator(b), a.adjoint(),
+               a.reduced(), a.scale(c), a.scale(QC_ZERO), f.partial(axis),
+               f.reduced(), f.scale(c), f.scale(QC_ZERO), f - f]
+    assert all(_stores_no_zero(x) for x in results)
+    assert not (a - a).terms and not a.scale(QC_ZERO).terms

@@ -137,6 +137,14 @@ def test_eigenvalues_k_validation():
         eigenvalues(mat, 65, info)
 
 
+@pytest.mark.parametrize("points", [8, 20])  # the dense and sparse paths
+def test_eigenvalues_refuse_a_negative_seed(points):
+    mat, info = discretize(get_preset("free"), GridSpec(4.0, points),
+                           {"m": 1.0})
+    with pytest.raises(ValueError, match="seed"):
+        eigenvalues(mat, 2, info, seed=-1)
+
+
 def test_gauge_translation_leaves_spectrum_invariant():
     # Same field strength, gauge shifted by a constant vector: use the
     # generator Q = X + c, whose shift is -(BX)_j - (Bc)_j.
@@ -293,6 +301,18 @@ def test_dense_and_sparse_paths_agree(monkeypatch):
             levels.append(eigenvalues(mat, 8, info, seed=4).eigenvalues)
         dense, sparse = levels
         assert max(abs(a - b) for a, b in zip(dense, sparse)) < 1e-10
+
+
+def test_dense_path_solves_a_grid_too_small_for_lanczos():
+    # 16 unknowns: the sparse path would ask ARPACK for at least
+    # _LANCZOS_MIN_LEVELS = 16 levels, and ARPACK takes fewer than n - 1.
+    mat, info = discretize(get_preset("landau"), GridSpec(10.0, 4),
+                           {"e": 1.0, "B": 1.5, "m": 1.0})
+    assert mat.shape[0] - 1 <= spectra._LANCZOS_MIN_LEVELS
+    got = eigenvalues(mat, 14, info).eigenvalues
+    ref = scipy.linalg.eigvalsh(mat.toarray())[:14]
+    assert len(got) == 14
+    assert max(abs(a - b) for a, b in zip(got, ref)) < 1e-10
 
 
 def test_small_k_sparse_spectrum_matches_dense_eigh():

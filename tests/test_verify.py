@@ -133,14 +133,14 @@ def test_each_check_selected_alone_equals_the_filtered_full_run(full_runs):
 
 def test_every_comparison_is_one_equals_with_a_residual(monkeypatch):
     # With equality answering "unequal", every identity the suite decides
-    # fails and reports the reduced difference; only the logical
-    # noncommuting_iff_field check is decided otherwise.
+    # fails and reports the reduced difference: no check is decided
+    # otherwise.
     for cls in (OperatorExpr, CoordFunction):
         monkeypatch.setattr(cls, "equals", lambda self, other: False)
     checks = verify.run_suite()["checks"]
     assert len(checks) == 88
     passed = [c["name"] for c in checks if c["passed"]]
-    assert passed == ["noncommuting_iff_field"]
+    assert passed == []
     assert all("residual" in c for c in checks if not c["passed"])
 
 
