@@ -49,6 +49,7 @@ import json
 import math
 import sys
 from fractions import Fraction
+from functools import partial
 
 from . import __version__
 from .errors import (ConfigError, NonPositiveParameterError, ParseError,
@@ -62,15 +63,26 @@ EXIT_UNSUPPORTED = 3
 EXIT_NUMERIC = 4
 
 
+def _number(value: str, option: str, kind=float):
+    """kind(value); text that is not a finite number written in ASCII is a
+    ConfigError (Python's int and float also read other scripts' digits)."""
+    try:
+        if not value.isascii():
+            raise ValueError(value)
+        number = kind(value)
+    except (ValueError, ZeroDivisionError) as exc:
+        wanted = "an integer" if kind is int else "a number"
+        raise ConfigError(f"{option} needs {wanted}, got {value!r}") from exc
+    if kind is float and not math.isfinite(number):
+        raise ConfigError(f"{option} needs a finite number, got {value!r}")
+    return number
+
+
 def _seed(text: str) -> int:
     """A --seed value: numpy seeds its generator with integers >= 0 only."""
-    try:
-        seed = int(text)
-    except ValueError:
-        seed = -1
+    seed = _number(text, "--seed", int)
     if seed < 0:
-        raise argparse.ArgumentTypeError(
-            f"needs an integer >= 0, got {text!r}")
+        raise ConfigError(f"--seed needs an integer >= 0, got {text!r}")
     return seed
 
 
@@ -97,11 +109,14 @@ OPTIONS = {
     "--negative-control": {"action": "store_true", "help": "inject a "
                            "wrong-sign commutator route (must fail)"},
     "--grid": {"default": "64,10", "help": "N,L: points per axis, box extent"},
-    "--k": {"type": int, "default": 16, "help": "eigenvalues wanted (<= 64)"},
+    "--k": {"type": partial(_number, option="--k", kind=int), "default": 16,
+            "help": "eigenvalues wanted (<= 64)"},
     "--format": {"choices": ("json", "csv"), "default": "json"},
-    "--radius": {"type": float, "default": 1.0, "help": "loop radius"},
+    "--radius": {"type": partial(_number, option="--radius"), "default": 1.0,
+                 "help": "loop radius"},
     "--center": {"default": "0,0,0", "help": "c1,c2,c3 (loop center)"},
-    "--points": {"type": int, "default": 256, "help": "quadrature points"},
+    "--points": {"type": partial(_number, option="--points", kind=int),
+                 "default": 256, "help": "quadrature points"},
 }
 COMMAND_OPTIONS = {
     "deform": ("deform an operator expression",
@@ -167,23 +182,14 @@ def _config_flags(path: str) -> list[str]:
     return flags
 
 
-def _number(value, option: str, kind=float):
-    """kind(value); text that is not a finite number is a ConfigError."""
-    try:
-        number = kind(value)
-    except (ValueError, ZeroDivisionError) as exc:
-        raise ConfigError(f"{option} needs a number, got {value!r}") from exc
-    if kind is float and not math.isfinite(number):
-        raise ConfigError(f"{option} needs a finite number, got {value!r}")
-    return number
-
-
 def _parse_constants(text: str | None) -> dict[str, float]:
     out = {}
     for chunk in (text or "").replace(",", " ").split():
         if "=" not in chunk:
             raise ConfigError(f"constants entries are name=value, got {chunk!r}")
         name, val = chunk.split("=", 1)
+        if not (name.isascii() and name.isidentifier()):
+            raise ConfigError(f"constant names are identifiers, got {chunk!r}")
         if name in out:
             raise ConfigError(f"constant {name} is given twice")
         try:
@@ -394,8 +400,8 @@ def cmd_holonomy(args) -> int:
         raise UnsupportedOperandError(
             f"holonomy integrates one deformation; {name} has {len(pairs)}")
     gf = extract_gauge_field(*pairs[0])
-    if not 0 < args.radius < math.inf:
-        raise ConfigError("--radius must be positive and finite")
+    if args.radius <= 0:  # _number has refused a radius that is not finite
+        raise ConfigError("--radius must be positive")
     center = tuple(_number(v, "--center")
                    for v in args.center.replace(",", " ").split())
     if len(center) != 3:

@@ -13,6 +13,13 @@ Each profile (S at nodes or link midpoints, the potential) is one call of
 the compiled coordinate function (``CoordFunction.compile``) on the node
 meshgrid, the same evaluator ``gauge.holonomy`` calls per loop point.
 
+The matrix is assembled straight into canonical CSR: a row's at most nine
+stencil columns come in a fixed ascending order, so each entry is written
+once into its slot.  It is float64 when no hop carries a phase (the
+sampled shift vanishes in the plane, as for ``free`` with or without a
+potential) and complex128 otherwise; a real matrix gets a real LU factor
+of half the size and symmetric Lanczos.
+
 This is the one module that imports numpy and scipy.  The package and the
 CLI import it only when a spectrum is asked for, so the symbolic commands
 (and ``holonomy``, which lives in ``gauge``) never load the numeric stack.
@@ -117,9 +124,11 @@ def discretize(preset: ModelPreset, grid: GridSpec,
     negative power of r or rho at a node on r = 0 or rho = 0 (an odd N
     puts nodes on the axes) raises SingularPointError.
 
-    Returns (matrix, info); info carries warnings (coarse grid, magnetic
-    length under 4 spacings), the hermiticity defect and that spectral
-    floor.
+    Returns (matrix, info).  The matrix is canonical CSR, float64 when no
+    hop carries a phase and complex128 otherwise.  info carries warnings
+    (coarse grid, magnetic length under 4 spacings), the hermiticity
+    defect (the largest gap between a stored hop and the conjugate of its
+    mirror entry, 0 by construction) and that spectral floor.
     """
     if "m" not in constants:
         raise UnboundConstantError("mass constant 'm' must be bound")
@@ -162,24 +171,48 @@ def discretize(preset: ModelPreset, grid: GridSpec,
     diag = (5.0 * t - ghost[:, None] - ghost[None, :]
             + s1 ** 2 / (2.0 * mass) + vpot)
 
+    # Hops one and two links along each axis (rows of the phase array),
+    # each with the exponential of the integral of S over the links it
+    # spans.  Without a phase on any hop the matrix is real.
+    hops = []
+    for phase in (phase2, phase3.T):
+        hops.append((-16.0 / 12.0) * t * np.exp(1j * phase))
+        hops.append((t / 12.0) * np.exp(1j * (phase[:-1] + phase[1:])))
+    if not any(hop.imag.any() for hop in hops):
+        hops = [hop.real for hop in hops]
+
+    # Canonical CSR, filled in place.  Row (i, j) holds its columns in
+    # ascending order: (i-2, j), (i-1, j), (i, j-2) .. (i, j+2), (i+1, j),
+    # (i+2, j), each one that lies in the box; ``below`` and ``above``
+    # count a node's neighbours on either side along one axis, and ``at``
+    # is the slot of each row's diagonal.
+    below = np.minimum(np.arange(n), 2)
+    above = below[::-1]
+    itype = np.int32 if 9 * size < 2 ** 31 else np.int64
+    indptr = np.zeros(size + 1, itype)
+    np.cumsum(1 + (below + above)[:, None] + (below + above)[None, :],
+              out=indptr[1:])
+    data = np.empty(indptr[-1], hops[0].dtype)
+    indices = np.empty(indptr[-1], itype)
     idx = np.arange(size).reshape(n, n)
-    rows, cols = [idx.ravel()], [idx.ravel()]
-    vals = [diag.ravel().astype(complex)]
-    for ids, phase in ((idx, phase2), (idx.T, phase3.T)):
-        # Hops one and two links along the axis (rows of ids), each with
-        # the exponential of the integral of S over the links it spans.
-        near = (-16.0 / 12.0) * t * np.exp(1j * phase)
-        far = (t / 12.0) * np.exp(1j * (phase[:-1] + phase[1:]))
-        for a, b, hop in ((ids[:-1], ids[1:], near), (ids[:-2], ids[2:], far)):
-            rows += [a.ravel(), b.ravel()]
-            cols += [b.ravel(), a.ravel()]
-            vals += [hop.ravel(), np.conj(hop).ravel()]
+    at = indptr[:-1].reshape(n, n) + below[:, None] + below[None, :]
+    data[at], indices[at] = diag, idx
+    # An x3 hop sits next to the diagonal slot; an x2 hop sits beyond the
+    # node's x3 hops on its side.
+    pairs = []
+    for ids, slot, (near, far), before, after in (
+            (idx, at, hops[:2], below, above),
+            (idx.T, at.T, hops[2:], 0, 0)):
+        for s, hop in ((1, near), (2, far)):
+            forward, backward = slot[:-s] + s + after, slot[s:] - s - before
+            data[forward], indices[forward] = hop, ids[s:]
+            data[backward], indices[backward] = np.conj(hop), ids[:-s]
+            pairs.append((forward, backward))
+    mat = scipy.sparse.csr_matrix((data, indices, indptr), shape=(size, size))
 
-    mat = scipy.sparse.coo_matrix(
-        (np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))),
-        shape=(size, size)).tocsr()
-
-    defect = abs(mat - mat.getH()).max()
+    # Each stored hop against its mirror entry (the diagonal is real).
+    defect = max(np.abs(data[f] - np.conj(data[b])).max(initial=0.0)
+                 for f, b in pairs)
     info = {
         "warnings": warnings,
         "hermiticity_defect": float(defect),
@@ -216,12 +249,13 @@ def eigenvalues(matrix: scipy.sparse.spmatrix, k: int, info: dict,
         rng = np.random.default_rng(seed)
         v0 = rng.standard_normal(size)
         sigma = min(0.0, info["spectral_floor"])
-        shifted = matrix - sigma * scipy.sparse.identity(size, format="csr")
         # The stencil is structurally symmetric: a minimum-degree order on
         # A^T + A gives a sparser LU than the default column order, so both
-        # the factorization and each shift-invert solve are cheaper.
-        lu = scipy.sparse.linalg.splu(shifted.tocsc(),
-                                      permc_spec="MMD_AT_PLUS_A")
+        # the factorization and each shift-invert solve are cheaper.  The
+        # shifted CSR is a temporary: only its CSC copy lives through splu.
+        lu = scipy.sparse.linalg.splu(
+            (matrix - sigma * scipy.sparse.identity(size, format="csr"))
+            .tocsc(), permc_spec="MMD_AT_PLUS_A")
         inverse = scipy.sparse.linalg.LinearOperator(
             matrix.shape, matvec=lu.solve, dtype=matrix.dtype)
         levels = max(k, _LANCZOS_MIN_LEVELS)

@@ -205,9 +205,29 @@ def test_every_public_name_resolves():
     (["spectrum", "--model", "landau", "--grid", "8,10", "--k", "2",
       "--constants", "e=1,B=1,m=1", "--seed=-1"], cli.EXIT_CONFIG),
     (["verify", "--seed=-5"], cli.EXIT_CONFIG),
-    # A constant is bound once.
+    # A constant is bound once, under a name that is an ASCII identifier.
     (["spectrum", "--model", "free", "--grid", "8,10", "--k", "2",
       "--constants", "m=1,m=2"], cli.EXIT_CONFIG),
+    (["spectrum", "--model", "free", "--grid", "8,10", "--k", "2",
+      "--constants", "=1,m=1"], cli.EXIT_CONFIG),
+    (["spectrum", "--model", "free", "--grid", "8,10", "--k", "2",
+      "--constants", "m=1,1x=2"], cli.EXIT_CONFIG),
+    (["spectrum", "--model", "free", "--grid", "8,10", "--k", "2",
+      "--constants", "m=1,\u00b5=2"], cli.EXIT_CONFIG),
+    # Every numeric option reads ASCII digits only, as the expressions do.
+    (["verify", "--select", "adjoint", "--seed", "\u0665"], cli.EXIT_CONFIG),
+    (["spectrum", "--model", "free", "--grid", "8,10", "--k", "\u0662",
+      "--constants", "m=1"], cli.EXIT_CONFIG),
+    (["spectrum", "--model", "free", "--grid", "\u0668,10", "--k", "2",
+      "--constants", "m=1"], cli.EXIT_CONFIG),
+    (["spectrum", "--model", "free", "--grid", "8,10", "--k", "2",
+      "--constants", "m=\u0662"], cli.EXIT_CONFIG),
+    (["holonomy", "--model", "landau", "--constants", "e=1,B=1",
+      "--points", "\u0661\u0660\u0660"], cli.EXIT_CONFIG),
+    (["holonomy", "--model", "landau", "--constants", "e=1,B=1",
+      "--radius", "\u0661"], cli.EXIT_CONFIG),
+    (["holonomy", "--model", "landau", "--constants", "e=1,B=1",
+      "--center=\u0660,0,0"], cli.EXIT_CONFIG),
 ])
 def test_exit_codes(argv, code, capsys):
     assert cli.main(argv) == code
