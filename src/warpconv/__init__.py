@@ -29,7 +29,7 @@ _EXPORTS = {
                "UnknownSymbolError",
                "UnsupportedDegreeError", "UnsupportedOperandError",
                "WarpconvError", "ZeroCouplingError"),
-    "gauge": ("FieldStrength", "GaugeField", "bianchi_check",
+    "gauge": ("FieldStrength", "bianchi_check", "curl",
               "extract_gauge_field", "field_strength", "holonomy",
               "lorentz_force"),
     "models": ("GridSpec", "ModelPreset", "PRESETS", "coulomb_potential",

@@ -320,15 +320,13 @@ def cmd_gauge(args) -> int:
     name, pairs, _ = _resolve_model(args)
     fields = []
     for spec, coupling in pairs:
-        gf = extract_gauge_field(spec, coupling)
+        a = extract_gauge_field(spec, coupling)
         fs = field_strength(spec, coupling)
         fields.append({
             "coupling": str(coupling),
-            "components": [str(c) for c in gf.components],
-            "components_json": [
-                OperatorExpr.from_coord(c).to_json_dict()
-                for c in gf.components
-            ],
+            "components": [str(c) for c in a],
+            "components_json": [OperatorExpr.from_coord(c).to_json_dict()
+                                for c in a],
             "field_strength": [[str(fs.rows[i][j]) for j in range(3)]
                                for i in range(3)],
             "bianchi_zero": bool(bianchi_check(fs)),
@@ -399,7 +397,7 @@ def cmd_holonomy(args) -> int:
     if len(pairs) != 1:
         raise UnsupportedOperandError(
             f"holonomy integrates one deformation; {name} has {len(pairs)}")
-    gf = extract_gauge_field(*pairs[0])
+    a = extract_gauge_field(*pairs[0])
     if args.radius <= 0:  # _number has refused a radius that is not finite
         raise ConfigError("--radius must be positive")
     center = tuple(_number(v, "--center")
@@ -409,7 +407,7 @@ def cmd_holonomy(args) -> int:
     if args.points < 8:
         raise ConfigError("--points must be at least 8")
     constants = _parse_constants(args.constants)
-    value = holonomy(gf, args.radius, center=center, points=args.points,
+    value = holonomy(a, args.radius, center=center, points=args.points,
                      constants=constants)
     payload = {"command": "holonomy", "model": name, "radius": args.radius,
                "center": list(center), "points": args.points, "value": value}

@@ -2,15 +2,18 @@
 
 A deformation shifts each momentum by a coordinate function S_j; writing
 S_j = g A_j identifies a gauge field A with coupling g; S and P_j + S_j
-are read from the spec, which computed them once.  The commutator of
-two shifted momenta is then -i g F_ij with F the curl of A, the commutator
-with the shifted Hamiltonian produces the Lorentz force, and the Jacobi
-identity yields the homogeneous (source-free) field equations.  F is
-antisymmetric, so only F12, F13 and F23 are computed, by three
-commutators or three curl entries; they are the (gravito)magnetic axial
-field, and the one Bianchi sum they leave is its divergence.  All fields
-here are static coordinate functions, so time-derivative terms vanish
-identically.
+are read from the spec, which computed them once.  A vector potential is
+the plain triple (A1, A2, A3) of coordinate functions, as the catalog
+writes its textbook potentials.  The commutator of two shifted momenta
+is then -i g F_ij with F the curl of A, the commutator with the shifted
+Hamiltonian produces the Lorentz force, and the Jacobi identity yields
+the homogeneous (source-free) field equations.  F is antisymmetric, so
+only F12, F13 and F23 are computed, by three commutators
+(``field_strength``) or three curl entries (``curl``, the one place the
+curl is written); they are the (gravito)magnetic axial field, and the
+one Bianchi sum they leave (``bianchi_sum``) is its divergence.  All
+fields here are static coordinate functions, so time-derivative terms
+vanish identically.
 
 The loop integral of A (``holonomy``) is computed here too, with ``math``
 alone, so every command but the grid spectrum runs without numpy or scipy.
@@ -32,22 +35,6 @@ _I = QC(0, Fraction(1))
 _UPPER = ((1, 2), (1, 3), (2, 3))
 
 
-class GaugeField:
-    """Vector potential A_r = S_r / g of one deformation and coupling g."""
-
-    __slots__ = ("components",)
-
-    def __init__(self,
-                 components: tuple[CoordFunction, CoordFunction, CoordFunction]):
-        self.components = components
-
-    def curl(self) -> "FieldStrength":
-        """F_ij = dA_j/dx_i - dA_i/dx_j, independent of any commutator."""
-        a = self.components
-        return FieldStrength(*(a[j - 1].partial(i) - a[i - 1].partial(j)
-                               for i, j in _UPPER))
-
-
 class FieldStrength:
     """Antisymmetric 3x3 matrix of coordinate functions, stored by its
     entries above the diagonal, ``upper`` = (F12, F13, F23); ``rows``, the
@@ -66,6 +53,13 @@ class FieldStrength:
         return self.rows[i - 1][j - 1]
 
 
+def curl(a) -> FieldStrength:
+    """F_ij = dA_j/dx_i - dA_i/dx_j of a vector potential a = (A1, A2, A3),
+    independent of any commutator."""
+    return FieldStrength(*(a[j - 1].partial(i) - a[i - 1].partial(j)
+                           for i, j in _UPPER))
+
+
 def _inverse_coupling(coupling: CoordFunction, what: str) -> CoordFunction:
     """1/g for a constant coupling g of one term."""
     coupling = as_constant(coupling, "couplings")
@@ -75,22 +69,22 @@ def _inverse_coupling(coupling: CoordFunction, what: str) -> CoordFunction:
 
 
 def extract_gauge_field(spec: DeformationSpec,
-                        coupling: CoordFunction) -> GaugeField:
-    """A_r = S_r / g where S is the momentum shift of the deformation."""
+                        coupling: CoordFunction) -> tuple[CoordFunction, ...]:
+    """(A1, A2, A3), A_r = S_r / g where S is the momentum shift of the
+    deformation."""
     inv = _inverse_coupling(coupling, "gauge field extraction")
-    return GaugeField(tuple(s.scale(inv) for s in spec.shift))
+    return tuple(s.scale(inv) for s in spec.shift)
 
 
 def field_strength(spec: DeformationSpec,
-                   coupling: CoordFunction | None = None) -> FieldStrength:
+                   coupling: CoordFunction) -> FieldStrength:
     """F_ij from the commutators of the shifted momenta, divided by -i g.
 
     The commutator must close on a pure coordinate function; a momentum
     remainder would mean the normal-ordering engine is broken and raises
     InternalInconsistencyError.
     """
-    norm = (CoordFunction.one() if coupling is None
-            else _inverse_coupling(coupling, "field strength"))
+    norm = _inverse_coupling(coupling, "field strength")
 
     def entry(i, j):
         comm = spec.momenta[i - 1].commutator(spec.momenta[j - 1])
@@ -125,19 +119,19 @@ def lorentz_force(spec: DeformationSpec, potential: CoordFunction,
         yield h_tot.commutator(spec.momenta[j - 1]), rhs
 
 
-def bianchi_sums(fs: FieldStrength):
+def bianchi_sum(fs: FieldStrength) -> CoordFunction:
     """The cyclic sum d_1 F_23 + d_2 F_31 + d_3 F_12 (div B for the axial
     field B); by antisymmetry every other cyclic sum d_k F_ij + d_i F_jk +
     d_j F_ki is zero or this one up to sign.  The Bianchi identity says it
     is the zero function."""
     f12, f13, f23 = fs.upper
-    yield f23.partial(1) - f13.partial(2) + f12.partial(3)
+    return f23.partial(1) - f13.partial(2) + f12.partial(3)
 
 
 def bianchi_check(fs: FieldStrength) -> bool:
     """d_k F_ij + d_i F_jk + d_j F_ki = 0, checked symbolically.  A nonzero
     constant factor in F (such as 1/g) does not change the verdict."""
-    return all(total.is_zero() for total in bianchi_sums(fs))
+    return bianchi_sum(fs).is_zero()
 
 
 def jacobi_maxwell_sums(spec: DeformationSpec, potential: CoordFunction,
@@ -162,14 +156,14 @@ def jacobi_maxwell_sums(spec: DeformationSpec, potential: CoordFunction,
     for (i, j) in _UPPER:
         yield jacobi(h_tot, phat[i - 1], phat[j - 1])
     e_field = [-potential.partial(j) for j in (1, 2, 3)]
-    for (i, j) in _UPPER:
-        yield OperatorExpr.from_coord(
-            e_field[j - 1].partial(i) - e_field[i - 1].partial(j))
+    for f in curl(e_field).upper:
+        yield OperatorExpr.from_coord(f)
 
 
-def holonomy(gauge: GaugeField, radius: float, center=(0.0, 0.0, 0.0),
+def holonomy(a, radius: float, center=(0.0, 0.0, 0.0),
              points: int = 256, constants: dict | None = None) -> float:
-    """Line integral of A around a circle in the (x2, x3) plane.
+    """Line integral of a = (A1, A2, A3) around a circle in the (x2, x3)
+    plane.
 
     The loop is traversed counterclockwise as seen from +x1 (right-hand
     orientation about the x1 axis).  Trapezoidal quadrature on the closed
@@ -182,9 +176,9 @@ def holonomy(gauge: GaugeField, radius: float, center=(0.0, 0.0, 0.0),
         raise ValueError("loop radius must be positive")
     if points < 8:
         raise ValueError("need at least 8 quadrature points")
-    a2 = gauge.components[1].compile(constants)
-    a3 = gauge.components[2].compile(constants)
-    keys = [key for comp in gauge.components for key in comp.terms]
+    a2 = a[1].compile(constants)
+    a3 = a[2].compile(constants)
+    keys = [key for comp in a for key in comp.terms]
     r_singular = any(p < 0 for (_, p, _, _) in keys)
     rho_singular = any(q < 0 for (_, _, q, _) in keys)
     c1, c2, c3 = (float(c) for c in center)

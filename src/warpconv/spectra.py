@@ -40,6 +40,7 @@ import scipy.sparse.linalg
 from .coords import CoordFunction
 from .errors import (NonConvergenceError, UnboundConstantError,
                      UnsupportedOperandError)
+from .gauge import curl
 from .models import GridSpec, ModelPreset
 
 # Unknowns below which the dense solver is used: where the dense and the
@@ -157,8 +158,7 @@ def discretize(preset: ModelPreset, grid: GridSpec,
 
     # Effective field strength at the box center for the coarseness check.
     probe = (0.0, 0.25 * h, 0.25 * h)
-    f23 = (shift[2].partial(2) - shift[1].partial(3)).compile(constants)(
-        *probe).real
+    f23 = curl(shift)[(2, 3)].compile(constants)(*probe).real
     if f23 != 0.0:
         ell = 1.0 / math.sqrt(abs(f23))
         if ell < 4 * h:

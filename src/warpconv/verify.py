@@ -38,7 +38,7 @@ from .deform import (DeformationMatrix, DeformationSpec, QSpec,
                      deform_coordinate, deform_operator,
                      invert_transverse_block, momentum_shift_via_commutators,
                      rieffel_product)
-from .gauge import (bianchi_sums, extract_gauge_field, field_strength,
+from .gauge import (bianchi_sum, curl, extract_gauge_field, field_strength,
                     jacobi_maxwell_sums, lorentz_force)
 from .models import (LINEARIZED_PRESETS, PRESETS, get_preset, guiding_center,
                      uncertainty_area_symbolic)
@@ -295,12 +295,11 @@ def _gauge_checks(wants: Wants, presets,
             if negative_control:
                 # Wrong-convention injection: divide by +ig instead of -ig.
                 comm = [-f for f in comm]
-            yield from zip(comm, extract_gauge_field(spec, g).curl().upper)
+            yield from zip(comm, curl(extract_gauge_field(spec, g)).upper)
 
     def bianchi(name):
-        for spec in presets(name).specs:
-            for total in bianchi_sums(field_strength(spec)):
-                yield total, CoordFunction.zero()
+        for spec, g in presets(name).coupled_specs():
+            yield bianchi_sum(field_strength(spec, g)), CoordFunction.zero()
 
     def ab_off_axis():
         ab = presets("aharonov_bohm")
@@ -334,7 +333,7 @@ def _gauge_checks(wants: Wants, presets,
         a2 = extract_gauge_field(
             DeformationSpec(SKEW_B.scale(lam), spec.generator), e)
         for i in range(3):
-            yield a2.components[i], a1.components[i].scale(lam)
+            yield a2[i], a1[i].scale(lam)
     return _decide(wants, [
         *((f"gauge_cross_check::{name}", partial(cross_check, name))
           for name in sorted(PRESETS)),

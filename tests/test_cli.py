@@ -17,15 +17,15 @@ SELECT_WITHOUT_VALUE = os.path.join(CONFIGS, "select_without_value.cfg")
 
 PUBLIC_NAMES = [
     "ConfigError", "CoordFunction", "DeformationMatrix", "DeformationSpec",
-    "FieldStrength", "GaugeField", "GridSpec",
+    "FieldStrength", "GridSpec",
     "InternalInconsistencyError", "ModelPreset", "NonConvergenceError",
     "NonPositiveParameterError", "OperatorExpr", "PRESETS", "ParseError", "QC",
     "QSpec", "SingularLoopError", "SingularMatrixError", "SingularPointError",
     "SpectrumResult", "UnboundConstantError",
     "UnknownSymbolError", "UnsupportedDegreeError", "UnsupportedOperandError",
     "WarpconvError", "ZeroCouplingError", "bianchi_check", "coords",
-    "coulomb_potential", "deform", "deform_coordinate", "deform_operator",
-    "deform_sequence", "discretize", "eigenvalues",
+    "coulomb_potential", "curl", "deform", "deform_coordinate",
+    "deform_operator", "deform_sequence", "discretize", "eigenvalues",
     "errors", "extract_gauge_field", "field_strength", "gauge", "get_preset",
     "guiding_center", "holonomy",
     "lorentz_force", "models", "momentum_shift", "operators", "parse",

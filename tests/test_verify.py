@@ -108,7 +108,7 @@ def _refuse(*args, **kwargs):
 def test_selection_skips_the_checks_it_does_not_name(monkeypatch):
     # Neither selection deforms an operator or builds a Jacobi, Bianchi or
     # Lorentz sum; the checks that do are not computed.
-    for name in ("deform_operator", "jacobi_maxwell_sums", "bianchi_sums",
+    for name in ("deform_operator", "jacobi_maxwell_sums", "bianchi_sum",
                  "lorentz_force"):
         monkeypatch.setattr(verify, name, _refuse)
     for select in (["gauge_cross_check"], ["deformed_coordinate"]):
