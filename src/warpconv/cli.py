@@ -31,7 +31,8 @@ across runs with the same options; human-readable summaries go to stderr.
 
 Exit codes: 0 success, 1 failed identity, 2 bad configuration (a
 non-positive mass included), 3 unsupported operator class, 4 numeric
-failure (a non-finite result, or running out of memory, included).
+failure (a non-finite result, a value beyond the float range, an exact
+number too long to print, or running out of memory, included).
 
 Building the parser and reading the options load no symbolic module: each
 command imports the modules it runs when it runs, so ``commutator`` loads
@@ -484,13 +485,25 @@ def main(argv: list[str] | None = None) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_UNSUPPORTED
     # Numeric failures: non-convergence, singular points and loops, a
-    # result that is not finite, and a grid too large for memory.
+    # result that is not finite, a grid too large for memory, a float
+    # overflow, and an exact number too long to print.
     except WarpconvError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_NUMERIC
     except MemoryError as exc:
         detail = f": {exc}" if str(exc) else ""
         print(f"error: out of memory{detail}", file=sys.stderr)
+        return EXIT_NUMERIC
+    except OverflowError:
+        print("error: a value is beyond the float range", file=sys.stderr)
+        return EXIT_NUMERIC
+    except ValueError as exc:
+        # An exact result the interpreter refuses to print: its integers
+        # have more digits than sys.get_int_max_str_digits().
+        if "integer string conversion" not in str(exc):
+            raise
+        print(f"error: an exact number in the result has more than "
+              f"{sys.get_int_max_str_digits()} digits", file=sys.stderr)
         return EXIT_NUMERIC
 
 

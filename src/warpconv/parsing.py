@@ -4,7 +4,7 @@ Grammar (whitespace insignificant)::
 
     expr     :=  term (('+' | '-') term)*
     term     :=  unary (('*' | '/') unary)*
-    unary    :=  '-' unary | power
+    unary    :=  '-'* power
     power    :=  atom ('^' exponent)?
     exponent :=  ['-'] INT  |  '(' ['-'] INT ['/' INT] ')'
     atom     :=  INT | 'i' | IDENT | '(' expr ')'
@@ -15,6 +15,10 @@ is only defined when the divisor normal-orders to a single invertible
 scalar * r^p * rho^q term, which covers rational literals like 3/7 and
 potentials like e^2/r.  Exponents of r and rho may be rational; everything
 else takes integer exponents (positions and momenta nonnegative).
+
+Parentheses nest at most ``MAX_DEPTH`` deep (each level is five frames
+of the descent) and a run of minus signs is read in a loop, so no input
+exhausts the interpreter's recursion limit.
 """
 
 from __future__ import annotations
@@ -27,6 +31,8 @@ from .operators import OperatorExpr
 from .scalars import QC, DEFAULT_CONSTANTS
 
 _OPS = set("+-*/^()")
+#: Deepest parenthesis nesting the parser accepts.
+MAX_DEPTH = 50
 
 
 class _Token:
@@ -74,6 +80,7 @@ class Parser:
     def __init__(self, text: str):
         self.tokens = _tokenize(text)
         self.k = 0
+        self.depth = 0
 
     def peek(self) -> _Token:
         return self.tokens[self.k]
@@ -116,10 +123,12 @@ class Parser:
         return acc
 
     def unary(self) -> OperatorExpr:
-        if self.peek().kind == "-":
+        signs = 0
+        while self.peek().kind == "-":
             self.next()
-            return -self.unary()
-        return self.power()
+            signs += 1
+        operand = self.power()
+        return -operand if signs % 2 else operand
 
     def power(self) -> OperatorExpr:
         tok = self.peek()
@@ -149,9 +158,14 @@ class Parser:
     def atom(self) -> tuple[str, OperatorExpr]:
         tok = self.next()
         if tok.kind == "num":
-            return "num", OperatorExpr.scalar(QC(Fraction(int(tok.text))))
+            return "num", OperatorExpr.scalar(QC(Fraction(_integer(tok))))
         if tok.kind == "(":
+            if self.depth == MAX_DEPTH:
+                raise ParseError(
+                    f"parentheses nest deeper than {MAX_DEPTH} levels", tok.pos)
+            self.depth += 1
             inner = self.expr()
+            self.depth -= 1
             self.expect(")")
             return "group", inner
         if tok.kind == "ident":
@@ -183,17 +197,27 @@ class Parser:
         if self.peek().kind == "-":
             self.next()
             sign = -1
-        num = int(self.expect("num").text)
+        num = _integer(self.expect("num"))
         den = 1
         if paren and self.peek().kind == "/":
             self.next()
             tok = self.expect("num")
-            den = int(tok.text)
+            den = _integer(tok)
             if den == 0:
                 raise ParseError("exponent has a zero denominator", tok.pos)
         if paren:
             self.expect(")")
         return Fraction(sign * num, den)
+
+
+def _integer(tok: _Token) -> int:
+    """An INT token's value; the interpreter refuses to read one with more
+    digits than ``sys.get_int_max_str_digits()``."""
+    try:
+        return int(tok.text)
+    except ValueError:
+        raise ParseError(f"integer of {len(tok.text)} digits is too long",
+                         tok.pos) from None
 
 
 def _invert(expr: OperatorExpr, pos: int) -> OperatorExpr:

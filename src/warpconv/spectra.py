@@ -11,14 +11,17 @@ field in any linear gauge) a change of gauge conjugates the matrix by a
 diagonal unitary, so the spectrum depends on the field strength alone.
 Each profile (S at nodes or link midpoints, the potential) is one call of
 the compiled coordinate function (``CoordFunction.compile``) on the node
-meshgrid, the same evaluator ``gauge.holonomy`` calls per loop point.
+meshgrid, the same evaluator ``gauge.holonomy`` calls per loop point.  The
+magnetic-length warning reads F23 of ``gauge.curl`` of the shift, the one
+place the curl is written.
 
 The matrix is assembled straight into canonical CSR: a row's at most nine
 stencil columns come in a fixed ascending order, so each entry is written
 once into its slot.  It is float64 when no hop carries a phase (the
 sampled shift vanishes in the plane, as for ``free`` with or without a
 potential) and complex128 otherwise; a real matrix gets a real LU factor
-of half the size and symmetric Lanczos.
+of half the size and symmetric Lanczos.  Constants too large for float64
+leave an entry that is not finite, and the matrix is then refused whole.
 
 This is the one module that imports numpy and scipy.  The package and the
 CLI import it only when a spectrum is asked for, so the symbolic commands
@@ -39,7 +42,7 @@ import scipy.sparse.linalg
 
 from .coords import CoordFunction
 from .errors import (NonConvergenceError, UnboundConstantError,
-                     UnsupportedOperandError)
+                     UnsupportedOperandError, WarpconvError)
 from .gauge import curl
 from .models import GridSpec, ModelPreset
 
@@ -97,6 +100,9 @@ def _plane_profile(f: CoordFunction, xs2: np.ndarray, xs3: np.ndarray,
     return v.real
 
 
+# Constants too large for float64 overflow quietly here: the finished
+# matrix is refused whole if an entry is not finite.
+@np.errstate(over="ignore", invalid="ignore")
 def discretize(preset: ModelPreset, grid: GridSpec,
                constants: dict) -> tuple[scipy.sparse.csr_matrix, dict]:
     """Sparse hermitian matrix of (1/2m)
@@ -126,10 +132,12 @@ def discretize(preset: ModelPreset, grid: GridSpec,
     puts nodes on the axes) raises SingularPointError.
 
     Returns (matrix, info).  The matrix is canonical CSR, float64 when no
-    hop carries a phase and complex128 otherwise.  info carries warnings
-    (coarse grid, magnetic length under 4 spacings), the hermiticity
-    defect (the largest gap between a stored hop and the conjugate of its
-    mirror entry, 0 by construction) and that spectral floor.
+    hop carries a phase and complex128 otherwise; an entry that is not
+    finite (constants too large for float64) raises WarpconvError.  info
+    carries warnings (coarse grid, magnetic length under 4 spacings), the
+    hermiticity defect (the largest gap between a stored hop and the
+    conjugate of its mirror entry, 0 by construction) and that spectral
+    floor.
     """
     if "m" not in constants:
         raise UnboundConstantError("mass constant 'm' must be bound")
@@ -208,6 +216,9 @@ def discretize(preset: ModelPreset, grid: GridSpec,
             data[forward], indices[forward] = hop, ids[s:]
             data[backward], indices[backward] = np.conj(hop), ids[:-s]
             pairs.append((forward, backward))
+    if not np.isfinite(data).all():
+        raise WarpconvError("the grid Hamiltonian has an entry that is not "
+                            "finite; the constants are too large")
     mat = scipy.sparse.csr_matrix((data, indices, indptr), shape=(size, size))
 
     # Each stored hop against its mirror entry (the diagonal is real).
@@ -230,14 +241,15 @@ def eigenvalues(matrix: scipy.sparse.spmatrix, k: int, info: dict,
 
     Dense solver below _DENSE_LIMIT unknowns, shift-invert Lanczos from
     there up; the Lanczos start vector is seeded, so results are
-    reproducible.  The seed is an integer >= 0 on both paths, as numpy
-    takes it; anything else raises ValueError.  Shift-invert returns the eigenvalues nearest the shift,
-    so the shift sits at min(0, info["spectral_floor"]), at or below the
-    whole spectrum; ``info`` is the second value ``discretize`` returns.
+    reproducible.  Both paths take the seed numpy takes, an integer >= 0,
+    and raise ValueError for anything else.  Shift-invert returns the
+    eigenvalues nearest the shift, so the shift sits at
+    min(0, info["spectral_floor"]), at or below the whole spectrum;
+    ``info`` is the second value ``discretize`` returns.
     """
     if not 1 <= k <= 64:
         raise ValueError("k must be between 1 and 64")
-    if seed < 0:
+    if not isinstance(seed, (int, np.integer)) or seed < 0:
         raise ValueError("seed must be an integer >= 0")
     size = matrix.shape[0]
     if k >= size - 1:

@@ -68,8 +68,10 @@ NUMERIC = ("numpy", "scipy", "dataclasses", "inspect")
       "--constants", "m=1,Omega=1"], 3, NUMERIC),
     (["spectrum", "--model", "free", "--grid", "8,10", "--k", "2",
       "--constants", "m=0"], 2, NUMERIC),
+    (["spectrum", "--model", "landau", "--grid", "8,10", "--k", "2",
+      "--constants", "e=1,B=1"], 2, NUMERIC),
 ], ids=["version", "commutator", "deform", "gauge", "holonomy", "verify",
-        "refused_spectrum", "refused_mass"])
+        "refused_spectrum", "refused_mass", "unbound_mass"])
 def test_command_loads_only_what_it_runs(argv, code, unloaded):
     env = dict(os.environ, PYTHONPATH=SRC)
     proc = subprocess.run([sys.executable, "-c", LOADED_RUN, *argv], env=env,
@@ -228,6 +230,52 @@ def test_every_public_name_resolves():
       "--radius", "\u0661"], cli.EXIT_CONFIG),
     (["holonomy", "--model", "landau", "--constants", "e=1,B=1",
       "--center=\u0660,0,0"], cli.EXIT_CONFIG),
+    # Parentheses nest at most parsing.MAX_DEPTH deep; a run of minus signs
+    # costs no recursion; an integer literal the interpreter will not read
+    # is a parse error.
+    (["commutator", "--a", "(" * 200 + "X1" + ")" * 200, "--b", "P1"],
+     cli.EXIT_CONFIG),
+    (["commutator", "--a=" + "-" * 3000 + "X1", "--b", "P1"], cli.EXIT_OK),
+    (["deform", "--model", "landau", "--expr", "(" * 300 + "P1" + ")" * 300],
+     cli.EXIT_CONFIG),
+    (["commutator", "--a", "1" * 5000, "--b", "P1"], cli.EXIT_CONFIG),
+    # Exact numbers with more digits than the interpreter prints, and values
+    # beyond the float range, are numeric failures.
+    (["commutator", "--a", "2^20000", "--b", "P1"], cli.EXIT_NUMERIC),
+    (["commutator", "--a", "3^4000*3^4000*3^4000*X1", "--b", "P1"],
+     cli.EXIT_NUMERIC),
+    (["deform", "--model", "landau", "--expr", "2^20000*P1"],
+     cli.EXIT_NUMERIC),
+    (["gauge", "--B", "1e5000,0,0"], cli.EXIT_NUMERIC),
+    (["gauge", "--B", "1,0,0", "--Q", "radial:1e5000"], cli.EXIT_NUMERIC),
+    (["holonomy", "--B", "1e400,0,0", "--constants", "e=1"], cli.EXIT_NUMERIC),
+    (["spectrum", "--model", "zeeman", "--grid", "8,10", "--k", "2",
+      "--constants", "e=1e200,B=1,m=1"], cli.EXIT_NUMERIC),
+    # A grid Hamiltonian with an entry that is not finite, on both solver
+    # paths.
+    *([["spectrum", "--model", model, "--grid", grid, "--k", "2",
+        "--constants", constants], cli.EXIT_NUMERIC]
+      for model, constants in (("landau", "e=1,B=1e308,m=1"),
+                               ("gravito_constant", "Omega=1e308,m=1"),
+                               ("aharonov_bohm", "e=1e308,phi_M=10,m=1"))
+      for grid in ("8,10", "20,10")),
+    # Refusals of malformed options.
+    (["spectrum", "--model", "free", "--grid", "8,10", "--k", "2",
+      "--constants", "m"], cli.EXIT_CONFIG),
+    (["deform", "--B", "1,2"], cli.EXIT_CONFIG),
+    (["deform", "--B", "1,2,3", "--Q", "radial"], cli.EXIT_CONFIG),
+    (["gauge", "--B", "1,2,3", "--Q", "bogus"], cli.EXIT_CONFIG),
+    (["gauge", "--B", "1,2,3", "--coupling", "1x"], cli.EXIT_CONFIG),
+    (["deform"], cli.EXIT_CONFIG),
+    (["commutator", "--a", "X1"], cli.EXIT_CONFIG),
+    (["spectrum", "--grid", "8,10", "--k", "2", "--constants", "m=1"],
+     cli.EXIT_CONFIG),
+    (["spectrum", "--model", "free", "--grid", "8", "--constants", "m=1"],
+     cli.EXIT_CONFIG),
+    (["spectrum", "--model", "landau", "--grid", "8,10", "--k", "2",
+      "--constants", "e=1,B=1"], cli.EXIT_CONFIG),
+    (["holonomy", "--model", "landau", "--constants", "e=1,B=1",
+      "--center", "0,0"], cli.EXIT_CONFIG),
 ])
 def test_exit_codes(argv, code, capsys):
     assert cli.main(argv) == code

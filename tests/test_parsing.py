@@ -74,6 +74,26 @@ def test_syntax_error_has_position():
     assert err.value.position == 5
 
 
+def test_nesting_is_refused_at_the_first_parenthesis_too_deep():
+    from warpconv.parsing import MAX_DEPTH
+    assert parse("(" * MAX_DEPTH + "X1" + ")" * MAX_DEPTH) == parse("X1")
+    text = "X1 + " + "(" * (MAX_DEPTH + 1) + "X1" + ")" * (MAX_DEPTH + 1)
+    with pytest.raises(ParseError, match="nest deeper") as err:
+        parse(text)
+    assert err.value.position == 5 + MAX_DEPTH
+
+
+def test_a_run_of_minus_signs_is_read_without_recursion():
+    assert parse("-" * 3000 + "X1") == parse("X1")
+    assert parse("-" * 3001 + "X1^2") == -parse("X1^2")
+
+
+def test_an_integer_too_long_to_read_is_a_parse_error():
+    with pytest.raises(ParseError, match="too long") as err:
+        parse("X1 + " + "1" * 5000)
+    assert err.value.position == 5
+
+
 def test_unknown_symbol():
     with pytest.raises(UnknownSymbolError):
         parse("X4")

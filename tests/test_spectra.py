@@ -243,8 +243,9 @@ def test_eigenvalues_k_validation():
 def test_eigenvalues_refuse_a_negative_seed(points):
     mat, info = discretize(get_preset("free"), GridSpec(4.0, points),
                            {"m": 1.0})
-    with pytest.raises(ValueError, match="seed"):
-        eigenvalues(mat, 2, info, seed=-1)
+    for seed in (-1, 1.5):
+        with pytest.raises(ValueError, match="seed"):
+            eigenvalues(mat, 2, info, seed=seed)
 
 
 def test_gauge_translation_leaves_spectrum_invariant():
