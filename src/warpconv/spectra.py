@@ -20,8 +20,7 @@ stencil columns come in a fixed ascending order, so each entry is written
 once into its slot.  It is float64 when no hop carries a phase (the
 sampled shift vanishes in the plane, as for ``free`` with or without a
 potential) and complex128 otherwise; a real matrix gets a real LU factor
-of half the size and symmetric Lanczos.  Constants too large for float64
-leave an entry that is not finite, and the matrix is then refused whole.
+of half the size and symmetric Lanczos.
 
 This is the one module that imports numpy and scipy.  The package and the
 CLI import it only when a spectrum is asked for, so the symbolic commands

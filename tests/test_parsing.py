@@ -5,7 +5,7 @@ import pytest
 from warpconv.coords import CoordFunction
 from warpconv.errors import ParseError, UnknownSymbolError
 from warpconv.operators import OperatorExpr
-from warpconv.parsing import parse
+from warpconv.parsing import MAX_DEPTH, parse
 from warpconv.scalars import QC
 
 F = Fraction
@@ -60,6 +60,9 @@ def test_unary_minus_and_precedence():
     assert parse("-X1^2") == OperatorExpr.from_coord(
         CoordFunction.term(-1, (2, 0, 0)))
     assert parse("2*X1 - X1 - X1").is_structurally_zero()
+    # A run of minus signs is read in a loop, not one frame per sign.
+    assert parse("-" * 3000 + "X1") == parse("X1")
+    assert parse("-" * 3001 + "X1^2") == parse("-X1^2")
 
 
 def test_parenthesized_power_expands():
@@ -69,29 +72,17 @@ def test_parenthesized_power_expands():
 
 
 def test_syntax_error_has_position():
-    with pytest.raises(ParseError) as err:
-        parse("X1 + * P2")
-    assert err.value.position == 5
-
-
-def test_nesting_is_refused_at_the_first_parenthesis_too_deep():
-    from warpconv.parsing import MAX_DEPTH
-    assert parse("(" * MAX_DEPTH + "X1" + ")" * MAX_DEPTH) == parse("X1")
-    text = "X1 + " + "(" * (MAX_DEPTH + 1) + "X1" + ")" * (MAX_DEPTH + 1)
-    with pytest.raises(ParseError, match="nest deeper") as err:
-        parse(text)
-    assert err.value.position == 5 + MAX_DEPTH
-
-
-def test_a_run_of_minus_signs_is_read_without_recursion():
-    assert parse("-" * 3000 + "X1") == parse("X1")
-    assert parse("-" * 3001 + "X1^2") == -parse("X1^2")
-
-
-def test_an_integer_too_long_to_read_is_a_parse_error():
-    with pytest.raises(ParseError, match="too long") as err:
-        parse("X1 + " + "1" * 5000)
-    assert err.value.position == 5
+    deepest = "(" * MAX_DEPTH + "X1" + ")" * MAX_DEPTH
+    assert parse(deepest) == parse("X1")
+    for text, position in (
+            ("X1 + * P2", 5),
+            # The first parenthesis beyond MAX_DEPTH.
+            ("X1 + (" + deepest + ")", 5 + MAX_DEPTH),
+            # An integer with more digits than the interpreter reads.
+            ("X1 + " + "1" * 5000, 5)):
+        with pytest.raises(ParseError) as err:
+            parse(text)
+        assert err.value.position == position
 
 
 def test_unknown_symbol():
