@@ -29,9 +29,8 @@ _EXPORTS = {
                "UnknownSymbolError",
                "UnsupportedDegreeError", "UnsupportedOperandError",
                "WarpconvError", "ZeroCouplingError"),
-    "gauge": ("FieldStrength", "bianchi_check", "curl",
-              "extract_gauge_field", "field_strength", "holonomy",
-              "lorentz_force"),
+    "gauge": ("bianchi_check", "curl", "extract_gauge_field",
+              "field_strength", "holonomy", "lorentz_force"),
     "models": ("GridSpec", "ModelPreset", "PRESETS", "coulomb_potential",
                "get_preset", "guiding_center", "uncertainty_area_symbolic"),
     "operators": ("OperatorExpr",),

@@ -316,21 +316,21 @@ def cmd_commutator(args) -> int:
 
 
 def cmd_gauge(args) -> int:
+    from .deform import skew
     from .gauge import bianchi_check, extract_gauge_field, field_strength
     from .operators import OperatorExpr
     name, pairs, _ = _resolve_model(args)
     fields = []
     for spec, coupling in pairs:
         a = extract_gauge_field(spec, coupling)
-        fs = field_strength(spec, coupling)
+        b = field_strength(spec, coupling)
         fields.append({
             "coupling": str(coupling),
             "components": [str(c) for c in a],
             "components_json": [OperatorExpr.from_coord(c).to_json_dict()
                                 for c in a],
-            "field_strength": [[str(fs.rows[i][j]) for j in range(3)]
-                               for i in range(3)],
-            "bianchi_zero": bool(bianchi_check(fs)),
+            "field_strength": [[str(f) for f in row] for row in skew(b)],
+            "bianchi_zero": bool(bianchi_check(b)),
         })
     payload = {"command": "gauge", "model": name,
                "coupling": fields[0]["coupling"], "fields": fields}
@@ -405,8 +405,11 @@ def cmd_holonomy(args) -> int:
                    for v in args.center.replace(",", " ").split())
     if len(center) != 3:
         raise ConfigError("--center needs three components")
-    if args.points < 8:
-        raise ConfigError("--points must be at least 8")
+    # The trapezoid rule is spectrally accurate on a smooth loop: landau
+    # is off by 8e-15 at 256 points, 3e-12 at 2^16 and 1e-11 at 2^20, so
+    # more points add only roundoff and time.
+    if not 8 <= args.points <= 2 ** 16:
+        raise ConfigError("--points must be between 8 and 65536")
     constants = _parse_constants(args.constants)
     value = holonomy(a, args.radius, center=center, points=args.points,
                      constants=constants)

@@ -5,6 +5,8 @@ constant entries and a generator Q(X), a commuting triple of
 coordinate functions.  B is held by its axial vector b, B_ij =
 epsilon_ijk b^k, so it is skew by construction; only nine entries given
 from outside (``DeformationMatrix.from_rows``) are checked for skewness.
+``skew`` is the one place epsilon_ijk is written; ``gauge`` takes the
+field strength F_ij = epsilon_ijk B^k from it too.
 On the momentum-degree <= 2 class the deformation acts by the in-place
 substitution
 
@@ -34,6 +36,13 @@ def _as_entry(v) -> CoordFunction:
     return as_constant(v, "deformation-matrix entries")
 
 
+def skew(b: Sequence[CoordFunction]) -> tuple[tuple[CoordFunction, ...], ...]:
+    """Rows of the antisymmetric 3x3 matrix M_ij = epsilon_ijk b^k of an
+    axial triple b = (b1, b2, b3) of coordinate functions."""
+    z = CoordFunction.zero()
+    return ((z, b[2], -b[1]), (-b[2], z, b[0]), (b[1], -b[0], z))
+
+
 class DeformationMatrix:
     """Real skew-symmetric 3x3 matrix of constants, B_ij = epsilon_ijk b^k,
     stored by its axial vector ``axial`` = (b1, b2, b3); ``rows``, the
@@ -42,9 +51,8 @@ class DeformationMatrix:
     __slots__ = ("axial", "rows")
 
     def __init__(self, b1=0, b2=0, b3=0):
-        b = self.axial = (_as_entry(b1), _as_entry(b2), _as_entry(b3))
-        z = CoordFunction.zero()
-        self.rows = ((z, b[2], -b[1]), (-b[2], z, b[0]), (b[1], -b[0], z))
+        self.axial = (_as_entry(b1), _as_entry(b2), _as_entry(b3))
+        self.rows = skew(self.axial)
 
     @staticmethod
     def from_rows(rows: Sequence[Sequence]) -> "DeformationMatrix":

@@ -52,10 +52,6 @@ class NonPositiveParameterError(WarpconvError):
 class NonConvergenceError(WarpconvError):
     """Iterative eigensolver failed to reach the residual target."""
 
-    def __init__(self, message: str, diagnostics: dict | None = None):
-        super().__init__(message)
-        self.diagnostics = diagnostics or {}
-
 
 class SingularLoopError(WarpconvError):
     """Holonomy loop passes through a singular point of the gauge field."""

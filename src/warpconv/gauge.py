@@ -2,18 +2,18 @@
 
 A deformation shifts each momentum by a coordinate function S_j; writing
 S_j = g A_j identifies a gauge field A with coupling g; S and P_j + S_j
-are read from the spec, which computed them once.  A vector potential is
-the plain triple (A1, A2, A3) of coordinate functions, as the catalog
-writes its textbook potentials.  The commutator of two shifted momenta
-is then -i g F_ij with F the curl of A, the commutator with the shifted
-Hamiltonian produces the Lorentz force, and the Jacobi identity yields
-the homogeneous (source-free) field equations.  F is antisymmetric, so
-only F12, F13 and F23 are computed, by three commutators
-(``field_strength``) or three curl entries (``curl``, the one place the
-curl is written); they are the (gravito)magnetic axial field, and the
-one Bianchi sum they leave (``bianchi_sum``) is its divergence.  All
-fields here are static coordinate functions, so time-derivative terms
-vanish identically.
+are read from the spec, which computed them once.  Every vector field is
+a plain triple of coordinate functions: the potential A = (A1, A2, A3),
+as the catalog writes it, the electric field E and the (gravito)magnetic
+axial field B = (F23, F31, F12).  The commutator of two shifted momenta
+is -i g F_ij with F_ij = epsilon_ijk B^k the curl of A, so B holds all
+of F: ``field_strength`` takes it from [P2, P3], [P3, P1] and [P1, P2],
+``curl`` (the one place the curl is written) from A, and ``deform.skew``
+(the one place epsilon_ijk is written) gives the nine F_ij.  The
+commutator with the shifted Hamiltonian produces the Lorentz force, and
+the Jacobi identity yields the homogeneous (source-free) field
+equations, of which the one Bianchi sum (``bianchi_sum``) is div B.  All
+fields here are static, so time-derivative terms vanish identically.
 
 The loop integral of A (``holonomy``) is computed here too, with ``math``
 alone, so every command but the grid spectrum runs without numpy or scipy.
@@ -25,39 +25,22 @@ import math
 from fractions import Fraction
 
 from .coords import CoordFunction, as_constant
-from .deform import DeformationSpec, deform_operator
+from .deform import DeformationSpec, deform_operator, skew
 from .errors import SingularLoopError, ZeroCouplingError
 from .operators import HALF_OVER_M, OperatorExpr, require_coordinate_only
 from .scalars import QC
 
 _I = QC(0, Fraction(1))
-# The index pairs (i, j) above the diagonal, in row-major order.
-_UPPER = ((1, 2), (1, 3), (2, 3))
+# (i, j) with B_k = F_ij for k = 1, 2, 3: the cyclic pairs.
+_CYCLIC = ((2, 3), (3, 1), (1, 2))
 
 
-class FieldStrength:
-    """Antisymmetric 3x3 matrix of coordinate functions, stored by its
-    entries above the diagonal, ``upper`` = (F12, F13, F23); ``rows``, the
-    nine entries, are built from them once."""
-
-    __slots__ = ("upper", "rows")
-
-    def __init__(self, f12: CoordFunction, f13: CoordFunction,
-                 f23: CoordFunction):
-        self.upper = (f12, f13, f23)
-        z = CoordFunction.zero()
-        self.rows = ((z, f12, f13), (-f12, z, f23), (-f13, -f23, z))
-
-    def __getitem__(self, ij: tuple[int, int]) -> CoordFunction:
-        i, j = ij
-        return self.rows[i - 1][j - 1]
-
-
-def curl(a) -> FieldStrength:
-    """F_ij = dA_j/dx_i - dA_i/dx_j of a vector potential a = (A1, A2, A3),
-    independent of any commutator."""
-    return FieldStrength(*(a[j - 1].partial(i) - a[i - 1].partial(j)
-                           for i, j in _UPPER))
+def curl(a) -> tuple[CoordFunction, ...]:
+    """The axial field B = curl a of a vector potential a = (A1, A2, A3),
+    B_k = dA_j/dx_i - dA_i/dx_j for cyclic (i, j, k), independent of any
+    commutator."""
+    return tuple(a[j - 1].partial(i) - a[i - 1].partial(j)
+                 for i, j in _CYCLIC)
 
 
 def _inverse_coupling(coupling: CoordFunction, what: str) -> CoordFunction:
@@ -77,8 +60,9 @@ def extract_gauge_field(spec: DeformationSpec,
 
 
 def field_strength(spec: DeformationSpec,
-                   coupling: CoordFunction) -> FieldStrength:
-    """F_ij from the commutators of the shifted momenta, divided by -i g.
+                   coupling: CoordFunction) -> tuple[CoordFunction, ...]:
+    """The axial field B = (F23, F31, F12) from the commutators [P2, P3],
+    [P3, P1] and [P1, P2] of the shifted momenta, divided by -i g.
 
     The commutator must close on a pure coordinate function; a momentum
     remainder would mean the normal-ordering engine is broken and raises
@@ -91,7 +75,7 @@ def field_strength(spec: DeformationSpec,
         f = require_coordinate_only(comm, f"[P{i}^def, P{j}^def]")
         # divide by -i g:  f / (-i g) = f * i / g
         return f.scale(_I).scale(norm)
-    return FieldStrength(*(entry(i, j) for i, j in _UPPER))
+    return tuple(entry(i, j) for i, j in _CYCLIC)
 
 
 def lorentz_force(spec: DeformationSpec, potential: CoordFunction,
@@ -107,31 +91,30 @@ def lorentz_force(spec: DeformationSpec, potential: CoordFunction,
     """
     h_def = deform_operator(OperatorExpr.free_hamiltonian(), spec)
     h_tot = h_def + OperatorExpr.from_coord(potential.scale(coupling))
-    fs = field_strength(spec, coupling)
+    f = skew(field_strength(spec, coupling))
 
     ig = coupling.scale(_I)
     for j in (1, 2, 3):
         rhs = OperatorExpr.from_coord(potential.partial(j).scale(ig))
         for k in (1, 2, 3):
-            fkj = OperatorExpr.from_coord(fs[(k, j)])
+            fkj = OperatorExpr.from_coord(f[k - 1][j - 1])
             sym = spec.momenta[k - 1] * fkj + fkj * spec.momenta[k - 1]
             rhs = rhs - sym.scale(ig * HALF_OVER_M)
         yield h_tot.commutator(spec.momenta[j - 1]), rhs
 
 
-def bianchi_sum(fs: FieldStrength) -> CoordFunction:
-    """The cyclic sum d_1 F_23 + d_2 F_31 + d_3 F_12 (div B for the axial
-    field B); by antisymmetry every other cyclic sum d_k F_ij + d_i F_jk +
-    d_j F_ki is zero or this one up to sign.  The Bianchi identity says it
-    is the zero function."""
-    f12, f13, f23 = fs.upper
-    return f23.partial(1) - f13.partial(2) + f12.partial(3)
+def bianchi_sum(b) -> CoordFunction:
+    """div B = d_1 F_23 + d_2 F_31 + d_3 F_12 of the axial field
+    b = (B1, B2, B3); by antisymmetry every other cyclic sum
+    d_k F_ij + d_i F_jk + d_j F_ki is zero or this one up to sign.  The
+    Bianchi identity says it is the zero function."""
+    return b[0].partial(1) + b[1].partial(2) + b[2].partial(3)
 
 
-def bianchi_check(fs: FieldStrength) -> bool:
+def bianchi_check(b) -> bool:
     """d_k F_ij + d_i F_jk + d_j F_ki = 0, checked symbolically.  A nonzero
-    constant factor in F (such as 1/g) does not change the verdict."""
-    return bianchi_sum(fs).is_zero()
+    constant factor in B (such as 1/g) does not change the verdict."""
+    return bianchi_sum(b).is_zero()
 
 
 def jacobi_maxwell_sums(spec: DeformationSpec, potential: CoordFunction,
@@ -151,12 +134,12 @@ def jacobi_maxwell_sums(spec: DeformationSpec, potential: CoordFunction,
                 + c.commutator(a.commutator(b)))
 
     for k in (1, 2, 3):
-        for (i, j) in _UPPER:
+        for (i, j) in _CYCLIC:
             yield jacobi(phat[k - 1], phat[i - 1], phat[j - 1])
-    for (i, j) in _UPPER:
+    for (i, j) in _CYCLIC:
         yield jacobi(h_tot, phat[i - 1], phat[j - 1])
     e_field = [-potential.partial(j) for j in (1, 2, 3)]
-    for f in curl(e_field).upper:
+    for f in curl(e_field):
         yield OperatorExpr.from_coord(f)
 
 

@@ -12,8 +12,8 @@ diagonal unitary, so the spectrum depends on the field strength alone.
 Each profile (S at nodes or link midpoints, the potential) is one call of
 the compiled coordinate function (``CoordFunction.compile``) on the node
 meshgrid, the same evaluator ``gauge.holonomy`` calls per loop point.  The
-magnetic-length warning reads F23 of ``gauge.curl`` of the shift, the one
-place the curl is written.
+magnetic-length warning reads B1 = F23 of ``gauge.curl`` of the shift,
+the one place the curl is written.
 
 The matrix is assembled straight into canonical CSR: a row's at most nine
 stencil columns come in a fixed ascending order, so each entry is written
@@ -165,7 +165,7 @@ def discretize(preset: ModelPreset, grid: GridSpec,
 
     # Effective field strength at the box center for the coarseness check.
     probe = (0.0, 0.25 * h, 0.25 * h)
-    f23 = curl(shift)[(2, 3)].compile(constants)(*probe).real
+    f23 = curl(shift)[0].compile(constants)(*probe).real
     if f23 != 0.0:
         ell = 1.0 / math.sqrt(abs(f23))
         if ell < 4 * h:
@@ -276,9 +276,8 @@ def eigenvalues(matrix: scipy.sparse.spmatrix, k: int, info: dict,
                 OPinv=inverse)
         except scipy.sparse.linalg.ArpackNoConvergence as exc:
             raise NonConvergenceError(
-                "Lanczos iteration did not converge",
-                {"converged": len(exc.eigenvalues),
-                 "requested": levels}) from exc
+                f"Lanczos iteration did not converge: "
+                f"{len(exc.eigenvalues)} of {levels} pairs") from exc
         order = np.argsort(vals)[:k]
         vals, vecs = vals[order], vecs[:, order]
 
@@ -292,8 +291,8 @@ def eigenvalues(matrix: scipy.sparse.spmatrix, k: int, info: dict,
     bad = [r for r in residuals if not r <= _RESIDUAL_TOL]
     if bad:
         raise NonConvergenceError(
-            f"{len(bad)} residuals exceed {_RESIDUAL_TOL}",
-            {"max_residual": max(bad)})
+            f"{len(bad)} of {k} residuals exceed {_RESIDUAL_TOL}; the "
+            f"largest is {np.max(bad):.3g}")
     return SpectrumResult(
         eigenvalues=[float(v) for v in vals],
         residuals=residuals,

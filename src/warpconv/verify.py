@@ -15,11 +15,10 @@ commutator route inside the gauge cross-check only: a deliberate
 wrong-convention injection that must leave additivity passing while the
 curl comparison fails, confirming the suite actually has teeth.
 
-A field strength is antisymmetric by construction: the gauge checks
-compare F12, F13 and F23, in row-major order, and the Bianchi check the
-one cyclic sum antisymmetry leaves, div B.  An entry below the diagonal
-is the same terms subtracted the other way, so it fails only with its
-mirror.
+A field strength is antisymmetric, F_ij = epsilon_ijk B^k, so the gauge
+checks read the axial triple B = (F23, F31, F12), and the Bianchi check
+div B.  The cross-check compares B3, B2, B1, that is F12, F31, F23, so
+a failing row reports the residual of F12 first, its first unequal pair.
 
 Every identity is decided here, by ``_exact`` alone, which compares each
 pair by its one exact ``equals`` and builds the check's report entry.  A
@@ -288,14 +287,15 @@ def _moyal_checks(wants: Wants) -> list[dict]:
 def _gauge_checks(wants: Wants, presets,
                   negative_control: bool) -> list[dict]:
     def cross_check(name):
-        """F12, F13 and F23 from the commutators of the shifted momenta,
-        paired with the same entries of the curl of A, spec by spec."""
+        """B from the commutators of the shifted momenta, paired with the
+        curl of A, spec by spec, in the order B3, B2, B1."""
         for spec, g in presets(name).coupled_specs():
-            comm = field_strength(spec, g).upper
+            comm = field_strength(spec, g)
             if negative_control:
                 # Wrong-convention injection: divide by +ig instead of -ig.
                 comm = [-f for f in comm]
-            yield from zip(comm, curl(extract_gauge_field(spec, g)).upper)
+            yield from zip(comm[::-1],
+                           curl(extract_gauge_field(spec, g))[::-1])
 
     def bianchi(name):
         for spec, g in presets(name).coupled_specs():
@@ -303,7 +303,7 @@ def _gauge_checks(wants: Wants, presets,
 
     def ab_off_axis():
         ab = presets("aharonov_bohm")
-        for f in field_strength(ab.specs[0], ab.coupling).upper:
+        for f in field_strength(ab.specs[0], ab.coupling):
             yield f, CoordFunction.zero()
 
     def jacobi_maxwell(name):

@@ -17,7 +17,7 @@ SELECT_WITHOUT_VALUE = os.path.join(CONFIGS, "select_without_value.cfg")
 
 PUBLIC_NAMES = [
     "ConfigError", "CoordFunction", "DeformationMatrix", "DeformationSpec",
-    "FieldStrength", "GridSpec",
+    "GridSpec",
     "InternalInconsistencyError", "ModelPreset", "NonConvergenceError",
     "NonPositiveParameterError", "OperatorExpr", "PRESETS", "ParseError", "QC",
     "QSpec", "SingularLoopError", "SingularMatrixError", "SingularPointError",
@@ -276,6 +276,10 @@ def test_every_public_name_resolves():
       "--constants", "e=1,B=1"], cli.EXIT_CONFIG),
     (["holonomy", "--model", "landau", "--constants", "e=1,B=1",
       "--center", "0,0"], cli.EXIT_CONFIG),
+    # More than 2^16 quadrature points add only roundoff, and time.
+    *([["holonomy", "--model", "landau", "--constants", "e=1,B=1",
+        "--points", points], cli.EXIT_CONFIG]
+      for points in ("65537", "99999999999999999999")),
 ])
 def test_exit_codes(argv, code, capsys):
     assert cli.main(argv) == code

@@ -3,9 +3,9 @@ from fractions import Fraction
 import pytest
 
 from warpconv.coords import CoordFunction
-from warpconv.deform import DeformationSpec
+from warpconv.deform import DeformationSpec, skew
 from warpconv.errors import ZeroCouplingError
-from warpconv.gauge import (FieldStrength, bianchi_check, bianchi_sum, curl,
+from warpconv.gauge import (bianchi_check, bianchi_sum, curl,
                             extract_gauge_field, field_strength,
                             jacobi_maxwell_sums, lorentz_force)
 from warpconv.models import coulomb_potential, get_preset
@@ -16,12 +16,8 @@ F = Fraction
 E = CoordFunction.constant("e")
 
 
-def entries(fs):
-    return [f for row in fs.rows for f in row]
-
-
-def vanishes(fs):
-    return all(f.equals(CoordFunction.zero()) for f in entries(fs))
+def vanishes(b):
+    return all(f.equals(CoordFunction.zero()) for f in b)
 
 
 def test_extract_landau_symmetric_gauge():
@@ -75,13 +71,11 @@ def test_coupling_must_be_a_constant():
 
 
 def test_field_strength_landau_is_constant():
+    # The axial field (F23, F31, F12) of Landau is B along x1.
     preset = get_preset("landau")
-    fs = field_strength(preset.specs[0], E)
-    assert all(fs[(i, j)].equals(-fs[(j, i)])
-               for i in (1, 2, 3) for j in (1, 2, 3))
-    assert (fs[(2, 3)] - CoordFunction.constant("B")).is_zero()
-    for ij in ((1, 2), (1, 3)):
-        assert fs[ij].is_zero()
+    b1, b2, b3 = field_strength(preset.specs[0], E)
+    assert (b1 - CoordFunction.constant("B")).is_zero()
+    assert b2.is_zero() and b3.is_zero()
 
 
 def test_field_strength_aharonov_bohm_vanishes_off_axis():
@@ -101,9 +95,10 @@ def test_curl_equals_commutator_route():
                  "gravito_constant"):
         preset = get_preset(name)
         for spec in preset.specs:
-            fs = field_strength(spec, preset.coupling)
+            b = field_strength(spec, preset.coupling)
             rot = curl(extract_gauge_field(spec, preset.coupling))
-            assert all(f.equals(g) for f, g in zip(entries(fs), entries(rot)))
+            assert len(b) == len(rot) == 3
+            assert all(f.equals(g) for f, g in zip(b, rot))
 
 
 def test_field_strength_scales_linearly():
@@ -112,7 +107,7 @@ def test_field_strength_scales_linearly():
     doubled = DeformationSpec(spec.matrix.scale(QC(F(2))), spec.generator)
     f1 = field_strength(spec, E)
     f2 = field_strength(doubled, E)
-    assert (f2[(2, 3)] - f1[(2, 3)].scale(QC(F(2)))).is_zero()
+    assert (f2[0] - f1[0].scale(QC(F(2)))).is_zero()
 
 
 def test_lorentz_force_landau_magnetic_only():
@@ -120,9 +115,9 @@ def test_lorentz_force_landau_magnetic_only():
     pairs = list(lorentz_force(preset.specs[0], CoordFunction.zero(), E))
     assert all(c.equals(closed) for c, closed in pairs)
     # The field is divergence-free: sum_k d_k F_kj = 0.
-    fs = field_strength(preset.specs[0], E)
+    f = skew(field_strength(preset.specs[0], E))
     for j in (1, 2, 3):
-        assert sum((fs[(k, j)].partial(k) for k in (1, 2, 3)),
+        assert sum((f[k - 1][j - 1].partial(k) for k in (1, 2, 3)),
                    CoordFunction.zero()).is_zero()
     # no electric part: the commutator with H only involves momenta
     c1 = pairs[0][0]
@@ -186,23 +181,25 @@ def test_field_strength_takes_three_commutators(monkeypatch):
         calls.append(None)
         return commutator(a, b)
     monkeypatch.setattr(OperatorExpr, "commutator", counted)
-    fs = field_strength(spec, E)
+    b = field_strength(spec, E)
     assert len(calls) == 3
-    assert bianchi_sum(fs).is_zero()
+    assert bianchi_sum(b).is_zero()
 
 
 def test_antisymmetry_leaves_one_bianchi_sum():
-    # A generic antisymmetric F, which need not satisfy the identity: each
-    # of the 27 cyclic sums d_k F_ij + d_i F_jk + d_j F_ki is 0 or +-div B.
+    # F = skew(b) of a generic axial triple b, which need not satisfy the
+    # identity: each of the 27 cyclic sums d_k F_ij + d_i F_jk + d_j F_ki
+    # is 0 or +-div b.
     x1, x2, x3 = (CoordFunction.x(j) for j in (1, 2, 3))
-    fs = FieldStrength(x3 * x3 * x1, x2 * CoordFunction.r_power(-1),
-                       x1 * x1 * x2)
-    kept = bianchi_sum(fs)
+    b = (x1 * x1 * x2, x2 * CoordFunction.r_power(-1), x3 * x3 * x1)
+    f = skew(b)
+    kept = bianchi_sum(b)
     assert not kept.is_zero()
     for k in (1, 2, 3):
         for i in (1, 2, 3):
             for j in (1, 2, 3):
-                total = (fs[(i, j)].partial(k) + fs[(j, k)].partial(i)
-                         + fs[(k, i)].partial(j))
+                total = (f[i - 1][j - 1].partial(k)
+                         + f[j - 1][k - 1].partial(i)
+                         + f[k - 1][i - 1].partial(j))
                 assert any(total.equals(v) for v in
                            (CoordFunction.zero(), kept, -kept))

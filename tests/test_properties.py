@@ -1,5 +1,5 @@
-"""Property tests of the normal-ordered product and the commutator, drawn
-by hypothesis.
+"""Property tests of the normal-ordered product, the commutator and the
+vector calculus of triples, drawn by hypothesis.
 
 The operands are one- or two-term operators from the seeded generators of
 conftest, with hypothesis choosing (and shrinking) the seed.  The examples
@@ -10,9 +10,13 @@ import pytest
 
 hypothesis = pytest.importorskip("hypothesis")
 
-from conftest import rand_coord, rand_expr, rand_qc
+from fractions import Fraction
+
+from conftest import MONO_POOL, rand_coord, rand_expr, rand_qc
 from hypothesis import given, settings, strategies as st
 from warpconv.coords import CoordFunction
+from warpconv.deform import DeformationMatrix, skew
+from warpconv.gauge import bianchi_sum, curl
 from warpconv.scalars import QC_ZERO
 
 PROPERTY = settings(max_examples=25, deadline=None, derandomize=True,
@@ -72,3 +76,33 @@ def test_results_keep_the_normal_form(a, b, rng, axis):
                f.reduced(), f.scale(c), f.scale(QC_ZERO), f - f]
     assert all(_stores_no_zero(x) for x in results)
     assert not (a - a).terms and not a.scale(QC_ZERO).terms
+
+
+def triples(draw):
+    return st.randoms(use_true_random=False).map(
+        lambda rng: tuple(draw(rng) for _ in range(3)))
+
+
+def _rand_constant(rng) -> CoordFunction:
+    zero = Fraction(0)
+    return CoordFunction({((0, 0, 0), zero, zero, rng.choice(MONO_POOL)):
+                          rand_qc(rng)})
+
+
+@PROPERTY
+@given(triples(lambda rng: rand_coord(rng, fractional=True)))
+def test_div_curl_is_zero(a):
+    assert bianchi_sum(curl(a)).is_zero()
+
+
+@PROPERTY
+@given(st.randoms(use_true_random=False))
+def test_curl_grad_is_zero(rng):
+    phi = rand_coord(rng, max_terms=3, fractional=True)
+    assert all(b.is_zero() for b in curl([phi.partial(j) for j in (1, 2, 3)]))
+
+
+@PROPERTY
+@given(triples(_rand_constant))
+def test_skew_rows_are_the_deformation_matrix(b):
+    assert DeformationMatrix.from_rows(skew(b)) == DeformationMatrix(*b)

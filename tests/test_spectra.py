@@ -6,12 +6,13 @@ import numpy as np
 import pytest
 import scipy.linalg
 import scipy.sparse
+import scipy.sparse.linalg
 
 from warpconv.coords import CoordFunction
 from warpconv.deform import DeformationSpec, QSpec
-from warpconv.errors import (NonPositiveParameterError, SingularLoopError,
-                             SingularPointError, UnboundConstantError,
-                             UnsupportedOperandError)
+from warpconv.errors import (NonConvergenceError, NonPositiveParameterError,
+                             SingularLoopError, SingularPointError,
+                             UnboundConstantError, UnsupportedOperandError)
 from warpconv.gauge import extract_gauge_field, holonomy
 from warpconv import spectra
 from warpconv.models import ModelPreset, get_preset
@@ -382,6 +383,32 @@ def test_holonomy_validation_and_singular_loop():
         holonomy(extract_gauge_field(lt.specs[0], lt.coupling), 1.0,
                  center=(0.0, 1.0, 0.0), points=8,
                  constants={"m": 1, "Omega": 1})
+
+
+def test_residual_failure_names_its_count_and_largest(monkeypatch):
+    mat, info = discretize(get_preset("landau"), GridSpec(10.0, 12),
+                           {"e": 1.0, "B": 1.5, "m": 1.0})
+    residuals = eigenvalues(mat, 8, info).residuals  # the dense path
+    assert min(residuals) > 0
+    monkeypatch.setattr(spectra, "_RESIDUAL_TOL", 0)
+    with pytest.raises(NonConvergenceError) as caught:
+        eigenvalues(mat, 8, info)
+    assert str(caught.value) == (f"8 of 8 residuals exceed 0; the largest "
+                                 f"is {max(residuals):.3g}")
+
+
+def test_lanczos_failure_names_the_pairs_it_converged(monkeypatch):
+    mat, info = discretize(get_preset("landau"), GridSpec(10.0, 20),
+                           {"e": 1.0, "B": 1.5, "m": 1.0})
+
+    def stalled(*args, **kwargs):
+        raise scipy.sparse.linalg.ArpackNoConvergence(
+            "ARPACK error -1: No convergence", np.zeros(3),
+            np.zeros((mat.shape[0], 3)))
+    monkeypatch.setattr(scipy.sparse.linalg, "eigsh", stalled)
+    with pytest.raises(NonConvergenceError,
+                       match=r"did not converge: 3 of 16 pairs$"):
+        eigenvalues(mat, 2, info)
 
 
 def test_dense_and_sparse_paths_agree(monkeypatch):
