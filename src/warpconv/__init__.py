@@ -19,9 +19,9 @@ __version__ = "0.1.0"
 # Home module of every public name; the submodules themselves are public.
 _EXPORTS = {
     "coords": ("CoordFunction",),
-    "deform": ("DeformationMatrix", "DeformationSpec", "QSpec",
-               "deform_coordinate", "deform_operator", "deform_sequence",
-               "momentum_shift", "rieffel_product"),
+    "deform": ("DeformationMatrix", "DeformationSpec", "deform_coordinate",
+               "deform_operator", "deform_sequence", "momentum_shift",
+               "rieffel_product"),
     "errors": ("ConfigError", "InternalInconsistencyError",
                "NonConvergenceError", "NonPositiveParameterError",
                "ParseError", "SingularLoopError", "SingularMatrixError",

@@ -218,19 +218,24 @@ def _parse_matrix(text: str):
     raise ConfigError("--B needs 1 (zero), 3 (axial) or 9 (row-major) entries")
 
 
+# --Q shorthands for the generator labels of ``deform.GENERATORS``.
+_GENERATOR_ALIASES = {"x": "coordinate", "radial": "radial-power",
+                      "transverse": "transverse-radial",
+                      "rho": "transverse-radial"}
+
+
 def _parse_generator(text: str | None):
-    from .deform import QSpec
+    from .deform import GENERATORS
     label, _, param = ("coordinate" if text is None else text).partition(":")
     label = label.strip().lower()
-    if label in ("coordinate", "x"):
-        return QSpec.coordinate()
-    if label in ("radial", "radial-power"):
-        if not param:
-            raise ConfigError("radial generator needs a parameter, e.g. radial:3/2")
-        return QSpec.radial_power(_number(param, "--Q radial", Fraction))
-    if label in ("transverse", "transverse-radial", "rho"):
-        return QSpec.transverse_radial()
-    raise ConfigError(f"unknown generator {text!r}")
+    label = _GENERATOR_ALIASES.get(label, label)
+    if label not in GENERATORS:
+        raise ConfigError(f"unknown generator {text!r}")
+    if label != "radial-power":
+        return GENERATORS[label]()
+    if not param:
+        raise ConfigError("radial generator needs a parameter, e.g. radial:3/2")
+    return GENERATORS[label](_number(param, "--Q radial", Fraction))
 
 
 def _parse_coupling(text: str | None):

@@ -97,54 +97,30 @@ class DeformationMatrix:
             ", ".join(str(v) for v in row) for row in self.rows) + "]"
 
 
-class QSpec:
-    """Deformation generator Q(X): a commuting triple of coordinate functions."""
+def _times_x(factor: CoordFunction) -> tuple[CoordFunction, ...]:
+    return tuple(CoordFunction.x(j) * factor for j in (1, 2, 3))
 
-    __slots__ = ("components", "tag", "param")
 
-    def __init__(self,
-                 components: tuple[CoordFunction, CoordFunction, CoordFunction],
-                 tag: str = "custom", param: Fraction | None = None):
-        self.components = components
-        self.tag = tag
-        self.param = param
-
-    @staticmethod
-    def coordinate() -> "QSpec":
-        return QSpec(tuple(CoordFunction.x(j) for j in (1, 2, 3)), "coordinate")
-
-    @staticmethod
-    def radial_power(n) -> "QSpec":
-        """Q_j = x_j / r^n."""
-        n = Fraction(n)
-        comps = tuple(
-            CoordFunction.x(j) * CoordFunction.r_power(-n) for j in (1, 2, 3))
-        return QSpec(comps, "radial-power", n)
-
-    @staticmethod
-    def transverse_radial() -> "QSpec":
-        """Q_j = x_j / rho."""
-        comps = tuple(
-            CoordFunction.x(j) * CoordFunction.rho_power(-1) for j in (1, 2, 3))
-        return QSpec(comps, "transverse-radial")
-
-    def __eq__(self, other) -> bool:
-        return (isinstance(other, QSpec)
-                and self.components == other.components)
-
-    def __hash__(self):
-        return hash(self.components)
+# The builder of the generator triple Q of each label the preset metadata
+# prints: Q_j = x_j, x_j / r^n and x_j / rho.
+GENERATORS = {
+    "coordinate": lambda: tuple(CoordFunction.x(j) for j in (1, 2, 3)),
+    "radial-power": lambda n: _times_x(CoordFunction.r_power(-Fraction(n))),
+    "transverse-radial": lambda: _times_x(CoordFunction.rho_power(-1)),
+}
 
 
 class DeformationSpec:
-    """Matrix-generator pair of one warped-convolution deformation, with its
+    """Matrix-generator pair of one warped-convolution deformation, the
+    generator a triple (Q1, Q2, Q3) of coordinate functions, with its
     ``shift`` S and deformed ``momenta`` P_j + S_j, computed once, here."""
 
     __slots__ = ("matrix", "generator", "shift", "momenta")
 
-    def __init__(self, matrix: DeformationMatrix, generator: QSpec):
+    def __init__(self, matrix: DeformationMatrix,
+                 generator: Sequence[CoordFunction]):
         self.matrix = matrix
-        self.generator = generator
+        self.generator = tuple(generator)
         self.shift = tuple(momentum_shift(self))
         self.momenta = tuple(
             OperatorExpr.momentum(j) + OperatorExpr.from_coord(s)
@@ -162,13 +138,13 @@ class DeformationSpec:
 
 def momentum_shift(spec: DeformationSpec) -> list[CoordFunction]:
     """The shift S_j added to P_j by the deformation: S_j = -(BQ)_k dQ_k/dx_j."""
-    comps = spec.generator.components
-    bq = spec.matrix.apply(comps)
+    q = spec.generator
+    bq = spec.matrix.apply(q)
     out = []
     for j in (1, 2, 3):
         s = CoordFunction.zero()
         for k in range(3):
-            s = s + bq[k] * comps[k].partial(j)
+            s = s + bq[k] * q[k].partial(j)
         out.append(-s)
     return out
 
@@ -179,13 +155,13 @@ def momentum_shift_via_commutators(spec: DeformationSpec) -> list[CoordFunction]
     Independent of the derivative shortcut in ``momentum_shift``; used by the
     verification suite to cross-check the two routes.
     """
-    comps = spec.generator.components
-    bq = spec.matrix.apply(comps)
+    q = spec.generator
+    bq = spec.matrix.apply(q)
     out = []
     for j in (1, 2, 3):
         acc = OperatorExpr.zero()
         for k in range(3):
-            comm = OperatorExpr.from_coord(comps[k]).commutator(
+            comm = OperatorExpr.from_coord(q[k]).commutator(
                 OperatorExpr.momentum(j))
             acc = acc + comm.coord_multiply(bq[k])
         acc = acc.scale(QC(0, Fraction(1)))  # times i
@@ -247,8 +223,8 @@ def rieffel_product(a: OperatorExpr, b: OperatorExpr,
     if a.momentum_degree() > 1 or b.momentum_degree() > 1:
         raise UnsupportedOperandError(
             "Rieffel product is only evaluated on momentum-linear operands")
-    comps = spec.generator.components
-    grad = [[comps[l].partial(j + 1) for j in range(3)] for l in range(3)]
+    q = spec.generator
+    grad = [[q[l].partial(j + 1) for j in range(3)] for l in range(3)]
     out = OperatorExpr.zero()
     for alpha, f in a.terms.items():
         for beta, g in b.terms.items():

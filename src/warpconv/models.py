@@ -8,7 +8,7 @@ and carries all that a preset takes from it:
 - the gauge coupling g with which the momentum shift is S = g A;
 - the charge and the textbook field of its minimal-coupling reference,
   written down independently of the deformation machinery;
-- its deformation matrix and generator;
+- its deformation matrix and its generator's label and parameter;
 - whether the effect is stated only to linear order in Omega.
 
 ``get_preset`` builds a preset from its row: the specs deform H0 (plus the
@@ -35,7 +35,7 @@ import math
 from fractions import Fraction
 
 from .coords import CoordFunction
-from .deform import (DeformationMatrix, DeformationSpec, QSpec,
+from .deform import (GENERATORS, DeformationMatrix, DeformationSpec,
                      deform_coordinate, deform_sequence,
                      invert_transverse_block)
 from .errors import (InternalInconsistencyError, NonPositiveParameterError,
@@ -143,11 +143,9 @@ class ModelPreset:
         return {
             "name": self.name,
             "matrices": [str(s.matrix) for s in self.specs],
-            "generators": [
-                {"tag": s.generator.tag,
-                 "param": str(s.generator.param) if s.generator.param is not None else None}
-                for s in self.specs
-            ],
+            "generators": [{"tag": s.label,
+                            "param": str(s.params[0]) if s.params else None}
+                           for s in self.sources],
             "coupling": str(self.coupling),
             "potential": str(self.potential) if self.potential is not None else None,
             "sign_note": self.sign_note,
@@ -243,19 +241,21 @@ def minimal_coupling_hamiltonian(
 
 class _Source:
     """One field kind of the catalog (see the module docstring); it holds
-    the sign-translated matrix and the generator, not a built spec."""
+    the sign-translated matrix and names the generator, not a built spec:
+    ``label`` is a key of ``deform.GENERATORS``, and ``params`` are what
+    the label's builder takes (the metadata prints both)."""
 
-    __slots__ = ("coupling", "charge", "field", "matrix", "generator",
+    __slots__ = ("coupling", "charge", "field", "matrix", "label", "params",
                  "linear")
 
     def __init__(self, coupling: CoordFunction, charge: CoordFunction,
                  field: tuple[CoordFunction, ...], matrix: DeformationMatrix,
-                 generator: QSpec, linear: bool = False):
+                 generator: tuple, linear: bool = False):
         self.coupling = coupling
         self.charge = charge
         self.field = field
         self.matrix = matrix
-        self.generator = generator
+        self.label, *self.params = generator
         self.linear = linear
 
 
@@ -268,22 +268,22 @@ _ONE = CoordFunction.scalar(1)
 _GRAVITO = DeformationMatrix(-_M * _OMEGA)
 
 _NO_FIELD = _Source(_E, _E, (CoordFunction.zero(),) * 3,
-                    DeformationMatrix(), QSpec.coordinate())
+                    DeformationMatrix(), ("coordinate",))
 # A = (1/2) B cross x, the symmetric gauge; axial e B/2 shifts P by +e A.
 _MAGNETIC = _Source(_E, _E, azimuthal_field(_B_HALF, _ONE),
-                    DeformationMatrix(_E * _B_HALF), QSpec.coordinate())
+                    DeformationMatrix(_E * _B_HALF), ("coordinate",))
 # A = (phi_M / 2 pi) (0, -x3, x2) / rho^2; axial e phi_M / 2 pi shifts P
 # by +e A.
 _FLUX_LINE = _Source(
     _E, _E, azimuthal_field(_PHI_2PI, CoordFunction.rho_power(-2)),
-    DeformationMatrix(_E * _PHI_2PI), QSpec.transverse_radial())
+    DeformationMatrix(_E * _PHI_2PI), ("transverse-radial",))
 # h = x cross Omega.
 _GRAVITO_CONSTANT = _Source(-_M, _M, azimuthal_field(-_OMEGA, _ONE),
-                            _GRAVITO, QSpec.coordinate(), linear=True)
+                            _GRAVITO, ("coordinate",), linear=True)
 # h = (x cross Omega) / r^3, generated by Q_j = x_j / r^(3/2).
 _LENSE_THIRRING = _Source(
     -_M, _M, azimuthal_field(-_OMEGA, CoordFunction.r_power(-3)),
-    _GRAVITO, QSpec.radial_power(RAT(3, 2)), linear=True)
+    _GRAVITO, ("radial-power", RAT(3, 2)), linear=True)
 
 _SIGN_NOTE = ("matrix is the Cartesian translation (overall sign) of the "
               "mixed-convention display; with [X,P]=+i the induced shift is "
@@ -329,7 +329,8 @@ def get_preset(name: str) -> ModelPreset:
         raise KeyError(f"unknown model preset {name!r}; "
                        f"known: {', '.join(sorted(PRESETS))}")
     sources, potential, sign_note = _CATALOG[name]
-    specs = tuple(DeformationSpec(s.matrix, s.generator) for s in sources)
+    specs = tuple(DeformationSpec(s.matrix, GENERATORS[s.label](*s.params))
+                  for s in sources)
     return ModelPreset(name=name, specs=specs, potential=potential,
                        sources=sources, sign_note=sign_note)
 

@@ -33,7 +33,7 @@ from functools import cache, partial
 from typing import Callable
 
 from .coords import CoordFunction
-from .deform import (DeformationMatrix, DeformationSpec, QSpec,
+from .deform import (GENERATORS, DeformationMatrix, DeformationSpec,
                      deform_coordinate, deform_operator,
                      invert_transverse_block, momentum_shift_via_commutators,
                      rieffel_product)
@@ -44,12 +44,16 @@ from .models import (LINEARIZED_PRESETS, PRESETS, get_preset, guiding_center,
 from .operators import HALF_OVER_M, OperatorExpr
 from .scalars import QC
 
+_COORDINATE = GENERATORS["coordinate"]
+_RADIAL = GENERATORS["radial-power"]
+_TRANSVERSE = GENERATORS["transverse-radial"]
+
 CATALOG_GENERATORS = (
-    ("Q=X", QSpec.coordinate),
-    ("Q=X_r1", lambda: QSpec.radial_power(1)),
-    ("Q=X_r3_2", lambda: QSpec.radial_power(Fraction(3, 2))),
-    ("Q=X_r2", lambda: QSpec.radial_power(2)),
-    ("Q=X_rho", QSpec.transverse_radial),
+    ("Q=X", _COORDINATE),
+    ("Q=X_r1", partial(_RADIAL, 1)),
+    ("Q=X_r3_2", partial(_RADIAL, Fraction(3, 2))),
+    ("Q=X_r2", partial(_RADIAL, 2)),
+    ("Q=X_rho", _TRANSVERSE),
 )
 
 COEFFICIENT_EXPONENTS = (Fraction(-1), Fraction(0), Fraction(1),
@@ -150,8 +154,7 @@ def _additivity_check(wants: Wants) -> list[dict]:
     def pairs():
         """Deforming by B and then by C against deforming once by B + C."""
         h0 = OperatorExpr.free_hamiltonian()
-        for q in (QSpec.coordinate(), QSpec.radial_power(1),
-                  QSpec.radial_power(2), QSpec.transverse_radial()):
+        for q in (_COORDINATE(), _RADIAL(1), _RADIAL(2), _TRANSVERSE()):
             once = deform_operator(h0, DeformationSpec(SKEW_B, q))
             yield (deform_operator(once, DeformationSpec(SKEW_C, q)),
                    deform_operator(h0, DeformationSpec(SKEW_B + SKEW_C, q)))
@@ -180,10 +183,9 @@ def _coefficient_checks(wants: Wants) -> list[dict]:
     """The radial-generator bracket coefficients a(n) = n^2 - 3n and
     n^2 - 2n + 3, recovered from engine anticommutators and products."""
     def anticommutator(n):
-        q = QSpec.radial_power(n)
-        for k in (1, 2, 3):
+        for k, q in enumerate(_RADIAL(n), start=1):
             acc = OperatorExpr.zero()
-            qk = OperatorExpr.from_coord(q.components[k - 1])
+            qk = OperatorExpr.from_coord(q)
             for j in (1, 2, 3):
                 pj = OperatorExpr.momentum(j)
                 acc = acc + pj.anticommutator(pj.commutator(qk))
@@ -192,10 +194,9 @@ def _coefficient_checks(wants: Wants) -> list[dict]:
             ).scale(QC(-(n * n - 3 * n)))
 
     def gradient_norm(n):
-        q = QSpec.radial_power(n)
         acc = OperatorExpr.zero()
-        for l in (1, 2, 3):
-            ql = OperatorExpr.from_coord(q.components[l - 1])
+        for q in _RADIAL(n):
+            ql = OperatorExpr.from_coord(q)
             for j in (1, 2, 3):
                 c = ql.commutator(OperatorExpr.momentum(j))
                 acc = acc + c * c
@@ -328,7 +329,7 @@ def _gauge_checks(wants: Wants, presets,
 
     def linearity():
         lam, e = CoordFunction.constant("lam"), CoordFunction.constant("e")
-        spec = DeformationSpec(SKEW_B, QSpec.radial_power(2))
+        spec = DeformationSpec(SKEW_B, _RADIAL(2))
         a1 = extract_gauge_field(spec, e)
         a2 = extract_gauge_field(
             DeformationSpec(SKEW_B.scale(lam), spec.generator), e)

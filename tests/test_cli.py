@@ -20,7 +20,7 @@ PUBLIC_NAMES = [
     "GridSpec",
     "InternalInconsistencyError", "ModelPreset", "NonConvergenceError",
     "NonPositiveParameterError", "OperatorExpr", "PRESETS", "ParseError", "QC",
-    "QSpec", "SingularLoopError", "SingularMatrixError", "SingularPointError",
+    "SingularLoopError", "SingularMatrixError", "SingularPointError",
     "SpectrumResult", "UnboundConstantError",
     "UnknownSymbolError", "UnsupportedDegreeError", "UnsupportedOperandError",
     "WarpconvError", "ZeroCouplingError", "bianchi_check", "coords",
@@ -280,6 +280,10 @@ def test_every_public_name_resolves():
     *([["holonomy", "--model", "landau", "--constants", "e=1,B=1",
         "--points", points], cli.EXIT_CONFIG]
       for points in ("65537", "99999999999999999999")),
+    # Residuals are bounded relative to the largest diagonal entry, here
+    # about 1.06e8, so roundoff of that size passes.
+    (["spectrum", "--model", "free", "--grid", "64,0.01", "--k", "16",
+      "--constants", "m=1"], cli.EXIT_OK),
 ])
 def test_exit_codes(argv, code, capsys):
     assert cli.main(argv) == code
@@ -340,6 +344,13 @@ SPECTRUM_CONFIG = ("model = landau\ngrid = 20,10\nk = 8\n"
     ("holonomy", "B = 1,0,0\ncoupling = -m\ncenter = -1,0,0\n"
      "constants = m=2\n", ["--B", "1,0,0", "--coupling=-m",
                             "--center=-1,0,0", "--constants", "m=2"]),
+    # Every alias of a --Q label prints the bytes of the label.
+    *(("gauge", f"B = 1,0,0\nQ = {alias}\n", ["--B", "1,0,0", *label])
+      for label, aliases in (
+          ([], ("coordinate", "x")),
+          (["--Q", "radial-power:3/2"], ("radial:3/2",)),
+          (["--Q", "transverse-radial"], ("transverse", "rho")))
+      for alias in aliases),
 ])
 def test_config_file_reads_as_flags(command, config, flags, tmp_path, capsys):
     path = tmp_path / "run.cfg"
@@ -348,6 +359,14 @@ def test_config_file_reads_as_flags(command, config, flags, tmp_path, capsys):
     from_config = capsys.readouterr().out
     assert cli.main([command, *flags]) == cli.EXIT_OK
     assert from_config == capsys.readouterr().out
+
+
+def test_generator_labels_print_different_fields(capsys):
+    printed = []
+    for label in ([], ["--Q", "radial:3/2"], ["--Q", "transverse"]):
+        assert cli.main(["gauge", "--B", "1,0,0", *label]) == cli.EXIT_OK
+        printed.append(capsys.readouterr().out)
+    assert len(set(printed)) == 3
 
 
 def test_documented_negative_values_parse(capsys):

@@ -3,12 +3,12 @@ from fractions import Fraction
 import pytest
 
 from warpconv.coords import CoordFunction
-from warpconv.deform import DeformationSpec, skew
+from warpconv.deform import DeformationMatrix, DeformationSpec, skew
 from warpconv.errors import ZeroCouplingError
 from warpconv.gauge import (bianchi_check, bianchi_sum, curl,
                             extract_gauge_field, field_strength,
                             jacobi_maxwell_sums, lorentz_force)
-from warpconv.models import coulomb_potential, get_preset
+from warpconv.models import PRESETS, coulomb_potential, get_preset
 from warpconv.operators import OperatorExpr
 from warpconv.scalars import QC
 
@@ -99,6 +99,35 @@ def test_curl_equals_commutator_route():
             rot = curl(extract_gauge_field(spec, preset.coupling))
             assert len(b) == len(rot) == 3
             assert all(f.equals(g) for f, g in zip(b, rot))
+
+
+def clebsch_field(spec, g):
+    """(2/g) sum_m b_m grad Q_{m+1} x grad Q_{m+2}, m cyclic, b the axial
+    vector of the spec's matrix and Q its generator."""
+    grad = [[q.partial(j) for j in (1, 2, 3)] for q in spec.generator]
+    total = [CoordFunction.zero()] * 3
+    for m, b in enumerate(spec.matrix.axial):
+        u, v = grad[(m + 1) % 3], grad[(m + 2) % 3]
+        cross = [u[j - 1] * v[k - 1] - u[k - 1] * v[j - 1]
+                 for j, k in ((2, 3), (3, 1), (1, 2))]
+        total = [t + c * b for t, c in zip(total, cross)]
+    return [t * CoordFunction.scalar(2) * g.inverse() for t in total]
+
+
+def test_field_strength_is_the_clebsch_field_of_the_generator():
+    pairs = [pair for name in PRESETS
+             for pair in get_preset(name).coupled_specs()]
+    assert len(pairs) == 11
+    # A polynomial generator under a symbolic skew matrix.
+    x1, x2, x3 = (CoordFunction.x(j) for j in (1, 2, 3))
+    q = (x1, x2 + (x2 * x3).scale(QC(3)) + x3 * x3,
+         x3 - (x2 * x2).scale(QC(F(1, 2))) + x2 * x3 * x3)
+    b = DeformationMatrix(*(CoordFunction.constant(f"b{k}")
+                            for k in (1, 2, 3)))
+    pairs.append((DeformationSpec(b, q), E))
+    for spec, g in pairs:
+        assert all(f.equals(c) for f, c in zip(field_strength(spec, g),
+                                                clebsch_field(spec, g)))
 
 
 def test_field_strength_scales_linearly():

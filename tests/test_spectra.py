@@ -9,7 +9,7 @@ import scipy.sparse
 import scipy.sparse.linalg
 
 from warpconv.coords import CoordFunction
-from warpconv.deform import DeformationSpec, QSpec
+from warpconv.deform import DeformationSpec
 from warpconv.errors import (NonConvergenceError, NonPositiveParameterError,
                              SingularLoopError, SingularPointError,
                              UnboundConstantError, UnsupportedOperandError)
@@ -253,11 +253,11 @@ def test_gauge_translation_leaves_spectrum_invariant():
     # Same field strength, gauge shifted by a constant vector: use the
     # generator Q = X + c, whose shift is -(BX)_j - (Bc)_j.
     base = get_preset("landau")
-    shifted_q = QSpec((
+    shifted_q = (
         CoordFunction.x(1),
         CoordFunction.x(2) + CoordFunction.scalar(F(7, 5)),
         CoordFunction.x(3) - CoordFunction.scalar(F(2, 3)),
-    ))
+    )
     shifted = ModelPreset(
         name="landau_translated",
         specs=(DeformationSpec(base.specs[0].matrix, shifted_q),),
@@ -297,7 +297,7 @@ def _warped_convolution(preset, grid, constants):
     for spec in preset.specs:
         q = np.array([np.broadcast_to(c.compile(constants)(0.0, x2, x3),
                                       x2.shape).real
-                      for c in spec.generator.components])
+                      for c in spec.generator])
         b = np.array([[entry.compile(constants)(0.0, 0.0, 0.0).real
                        for entry in row] for row in spec.matrix.rows])
         phase = phase + q.T @ b @ q
