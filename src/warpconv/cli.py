@@ -27,7 +27,9 @@ unknown or abbreviated key, a bad value, a line without '=' or an
 unreadable file exits 2.
 
 Output is canonical JSON (sorted keys, fixed separators), byte-identical
-across runs with the same options; human-readable summaries go to stderr.
+across runs with the same options, save that the last digits ``spectrum``
+prints also depend on the BLAS thread count (ROADMAP item 17); human-readable
+summaries go to stderr.
 
 Exit codes: 0 success, 1 failed identity, 2 bad configuration (a
 non-positive mass included), 3 unsupported operator class, 4 numeric
@@ -41,11 +43,24 @@ for ``--expr``, and only ``spectrum`` loads numpy and scipy, after the
 checks that can refuse its input.  No module of the package imports
 ``dataclasses``, which would load ``inspect``, ``ast``, ``dis`` and
 ``tokenize``; only scipy does, so only ``spectrum`` loads them.
+
+One command per process: ``main()``, which runs the process's own command
+line (``python -m warpconv.cli`` and the ``warpconv`` console script),
+turns the cyclic garbage collector off for the command and freezes the
+heap when it ends.  No collection then runs while numpy, scipy and the
+command load and run (a landau N = 32 spectrum made 87 of them), and the
+collection at interpreter exit skips the frozen heap.  A command leaves
+little cyclic garbage, and the process frees it on exit: a child's peak
+RSS moved by at most 0.4 MB (full ``verify``, ``commutator`` of
+``(X1+P1)^30`` and of ``(X1+P1+X2+P2)^10``, ``gauge`` and a landau N = 32
+``spectrum``).  ``main(argv)`` with a list, for a caller in a process that
+does more, leaves the collector as it finds it.
 """
 
 from __future__ import annotations
 
 import argparse
+import gc
 import json
 import math
 import sys
@@ -226,12 +241,16 @@ _GENERATOR_ALIASES = {"x": "coordinate", "radial": "radial-power",
 
 def _parse_generator(text: str | None):
     from .deform import GENERATORS
-    label, _, param = ("coordinate" if text is None else text).partition(":")
+    label, colon, param = ("coordinate" if text is None
+                           else text).partition(":")
     label = label.strip().lower()
     label = _GENERATOR_ALIASES.get(label, label)
     if label not in GENERATORS:
         raise ConfigError(f"unknown generator {text!r}")
     if label != "radial-power":
+        if colon:
+            raise ConfigError(f"--Q {label} takes no parameter, "
+                              f"got {text!r}")
         return GENERATORS[label]()
     if not param:
         raise ConfigError("radial generator needs a parameter, e.g. radial:3/2")
@@ -476,7 +495,15 @@ def _parse_args(parser: argparse.ArgumentParser, argv: list[str]):
 
 
 def main(argv: list[str] | None = None) -> int:
-    argv = sys.argv[1:] if argv is None else list(argv)
+    if argv is None:
+        # The process's own command line: see "One command per process" in
+        # the module docstring.
+        gc.disable()
+        try:
+            return main(sys.argv[1:])
+        finally:
+            gc.freeze()
+    argv = list(argv)
     try:
         parser = build_parser()
         args = _parse_args(parser, argv)

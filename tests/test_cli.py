@@ -1,4 +1,5 @@
 import argparse
+import gc
 import json
 import os
 import subprocess
@@ -265,6 +266,9 @@ def test_every_public_name_resolves():
     (["deform", "--B", "1,2"], cli.EXIT_CONFIG),
     (["deform", "--B", "1,2,3", "--Q", "radial"], cli.EXIT_CONFIG),
     (["gauge", "--B", "1,2,3", "--Q", "bogus"], cli.EXIT_CONFIG),
+    # A label that takes no parameter refuses one.
+    *([["gauge", "--B", "1,0,0", "--Q", q], cli.EXIT_CONFIG]
+      for q in ("coordinate:5", "transverse:abc", "x:1", "rho:2")),
     (["gauge", "--B", "1,2,3", "--coupling", "1x"], cli.EXIT_CONFIG),
     (["deform"], cli.EXIT_CONFIG),
     (["commutator", "--a", "X1"], cli.EXIT_CONFIG),
@@ -492,6 +496,39 @@ def contract_stdout():
 def test_stdout_ignores_hash_seed(contract_stdout, command):
     first, second = contract_stdout[command]
     assert first == second
+
+
+@pytest.mark.parametrize("command", sorted(CONTRACT_RUNS))
+def test_process_prints_what_main_prints_in_process(contract_stdout, command,
+                                                    capsys):
+    # A process runs its command with the collector off; main(argv), called
+    # in a process that does more, leaves the collector as it finds it.
+    before = gc.isenabled(), gc.get_freeze_count()
+    assert cli.main(CONTRACT_RUNS[command]) == cli.EXIT_OK
+    assert (gc.isenabled(), gc.get_freeze_count()) == before
+    assert capsys.readouterr().out.encode() == contract_stdout[command][0]
+
+
+# Runs a command as the process's own command line, as the console script
+# does, and prints the collector's state after it.
+PROCESS_RUN = """
+import contextlib, gc, io, json, sys
+import warpconv.cli as cli
+sys.argv = ["warpconv", "commutator", "--a", "X1", "--b", "P1"]
+with contextlib.redirect_stdout(io.StringIO()):
+    code = cli.main()
+print(json.dumps([code, gc.isenabled(), gc.get_freeze_count()]))
+"""
+
+
+def test_process_command_line_runs_without_the_collector():
+    env = dict(os.environ, PYTHONPATH=SRC)
+    proc = subprocess.run([sys.executable, "-c", PROCESS_RUN], env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    code, enabled, frozen = json.loads(proc.stdout)
+    assert (code, enabled) == (cli.EXIT_OK, False)
+    assert frozen > 0
 
 
 @pytest.mark.parametrize("command", sorted(CONTRACT_RUNS))
