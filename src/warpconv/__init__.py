@@ -19,9 +19,8 @@ __version__ = "0.1.0"
 # Home module of every public name; the submodules themselves are public.
 _EXPORTS = {
     "coords": ("CoordFunction",),
-    "deform": ("DeformationMatrix", "DeformationSpec", "deform_coordinate",
-               "deform_operator", "deform_sequence", "momentum_shift",
-               "rieffel_product"),
+    "deform": ("DeformationSpec", "deform_coordinate", "deform_operator",
+               "deform_sequence", "momentum_shift", "rieffel_product"),
     "errors": ("ConfigError", "InternalInconsistencyError",
                "NonConvergenceError", "NonPositiveParameterError",
                "ParseError", "SingularLoopError", "SingularMatrixError",

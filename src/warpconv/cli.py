@@ -217,17 +217,16 @@ def _parse_constants(text: str | None) -> dict[str, float]:
 
 
 def _parse_matrix(text: str):
-    from .deform import DeformationMatrix
+    from .deform import axial
     vals = [_number(v, "--B", Fraction)
             for v in text.replace(",", " ").split()]
     if len(vals) == 1 and vals[0] == 0:
-        return DeformationMatrix()
+        return (0, 0, 0)
     if len(vals) == 3:
-        return DeformationMatrix(*vals)
+        return vals
     if len(vals) == 9:
         try:
-            return DeformationMatrix.from_rows([vals[0:3], vals[3:6],
-                                                vals[6:9]])
+            return axial([vals[0:3], vals[3:6], vals[6:9]])
         except ValueError as exc:
             raise ConfigError("--B must be skew-symmetric") from exc
     raise ConfigError("--B needs 1 (zero), 3 (axial) or 9 (row-major) entries")
@@ -381,7 +380,7 @@ def cmd_verify(args) -> int:
 
 
 def cmd_spectrum(args) -> int:
-    from .models import GridSpec
+    from .models import GridSpec, grid_inputs
     if args.model is None:
         raise ConfigError("spectrum needs --model (a preset name)")
     preset = _preset(args.model)
@@ -399,10 +398,7 @@ def cmd_spectrum(args) -> int:
     if not 1 <= args.k <= k_max:
         raise ConfigError(f"--k must be between 1 and {k_max} on this grid")
     # The refusals of discretize(), made before numpy and scipy are loaded.
-    if "m" not in constants:
-        raise UnboundConstantError("mass constant 'm' must be bound")
-    grid.hop(constants["m"])
-    preset.transverse_shift()
+    grid_inputs(preset, grid, constants)
     from .spectra import discretize, eigenvalues
     matrix, info = discretize(preset, grid, constants)
     result = eigenvalues(matrix, args.k, info, seed=args.seed)

@@ -2,9 +2,9 @@
 
 A deformation is specified by a real skew-symmetric 3x3 matrix B with
 constant entries and a generator Q(X), a commuting triple of
-coordinate functions.  B is held by its axial vector b, B_ij =
+coordinate functions.  B is given by its axial triple b, B_ij =
 epsilon_ijk b^k, so it is skew by construction; only nine entries given
-from outside (``DeformationMatrix.from_rows``) are checked for skewness.
+from outside (``axial``, the inverse of ``skew``) are checked for skewness.
 ``skew`` is the one place epsilon_ijk is written; ``gauge`` takes the
 field strength F_ij = epsilon_ijk B^k from it too.
 On the momentum-degree <= 2 class the deformation acts by the in-place
@@ -25,15 +25,14 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import Sequence
 
-from .coords import CoordFunction, ScalarLike, as_constant
+from .coords import CoordFunction, as_constant
 from .errors import (SingularMatrixError, UnsupportedDegreeError,
                      UnsupportedOperandError)
 from .operators import OperatorExpr, require_coordinate_only
 from .scalars import QC
 
 
-def _as_entry(v) -> CoordFunction:
-    return as_constant(v, "deformation-matrix entries")
+_ENTRIES = "deformation-matrix entries"
 
 
 def skew(b: Sequence[CoordFunction]) -> tuple[tuple[CoordFunction, ...], ...]:
@@ -43,58 +42,16 @@ def skew(b: Sequence[CoordFunction]) -> tuple[tuple[CoordFunction, ...], ...]:
     return ((z, b[2], -b[1]), (-b[2], z, b[0]), (b[1], -b[0], z))
 
 
-class DeformationMatrix:
-    """Real skew-symmetric 3x3 matrix of constants, B_ij = epsilon_ijk b^k,
-    stored by its axial vector ``axial`` = (b1, b2, b3); ``rows``, the
-    nine entries, are built from it once, so B is skew by construction."""
-
-    __slots__ = ("axial", "rows")
-
-    def __init__(self, b1=0, b2=0, b3=0):
-        self.axial = (_as_entry(b1), _as_entry(b2), _as_entry(b3))
-        self.rows = skew(self.axial)
-
-    @staticmethod
-    def from_rows(rows: Sequence[Sequence]) -> "DeformationMatrix":
-        """The matrix of nine row-major entries; ValueError unless they
-        form a skew-symmetric 3x3 matrix of constants."""
-        matrix = DeformationMatrix(rows[1][2], rows[2][0], rows[0][1])
-        if matrix.rows != tuple(tuple(_as_entry(v) for v in row)
-                                for row in rows):
-            raise ValueError("deformation matrix must be skew-symmetric")
-        return matrix
-
-    def __add__(self, other: "DeformationMatrix") -> "DeformationMatrix":
-        return DeformationMatrix(*(b + c for b, c in zip(self.axial,
-                                                         other.axial)))
-
-    def __neg__(self) -> "DeformationMatrix":
-        return DeformationMatrix(*(-b for b in self.axial))
-
-    def scale(self, s: "ScalarLike | CoordFunction") -> "DeformationMatrix":
-        return DeformationMatrix(*(b.scale(s) for b in self.axial))
-
-    def apply(self, vec: Sequence[CoordFunction]) -> list[CoordFunction]:
-        """(B v)_i = sum_j B_ij v_j for a triple of coordinate functions."""
-        return [
-            self.rows[i][0] * vec[0] + self.rows[i][1] * vec[1]
-            + self.rows[i][2] * vec[2]
-            for i in range(3)
-        ]
-
-    def is_zero(self) -> bool:
-        return all(b.is_structurally_zero() for b in self.axial)
-
-    def __eq__(self, other) -> bool:
-        return (isinstance(other, DeformationMatrix)
-                and self.axial == other.axial)
-
-    def __hash__(self):
-        return hash(self.axial)
-
-    def __str__(self) -> str:
-        return "[" + "; ".join(
-            ", ".join(str(v) for v in row) for row in self.rows) + "]"
+def axial(rows: Sequence[Sequence]) -> tuple[CoordFunction, ...]:
+    """The axial triple b of nine row-major entries, the inverse of
+    ``skew``; ValueError unless they form a skew-symmetric 3x3 matrix of
+    constants."""
+    b = tuple(as_constant(rows[i][j], _ENTRIES)
+              for i, j in ((1, 2), (2, 0), (0, 1)))
+    if skew(b) != tuple(tuple(as_constant(v, _ENTRIES) for v in row)
+                        for row in rows):
+        raise ValueError("deformation matrix must be skew-symmetric")
+    return b
 
 
 def _times_x(factor: CoordFunction) -> tuple[CoordFunction, ...]:
@@ -111,15 +68,17 @@ GENERATORS = {
 
 
 class DeformationSpec:
-    """Matrix-generator pair of one warped-convolution deformation, the
-    generator a triple (Q1, Q2, Q3) of coordinate functions, with its
-    ``shift`` S and deformed ``momenta`` P_j + S_j, computed once, here."""
+    """Axial triple ``b`` of the skew matrix B (``rows``) and generator triple
+    (Q1, Q2, Q3) of one warped-convolution deformation, with its ``shift`` S
+    and deformed ``momenta`` P_j + S_j, computed once, here."""
 
-    __slots__ = ("matrix", "generator", "shift", "momenta")
+    __slots__ = ("b", "rows", "generator", "shift", "momenta")
 
-    def __init__(self, matrix: DeformationMatrix,
-                 generator: Sequence[CoordFunction]):
-        self.matrix = matrix
+    def __init__(self, b: Sequence, generator: Sequence[CoordFunction]):
+        if len(b) != 3:
+            raise ValueError(f"the axial vector b has 3 entries, got {len(b)}")
+        self.b = tuple(as_constant(v, _ENTRIES) for v in b)
+        self.rows = skew(self.b)
         self.generator = tuple(generator)
         self.shift = tuple(momentum_shift(self))
         self.momenta = tuple(
@@ -128,18 +87,23 @@ class DeformationSpec:
 
     # By value: the benchmark's tracer counts distinct specs in a set.
     def __eq__(self, other) -> bool:
-        return (isinstance(other, DeformationSpec)
-                and self.matrix == other.matrix
+        return (isinstance(other, DeformationSpec) and self.b == other.b
                 and self.generator == other.generator)
 
     def __hash__(self):
-        return hash((self.matrix, self.generator))
+        return hash((self.b, self.generator))
+
+
+def _bq(spec: DeformationSpec) -> list[CoordFunction]:
+    """(B Q)_i = sum_j B_ij Q_j, summed in the order j = 1, 2, 3."""
+    q = spec.generator
+    return [r[0] * q[0] + r[1] * q[1] + r[2] * q[2] for r in spec.rows]
 
 
 def momentum_shift(spec: DeformationSpec) -> list[CoordFunction]:
     """The shift S_j added to P_j by the deformation: S_j = -(BQ)_k dQ_k/dx_j."""
     q = spec.generator
-    bq = spec.matrix.apply(q)
+    bq = _bq(spec)
     out = []
     for j in (1, 2, 3):
         s = CoordFunction.zero()
@@ -156,7 +120,7 @@ def momentum_shift_via_commutators(spec: DeformationSpec) -> list[CoordFunction]
     verification suite to cross-check the two routes.
     """
     q = spec.generator
-    bq = spec.matrix.apply(q)
+    bq = _bq(spec)
     out = []
     for j in (1, 2, 3):
         acc = OperatorExpr.zero()
@@ -180,7 +144,7 @@ def deform_operator(a: OperatorExpr, spec: DeformationSpec) -> OperatorExpr:
     if deg > 2:
         raise UnsupportedDegreeError(
             f"no closed-form deformation for momentum degree {deg} > 2")
-    if spec.matrix.is_zero():
+    if all(v.is_structurally_zero() for v in spec.b):
         return a
     out = OperatorExpr.zero()
     for pm, f in a.terms.items():
@@ -200,14 +164,15 @@ def deform_sequence(a: OperatorExpr,
     return out
 
 
-def deform_coordinate(theta: DeformationMatrix) -> tuple[OperatorExpr, ...]:
-    """Deformed coordinates X_j - (theta P)_j for a skew matrix theta."""
+def deform_coordinate(theta: Sequence) -> tuple[OperatorExpr, ...]:
+    """Deformed coordinates X_j - (theta P)_j, theta skew of an axial triple."""
+    rows = skew(theta)
     out = []
     for j in range(3):
         expr = OperatorExpr.position(j + 1)
         for k in range(3):
             expr = expr - OperatorExpr.momentum(k + 1).coord_multiply(
-                theta.rows[j][k])
+                rows[j][k])
         out.append(expr)
     return tuple(out)
 
@@ -237,29 +202,29 @@ def rieffel_product(a: OperatorExpr, b: OperatorExpr,
                 corr = CoordFunction.zero()
                 for l in range(3):
                     for s in range(3):
-                        corr = (corr + spec.matrix.rows[l][s] * grad[l][k]
+                        corr = (corr + spec.rows[l][s] * grad[l][k]
                                 * grad[s][j])
                 out = out - OperatorExpr.from_coord(
                     (fg * corr).scale(QC(0, Fraction(1))))
     return out
 
 
-def invert_transverse_block(matrix: DeformationMatrix,
-                            axis: int) -> DeformationMatrix:
-    """Inverse of the 2x2 block transverse to ``axis`` (zero elsewhere).
+def invert_transverse_block(b: Sequence[CoordFunction],
+                            axis: int) -> tuple[CoordFunction, ...]:
+    """Axial triple of the inverse of the 2x2 block transverse to ``axis``
+    (zero elsewhere) of the skew matrix of the axial triple ``b``.
 
-    For an axial matrix B = epsilon_ijk b^k along ``axis`` the block is
-    [[0, b], [-b, 0]] with inverse [[0, -1/b], [1/b, 0]], the axial matrix
-    of -1/b along ``axis``.
+    For b along ``axis`` the block is [[0, b], [-b, 0]] with inverse
+    [[0, -1/b], [1/b, 0]], the axial matrix of -1/b along ``axis``.
     """
-    b = matrix.axial[axis - 1]
-    if b.is_structurally_zero():
+    entry = b[axis - 1]
+    if entry.is_structurally_zero():
         raise SingularMatrixError("transverse block is singular")
     try:
-        inv_entry = b.inverse()
+        inv_entry = entry.inverse()
     except ValueError as exc:
         raise SingularMatrixError("transverse block entry is a sum; "
                                   "no exact scalar inverse") from exc
-    axial = [0, 0, 0]
-    axial[axis - 1] = -inv_entry
-    return DeformationMatrix(*axial)
+    out = [CoordFunction.zero()] * 3
+    out[axis - 1] = -inv_entry
+    return tuple(out)

@@ -8,7 +8,7 @@ and carries all that a preset takes from it:
 - the gauge coupling g with which the momentum shift is S = g A;
 - the charge and the textbook field of its minimal-coupling reference,
   written down independently of the deformation machinery;
-- its deformation matrix and its generator's label and parameter;
+- the axial triple b of its matrix, and its generator's label and parameter;
 - whether the effect is stated only to linear order in Omega.
 
 ``get_preset`` builds a preset from its row: the specs deform H0 (plus the
@@ -35,11 +35,10 @@ import math
 from fractions import Fraction
 
 from .coords import CoordFunction
-from .deform import (GENERATORS, DeformationMatrix, DeformationSpec,
-                     deform_coordinate, deform_sequence,
-                     invert_transverse_block)
+from .deform import (GENERATORS, DeformationSpec, deform_coordinate,
+                     deform_sequence, invert_transverse_block)
 from .errors import (InternalInconsistencyError, NonPositiveParameterError,
-                     UnsupportedOperandError)
+                     UnboundConstantError, UnsupportedOperandError)
 from .operators import HALF_OVER_M, OperatorExpr, require_coordinate_only
 from .scalars import QC
 
@@ -142,7 +141,8 @@ class ModelPreset:
     def metadata(self) -> dict:
         return {
             "name": self.name,
-            "matrices": [str(s.matrix) for s in self.specs],
+            "matrices": [f"[{'; '.join(', '.join(map(str, r)) for r in s.rows)}]"
+                         for s in self.specs],
             "generators": [{"tag": s.label,
                             "param": str(s.params[0]) if s.params else None}
                            for s in self.sources],
@@ -198,6 +198,17 @@ class GridSpec:
                 "plane_axes": [2, 3], "boundary": "dirichlet"}
 
 
+def grid_inputs(preset: ModelPreset, grid: GridSpec,
+                constants: dict) -> tuple[float, float, list[CoordFunction]]:
+    """The mass m, hop t (``GridSpec.hop``) and transverse shift of a grid
+    spectrum of ``preset``, refused in that order; numpy-free, so the CLI
+    makes these refusals of ``discretize`` before it loads numpy."""
+    if "m" not in constants:
+        raise UnboundConstantError("mass constant 'm' must be bound")
+    mass = float(constants["m"])
+    return mass, grid.hop(mass), preset.transverse_shift()
+
+
 # -- the catalog -------------------------------------------------------------
 
 
@@ -241,20 +252,20 @@ def minimal_coupling_hamiltonian(
 
 class _Source:
     """One field kind of the catalog (see the module docstring); it holds
-    the sign-translated matrix and names the generator, not a built spec:
+    the sign-translated axial triple b and names the generator, not a spec:
     ``label`` is a key of ``deform.GENERATORS``, and ``params`` are what
     the label's builder takes (the metadata prints both)."""
 
-    __slots__ = ("coupling", "charge", "field", "matrix", "label", "params",
+    __slots__ = ("coupling", "charge", "field", "b", "label", "params",
                  "linear")
 
     def __init__(self, coupling: CoordFunction, charge: CoordFunction,
-                 field: tuple[CoordFunction, ...], matrix: DeformationMatrix,
-                 generator: tuple, linear: bool = False):
+                 field: tuple[CoordFunction, ...], b: tuple, generator: tuple,
+                 linear: bool = False):
         self.coupling = coupling
         self.charge = charge
         self.field = field
-        self.matrix = matrix
+        self.b = b
         self.label, *self.params = generator
         self.linear = linear
 
@@ -263,20 +274,19 @@ _E, _M, _OMEGA = (CoordFunction.constant(n) for n in ("e", "m", "Omega"))
 _B_HALF = CoordFunction.constant("B", 1, RAT(1, 2))
 _PHI_2PI = (CoordFunction.constant("phi_M", 1, RAT(1, 2))
             * CoordFunction.constant("pi", -1))
-_ONE = CoordFunction.scalar(1)
+_ONE, _ZERO = CoordFunction.scalar(1), CoordFunction.zero()
 # Axial -m Omega shifts P by +m h.
-_GRAVITO = DeformationMatrix(-_M * _OMEGA)
+_GRAVITO = (-_M * _OMEGA, _ZERO, _ZERO)
 
-_NO_FIELD = _Source(_E, _E, (CoordFunction.zero(),) * 3,
-                    DeformationMatrix(), ("coordinate",))
+_NO_FIELD = _Source(_E, _E, (_ZERO,) * 3, (_ZERO,) * 3, ("coordinate",))
 # A = (1/2) B cross x, the symmetric gauge; axial e B/2 shifts P by +e A.
 _MAGNETIC = _Source(_E, _E, azimuthal_field(_B_HALF, _ONE),
-                    DeformationMatrix(_E * _B_HALF), ("coordinate",))
+                    (_E * _B_HALF, _ZERO, _ZERO), ("coordinate",))
 # A = (phi_M / 2 pi) (0, -x3, x2) / rho^2; axial e phi_M / 2 pi shifts P
 # by +e A.
 _FLUX_LINE = _Source(
     _E, _E, azimuthal_field(_PHI_2PI, CoordFunction.rho_power(-2)),
-    DeformationMatrix(_E * _PHI_2PI), ("transverse-radial",))
+    (_E * _PHI_2PI, _ZERO, _ZERO), ("transverse-radial",))
 # h = x cross Omega.
 _GRAVITO_CONSTANT = _Source(-_M, _M, azimuthal_field(-_OMEGA, _ONE),
                             _GRAVITO, ("coordinate",), linear=True)
@@ -329,7 +339,7 @@ def get_preset(name: str) -> ModelPreset:
         raise KeyError(f"unknown model preset {name!r}; "
                        f"known: {', '.join(sorted(PRESETS))}")
     sources, potential, sign_note = _CATALOG[name]
-    specs = tuple(DeformationSpec(s.matrix, GENERATORS[s.label](*s.params))
+    specs = tuple(DeformationSpec(s.b, GENERATORS[s.label](*s.params))
                   for s in sources)
     return ModelPreset(name=name, specs=specs, potential=potential,
                        sources=sources, sign_note=sign_note)
@@ -338,22 +348,20 @@ def get_preset(name: str) -> ModelPreset:
 # -- noncommuting coordinates ------------------------------------------------
 
 
-def guiding_center(matrix: DeformationMatrix):
+def guiding_center(b: tuple[CoordFunction, ...]):
     """Guiding-center coordinates X_i + (1/2)(B^-1)_ik P^k and their commutators.
 
-    The matrix must be axial along a single axis; the inverse is taken on
-    the nondegenerate transverse 2x2 block.  Returns (coords, comms) where
+    B's axial triple ``b`` must lie along a single axis; the inverse is taken
+    on the nondegenerate transverse 2x2 block.  Returns (coords, comms) where
     comms[i][j] is the coordinate function of the commutator [Xg_i, Xg_j].
     """
-    nonzero = [k for k, b in enumerate(matrix.axial)
-               if not b.is_structurally_zero()]
+    nonzero = [k for k, v in enumerate(b) if not v.is_structurally_zero()]
     if len(nonzero) != 1:
         raise ValueError("guiding-center construction needs an axial matrix "
                          "along a single axis")
     axis = nonzero[0] + 1
-    binv = invert_transverse_block(matrix, axis)
-    theta = binv.scale(QC(RAT(-1, 2)))
-    coords = deform_coordinate(theta)
+    binv = invert_transverse_block(b, axis)
+    coords = deform_coordinate(tuple(v.scale(QC(RAT(-1, 2))) for v in binv))
     comms = []
     for i in range(3):
         row = []

@@ -25,9 +25,9 @@ of half the size and symmetric Lanczos.
 This is the one module that imports numpy and scipy.  The package and the
 CLI import it only when a spectrum is asked for, so the symbolic commands
 (and ``holonomy``, which lives in ``gauge``) never load the numeric stack.
-The grid box (``models.GridSpec``) and the transverse-reduction check
-(``ModelPreset.transverse_shift``) are numpy-free, so the CLI refuses a bad
-grid or a preset without that reduction before it imports this module.
+The grid box (``models.GridSpec``) and the refusals of a spectrum's mass,
+hop and transverse reduction (``models.grid_inputs``) are numpy-free, so
+the CLI refuses a bad grid, mass or preset before it imports this module.
 """
 
 from __future__ import annotations
@@ -40,10 +40,10 @@ import scipy.sparse
 import scipy.sparse.linalg
 
 from .coords import CoordFunction
-from .errors import (NonConvergenceError, UnboundConstantError,
-                     UnsupportedOperandError, WarpconvError)
+from .errors import (NonConvergenceError, UnsupportedOperandError,
+                     WarpconvError)
 from .gauge import curl
-from .models import GridSpec, ModelPreset
+from .models import GridSpec, ModelPreset, grid_inputs
 
 # Unknowns below which the dense solver is used: where the dense and the
 # shift-invert solves of 16 levels take equally long on the transverse grid.
@@ -140,11 +140,7 @@ def discretize(preset: ModelPreset, grid: GridSpec,
     conjugate of its mirror entry, 0 by construction) and that spectral
     floor.
     """
-    if "m" not in constants:
-        raise UnboundConstantError("mass constant 'm' must be bound")
-    mass = float(constants["m"])
-    t = grid.hop(mass)
-    shift = preset.transverse_shift()
+    mass, t, shift = grid_inputs(preset, grid, constants)
 
     n = grid.points
     h = grid.spacing

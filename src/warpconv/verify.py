@@ -33,10 +33,9 @@ from functools import cache, partial
 from typing import Callable
 
 from .coords import CoordFunction
-from .deform import (GENERATORS, DeformationMatrix, DeformationSpec,
-                     deform_coordinate, deform_operator,
-                     invert_transverse_block, momentum_shift_via_commutators,
-                     rieffel_product)
+from .deform import (GENERATORS, DeformationSpec, deform_coordinate,
+                     deform_operator, invert_transverse_block,
+                     momentum_shift_via_commutators, rieffel_product, skew)
 from .gauge import (bianchi_sum, curl, extract_gauge_field, field_strength,
                     jacobi_maxwell_sums, lorentz_force)
 from .models import (LINEARIZED_PRESETS, PRESETS, get_preset, guiding_center,
@@ -61,10 +60,9 @@ COEFFICIENT_EXPONENTS = (Fraction(-1), Fraction(0), Fraction(1),
 
 
 # Every real skew 3x3 matrix is axial(b1, b2, b3) for some real b.
-SKEW_B = DeformationMatrix(*(CoordFunction.constant(f"b{k}")
-                             for k in (1, 2, 3)))
-SKEW_C = DeformationMatrix(*(CoordFunction.constant(f"c{k}")
-                             for k in (1, 2, 3)))
+SKEW_B = tuple(CoordFunction.constant(f"b{k}") for k in (1, 2, 3))
+SKEW_C = tuple(CoordFunction.constant(f"c{k}") for k in (1, 2, 3))
+_SKEW_B_ROWS = skew(SKEW_B)
 
 
 Wants = Callable[[str], bool]
@@ -131,7 +129,7 @@ def _deformed_coordinate_check(wants: Wants) -> list[dict]:
         coords = deform_coordinate(SKEW_B)
         for j in range(3):
             yield coords[j], OperatorExpr.position(j + 1) - sum(
-                (OperatorExpr.momentum(k + 1).coord_multiply(SKEW_B.rows[j][k])
+                (OperatorExpr.momentum(k + 1).coord_multiply(_SKEW_B_ROWS[j][k])
                  for k in range(3)), OperatorExpr.zero())
     return _decide(wants, [("deformed_coordinate", pairs)])
 
@@ -154,10 +152,11 @@ def _additivity_check(wants: Wants) -> list[dict]:
     def pairs():
         """Deforming by B and then by C against deforming once by B + C."""
         h0 = OperatorExpr.free_hamiltonian()
+        summed = [b + c for b, c in zip(SKEW_B, SKEW_C)]
         for q in (_COORDINATE(), _RADIAL(1), _RADIAL(2), _TRANSVERSE()):
             once = deform_operator(h0, DeformationSpec(SKEW_B, q))
             yield (deform_operator(once, DeformationSpec(SKEW_C, q)),
-                   deform_operator(h0, DeformationSpec(SKEW_B + SKEW_C, q)))
+                   deform_operator(h0, DeformationSpec(summed, q)))
     return _decide(wants, [("additivity", pairs,
                             "B = axial(b1, b2, b3), C = axial(c1, c2, c3); "
                             "Q = X, X/r, X/r^2, X/rho")])
@@ -262,16 +261,16 @@ def _moyal_checks(wants: Wants) -> list[dict]:
         for i in range(3):
             for j in range(3):
                 yield coords[i].commutator(coords[j]), OperatorExpr.from_coord(
-                    SKEW_B.rows[i][j].scale(QC(0, Fraction(2))))
+                    _SKEW_B_ROWS[i][j].scale(QC(0, Fraction(2))))
 
     def guiding():
-        bmat = DeformationMatrix(-CoordFunction.constant("Omega")
-                                 * CoordFunction.constant("m"))
-        _, comms = guiding_center(bmat)
-        binv = invert_transverse_block(bmat, 1)
+        b = (-CoordFunction.constant("Omega") * CoordFunction.constant("m"),
+             *[CoordFunction.zero()] * 2)
+        _, comms = guiding_center(b)
+        binv = skew(invert_transverse_block(b, 1))
         for i in range(3):
             for j in range(3):
-                yield comms[i][j], binv.rows[j][i].scale(QC(0, Fraction(1)))
+                yield comms[i][j], binv[j][i].scale(QC(0, Fraction(1)))
     return _decide(wants, [
         ("moyal_plane_random", moyal,
          "[X_th_i, X_th_j] = 2 i theta_ij, theta = axial(b1, b2, b3) "
@@ -331,8 +330,8 @@ def _gauge_checks(wants: Wants, presets,
         lam, e = CoordFunction.constant("lam"), CoordFunction.constant("e")
         spec = DeformationSpec(SKEW_B, _RADIAL(2))
         a1 = extract_gauge_field(spec, e)
-        a2 = extract_gauge_field(
-            DeformationSpec(SKEW_B.scale(lam), spec.generator), e)
+        a2 = extract_gauge_field(DeformationSpec(
+            [b.scale(lam) for b in SKEW_B], spec.generator), e)
         for i in range(3):
             yield a2[i], a1[i].scale(lam)
     return _decide(wants, [

@@ -17,8 +17,7 @@ NOT_UTF8 = os.path.join(CONFIGS, "not_utf8.cfg")
 SELECT_WITHOUT_VALUE = os.path.join(CONFIGS, "select_without_value.cfg")
 
 PUBLIC_NAMES = [
-    "ConfigError", "CoordFunction", "DeformationMatrix", "DeformationSpec",
-    "GridSpec",
+    "ConfigError", "CoordFunction", "DeformationSpec", "GridSpec",
     "InternalInconsistencyError", "ModelPreset", "NonConvergenceError",
     "NonPositiveParameterError", "OperatorExpr", "PRESETS", "ParseError", "QC",
     "SingularLoopError", "SingularMatrixError", "SingularPointError",

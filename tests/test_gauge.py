@@ -3,7 +3,7 @@ from fractions import Fraction
 import pytest
 
 from warpconv.coords import CoordFunction
-from warpconv.deform import DeformationMatrix, DeformationSpec, skew
+from warpconv.deform import DeformationSpec, skew
 from warpconv.errors import ZeroCouplingError
 from warpconv.gauge import (bianchi_check, bianchi_sum, curl,
                             extract_gauge_field, field_strength,
@@ -102,11 +102,11 @@ def test_curl_equals_commutator_route():
 
 
 def clebsch_field(spec, g):
-    """(2/g) sum_m b_m grad Q_{m+1} x grad Q_{m+2}, m cyclic, b the axial
-    vector of the spec's matrix and Q its generator."""
+    """(2/g) sum_m b_m grad Q_{m+1} x grad Q_{m+2}, m cyclic, b the spec's
+    axial triple and Q its generator."""
     grad = [[q.partial(j) for j in (1, 2, 3)] for q in spec.generator]
     total = [CoordFunction.zero()] * 3
-    for m, b in enumerate(spec.matrix.axial):
+    for m, b in enumerate(spec.b):
         u, v = grad[(m + 1) % 3], grad[(m + 2) % 3]
         cross = [u[j - 1] * v[k - 1] - u[k - 1] * v[j - 1]
                  for j, k in ((2, 3), (3, 1), (1, 2))]
@@ -122,8 +122,7 @@ def test_field_strength_is_the_clebsch_field_of_the_generator():
     x1, x2, x3 = (CoordFunction.x(j) for j in (1, 2, 3))
     q = (x1, x2 + (x2 * x3).scale(QC(3)) + x3 * x3,
          x3 - (x2 * x2).scale(QC(F(1, 2))) + x2 * x3 * x3)
-    b = DeformationMatrix(*(CoordFunction.constant(f"b{k}")
-                            for k in (1, 2, 3)))
+    b = tuple(CoordFunction.constant(f"b{k}") for k in (1, 2, 3))
     pairs.append((DeformationSpec(b, q), E))
     for spec, g in pairs:
         assert all(f.equals(c) for f, c in zip(field_strength(spec, g),
@@ -133,7 +132,8 @@ def test_field_strength_is_the_clebsch_field_of_the_generator():
 def test_field_strength_scales_linearly():
     preset = get_preset("landau")
     spec = preset.specs[0]
-    doubled = DeformationSpec(spec.matrix.scale(QC(F(2))), spec.generator)
+    doubled = DeformationSpec([b.scale(QC(F(2))) for b in spec.b],
+                              spec.generator)
     f1 = field_strength(spec, E)
     f2 = field_strength(doubled, E)
     assert (f2[0] - f1[0].scale(QC(F(2)))).is_zero()

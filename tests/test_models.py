@@ -5,7 +5,7 @@ import pytest
 
 from warpconv import cli, models
 from warpconv.coords import CoordFunction
-from warpconv.deform import DeformationMatrix, deform_operator
+from warpconv.deform import DeformationSpec, deform_operator, skew
 from warpconv.models import PRESETS, get_preset, guiding_center
 from warpconv.operators import OperatorExpr
 from warpconv.parsing import parse
@@ -114,8 +114,9 @@ def test_lense_thirring_shift_structure():
     # the induced shift is -(BX)_j / r^3
     lt = get_preset("lense_thirring")
     shift = lt.shift_functions()
-    bx = lt.specs[0].matrix.apply(
-        [CoordFunction.x(1), CoordFunction.x(2), CoordFunction.x(3)])
+    bx = [sum((entry * CoordFunction.x(j)
+               for j, entry in enumerate(row, start=1)), CoordFunction.zero())
+          for row in skew(lt.specs[0].b)]
     r3 = CoordFunction.r_power(-3)
     for j in range(3):
         assert (shift[j] + bx[j] * r3).is_zero()
@@ -174,8 +175,7 @@ def test_landau_gravito_structural_map():
     lam = CoordFunction.constant("lam")
     template = deform_operator(
         OperatorExpr.free_hamiltonian(),
-        type(get_preset("landau").specs[0])(DeformationMatrix(lam),
-                                get_preset("landau").specs[0].generator))
+        DeformationSpec((lam, 0, 0), get_preset("landau").specs[0].generator))
     to_landau = template.substitute_symbol(
         "lam", CoordFunction.constant("B", 1, F(1, 2))
         * CoordFunction.constant("e"))
@@ -200,7 +200,8 @@ def test_metadata_shapes():
 
 def test_guiding_center_commutators():
     b = -CoordFunction.constant("Omega") * CoordFunction.constant("m")
-    coords, comms = guiding_center(DeformationMatrix(b))
+    zero = CoordFunction.zero()
+    coords, comms = guiding_center((b, zero, zero))
     # X1 untouched, commutators confined to the (2,3) block
     assert coords[0] == OperatorExpr.position(1)
     # (B^-1)_23 = -1/b = +1/(m Omega); [Xg_2, Xg_3] = -i (B^-1)_23
@@ -217,7 +218,8 @@ def test_guiding_center_commutators():
 
 def test_guiding_center_rejects_non_axial():
     with pytest.raises(ValueError):
-        guiding_center(DeformationMatrix(1, 1, 0))
+        one = CoordFunction.one()
+        guiding_center((one, one, CoordFunction.zero()))
 
 
 # sha256 of the stdout of `deform --model P` and `gauge --model P`: the

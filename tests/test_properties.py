@@ -15,7 +15,7 @@ from fractions import Fraction
 from conftest import MONO_POOL, rand_coord, rand_expr, rand_qc
 from hypothesis import given, settings, strategies as st
 from warpconv.coords import CoordFunction
-from warpconv.deform import DeformationMatrix, skew
+from warpconv.deform import axial, skew
 from warpconv.gauge import bianchi_sum, curl
 from warpconv.scalars import QC_ZERO
 
@@ -105,4 +105,9 @@ def test_curl_grad_is_zero(rng):
 @PROPERTY
 @given(triples(_rand_constant))
 def test_skew_rows_are_the_deformation_matrix(b):
-    assert DeformationMatrix.from_rows(skew(b)) == DeformationMatrix(*b)
+    assert axial(skew(b)) == b
+    # A nonzero diagonal entry is not skew.
+    rows = [list(row) for row in skew(b)]
+    rows[0][0] = CoordFunction.one()
+    with pytest.raises(ValueError):
+        axial(rows)

@@ -260,7 +260,7 @@ def test_gauge_translation_leaves_spectrum_invariant():
     )
     shifted = ModelPreset(
         name="landau_translated",
-        specs=(DeformationSpec(base.specs[0].matrix, shifted_q),),
+        specs=(DeformationSpec(base.specs[0].b, shifted_q),),
         potential=None,
         sources=base.sources,
     )
@@ -299,7 +299,7 @@ def _warped_convolution(preset, grid, constants):
                                       x2.shape).real
                       for c in spec.generator])
         b = np.array([[entry.compile(constants)(0.0, 0.0, 0.0).real
-                       for entry in row] for row in spec.matrix.rows])
+                       for entry in row] for row in spec.rows])
         phase = phase + q.T @ b @ q
     return free.toarray() * np.exp(1j * phase)
 

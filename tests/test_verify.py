@@ -57,9 +57,10 @@ def test_symbolic_additivity_rejects_a_wrong_sum():
     q = GENERATORS["coordinate"]()
     b, c = DeformationSpec(verify.SKEW_B, q), DeformationSpec(verify.SKEW_C, q)
     twice = deform_operator(deform_operator(h0, b), c)
-    summed = DeformationSpec(verify.SKEW_B + verify.SKEW_C, q)
+    summed = DeformationSpec(
+        [b + c for b, c in zip(verify.SKEW_B, verify.SKEW_C)], q)
     assert twice.equals(deform_operator(h0, summed))
-    doubled = DeformationSpec(verify.SKEW_B + verify.SKEW_B, q)
+    doubled = DeformationSpec([b + b for b in verify.SKEW_B], q)
     assert not twice.equals(deform_operator(h0, doubled))
 
 
@@ -164,6 +165,7 @@ def test_uncertainty_cell_is_computed_from_the_algebra(monkeypatch):
     # Doubling theta doubles [Xg2, Xg3], and with it the cell.
     deform_coordinate = models.deform_coordinate
     monkeypatch.setattr(models, "deform_coordinate",
-                        lambda theta: deform_coordinate(theta.scale(QC(2))))
+                        lambda theta: deform_coordinate(
+                            [t.scale(QC(2)) for t in theta]))
     report = verify.run_suite(select=["uncertainty_area_symbolic"])
     assert [c["passed"] for c in report["checks"]] == [False]
