@@ -31,10 +31,9 @@ across runs with the same options, save that the last digits ``spectrum``
 prints also depend on the BLAS thread count (ROADMAP item 17); human-readable
 summaries go to stderr.
 
-Exit codes: 0 success, 1 failed identity, 2 bad configuration (a
-non-positive mass included), 3 unsupported operator class, 4 numeric
-failure (a non-finite result, a value beyond the float range, an exact
-number too long to print, or running out of memory, included).
+Exit codes: 0 success, 1 failed identity; 2, 3 and 4 by the error's class,
+as the table in ``warpconv.errors`` says, and 4 also for a value beyond the
+float range, an exact number too long to print or running out of memory.
 
 Building the parser and reading the options load no symbolic module: each
 command imports the modules it runs when it runs, so ``commutator`` loads
@@ -68,9 +67,7 @@ from fractions import Fraction
 from functools import partial
 
 from . import __version__
-from .errors import (ConfigError, NonPositiveParameterError, ParseError,
-                     UnboundConstantError, UnsupportedDegreeError,
-                     UnsupportedOperandError, WarpconvError)
+from .errors import ConfigError, UnsupportedOperandError, WarpconvError
 
 EXIT_OK = 0
 EXIT_IDENTITY = 1
@@ -508,16 +505,13 @@ def main(argv: list[str] | None = None) -> int:
             args = _parse_args(
                 parser, argv[:at] + _config_flags(args.config) + argv[at:])
         return COMMANDS[args.command](args)
-    except (ConfigError, NonPositiveParameterError, ParseError,
-            UnboundConstantError) as exc:
+    except ConfigError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
-    except (UnsupportedDegreeError, UnsupportedOperandError) as exc:
+    except UnsupportedOperandError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_UNSUPPORTED
-    # Numeric failures: non-convergence, singular points and loops, a
-    # result that is not finite, a grid too large for memory, a float
-    # overflow, and an exact number too long to print.
+    # Numeric failures: every other package error, and the builtins below.
     except WarpconvError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_NUMERIC

@@ -35,9 +35,24 @@ from .scalars import QC
 _ENTRIES = "deformation-matrix entries"
 
 
-def skew(b: Sequence[CoordFunction]) -> tuple[tuple[CoordFunction, ...], ...]:
+def as_triple(values: Sequence, what: str = "an axial triple",
+              constant: bool = False) -> tuple[CoordFunction, ...]:
+    """``values`` as three coordinate functions, a number read as a constant
+    one; ValueError unless there are three, and with ``constant`` unless
+    each is a constant (``as_constant``)."""
+    v = tuple(values)
+    if len(v) != 3:
+        raise ValueError(f"{what} has 3 entries, got {len(v)}")
+    if constant:
+        return tuple(as_constant(e, _ENTRIES) for e in v)
+    return tuple(e if isinstance(e, CoordFunction) else CoordFunction.scalar(e)
+                 for e in v)
+
+
+def skew(b: Sequence) -> tuple[tuple[CoordFunction, ...], ...]:
     """Rows of the antisymmetric 3x3 matrix M_ij = epsilon_ijk b^k of an
     axial triple b = (b1, b2, b3) of coordinate functions."""
+    b = as_triple(b)
     z = CoordFunction.zero()
     return ((z, b[2], -b[1]), (-b[2], z, b[0]), (b[1], -b[0], z))
 
@@ -75,11 +90,9 @@ class DeformationSpec:
     __slots__ = ("b", "rows", "generator", "shift", "momenta")
 
     def __init__(self, b: Sequence, generator: Sequence[CoordFunction]):
-        if len(b) != 3:
-            raise ValueError(f"the axial vector b has 3 entries, got {len(b)}")
-        self.b = tuple(as_constant(v, _ENTRIES) for v in b)
+        self.b = as_triple(b, "the axial vector b", constant=True)
         self.rows = skew(self.b)
-        self.generator = tuple(generator)
+        self.generator = as_triple(generator, "the generator Q")
         self.shift = tuple(momentum_shift(self))
         self.momenta = tuple(
             OperatorExpr.momentum(j) + OperatorExpr.from_coord(s)
@@ -209,7 +222,7 @@ def rieffel_product(a: OperatorExpr, b: OperatorExpr,
     return out
 
 
-def invert_transverse_block(b: Sequence[CoordFunction],
+def invert_transverse_block(b: Sequence,
                             axis: int) -> tuple[CoordFunction, ...]:
     """Axial triple of the inverse of the 2x2 block transverse to ``axis``
     (zero elsewhere) of the skew matrix of the axial triple ``b``.
@@ -217,7 +230,7 @@ def invert_transverse_block(b: Sequence[CoordFunction],
     For b along ``axis`` the block is [[0, b], [-b, 0]] with inverse
     [[0, -1/b], [1/b, 0]], the axial matrix of -1/b along ``axis``.
     """
-    entry = b[axis - 1]
+    entry = as_triple(b)[axis - 1]
     if entry.is_structurally_zero():
         raise SingularMatrixError("transverse block is singular")
     try:

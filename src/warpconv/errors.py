@@ -1,11 +1,20 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package.
+
+The class an error derives from fixes its CLI exit code, and ``cli.main``
+catches one class per code: 2 for a ConfigError (bad input), 3 for an
+UnsupportedOperandError and 4 for every other WarpconvError (numeric).
+"""
 
 
 class WarpconvError(Exception):
     """Base class for all library errors."""
 
 
-class ParseError(WarpconvError):
+class ConfigError(WarpconvError):
+    """Invalid run configuration, expression or parameter."""
+
+
+class ParseError(ConfigError):
     """Malformed expression text; carries the offending position."""
 
     def __init__(self, message: str, position: int):
@@ -21,16 +30,16 @@ class SingularPointError(WarpconvError):
     """Negative power evaluated at its singular locus (r=0 or rho=0)."""
 
 
-class UnboundConstantError(WarpconvError):
+class UnboundConstantError(ConfigError):
     """A symbolic constant has no value in the supplied constants map."""
 
 
-class UnsupportedDegreeError(WarpconvError):
-    """Deformation requested for momentum degree the closed form does not cover."""
-
-
 class UnsupportedOperandError(WarpconvError):
-    """Rieffel product requested outside the momentum-linear class."""
+    """Operand outside the class a closed form or a grid reduction covers."""
+
+
+class UnsupportedDegreeError(UnsupportedOperandError):
+    """Deformation requested for momentum degree the closed form does not cover."""
 
 
 class ZeroCouplingError(WarpconvError):
@@ -45,7 +54,7 @@ class InternalInconsistencyError(WarpconvError):
     """A derived quantity violated a structural guarantee (engine bug guard)."""
 
 
-class NonPositiveParameterError(WarpconvError):
+class NonPositiveParameterError(ConfigError):
     """Parameter required to be strictly positive was not."""
 
 
@@ -55,7 +64,3 @@ class NonConvergenceError(WarpconvError):
 
 class SingularLoopError(WarpconvError):
     """Holonomy loop passes through a singular point of the gauge field."""
-
-
-class ConfigError(WarpconvError):
-    """Invalid run configuration (CLI exit code 2)."""

@@ -35,7 +35,7 @@ import math
 from fractions import Fraction
 
 from .coords import CoordFunction
-from .deform import (GENERATORS, DeformationSpec, deform_coordinate,
+from .deform import (GENERATORS, DeformationSpec, as_triple, deform_coordinate,
                      deform_sequence, invert_transverse_block)
 from .errors import (InternalInconsistencyError, NonPositiveParameterError,
                      UnboundConstantError, UnsupportedOperandError)
@@ -348,13 +348,14 @@ def get_preset(name: str) -> ModelPreset:
 # -- noncommuting coordinates ------------------------------------------------
 
 
-def guiding_center(b: tuple[CoordFunction, ...]):
+def guiding_center(b: tuple):
     """Guiding-center coordinates X_i + (1/2)(B^-1)_ik P^k and their commutators.
 
     B's axial triple ``b`` must lie along a single axis; the inverse is taken
     on the nondegenerate transverse 2x2 block.  Returns (coords, comms) where
     comms[i][j] is the coordinate function of the commutator [Xg_i, Xg_j].
     """
+    b = as_triple(b)
     nonzero = [k for k, v in enumerate(b) if not v.is_structurally_zero()]
     if len(nonzero) != 1:
         raise ValueError("guiding-center construction needs an axial matrix "

@@ -93,7 +93,8 @@ class Parser:
     def expect(self, kind: str) -> _Token:
         tok = self.next()
         if tok.kind != kind:
-            raise ParseError(f"expected {kind!r}, found {tok.text!r}", tok.pos)
+            found = "end of input" if tok.kind == "end" else repr(tok.text)
+            raise ParseError(f"expected {kind!r}, found {found}", tok.pos)
         return tok
 
     def parse(self) -> OperatorExpr:
@@ -184,6 +185,8 @@ class Parser:
                 return "const", OperatorExpr.from_coord(
                     CoordFunction.constant(name))
             raise UnknownSymbolError(f"unknown symbol {name!r}", tok.pos)
+        if tok.kind == "end":
+            raise ParseError("unexpected end of input", tok.pos)
         raise ParseError(f"unexpected token {tok.text!r}", tok.pos)
 
     def exponent(self) -> Fraction:

@@ -8,7 +8,7 @@ import sys
 import pytest
 
 import warpconv
-from warpconv import cli, spectra
+from warpconv import cli, errors, spectra
 
 SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
                    "src")
@@ -287,6 +287,15 @@ def test_every_public_name_resolves():
     # A label that takes no parameter refuses one.
     *([["gauge", "--B", "1,0,0", "--Q", q], cli.EXIT_CONFIG]
       for q in ("coordinate:5", "transverse:abc", "x:1", "rho:2")),
+    # An expression that ends too early names the end of input.
+    *([["commutator", "--a", a, "--b", "P1"], cli.EXIT_CONFIG]
+      for a in ("X1+", "(X1", "X1^(1/2")),
+    # A position takes no fractional and no negative exponent.
+    (["commutator", "--a", "X1^(1/2)", "--b", "P1"], cli.EXIT_CONFIG),
+    (["commutator", "--a", "X1^-1", "--b", "P1"], cli.EXIT_CONFIG),
+    # An inline deformation without --expr deforms the free Hamiltonian.
+    (["deform", "--B", "0"], cli.EXIT_OK),
+    (["deform", "--B", "1,0,0"], cli.EXIT_OK),
 ])
 def test_exit_codes(argv, code, capsys):
     assert cli.main(argv) == code
@@ -294,6 +303,47 @@ def test_exit_codes(argv, code, capsys):
     if code != cli.EXIT_OK:
         assert err.startswith("error: ") and err.count("\n") == 1, err
         assert out == ""
+
+
+# The exit code each error class fixes, as the table in warpconv.errors says.
+ERROR_EXIT_CODES = {
+    "WarpconvError": cli.EXIT_NUMERIC,
+    **dict.fromkeys(("ConfigError", "ParseError", "UnknownSymbolError",
+                     "UnboundConstantError", "NonPositiveParameterError"),
+                    cli.EXIT_CONFIG),
+    **dict.fromkeys(("UnsupportedOperandError", "UnsupportedDegreeError"),
+                    cli.EXIT_UNSUPPORTED),
+    **dict.fromkeys(("SingularPointError", "ZeroCouplingError",
+                     "SingularMatrixError", "InternalInconsistencyError",
+                     "NonConvergenceError", "SingularLoopError"),
+                    cli.EXIT_NUMERIC),
+}
+
+
+@pytest.mark.parametrize("name", sorted(
+    name for name, value in vars(errors).items()
+    if isinstance(value, type) and issubclass(value, errors.WarpconvError)))
+def test_each_error_class_exits_with_its_code(name, monkeypatch, capsys):
+    cls = getattr(errors, name)
+    exc = cls("boom", 7) if issubclass(cls, errors.ParseError) else cls("boom")
+
+    def fail(args):
+        raise exc
+
+    monkeypatch.setitem(cli.COMMANDS, "commutator", fail)
+    assert cli.main(["commutator", "--a", "X1", "--b", "P1"]) == \
+        ERROR_EXIT_CODES[name]
+    assert capsys.readouterr() == ("", f"error: {exc}\n")
+
+
+def test_out_writes_the_bytes_of_stdout(tmp_path, capsys):
+    argv = ["commutator", "--a", "X1", "--b", "P1"]
+    assert cli.main(argv) == cli.EXIT_OK
+    stdout = capsys.readouterr().out
+    path = tmp_path / "commutator.json"
+    assert cli.main([*argv, "--out", str(path)]) == cli.EXIT_OK
+    assert capsys.readouterr().out == ""
+    assert path.read_bytes() == stdout.encode()
 
 
 # numpy names the allocation; a failed allocation in C has no message.

@@ -63,6 +63,32 @@ def test_spec_refuses_a_b_that_is_not_three_constants():
             DeformationSpec(wrong, COORDINATE())
 
 
+def test_spec_refuses_a_generator_that_is_not_three_entries():
+    q = COORDINATE()
+    for wrong in (q[:2], q + q[:1]):
+        with pytest.raises(ValueError, match="the generator Q has 3 entries"):
+            DeformationSpec(triple(1), wrong)
+
+
+def test_skew_and_deform_coordinate_refuse_other_lengths():
+    # Exactly three entries: not the first three of four, and not two.
+    for wrong in (triple(1) + (CoordFunction.one(),), triple(1)[:2]):
+        with pytest.raises(ValueError, match="3 entries"):
+            skew(wrong)
+        with pytest.raises(ValueError, match="3 entries"):
+            deform_coordinate(wrong)
+
+
+def test_deform_coordinate_reads_numbers_as_constants():
+    assert deform_coordinate((F(5, 7), 0, 0)) == deform_coordinate(
+        triple(F(5, 7)))
+
+
+def test_invert_transverse_block_reads_numbers_as_constants():
+    assert invert_transverse_block((2, 0, 0), 1) == invert_transverse_block(
+        triple(2), 1) == triple(F(-1, 2))
+
+
 def test_axial_round_trip():
     b = DeformationSpec((F(1, 2), -2, 3), COORDINATE()).b
     assert b[0] == CoordFunction.scalar(F(1, 2))

@@ -216,6 +216,11 @@ def test_guiding_center_commutators():
         assert comms[j][j].is_structurally_zero()
 
 
+def test_guiding_center_reads_numbers_as_constants():
+    one, zero = CoordFunction.one(), CoordFunction.zero()
+    assert guiding_center((1, 0, 0)) == guiding_center((one, zero, zero))
+
+
 def test_guiding_center_rejects_non_axial():
     with pytest.raises(ValueError):
         one = CoordFunction.one()

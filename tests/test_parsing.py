@@ -85,6 +85,16 @@ def test_syntax_error_has_position():
         assert err.value.position == position
 
 
+def test_end_of_input_is_named():
+    for text, message in (
+            ("X1+", "unexpected end of input (at position 3)"),
+            ("(X1", "expected ')', found end of input (at position 3)"),
+            ("X1^(1/2", "expected ')', found end of input (at position 7)")):
+        with pytest.raises(ParseError) as err:
+            parse(text)
+        assert str(err.value) == message
+
+
 def test_unknown_symbol():
     with pytest.raises(UnknownSymbolError):
         parse("X4")

@@ -240,6 +240,12 @@ def test_eigenvalues_k_validation():
         eigenvalues(mat, 65, info)
 
 
+def test_eigenvalues_refuse_k_of_the_dimension_less_one():
+    mat, info = discretize(get_preset("free"), GridSpec(4.0, 4), {"m": 1.0})
+    with pytest.raises(ValueError, match="matrix dimension"):
+        eigenvalues(mat, mat.shape[0] - 1, info)
+
+
 @pytest.mark.parametrize("points", [8, 20])  # the dense and sparse paths
 def test_eigenvalues_refuse_a_negative_seed(points):
     mat, info = discretize(get_preset("free"), GridSpec(4.0, points),
