@@ -11,12 +11,16 @@ Each command takes --config, --out and only the options it reads:
                 --points
 
 --B, --Q and --coupling define an inline deformation; a --model preset
-brings its own, so with --model any of them exits 2.  Each deformation
-of a preset has its own source's coupling: ``gauge`` reports it per
-field, and its top-level ``coupling`` is the first field's.  ``holonomy``
-takes one deformation: a preset with two (``combined_*``) exits 3.  A value
-that starts with '-' is written in the one-token form, ``--coupling=-m``
-or ``--B=-1,0,0``: argparse reads a separate ``-m`` as another flag.
+brings its own, so with --model any of them exits 2.  --Q is the generator
+triple: three comma-separated expressions Q1, Q2, Q3, each a real function
+of the positions (default ``X1, X2, X3``), for example
+``--Q "X1*rho^(-1), X2*rho^(-1), X3*rho^(-1)"``; anything else exits 2.
+Each deformation of a preset has its own source's coupling: ``gauge``
+reports it per field, and its top-level ``coupling`` is the first
+field's.  ``holonomy`` takes one deformation: a preset with two
+(``combined_*``) exits 3.  A value that starts with '-' is written in the
+one-token form, ``--coupling=-m``, ``--B=-1,0,0`` or ``--Q=-X1,X2,X3``:
+argparse reads a separate ``-m`` as another flag.
 
 A config file is a list of flags: each ``key = value`` line is the one
 token ``--key=value`` (``_`` in a key reads as ``-``), and a switch's
@@ -33,13 +37,14 @@ summaries go to stderr.
 
 Exit codes: 0 success, 1 failed identity; 2, 3 and 4 by the error's class,
 as the table in ``warpconv.errors`` says, and 4 also for a value beyond the
-float range, an exact number too long to print or running out of memory.
+float range, an exact number too long to print, running out of memory or
+a ``spectrum`` without numpy or scipy installed.
 
 Building the parser and reading the options load no symbolic module: each
 command imports the modules it runs when it runs, so ``commutator`` loads
-only the parser and the exact kernel, ``deform`` loads the parser only
-for ``--expr``, and only ``spectrum`` loads numpy and scipy, after the
-checks that can refuse its input.  No module of the package imports
+only the parser and the exact kernel, ``deform --model`` loads the parser
+only for ``--expr``, and only ``spectrum`` loads numpy and scipy, after
+the checks that can refuse its input.  No module of the package imports
 ``dataclasses``, which would load ``inspect``, ``ast``, ``dis`` and
 ``tokenize``; only scipy does, so only ``spectrum`` loads them.
 
@@ -67,7 +72,8 @@ from fractions import Fraction
 from functools import partial
 
 from . import __version__
-from .errors import ConfigError, UnsupportedOperandError, WarpconvError
+from .errors import (ConfigError, ParseError, UnsupportedOperandError,
+                     WarpconvError)
 
 EXIT_OK = 0
 EXIT_IDENTITY = 1
@@ -106,8 +112,9 @@ OPTIONS = {
     "--out": {"help": "output path (default stdout)"},
     "--model": {"help": "preset model name"},
     "--B": {"help": "inline matrix: 0 | b1,b2,b3 | 9 entries"},
-    "--Q": {"help": "inline generator: coordinate (default) | radial:n | "
-                    "transverse"},
+    "--Q": {"help": "inline generator Q1,Q2,Q3, real functions of the "
+                    "positions, e.g. X1,X2,X3 (default) or, negated, "
+                    "--Q=-X1,X2,X3"},
     "--coupling": {"help": "inline coupling, e.g. e (default) or, "
                            "negated, --coupling=-m"},
     "--constants": {"help": "numeric bindings k=v,k=v,..."},
@@ -229,28 +236,26 @@ def _parse_matrix(text: str):
     raise ConfigError("--B needs 1 (zero), 3 (axial) or 9 (row-major) entries")
 
 
-# --Q shorthands for the generator labels of ``deform.GENERATORS``.
-_GENERATOR_ALIASES = {"x": "coordinate", "radial": "radial-power",
-                      "transverse": "transverse-radial",
-                      "rho": "transverse-radial"}
-
-
 def _parse_generator(text: str | None):
-    from .deform import GENERATORS
-    label, colon, param = ("coordinate" if text is None
-                           else text).partition(":")
-    label = label.strip().lower()
-    label = _GENERATOR_ALIASES.get(label, label)
-    if label not in GENERATORS:
-        raise ConfigError(f"unknown generator {text!r}")
-    if label != "radial-power":
-        if colon:
-            raise ConfigError(f"--Q {label} takes no parameter, "
-                              f"got {text!r}")
-        return GENERATORS[label]()
-    if not param:
-        raise ConfigError("radial generator needs a parameter, e.g. radial:3/2")
-    return GENERATORS[label](_number(param, "--Q radial", Fraction))
+    """The generator triple of --Q: three comma-separated expressions, each
+    a real function of the positions (default X1, X2, X3)."""
+    from .parsing import parse
+    parts = ("X1, X2, X3" if text is None else text).split(",")
+    if len(parts) != 3:
+        raise ConfigError(f"--Q needs three comma-separated expressions "
+                          f"Q1, Q2, Q3, got {text!r}")
+    generator = []
+    for j, part in enumerate(parts, start=1):
+        try:
+            q = parse(part)
+        except ParseError as exc:
+            raise ConfigError(f"--Q Q{j}: {exc}") from exc
+        f = q.coordinate_part()
+        if q.momentum_degree() or f.conjugate() != f:
+            raise ConfigError(f"--Q Q{j} = {part.strip()!r} is not a real "
+                              "function of the positions")
+        generator.append(f)
+    return tuple(generator)
 
 
 def _parse_coupling(text: str | None):
@@ -396,7 +401,13 @@ def cmd_spectrum(args) -> int:
         raise ConfigError(f"--k must be between 1 and {k_max} on this grid")
     # The refusals of discretize(), made before numpy and scipy are loaded.
     grid_inputs(preset, grid, constants)
-    from .spectra import discretize, eigenvalues
+    try:
+        from .spectra import discretize, eigenvalues
+    except ModuleNotFoundError as exc:
+        if (exc.name or "").partition(".")[0] not in ("numpy", "scipy"):
+            raise
+        raise WarpconvError(f"spectrum needs numpy and scipy; cannot import "
+                            f"{exc.name}") from exc
     matrix, info = discretize(preset, grid, constants)
     result = eigenvalues(matrix, args.k, info, seed=args.seed)
     payload = {"command": "spectrum", "model": preset.name,

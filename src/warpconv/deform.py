@@ -69,17 +69,10 @@ def axial(rows: Sequence[Sequence]) -> tuple[CoordFunction, ...]:
     return b
 
 
-def _times_x(factor: CoordFunction) -> tuple[CoordFunction, ...]:
+def times_x(factor: CoordFunction) -> tuple[CoordFunction, ...]:
+    """The generator Q_j = x_j * factor: the catalog's X, X/r^n and X/rho
+    are ``factor`` 1, r^(-n) and rho^(-1)."""
     return tuple(CoordFunction.x(j) * factor for j in (1, 2, 3))
-
-
-# The builder of the generator triple Q of each label the preset metadata
-# prints: Q_j = x_j, x_j / r^n and x_j / rho.
-GENERATORS = {
-    "coordinate": lambda: tuple(CoordFunction.x(j) for j in (1, 2, 3)),
-    "radial-power": lambda n: _times_x(CoordFunction.r_power(-Fraction(n))),
-    "transverse-radial": lambda: _times_x(CoordFunction.rho_power(-1)),
-}
 
 
 class DeformationSpec:

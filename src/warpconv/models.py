@@ -8,7 +8,7 @@ and carries all that a preset takes from it:
 - the gauge coupling g with which the momentum shift is S = g A;
 - the charge and the textbook field of its minimal-coupling reference,
   written down independently of the deformation machinery;
-- the axial triple b of its matrix, and its generator's label and parameter;
+- the axial triple b of its matrix, and its generator triple Q;
 - whether the effect is stated only to linear order in Omega.
 
 ``get_preset`` builds a preset from its row: the specs deform H0 (plus the
@@ -35,8 +35,8 @@ import math
 from fractions import Fraction
 
 from .coords import CoordFunction
-from .deform import (GENERATORS, DeformationSpec, as_triple, deform_coordinate,
-                     deform_sequence, invert_transverse_block)
+from .deform import (DeformationSpec, as_triple, deform_coordinate,
+                     deform_sequence, invert_transverse_block, times_x)
 from .errors import (InternalInconsistencyError, NonPositiveParameterError,
                      UnboundConstantError, UnsupportedOperandError)
 from .operators import HALF_OVER_M, OperatorExpr, require_coordinate_only
@@ -143,9 +143,7 @@ class ModelPreset:
             "name": self.name,
             "matrices": [f"[{'; '.join(', '.join(map(str, r)) for r in s.rows)}]"
                          for s in self.specs],
-            "generators": [{"tag": s.label,
-                            "param": str(s.params[0]) if s.params else None}
-                           for s in self.sources],
+            "generators": [[str(q) for q in s.generator] for s in self.specs],
             "coupling": str(self.coupling),
             "potential": str(self.potential) if self.potential is not None else None,
             "sign_note": self.sign_note,
@@ -252,12 +250,10 @@ def minimal_coupling_hamiltonian(
 
 class _Source:
     """One field kind of the catalog (see the module docstring); it holds
-    the sign-translated axial triple b and names the generator, not a spec:
-    ``label`` is a key of ``deform.GENERATORS``, and ``params`` are what
-    the label's builder takes (the metadata prints both)."""
+    the sign-translated axial triple b and the generator triple, not a
+    spec, which ``get_preset`` builds fresh."""
 
-    __slots__ = ("coupling", "charge", "field", "b", "label", "params",
-                 "linear")
+    __slots__ = ("coupling", "charge", "field", "b", "generator", "linear")
 
     def __init__(self, coupling: CoordFunction, charge: CoordFunction,
                  field: tuple[CoordFunction, ...], b: tuple, generator: tuple,
@@ -266,7 +262,7 @@ class _Source:
         self.charge = charge
         self.field = field
         self.b = b
-        self.label, *self.params = generator
+        self.generator = generator
         self.linear = linear
 
 
@@ -277,23 +273,24 @@ _PHI_2PI = (CoordFunction.constant("phi_M", 1, RAT(1, 2))
 _ONE, _ZERO = CoordFunction.scalar(1), CoordFunction.zero()
 # Axial -m Omega shifts P by +m h.
 _GRAVITO = (-_M * _OMEGA, _ZERO, _ZERO)
+_X = times_x(_ONE)
 
-_NO_FIELD = _Source(_E, _E, (_ZERO,) * 3, (_ZERO,) * 3, ("coordinate",))
+_NO_FIELD = _Source(_E, _E, (_ZERO,) * 3, (_ZERO,) * 3, _X)
 # A = (1/2) B cross x, the symmetric gauge; axial e B/2 shifts P by +e A.
 _MAGNETIC = _Source(_E, _E, azimuthal_field(_B_HALF, _ONE),
-                    (_E * _B_HALF, _ZERO, _ZERO), ("coordinate",))
+                    (_E * _B_HALF, _ZERO, _ZERO), _X)
 # A = (phi_M / 2 pi) (0, -x3, x2) / rho^2; axial e phi_M / 2 pi shifts P
 # by +e A.
 _FLUX_LINE = _Source(
     _E, _E, azimuthal_field(_PHI_2PI, CoordFunction.rho_power(-2)),
-    (_E * _PHI_2PI, _ZERO, _ZERO), ("transverse-radial",))
+    (_E * _PHI_2PI, _ZERO, _ZERO), times_x(CoordFunction.rho_power(-1)))
 # h = x cross Omega.
 _GRAVITO_CONSTANT = _Source(-_M, _M, azimuthal_field(-_OMEGA, _ONE),
-                            _GRAVITO, ("coordinate",), linear=True)
+                            _GRAVITO, _X, linear=True)
 # h = (x cross Omega) / r^3, generated by Q_j = x_j / r^(3/2).
 _LENSE_THIRRING = _Source(
     -_M, _M, azimuthal_field(-_OMEGA, CoordFunction.r_power(-3)),
-    _GRAVITO, ("radial-power", RAT(3, 2)), linear=True)
+    _GRAVITO, times_x(CoordFunction.r_power(RAT(-3, 2))), linear=True)
 
 _SIGN_NOTE = ("matrix is the Cartesian translation (overall sign) of the "
               "mixed-convention display; with [X,P]=+i the induced shift is "
@@ -339,8 +336,7 @@ def get_preset(name: str) -> ModelPreset:
         raise KeyError(f"unknown model preset {name!r}; "
                        f"known: {', '.join(sorted(PRESETS))}")
     sources, potential, sign_note = _CATALOG[name]
-    specs = tuple(DeformationSpec(s.b, GENERATORS[s.label](*s.params))
-                  for s in sources)
+    specs = tuple(DeformationSpec(s.b, s.generator) for s in sources)
     return ModelPreset(name=name, specs=specs, potential=potential,
                        sources=sources, sign_note=sign_note)
 

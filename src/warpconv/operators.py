@@ -206,28 +206,10 @@ class OperatorExpr:
                 })
         return {"terms": items}
 
-    @staticmethod
-    def from_json_dict(data: dict) -> "OperatorExpr":
-        out = OperatorExpr.zero()
-        for item in data["terms"]:
-            coeff = QC(Fraction(item["coeff"]["re"]),
-                       Fraction(item["coeff"]["im"]))
-            mono = tuple(sorted((k, int(v))
-                                for k, v in item["constants"].items()))
-            f = CoordFunction({
-                (tuple(item["x"]), Fraction(item["r"]),
-                 Fraction(item["rho"]), mono): coeff
-            })
-            out = out + OperatorExpr({tuple(item["P"]): f})
-        return out
-
     # -- presentation ---------------------------------------------------------
 
     def __eq__(self, other) -> bool:
         return isinstance(other, OperatorExpr) and self.terms == other.terms
-
-    def __hash__(self):
-        return hash(frozenset((pm, f) for pm, f in self.terms.items()))
 
     def __str__(self) -> str:
         if not self.terms:

@@ -70,9 +70,6 @@ class QC:
     def is_zero(self) -> bool:
         return self.re == 0 and self.im == 0
 
-    def __bool__(self) -> bool:
-        return not self.is_zero()
-
     def to_complex(self) -> complex:
         return complex(self.re) + 1j * complex(self.im)
 

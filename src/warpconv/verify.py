@@ -33,9 +33,9 @@ from functools import cache, partial
 from typing import Callable
 
 from .coords import CoordFunction
-from .deform import (GENERATORS, DeformationSpec, deform_coordinate,
-                     deform_operator, invert_transverse_block,
-                     momentum_shift_via_commutators, rieffel_product, skew)
+from .deform import (DeformationSpec, deform_coordinate, deform_operator,
+                     invert_transverse_block, momentum_shift_via_commutators,
+                     rieffel_product, skew, times_x)
 from .gauge import (bianchi_sum, curl, extract_gauge_field, field_strength,
                     jacobi_maxwell_sums, lorentz_force)
 from .models import (LINEARIZED_PRESETS, PRESETS, get_preset, guiding_center,
@@ -43,16 +43,21 @@ from .models import (LINEARIZED_PRESETS, PRESETS, get_preset, guiding_center,
 from .operators import HALF_OVER_M, OperatorExpr
 from .scalars import QC
 
-_COORDINATE = GENERATORS["coordinate"]
-_RADIAL = GENERATORS["radial-power"]
-_TRANSVERSE = GENERATORS["transverse-radial"]
+
+def _radial(n) -> tuple[CoordFunction, ...]:
+    """The generator Q = X/r^n."""
+    return times_x(CoordFunction.r_power(-Fraction(n)))
+
+
+_X = times_x(CoordFunction.one())
+_X_RHO = times_x(CoordFunction.rho_power(-1))
 
 CATALOG_GENERATORS = (
-    ("Q=X", _COORDINATE),
-    ("Q=X_r1", partial(_RADIAL, 1)),
-    ("Q=X_r3_2", partial(_RADIAL, Fraction(3, 2))),
-    ("Q=X_r2", partial(_RADIAL, 2)),
-    ("Q=X_rho", _TRANSVERSE),
+    ("Q=X", _X),
+    ("Q=X_r1", _radial(1)),
+    ("Q=X_r3_2", _radial(Fraction(3, 2))),
+    ("Q=X_r2", _radial(2)),
+    ("Q=X_rho", _X_RHO),
 )
 
 COEFFICIENT_EXPONENTS = (Fraction(-1), Fraction(0), Fraction(1),
@@ -93,10 +98,10 @@ def _decide(wants: Wants, rows) -> list[dict]:
             for name, pairs, *detail in rows if wants(name)]
 
 
-def _closed_form(make_q) -> tuple[DeformationSpec, list]:
+def _closed_form(q) -> tuple[DeformationSpec, list]:
     """A catalog generator's spec and its shift rebuilt from engine
     commutators, i G = i (B Q)_k [Q_k, P_j]."""
-    spec = DeformationSpec(SKEW_B, make_q())
+    spec = DeformationSpec(SKEW_B, q)
     return spec, momentum_shift_via_commutators(spec)
 
 
@@ -135,17 +140,17 @@ def _deformed_coordinate_check(wants: Wants) -> list[dict]:
 
 
 def _factorization_checks(wants: Wants) -> list[dict]:
-    def pairs(make_q):
+    def pairs(q):
         """deform(H0) against the squared deformed momenta over 2m."""
-        spec = DeformationSpec(SKEW_B, make_q())
+        spec = DeformationSpec(SKEW_B, q)
         squares = OperatorExpr.zero()
         for j in (1, 2, 3):
             pj = deform_operator(OperatorExpr.momentum(j), spec)
             squares = squares + pj * pj
         yield (deform_operator(OperatorExpr.free_hamiltonian(), spec),
                squares.scale(HALF_OVER_M))
-    return _decide(wants, [(f"factorization::{tag}", partial(pairs, make_q))
-                           for tag, make_q in CATALOG_GENERATORS])
+    return _decide(wants, [(f"factorization::{tag}", partial(pairs, q))
+                           for tag, q in CATALOG_GENERATORS])
 
 
 def _additivity_check(wants: Wants) -> list[dict]:
@@ -153,7 +158,7 @@ def _additivity_check(wants: Wants) -> list[dict]:
         """Deforming by B and then by C against deforming once by B + C."""
         h0 = OperatorExpr.free_hamiltonian()
         summed = [b + c for b, c in zip(SKEW_B, SKEW_C)]
-        for q in (_COORDINATE(), _RADIAL(1), _RADIAL(2), _TRANSVERSE()):
+        for q in (_X, _radial(1), _radial(2), _X_RHO):
             once = deform_operator(h0, DeformationSpec(SKEW_B, q))
             yield (deform_operator(once, DeformationSpec(SKEW_C, q)),
                    deform_operator(h0, DeformationSpec(summed, q)))
@@ -163,8 +168,8 @@ def _additivity_check(wants: Wants) -> list[dict]:
 
 
 def _rieffel_checks(wants: Wants) -> list[dict]:
-    def pairs(make_q):
-        spec = DeformationSpec(SKEW_B, make_q())
+    def pairs(q):
+        spec = DeformationSpec(SKEW_B, q)
         total = OperatorExpr.zero()
         for k in (1, 2, 3):
             pk = OperatorExpr.momentum(k)
@@ -174,15 +179,15 @@ def _rieffel_checks(wants: Wants) -> list[dict]:
                       + OperatorExpr.momentum(3) * OperatorExpr.momentum(3))
         # The deformed scalar product also reproduces the free Hamiltonian.
         yield total.scale(HALF_OVER_M), OperatorExpr.free_hamiltonian()
-    return _decide(wants, [(f"rieffel_diagonal::{tag}", partial(pairs, make_q))
-                           for tag, make_q in CATALOG_GENERATORS])
+    return _decide(wants, [(f"rieffel_diagonal::{tag}", partial(pairs, q))
+                           for tag, q in CATALOG_GENERATORS])
 
 
 def _coefficient_checks(wants: Wants) -> list[dict]:
     """The radial-generator bracket coefficients a(n) = n^2 - 3n and
     n^2 - 2n + 3, recovered from engine anticommutators and products."""
     def anticommutator(n):
-        for k, q in enumerate(_RADIAL(n), start=1):
+        for k, q in enumerate(_radial(n), start=1):
             acc = OperatorExpr.zero()
             qk = OperatorExpr.from_coord(q)
             for j in (1, 2, 3):
@@ -194,7 +199,7 @@ def _coefficient_checks(wants: Wants) -> list[dict]:
 
     def gradient_norm(n):
         acc = OperatorExpr.zero()
-        for q in _RADIAL(n):
+        for q in _radial(n):
             ql = OperatorExpr.from_coord(q)
             for j in (1, 2, 3):
                 c = ql.commutator(OperatorExpr.momentum(j))
@@ -328,7 +333,7 @@ def _gauge_checks(wants: Wants, presets,
 
     def linearity():
         lam, e = CoordFunction.constant("lam"), CoordFunction.constant("e")
-        spec = DeformationSpec(SKEW_B, _RADIAL(2))
+        spec = DeformationSpec(SKEW_B, _radial(2))
         a1 = extract_gauge_field(spec, e)
         a2 = extract_gauge_field(DeformationSpec(
             [b.scale(lam) for b in SKEW_B], spec.generator), e)
@@ -360,9 +365,9 @@ def run_suite(select: list[str] | None = None,
         return prefixes is None or name.startswith(prefixes)
 
     checks: list[dict] = []
-    for tag, make_q in CATALOG_GENERATORS:
+    for tag, q in CATALOG_GENERATORS:
         # One spec and one commutator shift per generator, for both forms.
-        closed_form = cache(partial(_closed_form, make_q))
+        closed_form = cache(partial(_closed_form, q))
         checks += _deformed_hamiltonian_closed_form(tag, closed_form, wants)
         checks += _deformed_momentum_closed_form(tag, closed_form, wants)
     checks += _deformed_coordinate_check(wants)

@@ -83,6 +83,35 @@ def test_command_loads_only_what_it_runs(argv, code, unloaded):
             if m in unloaded or m.split(".")[0] in unloaded] == []
 
 
+# Runs one command with a module of the numeric stack blocked, as if it
+# were not installed.
+BLOCKED_RUN = """
+import sys
+sys.modules[sys.argv[1]] = None
+import warpconv.cli as cli
+sys.exit(cli.main(sys.argv[2:]))
+"""
+
+
+@pytest.mark.parametrize("blocked, model, code", [
+    ("numpy", "free", cli.EXIT_NUMERIC),
+    ("scipy", "free", cli.EXIT_NUMERIC),
+    # A refusal made before the import keeps its code.
+    ("numpy", "lense_thirring", cli.EXIT_UNSUPPORTED),
+])
+def test_spectrum_without_the_numeric_stack_refuses(blocked, model, code):
+    argv = ["spectrum", "--model", model, "--grid", "8,10", "--k", "2",
+            "--constants", "m=1,Omega=1"]
+    proc = subprocess.run([sys.executable, "-c", BLOCKED_RUN, blocked, *argv],
+                          env=dict(os.environ, PYTHONPATH=SRC),
+                          capture_output=True, text=True, timeout=120)
+    assert (proc.returncode, proc.stdout) == (code, "")
+    assert proc.stderr.startswith("error: "), proc.stderr
+    assert proc.stderr.count("\n") == 1, proc.stderr
+    if code == cli.EXIT_NUMERIC:
+        assert f"cannot import {blocked}" in proc.stderr
+
+
 def test_spectra_names_resolve_from_the_package():
     from warpconv import GridSpec
     assert GridSpec is spectra.GridSpec
@@ -247,7 +276,7 @@ def test_every_public_name_resolves():
     (["deform", "--model", "landau", "--expr", "2^20000*P1"],
      cli.EXIT_NUMERIC),
     (["gauge", "--B", "1e5000,0,0"], cli.EXIT_NUMERIC),
-    (["gauge", "--B", "1,0,0", "--Q", "radial:1e5000"], cli.EXIT_NUMERIC),
+    (["gauge", "--B", "1,0,0", "--Q", "radial:1e5000"], cli.EXIT_CONFIG),
     (["holonomy", "--B", "1e400,0,0", "--constants", "e=1"], cli.EXIT_NUMERIC),
     (["spectrum", "--model", "zeeman", "--grid", "8,10", "--k", "2",
       "--constants", "e=1e200,B=1,m=1"], cli.EXIT_NUMERIC),
@@ -284,7 +313,8 @@ def test_every_public_name_resolves():
     # about 1.06e8, so roundoff of that size passes.
     (["spectrum", "--model", "free", "--grid", "64,0.01", "--k", "16",
       "--constants", "m=1"], cli.EXIT_OK),
-    # A label that takes no parameter refuses one.
+    # Text that is not three expressions, such as a generator label of
+    # earlier versions, exits 2.
     *([["gauge", "--B", "1,0,0", "--Q", q], cli.EXIT_CONFIG]
       for q in ("coordinate:5", "transverse:abc", "x:1", "rho:2")),
     # An expression that ends too early names the end of input.
@@ -385,6 +415,8 @@ def test_each_command_takes_only_the_options_it_reads():
     assert sum(map(len, offered.values())) == 39
 
 
+RADIAL_3_2 = "X1*r^(-3/2), X2*r^(-3/2), X3*r^(-3/2)"
+TRANSVERSE = "X1*rho^(-1), X2*rho^(-1), X3*rho^(-1)"
 SPECTRUM_FLAGS = ["--model", "landau", "--grid", "20,10", "--k", "8",
                   "--constants", "e=1,B=1,m=1"]
 SPECTRUM_CONFIG = ("model = landau\ngrid = 20,10\nk = 8\n"
@@ -397,13 +429,15 @@ SPECTRUM_CONFIG = ("model = landau\ngrid = 20,10\nk = 8\n"
     ("holonomy", "B = 1,0,0\ncoupling = -m\ncenter = -1,0,0\n"
      "constants = m=2\n", ["--B", "1,0,0", "--coupling=-m",
                             "--center=-1,0,0", "--constants", "m=2"]),
-    # Every alias of a --Q label prints the bytes of the label.
-    *(("gauge", f"B = 1,0,0\nQ = {alias}\n", ["--B", "1,0,0", *label])
-      for label, aliases in (
-          ([], ("coordinate", "x")),
-          (["--Q", "radial-power:3/2"], ("radial:3/2",)),
-          (["--Q", "transverse-radial"], ("transverse", "rho")))
-      for alias in aliases),
+    # A --Q triple reads as the flag, whatever its spelling, and a leading
+    # minus takes the one-token form.
+    *(("gauge", f"B = 1,0,0\nQ = {q}\n", ["--B", "1,0,0", *flag])
+      for q, flag in (
+          ("X1, X2, X3", []),
+          ("X1,X2,X3", ["--Q", "X1, X2, X3"]),
+          ("X1/r, X2/r, X3/r", ["--Q", "X1*r^(-1), X2*r^(-1), X3*r^(-1)"]),
+          ("X1/rho,X2/rho,X3/rho", ["--Q", TRANSVERSE]),
+          ("-X1, X2, X3", ["--Q=-X1, X2, X3"]))),
 ])
 def test_config_file_reads_as_flags(command, config, flags, tmp_path, capsys):
     path = tmp_path / "run.cfg"
@@ -414,10 +448,24 @@ def test_config_file_reads_as_flags(command, config, flags, tmp_path, capsys):
     assert from_config == capsys.readouterr().out
 
 
+@pytest.mark.parametrize("q, message", [
+    ("X1, X2", "--Q needs three comma-separated expressions"),
+    ("X1, X2,", "--Q Q3: unexpected end of input"),
+    ("X1, x2, X3", "--Q Q2: unknown symbol 'x2'"),
+    ("X1, P2, X3", "--Q Q2 = 'P2' is not a real function of the positions"),
+    ("i*X1, X2, X3", "--Q Q1 = 'i*X1' is not a real function"),
+])
+def test_generator_refusals_name_the_component(q, message, capsys):
+    assert cli.main(["gauge", "--B", "1,0,0", "--Q", q]) == cli.EXIT_CONFIG
+    out, err = capsys.readouterr()
+    assert out == "" and err.startswith(f"error: {message}"), err
+    assert err.count("\n") == 1
+
+
 def test_generator_labels_print_different_fields(capsys):
     printed = []
-    for label in ([], ["--Q", "radial:3/2"], ["--Q", "transverse"]):
-        assert cli.main(["gauge", "--B", "1,0,0", *label]) == cli.EXIT_OK
+    for generator in ([], ["--Q", RADIAL_3_2], ["--Q", TRANSVERSE]):
+        assert cli.main(["gauge", "--B", "1,0,0", *generator]) == cli.EXIT_OK
         printed.append(capsys.readouterr().out)
     assert len(set(printed)) == 3
 
@@ -433,6 +481,15 @@ def test_documented_negative_values_parse(capsys):
     assert cli.main(["holonomy", "--model", "landau", "--center=-1,0,0",
                      "--constants", "e=1,B=1"]) == cli.EXIT_OK
     assert json.loads(capsys.readouterr().out)["center"] == [-1.0, 0.0, 0.0]
+
+
+def test_documented_generator_forms_parse(capsys):
+    # The --Q help's negated triple and the module docstring's example.
+    example = cli.OPTIONS["--Q"]["help"].split()[-1]
+    quoted = cli.__doc__.split('--Q "')[1].split('"')[0]
+    for flag in (example, f"--Q={quoted}"):
+        assert cli.main(["gauge", "--B", "1,0,0", flag]) == cli.EXIT_OK
+    assert capsys.readouterr().err == ""
 
 
 def test_a_separate_negative_value_names_the_one_token_form(capsys):

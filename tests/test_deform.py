@@ -10,10 +10,10 @@ import pytest
 
 from warpconv import cli, deform
 from warpconv.coords import CoordFunction, as_constant
-from warpconv.deform import (GENERATORS, DeformationSpec, deform_coordinate,
+from warpconv.deform import (DeformationSpec, deform_coordinate,
                              deform_operator, invert_transverse_block,
                              momentum_shift, momentum_shift_via_commutators,
-                             rieffel_product, skew)
+                             rieffel_product, skew, times_x)
 from warpconv.errors import (SingularMatrixError, UnsupportedDegreeError,
                              UnsupportedOperandError)
 from warpconv.models import get_preset
@@ -27,9 +27,16 @@ SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
                    "src")
 
 
-COORDINATE, RADIAL, TRANSVERSE = (
-    GENERATORS[label]
-    for label in ("coordinate", "radial-power", "transverse-radial"))
+def COORDINATE():
+    return times_x(CoordFunction.one())
+
+
+def RADIAL(n):
+    return times_x(CoordFunction.r_power(-F(n)))
+
+
+def TRANSVERSE():
+    return times_x(CoordFunction.rho_power(-1))
 
 
 def triple(b1=0, b2=0, b3=0):

@@ -93,8 +93,6 @@ UNCALLED_PUBLIC_NAMES = []
 # Names defined in src/ that nothing in src/ refers to, each kept on purpose.
 UNREFERENCED_DEFINITIONS = {
     "error": "_Parser.error overrides argparse, which calls it",
-    "from_json_dict": "OperatorExpr.from_json_dict inverts to_json_dict; "
-                      "the JSON round-trip test calls it",
     "substitute_symbol": "CoordFunction and OperatorExpr.substitute_symbol; "
                          "only tests call them",
     **{name: "public, pending a caller" for name in UNCALLED_PUBLIC_NAMES},

@@ -1,4 +1,6 @@
 import hashlib
+import json
+import os
 from fractions import Fraction
 
 import pytest
@@ -6,7 +8,9 @@ import pytest
 from warpconv import cli, models
 from warpconv.coords import CoordFunction
 from warpconv.deform import DeformationSpec, deform_operator, skew
-from warpconv.models import PRESETS, get_preset, guiding_center
+from warpconv.errors import InternalInconsistencyError
+from warpconv.models import (PRESETS, get_preset, guiding_center,
+                             uncertainty_area_symbolic)
 from warpconv.operators import OperatorExpr
 from warpconv.parsing import parse
 from warpconv.scalars import QC
@@ -227,37 +231,76 @@ def test_guiding_center_rejects_non_axial():
         guiding_center((one, one, CoordFunction.zero()))
 
 
+@pytest.mark.parametrize("comm", [
+    CoordFunction.x(2),  # theta_23 depends on the position
+    CoordFunction.constant("m"),  # [Xg2, Xg3] real, so theta_23 imaginary
+], ids=["not_constant", "not_real"])
+def test_uncertainty_area_refuses_a_theta_that_is_not_a_real_constant(
+        comm, monkeypatch):
+    comms = [[CoordFunction.zero()] * 3 for _ in range(3)]
+    comms[1][2] = comm
+    monkeypatch.setattr(models, "guiding_center", lambda b: (None, comms))
+    with pytest.raises(InternalInconsistencyError, match="theta_23 = "):
+        uncertainty_area_symbolic()
+
+
+def test_metadata_generators_read_back_through_the_parser():
+    # Each printed component is str(q), which --Q reads back as q.
+    for name in PRESETS:
+        preset = get_preset(name)
+        printed = preset.metadata()["generators"]
+        assert len(printed) == len(preset.specs)
+        for components, spec in zip(printed, preset.specs):
+            generator = cli._parse_generator(", ".join(components))
+            assert generator == spec.generator
+
+
+def test_metadata_matches_the_deform_schema():
+    jsonschema = pytest.importorskip("jsonschema")
+    path = os.path.join(os.path.dirname(models.__file__), "schemas",
+                        "deform.json")
+    with open(path) as fh:
+        schema = json.load(fh)["properties"]["metadata"]
+    for name in PRESETS:
+        jsonschema.validate(get_preset(name).metadata(), schema)
+    # The generator labels printed before the triples are refused.
+    labelled = {**get_preset("lense_thirring").metadata(),
+                "generators": [{"tag": "radial-power", "param": "3/2"}]}
+    with pytest.raises(jsonschema.ValidationError):
+        jsonschema.validate(labelled, schema)
+
+
 # sha256 of the stdout of `deform --model P` and `gauge --model P`: the
 # catalog's output bytes, which change only deliberately.  Each gauge field
 # carries its own source's coupling, so a combined preset's gravitomagnetic
 # field is divided by -m, as gravito_constant's is.
 CATALOG_STDOUT_SHA256 = {
     "free": (
-        "d5f60744fef86fb959293263efcc34bd279e9617041f0e8c8b2604cf42f77136",
+        "f17d75c4eb81769a0514e014ccd73e9a6fe70a2d91524bef23ee66b95a8c9641",
         "567f8dba4cff2022c6e981abe34b3f39920a188728128f2c3ec2c31450039273"),
     "landau": (
-        "c901d62fcf677d9c6609ba740e5d473fe79b1da1ee5d17de782a534883524eb0",
+        "8b51fa1edcf5000647357dae56bae18822cb1ce99b96f0650260115c8bc0c021",
         "3ed304cd20edcf9df49ed4a17b3467aaaef273806b66a2e25f82fe6ed58fa4e4"),
     "zeeman": (
-        "1555526d839190b1ecbd90dacaf267362b6356c102fbe3c074a406b82e1bc7cc",
+        "b317b0c25bb2578746dd68dad08ad970a2781de57e2da5047a9abf1132af5af0",
         "6bcde49803db694b866f629d7ca625a73c677cf78d6900c7406a0ef57e8f6252"),
     "aharonov_bohm": (
-        "5f8d655148e3244bcb331ccadc2eb8cc0222e02763fca96dd9298010a2af87fa",
+        "3d0fad12a2c8bebe97454a0ed67d47f6916942a08d052431925e00fe5961b480",
         "1b9f5a70c12da737816266bcd87d2cefa614b520095b5ff850bff16952a753c0"),
     "gravito_constant": (
-        "1447f65087380b984d757b9c2045e9f2f045ec57841160c8caa06c8f3464b2e1",
+        "bbc4e978a69c8e3eadbba231614d04daef6f29f19dd11139373f9168be7dd8b3",
         "0d347275792339d1719329ccf7a0911c3b89415439c806fd451be1cf8b023a55"),
     "lense_thirring": (
-        "cc893e3fd233de176dce1351d2f606902c1bcc0b78cb240804997bb9817a3031",
+        "b11ebfb92bdc2367a8a7344d1be76a5dfa97484b0907bf6ac13845713cbb00ed",
         "13dfc78c42b5240b70ccc3b96293b3313a6b8ad8ee7098aa1daf0989fcddade9"),
     "gravito_zeeman": (
-        "acd4e303d6d77bba213e67d681a4e90d440e451ab93edabdbff2a7633c1298ba",
+        "69ba6bcd595b9a36eb310e46a5d8b3fcfe870bba7fb4ac0f0008729981ea2694",
         "b54b60e176d52c261bf146d6f82125d992dbaff1826291dde51b45b483761026"),
     "combined_constant": (
-        "38915a8acc4a59a58e7ab4c7bca3915a3c74d6fb218c0455abc1b397b658e5aa",
+        "90f10a6b940ef317c4aa616e002ec28ec7f8b0b0c150b18cb28e7593338a2d8b",
         "19d890ccb8010828fa838d523a24ae566bf41bf6a2da7d03bb3db8e75e6efbf5"),
     "combined_lense_thirring": (
-        "a0eef4da201ee76eb0f449c7b47bc867485917ef877583db4c481a56012373c0",
+        "a77b283cbe3fe3fa0d6378f40b53e293c031c08a39e352c1e10fb7b93f12626b",
         "8c84cdb0cd3393ae43624e8236a54748cc2e340aea5245799a1121a81c2c8183"),
 }
 

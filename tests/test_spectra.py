@@ -16,6 +16,7 @@ from warpconv.errors import (NonConvergenceError, NonPositiveParameterError,
 from warpconv.gauge import extract_gauge_field, holonomy
 from warpconv import spectra
 from warpconv.models import ModelPreset, get_preset
+from warpconv.scalars import QC
 from warpconv.spectra import GridSpec, discretize, eigenvalues
 
 F = Fraction
@@ -25,6 +26,16 @@ def box_levels(L, m, count):
     vals = sorted((n1 * n1 + n2 * n2) * math.pi ** 2 / (2 * m * L * L)
                   for n1 in range(1, 8) for n2 in range(1, 8))
     return vals[:count]
+
+
+def test_plane_profile_refuses_a_function_that_is_not_real():
+    xs = np.array([-0.5, 0.5])
+    x2 = CoordFunction.x(2)
+    assert spectra._plane_profile(x2, xs, xs, {}, "S_2").tolist() == [
+        [-0.5, -0.5], [0.5, 0.5]]
+    with pytest.raises(UnsupportedOperandError,
+                       match="S_2 is not real on the grid"):
+        spectra._plane_profile(x2.scale(QC(0, 1)), xs, xs, {}, "S_2")
 
 
 def test_grid_spec_validation():

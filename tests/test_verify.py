@@ -4,7 +4,7 @@ import pytest
 
 from warpconv import cli, models, verify
 from warpconv.coords import CoordFunction
-from warpconv.deform import GENERATORS, DeformationSpec, deform_operator
+from warpconv.deform import DeformationSpec, deform_operator, times_x
 from warpconv.models import PRESETS
 from warpconv.operators import OperatorExpr
 from warpconv.scalars import QC
@@ -54,7 +54,7 @@ def test_model_section_deforms_each_preset_once(monkeypatch):
 
 def test_symbolic_additivity_rejects_a_wrong_sum():
     h0 = OperatorExpr.free_hamiltonian()
-    q = GENERATORS["coordinate"]()
+    q = times_x(CoordFunction.one())
     b, c = DeformationSpec(verify.SKEW_B, q), DeformationSpec(verify.SKEW_C, q)
     twice = deform_operator(deform_operator(h0, b), c)
     summed = DeformationSpec(
