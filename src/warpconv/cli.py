@@ -38,7 +38,9 @@ summaries go to stderr.
 Exit codes: 0 success, 1 failed identity; 2, 3 and 4 by the error's class,
 as the table in ``warpconv.errors`` says, and 4 also for a value beyond the
 float range, an exact number too long to print, running out of memory or
-a ``spectrum`` without numpy or scipy installed.
+a ``spectrum`` without numpy or scipy installed.  This module reads each
+option's form; the library refuses each bad value (a preset name, a grid,
+k, a loop's radius or points, a --B that is not skew).
 
 Building the parser and reading the options load no symbolic module: each
 command imports the modules it runs when it runs, so ``commutator`` loads
@@ -229,10 +231,7 @@ def _parse_matrix(text: str):
     if len(vals) == 3:
         return vals
     if len(vals) == 9:
-        try:
-            return axial([vals[0:3], vals[3:6], vals[6:9]])
-        except ValueError as exc:
-            raise ConfigError("--B must be skew-symmetric") from exc
+        return axial([vals[0:3], vals[3:6], vals[6:9]])
     raise ConfigError("--B needs 1 (zero), 3 (axial) or 9 (row-major) entries")
 
 
@@ -270,25 +269,18 @@ def _parse_coupling(text: str | None):
     return CoordFunction.constant(text, 1, sign)
 
 
-def _preset(name: str):
-    from .models import get_preset
-    try:
-        return get_preset(name)
-    except KeyError as exc:
-        raise ConfigError(exc.args[0]) from exc
-
-
 def _resolve_model(args) -> tuple[str | None, list, object]:
     """(name, (spec, coupling) pairs, preset-or-None) from --model, whose
     specs take their own sources' couplings, or from --B/--Q/--coupling."""
     from .deform import DeformationSpec
+    from .models import get_preset
     if args.model is not None:
         inline = [flag for flag in ("--B", "--Q", "--coupling")
                   if getattr(args, flag[2:], None) is not None]
         if inline:
             raise ConfigError(f"--model excludes {' and '.join(inline)}, "
                               "which define an inline deformation")
-        preset = _preset(args.model)
+        preset = get_preset(args.model)
         return preset.name, preset.coupled_specs(), preset
     if args.B is None:
         raise ConfigError("need --model or an inline --B matrix")
@@ -382,24 +374,18 @@ def cmd_verify(args) -> int:
 
 
 def cmd_spectrum(args) -> int:
-    from .models import GridSpec, grid_inputs
+    from .models import GridSpec, check_levels, get_preset, grid_inputs
     if args.model is None:
         raise ConfigError("spectrum needs --model (a preset name)")
-    preset = _preset(args.model)
+    preset = get_preset(args.model)
     parts = args.grid.replace(",", " ").split()
     if len(parts) != 2:
         raise ConfigError("--grid needs N,L")
     points = _number(parts[0], "--grid N", int)
-    extent = _number(parts[1], "--grid L")
-    try:
-        grid = GridSpec(extent=extent, points=points)
-    except ValueError as exc:
-        raise ConfigError(f"--grid: {exc}") from exc
+    grid = GridSpec(extent=_number(parts[1], "--grid L"), points=points)
     constants = _parse_constants(args.constants)
-    k_max = min(64, points * points - 2)  # the limits eigenvalues() enforces
-    if not 1 <= args.k <= k_max:
-        raise ConfigError(f"--k must be between 1 and {k_max} on this grid")
-    # The refusals of discretize(), made before numpy and scipy are loaded.
+    # The refusals of eigenvalues() and discretize(), before numpy loads.
+    check_levels(args.k, points * points)
     grid_inputs(preset, grid, constants)
     try:
         from .spectra import discretize, eigenvalues
@@ -427,17 +413,10 @@ def cmd_holonomy(args) -> int:
         raise UnsupportedOperandError(
             f"holonomy integrates one deformation; {name} has {len(pairs)}")
     a = extract_gauge_field(*pairs[0])
-    if args.radius <= 0:  # _number has refused a radius that is not finite
-        raise ConfigError("--radius must be positive")
     center = tuple(_number(v, "--center")
                    for v in args.center.replace(",", " ").split())
     if len(center) != 3:
         raise ConfigError("--center needs three components")
-    # The trapezoid rule is spectrally accurate on a smooth loop: landau
-    # is off by 8e-15 at 256 points, 3e-12 at 2^16 and 1e-11 at 2^20, so
-    # more points add only roundoff and time.
-    if not 8 <= args.points <= 2 ** 16:
-        raise ConfigError("--points must be between 8 and 65536")
     constants = _parse_constants(args.constants)
     value = holonomy(a, args.radius, center=center, points=args.points,
                      constants=constants)

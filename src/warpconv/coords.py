@@ -32,7 +32,7 @@ import math
 from fractions import Fraction
 from typing import Iterable, Mapping, Union
 
-from .errors import SingularPointError, UnboundConstantError
+from .errors import ConfigError, SingularPointError, UnboundConstantError
 from .scalars import (QC, QC_ONE, QC_ZERO, RationalLike, mono_degree,
                       mono_inv, mono_make, mono_mul, mono_str)
 
@@ -138,14 +138,14 @@ class CoordFunction:
     def inverse(self) -> "CoordFunction":
         """Exact reciprocal of one term c * constants * r^p * rho^q: the
         coefficient inverted, every exponent negated.  Zero, a sum or a
-        power of x1, x2 or x3 raises ValueError."""
+        power of x1, x2 or x3 raises ConfigError."""
         if not self.terms:
-            raise ValueError("cannot divide by zero")
+            raise ConfigError("cannot divide by zero")
         if len(self.terms) != 1:
-            raise ValueError("cannot divide by a multi-term expression")
+            raise ConfigError("cannot divide by a multi-term expression")
         ((a, p, q, m), c), = self.terms.items()
         if any(a):
-            raise ValueError(
+            raise ConfigError(
                 "cannot divide by positions; only scalars, r and rho invert")
         return CoordFunction({((0, 0, 0), -p, -q, mono_inv(m)): QC_ONE / c})
 
@@ -313,11 +313,11 @@ class CoordFunction:
 
 
 def as_constant(v: "ScalarLike | CoordFunction", what: str) -> CoordFunction:
-    """``v`` as a function, refused with ValueError unless it is constant:
+    """``v`` as a function, refused with ConfigError unless it is constant:
     an exact number, or terms without a power of x1, x2, x3, r or rho."""
     f = v if isinstance(v, CoordFunction) else CoordFunction.scalar(v)
     if any(key[:3] != _NO_COORDS for key in f.terms):
-        raise ValueError(f"{what} must be constants, got {f}")
+        raise ConfigError(f"{what} must be constants, got {f}")
     return f
 
 

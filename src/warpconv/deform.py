@@ -26,8 +26,8 @@ from fractions import Fraction
 from typing import Sequence
 
 from .coords import CoordFunction, as_constant
-from .errors import (SingularMatrixError, UnsupportedDegreeError,
-                     UnsupportedOperandError)
+from .errors import (ConfigError, SingularMatrixError,
+                     UnsupportedDegreeError, UnsupportedOperandError)
 from .operators import OperatorExpr, require_coordinate_only
 from .scalars import QC
 
@@ -38,11 +38,11 @@ _ENTRIES = "deformation-matrix entries"
 def as_triple(values: Sequence, what: str = "an axial triple",
               constant: bool = False) -> tuple[CoordFunction, ...]:
     """``values`` as three coordinate functions, a number read as a constant
-    one; ValueError unless there are three, and with ``constant`` unless
+    one; ConfigError unless there are three, and with ``constant`` unless
     each is a constant (``as_constant``)."""
     v = tuple(values)
     if len(v) != 3:
-        raise ValueError(f"{what} has 3 entries, got {len(v)}")
+        raise ConfigError(f"{what} has 3 entries, got {len(v)}")
     if constant:
         return tuple(as_constant(e, _ENTRIES) for e in v)
     return tuple(e if isinstance(e, CoordFunction) else CoordFunction.scalar(e)
@@ -59,13 +59,13 @@ def skew(b: Sequence) -> tuple[tuple[CoordFunction, ...], ...]:
 
 def axial(rows: Sequence[Sequence]) -> tuple[CoordFunction, ...]:
     """The axial triple b of nine row-major entries, the inverse of
-    ``skew``; ValueError unless they form a skew-symmetric 3x3 matrix of
+    ``skew``; ConfigError unless they form a skew-symmetric 3x3 matrix of
     constants."""
     b = tuple(as_constant(rows[i][j], _ENTRIES)
               for i, j in ((1, 2), (2, 0), (0, 1)))
     if skew(b) != tuple(tuple(as_constant(v, _ENTRIES) for v in row)
                         for row in rows):
-        raise ValueError("deformation matrix must be skew-symmetric")
+        raise ConfigError("deformation matrix must be skew-symmetric")
     return b
 
 
@@ -224,13 +224,11 @@ def invert_transverse_block(b: Sequence,
     [[0, -1/b], [1/b, 0]], the axial matrix of -1/b along ``axis``.
     """
     entry = as_triple(b)[axis - 1]
-    if entry.is_structurally_zero():
-        raise SingularMatrixError("transverse block is singular")
     try:
         inv_entry = entry.inverse()
-    except ValueError as exc:
-        raise SingularMatrixError("transverse block entry is a sum; "
-                                  "no exact scalar inverse") from exc
+    except ConfigError as exc:  # zero, a sum or a power of a position
+        raise SingularMatrixError(
+            f"transverse block has no exact inverse: {exc}") from exc
     out = [CoordFunction.zero()] * 3
     out[axis - 1] = -inv_entry
     return tuple(out)

@@ -1,8 +1,12 @@
 """Exception types shared across the package.
 
-The class an error derives from fixes its CLI exit code, and ``cli.main``
-catches one class per code: 2 for a ConfigError (bad input), 3 for an
+Every refusal the package raises is a WarpconvError, and its class fixes
+its CLI exit code: ``cli.main`` catches one class per code, 2 for a
+ConfigError (bad input; also a ValueError), 3 for an
 UnsupportedOperandError and 4 for every other WarpconvError (numeric).
+``cli.main`` also exits 4 for a MemoryError, an OverflowError (a value
+beyond the float range) and the ValueError of an exact integer too long
+to print (``sys.get_int_max_str_digits()``).
 """
 
 
@@ -10,7 +14,7 @@ class WarpconvError(Exception):
     """Base class for all library errors."""
 
 
-class ConfigError(WarpconvError):
+class ConfigError(WarpconvError, ValueError):
     """Invalid run configuration, expression or parameter."""
 
 

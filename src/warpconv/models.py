@@ -37,8 +37,9 @@ from fractions import Fraction
 from .coords import CoordFunction
 from .deform import (DeformationSpec, as_triple, deform_coordinate,
                      deform_sequence, invert_transverse_block, times_x)
-from .errors import (InternalInconsistencyError, NonPositiveParameterError,
-                     UnboundConstantError, UnsupportedOperandError)
+from .errors import (ConfigError, InternalInconsistencyError,
+                     NonPositiveParameterError, UnboundConstantError,
+                     UnsupportedOperandError)
 from .operators import HALF_OVER_M, OperatorExpr, require_coordinate_only
 from .scalars import QC
 
@@ -154,15 +155,17 @@ class ModelPreset:
 class GridSpec:
     """Transverse Dirichlet box of a grid spectrum: extent L, N points per
     axis in the (x2, x3) plane.  It needs no numpy, so the CLI validates it
-    before loading ``spectra``."""
+    before loading ``spectra``: an extent that is not positive and finite
+    raises NonPositiveParameterError, fewer than 2 points ConfigError."""
 
     __slots__ = ("extent", "points")
 
     def __init__(self, extent: float, points: int):
-        if extent <= 0:
-            raise ValueError("grid extent must be positive")
+        if not (math.isfinite(extent) and extent > 0):
+            raise NonPositiveParameterError(
+                f"grid extent must be positive and finite, got {extent!r}")
         if points < 2:
-            raise ValueError("need at least 2 points per axis")
+            raise ConfigError(f"need at least 2 points per axis, got {points}")
         self.extent = extent
         self.points = points
 
@@ -194,6 +197,16 @@ class GridSpec:
     def metadata(self) -> dict:
         return {"extent": self.extent, "points": self.points,
                 "plane_axes": [2, 3], "boundary": "dirichlet"}
+
+
+def check_levels(k: int, unknowns: int) -> None:
+    """ConfigError unless 1 <= k <= min(64, unknowns - 2) for the k lowest
+    levels of ``unknowns`` rows: numpy-free, so the CLI refuses a k of
+    ``eigenvalues`` before it loads numpy."""
+    k_max = min(64, unknowns - 2)
+    if not 1 <= k <= k_max:
+        raise ConfigError(f"k must be between 1 and {k_max} for a matrix "
+                          f"dimension of {unknowns}, got {k}")
 
 
 def grid_inputs(preset: ModelPreset, grid: GridSpec,
@@ -331,10 +344,11 @@ LINEARIZED_PRESETS = tuple(name for name, (sources, _, _) in _CATALOG.items()
 
 
 def get_preset(name: str) -> ModelPreset:
-    """Build the catalog preset ``name``, with fresh specs, from its row."""
+    """Build the catalog preset ``name``, with fresh specs, from its row; an
+    unknown name raises ConfigError, which lists the known ones."""
     if name not in _CATALOG:
-        raise KeyError(f"unknown model preset {name!r}; "
-                       f"known: {', '.join(sorted(PRESETS))}")
+        raise ConfigError(f"unknown model preset {name!r}; "
+                          f"known: {', '.join(sorted(PRESETS))}")
     sources, potential, sign_note = _CATALOG[name]
     specs = tuple(DeformationSpec(s.b, s.generator) for s in sources)
     return ModelPreset(name=name, specs=specs, potential=potential,
@@ -354,8 +368,8 @@ def guiding_center(b: tuple):
     b = as_triple(b)
     nonzero = [k for k, v in enumerate(b) if not v.is_structurally_zero()]
     if len(nonzero) != 1:
-        raise ValueError("guiding-center construction needs an axial matrix "
-                         "along a single axis")
+        raise ConfigError("guiding-center construction needs an axial "
+                          "matrix along a single axis")
     axis = nonzero[0] + 1
     binv = invert_transverse_block(b, axis)
     coords = deform_coordinate(tuple(v.scale(QC(RAT(-1, 2))) for v in binv))

@@ -29,7 +29,7 @@ from fractions import Fraction
 from typing import Mapping
 
 from .coords import CoordFunction, ScalarLike
-from .errors import InternalInconsistencyError
+from .errors import ConfigError, InternalInconsistencyError
 from .scalars import QC
 
 PMulti = tuple  # (k1, k2, k3) nonnegative ints
@@ -127,7 +127,7 @@ class OperatorExpr:
     def power(self, n: int) -> "OperatorExpr":
         """self^n by square-and-multiply: about 2 log2(n) products."""
         if n < 0:
-            raise ValueError("negative operator powers are not defined")
+            raise ConfigError("negative operator powers are not defined")
         acc, base = OperatorExpr.identity(), self
         while n:
             if n & 1:

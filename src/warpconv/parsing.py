@@ -26,7 +26,7 @@ from __future__ import annotations
 from fractions import Fraction
 
 from .coords import CoordFunction
-from .errors import ParseError, UnknownSymbolError
+from .errors import ConfigError, ParseError, UnknownSymbolError
 from .operators import OperatorExpr
 from .scalars import QC, DEFAULT_CONSTANTS
 
@@ -229,7 +229,7 @@ def _invert(expr: OperatorExpr, pos: int) -> OperatorExpr:
         raise ParseError("cannot divide by an expression with momentum", pos)
     try:
         inverse = expr.coordinate_part().inverse()
-    except ValueError as exc:
+    except ConfigError as exc:
         raise ParseError(str(exc), pos) from None
     return OperatorExpr.from_coord(inverse)
 

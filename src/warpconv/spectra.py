@@ -25,9 +25,9 @@ of half the size and symmetric Lanczos.
 This is the one module that imports numpy and scipy.  The package and the
 CLI import it only when a spectrum is asked for, so the symbolic commands
 (and ``holonomy``, which lives in ``gauge``) never load the numeric stack.
-The grid box (``models.GridSpec``) and the refusals of a spectrum's mass,
-hop and transverse reduction (``models.grid_inputs``) are numpy-free, so
-the CLI refuses a bad grid, mass or preset before it imports this module.
+The grid box (``models.GridSpec``) and the refusals of a spectrum's k,
+mass, hop and transverse reduction (``models.check_levels`` and
+``grid_inputs``) are numpy-free: the CLI makes them before it imports it.
 """
 
 from __future__ import annotations
@@ -40,10 +40,10 @@ import scipy.sparse
 import scipy.sparse.linalg
 
 from .coords import CoordFunction
-from .errors import (NonConvergenceError, UnsupportedOperandError,
-                     WarpconvError)
+from .errors import (ConfigError, NonConvergenceError,
+                     UnsupportedOperandError, WarpconvError)
 from .gauge import curl
-from .models import GridSpec, ModelPreset, grid_inputs
+from .models import GridSpec, ModelPreset, check_levels, grid_inputs
 
 # Unknowns below which the dense solver is used: where the dense and the
 # shift-invert solves of 16 levels take equally long on the transverse grid.
@@ -239,19 +239,16 @@ def eigenvalues(matrix: scipy.sparse.spmatrix, k: int, info: dict,
 
     Dense solver below _DENSE_LIMIT unknowns, shift-invert Lanczos from
     there up; the Lanczos start vector is seeded, so results are
-    reproducible.  Both paths take the seed numpy takes, an integer >= 0,
-    and raise ValueError for anything else.  Shift-invert returns the
-    eigenvalues nearest the shift, so the shift sits at
+    reproducible.  ``models.check_levels`` refuses k, and ConfigError a
+    seed numpy refuses, one that is not an integer >= 0.  Shift-invert
+    returns the eigenvalues nearest the shift, so the shift sits at
     min(0, info["spectral_floor"]), at or below the whole spectrum;
     ``info`` is the second value ``discretize`` returns.
     """
-    if not 1 <= k <= 64:
-        raise ValueError("k must be between 1 and 64")
-    if not isinstance(seed, (int, np.integer)) or seed < 0:
-        raise ValueError("seed must be an integer >= 0")
     size = matrix.shape[0]
-    if k >= size - 1:
-        raise ValueError("k must be smaller than the matrix dimension - 1")
+    check_levels(k, size)
+    if not isinstance(seed, (int, np.integer)) or seed < 0:
+        raise ConfigError("seed must be an integer >= 0")
     if size < _DENSE_LIMIT:
         dense = matrix.toarray()
         vals, vecs = scipy.linalg.eigh(dense, subset_by_index=[0, k - 1])

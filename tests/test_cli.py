@@ -326,6 +326,14 @@ def test_every_public_name_resolves():
     # An inline deformation without --expr deforms the free Hamiltonian.
     (["deform", "--B", "0"], cli.EXIT_OK),
     (["deform", "--B", "1,0,0"], cli.EXIT_OK),
+    # The library's refusals of the loop and of the grid spectrum.
+    (["holonomy", "--model", "landau", "--points", "65537"], cli.EXIT_CONFIG),
+    (["holonomy", "--model", "landau", "--constants", "e=1,B=1",
+      "--radius=-1"], cli.EXIT_CONFIG),
+    (["spectrum", "--model", "free", "--constants", "m=1", "--grid", "8,10",
+      "--k", "0"], cli.EXIT_CONFIG),
+    (["spectrum", "--model", "free", "--constants", "m=1", "--grid", "0,10",
+      "--k", "2"], cli.EXIT_CONFIG),
 ])
 def test_exit_codes(argv, code, capsys):
     assert cli.main(argv) == code

@@ -1,8 +1,9 @@
 """Every name a module in src/ or tests/ imports is used in that module,
-every name src/ defines is used in src/, and the exceptions to the second
-rule are the known ones."""
+every name src/ defines is used in src/, src/ raises no builtin exception
+but on purpose, and the exceptions to these rules are the known ones."""
 
 import ast
+import builtins
 import pathlib
 
 import warpconv
@@ -155,3 +156,36 @@ def test_every_definition_in_src_is_referenced_in_src():
                   and not any(path == p and first <= line <= last
                               for p, first, last in spans[name])}
     assert sorted(set(spans) - referenced) == sorted(UNREFERENCED_DEFINITIONS)
+
+
+# Raises of a builtin exception class in src/, each kept on purpose; every
+# other refusal is a WarpconvError, whose class fixes the CLI exit code.
+BUILTIN_RAISES = {
+    "__init__.__getattr__ AttributeError":
+        "PEP 562: a module __getattr__ reports a missing name with it",
+    "cli._number ValueError": "its own except turns it into a ConfigError",
+    "scalars.QC.__truediv__ ZeroDivisionError":
+        "exact arithmetic, as Fraction raises it; no input rule",
+}
+
+
+def _builtin_raises(node, scope):
+    """'module.qualname Class' for each raise of a builtin exception class
+    under ``node``, whose enclosing names are ``scope``."""
+    for child in ast.iter_child_nodes(node):
+        if isinstance(child, (ast.FunctionDef, ast.ClassDef)):
+            yield from _builtin_raises(child, (*scope, child.name))
+            continue
+        if isinstance(child, ast.Raise) and child.exc is not None:
+            exc = child.exc.func if isinstance(child.exc, ast.Call) else (
+                child.exc)
+            cls = getattr(builtins, getattr(exc, "id", ""), None)
+            if isinstance(cls, type) and issubclass(cls, BaseException):
+                yield f"{'.'.join(scope)} {exc.id}"
+        yield from _builtin_raises(child, scope)
+
+
+def test_src_raises_no_builtin_exception_but_on_purpose():
+    hits = [hit for path, tree in _src_trees().items()
+            for hit in _builtin_raises(tree, (path.stem,))]
+    assert sorted(hits) == sorted(BUILTIN_RAISES)

@@ -8,7 +8,7 @@ import pytest
 from warpconv import cli, models
 from warpconv.coords import CoordFunction
 from warpconv.deform import DeformationSpec, deform_operator, skew
-from warpconv.errors import InternalInconsistencyError
+from warpconv.errors import ConfigError, InternalInconsistencyError
 from warpconv.models import (PRESETS, get_preset, guiding_center,
                              uncertainty_area_symbolic)
 from warpconv.operators import OperatorExpr
@@ -16,6 +16,12 @@ from warpconv.parsing import parse
 from warpconv.scalars import QC
 
 F = Fraction
+
+
+def test_an_unknown_preset_is_a_config_error():
+    with pytest.raises(ConfigError, match="^unknown model preset 'nope'; "
+                                          "known: aharonov_bohm, "):
+        get_preset("nope")
 
 
 def test_every_preset_matches_its_reference():

@@ -10,9 +10,10 @@ import scipy.sparse.linalg
 
 from warpconv.coords import CoordFunction
 from warpconv.deform import DeformationSpec
-from warpconv.errors import (NonConvergenceError, NonPositiveParameterError,
-                             SingularLoopError, SingularPointError,
-                             UnboundConstantError, UnsupportedOperandError)
+from warpconv.errors import (ConfigError, NonConvergenceError,
+                             NonPositiveParameterError, SingularLoopError,
+                             SingularPointError, UnboundConstantError,
+                             UnsupportedOperandError)
 from warpconv.gauge import extract_gauge_field, holonomy
 from warpconv import spectra
 from warpconv.models import ModelPreset, get_preset
@@ -43,6 +44,10 @@ def test_grid_spec_validation():
         GridSpec(extent=-1.0, points=32)
     with pytest.raises(ValueError):
         GridSpec(extent=1.0, points=1)
+    # An extent that is not finite has no spacing.
+    for extent in (math.nan, math.inf):
+        with pytest.raises(NonPositiveParameterError):
+            GridSpec(extent=extent, points=32)
     g = GridSpec(extent=4.0, points=32)
     assert g.spacing == pytest.approx(4.0 / 33)
     assert 0.0 not in set(np.round(g.nodes(), 12))
@@ -245,15 +250,15 @@ def test_eigenvalues_deterministic_for_seed():
 def test_eigenvalues_k_validation():
     grid = GridSpec(extent=4.0, points=16)
     mat, info = discretize(get_preset("free"), grid, {"m": 1.0})
-    with pytest.raises(ValueError):
+    with pytest.raises(ConfigError):
         eigenvalues(mat, 0, info)
-    with pytest.raises(ValueError):
+    with pytest.raises(ConfigError):
         eigenvalues(mat, 65, info)
 
 
 def test_eigenvalues_refuse_k_of_the_dimension_less_one():
     mat, info = discretize(get_preset("free"), GridSpec(4.0, 4), {"m": 1.0})
-    with pytest.raises(ValueError, match="matrix dimension"):
+    with pytest.raises(ConfigError, match="matrix dimension"):
         eigenvalues(mat, mat.shape[0] - 1, info)
 
 
@@ -390,6 +395,12 @@ def test_holonomy_validation_and_singular_loop():
         holonomy(gf, -1.0, constants={"e": 1, "phi_M": 1})
     with pytest.raises(ValueError):
         holonomy(gf, 1.0, points=4, constants={"e": 1, "phi_M": 1})
+    # A radius that is not finite, and more points than add accuracy.
+    for radius in (math.nan, math.inf):
+        with pytest.raises(NonPositiveParameterError):
+            holonomy(gf, radius, constants={"e": 1, "phi_M": 1})
+    with pytest.raises(ConfigError, match="65536"):
+        holonomy(gf, 1.0, points=2 ** 16 + 1, constants={"e": 1, "phi_M": 1})
     with pytest.raises(SingularLoopError):
         # center distance equals radius: the loop touches rho = 0
         holonomy(gf, 1.0, center=(0.0, 1.0, 0.0), points=16,
