@@ -38,9 +38,11 @@ summaries go to stderr.
 Exit codes: 0 success, 1 failed identity; 2, 3 and 4 by the error's class,
 as the table in ``warpconv.errors`` says, and 4 also for a value beyond the
 float range, an exact number too long to print, running out of memory or
-a ``spectrum`` without numpy or scipy installed.  This module reads each
-option's form; the library refuses each bad value (a preset name, a grid,
-k, a loop's radius or points, a --B that is not skew).
+a ``spectrum`` without numpy or scipy installed.  argparse converts no
+option value, as it would swallow a converter's ConfigError, a ValueError:
+the commands read the text, so a malformed number exits 2 ahead of any exit
+3 or 4.  The library refuses each bad value (a preset name, a grid, k, a
+loop's radius, center or points, a --B that is not skew).
 
 Building the parser and reading the options load no symbolic module: each
 command imports the modules it runs when it runs, so ``commutator`` loads
@@ -68,10 +70,8 @@ from __future__ import annotations
 import argparse
 import gc
 import json
-import math
 import sys
 from fractions import Fraction
-from functools import partial
 
 from . import __version__
 from .errors import (ConfigError, ParseError, UnsupportedOperandError,
@@ -85,18 +85,16 @@ EXIT_NUMERIC = 4
 
 
 def _number(value: str, option: str, kind=float):
-    """kind(value); text that is not a finite number written in ASCII is a
-    ConfigError (Python's int and float also read other scripts' digits)."""
+    """kind(value); text that is not a number written in ASCII is a
+    ConfigError (Python's int and float also read other scripts' digits);
+    the library call it goes to decides whether a float may be nan or inf."""
     try:
         if not value.isascii():
             raise ValueError(value)
-        number = kind(value)
+        return kind(value)
     except (ValueError, ZeroDivisionError) as exc:
         wanted = "an integer" if kind is int else "a number"
         raise ConfigError(f"{option} needs {wanted}, got {value!r}") from exc
-    if kind is float and not math.isfinite(number):
-        raise ConfigError(f"{option} needs a finite number, got {value!r}")
-    return number
 
 
 def _seed(text: str) -> int:
@@ -124,21 +122,18 @@ OPTIONS = {
     "--a": {"help": "left expression"},
     "--b": {"help": "right expression"},
     # The suite draws nothing at random; verify echoes the seed for the schema.
-    "--seed": {"type": _seed, "default": 0,
+    "--seed": {"default": "0",
                "help": "eigensolver start-vector seed; verify echoes it"},
     "--select": {"help": "comma-separated name prefixes; only the checks "
                          "they name are computed"},
     "--negative-control": {"action": "store_true", "help": "inject a "
                            "wrong-sign commutator route (must fail)"},
     "--grid": {"default": "64,10", "help": "N,L: points per axis, box extent"},
-    "--k": {"type": partial(_number, option="--k", kind=int), "default": 16,
-            "help": "eigenvalues wanted (<= 64)"},
+    "--k": {"default": "16", "help": "eigenvalues wanted (<= 64)"},
     "--format": {"choices": ("json", "csv"), "default": "json"},
-    "--radius": {"type": partial(_number, option="--radius"), "default": 1.0,
-                 "help": "loop radius"},
+    "--radius": {"default": "1.0", "help": "loop radius"},
     "--center": {"default": "0,0,0", "help": "c1,c2,c3 (loop center)"},
-    "--points": {"type": partial(_number, option="--points", kind=int),
-                 "default": 256, "help": "quadrature points"},
+    "--points": {"default": "256", "help": "quadrature points"},
 }
 COMMAND_OPTIONS = {
     "deform": ("deform an operator expression",
@@ -156,17 +151,16 @@ COMMAND_OPTIONS = {
 }
 
 
-def _dump(obj: dict, out: str | None, fmt: str = "json") -> None:
-    """Write strict JSON (or the CSV text); a non-finite number in the
-    result, which JSON cannot carry, is a numeric failure."""
-    if fmt == "json":
+def _dump(result: dict | str, out: str | None) -> None:
+    """Write a dict as strict JSON, or a ready text as it is; a non-finite
+    number in a dict, which JSON cannot carry, is a numeric failure."""
+    payload = result
+    if isinstance(result, dict):
         try:
-            payload = json.dumps(obj, sort_keys=True, separators=(",", ":"),
+            payload = json.dumps(result, sort_keys=True, separators=(",", ":"),
                                  allow_nan=False) + "\n"
         except ValueError as exc:
             raise WarpconvError("the result is not finite") from exc
-    else:
-        payload = obj["csv"]
     if not out:
         sys.stdout.write(payload)
         return
@@ -289,7 +283,6 @@ def _resolve_model(args) -> tuple[str | None, list, object]:
     return None, [(spec, coupling)], None
 
 
-
 def _expression_payload(expr) -> dict:
     return {"expression": expr.to_json_dict(), "pretty": str(expr)}
 
@@ -357,13 +350,14 @@ def cmd_gauge(args) -> int:
 
 def cmd_verify(args) -> int:
     from .verify import run_suite
+    seed = _seed(args.seed)
     select = None
     if args.select is not None:
         select = [s.strip() for s in args.select.split(",") if s.strip()]
     report = run_suite(select=select, negative_control=args.negative_control)
     if not report["checks"]:
         raise ConfigError(f"--select {args.select!r} matches no check")
-    payload = {"command": "verify", "seed": args.seed, **report}
+    payload = {"command": "verify", "seed": seed, **report}
     _dump(payload, args.out)
     failed = [c["name"] for c in report["checks"] if not c["passed"]]
     print(f"verify: {len(report['checks'])} checks, "
@@ -375,6 +369,7 @@ def cmd_verify(args) -> int:
 
 def cmd_spectrum(args) -> int:
     from .models import GridSpec, check_levels, get_preset, grid_inputs
+    seed, k = _seed(args.seed), _number(args.k, "--k", int)
     if args.model is None:
         raise ConfigError("spectrum needs --model (a preset name)")
     preset = get_preset(args.model)
@@ -385,7 +380,7 @@ def cmd_spectrum(args) -> int:
     grid = GridSpec(extent=_number(parts[1], "--grid L"), points=points)
     constants = _parse_constants(args.constants)
     # The refusals of eigenvalues() and discretize(), before numpy loads.
-    check_levels(args.k, points * points)
+    check_levels(k, points * points)
     grid_inputs(preset, grid, constants)
     try:
         from .spectra import discretize, eigenvalues
@@ -395,12 +390,10 @@ def cmd_spectrum(args) -> int:
         raise WarpconvError(f"spectrum needs numpy and scipy; cannot import "
                             f"{exc.name}") from exc
     matrix, info = discretize(preset, grid, constants)
-    result = eigenvalues(matrix, args.k, info, seed=args.seed)
-    payload = {"command": "spectrum", "model": preset.name,
-               **result.to_json_dict()}
-    if args.format == "csv":
-        payload["csv"] = result.to_csv()
-    _dump(payload, args.out, args.format)
+    result = eigenvalues(matrix, k, info, seed=seed)
+    _dump(result.to_csv() if args.format == "csv" else {
+        "command": "spectrum", "model": preset.name, **result.to_json_dict()},
+        args.out)
     for w in result.warnings:
         print(f"warning: {w}", file=sys.stderr)
     return EXIT_OK
@@ -408,20 +401,20 @@ def cmd_spectrum(args) -> int:
 
 def cmd_holonomy(args) -> int:
     from .gauge import extract_gauge_field, holonomy
+    radius = _number(args.radius, "--radius")
+    points = _number(args.points, "--points", int)
+    center = tuple(_number(v, "--center")
+                   for v in args.center.replace(",", " ").split())
+    constants = _parse_constants(args.constants)
     name, pairs, _ = _resolve_model(args)
     if len(pairs) != 1:
         raise UnsupportedOperandError(
             f"holonomy integrates one deformation; {name} has {len(pairs)}")
     a = extract_gauge_field(*pairs[0])
-    center = tuple(_number(v, "--center")
-                   for v in args.center.replace(",", " ").split())
-    if len(center) != 3:
-        raise ConfigError("--center needs three components")
-    constants = _parse_constants(args.constants)
-    value = holonomy(a, args.radius, center=center, points=args.points,
+    value = holonomy(a, radius, center=center, points=points,
                      constants=constants)
-    payload = {"command": "holonomy", "model": name, "radius": args.radius,
-               "center": list(center), "points": args.points, "value": value}
+    payload = {"command": "holonomy", "model": name, "radius": radius,
+               "center": list(center), "points": points, "value": value}
     _dump(payload, args.out)
     print(f"holonomy = {value!r}", file=sys.stderr)
     return EXIT_OK

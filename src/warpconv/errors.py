@@ -6,7 +6,8 @@ ConfigError (bad input; also a ValueError), 3 for an
 UnsupportedOperandError and 4 for every other WarpconvError (numeric).
 ``cli.main`` also exits 4 for a MemoryError, an OverflowError (a value
 beyond the float range) and the ValueError of an exact integer too long
-to print (``sys.get_int_max_str_digits()``).
+to print (``sys.get_int_max_str_digits()``).  ConfigError's ValueError base
+must not meet an argparse ``type=``, which would print its own line instead.
 """
 
 

@@ -153,34 +153,39 @@ def holonomy(a, radius: float, center=(0.0, 0.0, 0.0),
     orientation about the x1 axis).  Trapezoidal quadrature on the closed
     loop, with A_2 and A_3 compiled once (``CoordFunction.compile``) and
     called per node.  Raises NonPositiveParameterError unless the radius
-    is positive and finite, ConfigError unless 8 <= points <= 2^16, and
-    SingularLoopError if a node falls within 1e-9 of the axis (rho = 0) of
-    a field with a negative rho power, or of the origin (r = 0) of a field
-    with a negative r power.
+    is positive and finite, ConfigError unless the center is three finite
+    numbers and 8 <= points <= 2^16, and SingularLoopError if a node falls
+    within 1e-9 (R + max(|c2|, |c3|)) of the axis (rho = 0) of a field with
+    a negative rho power, or within 1e-9 (R + max |c_i|) of the origin
+    (r = 0) of a field with a negative r power.
     """
     if not (math.isfinite(radius) and radius > 0):
         raise NonPositiveParameterError(
             f"loop radius must be positive and finite, got {radius!r}")
+    if len(center) != 3 or not all(map(math.isfinite, center)):
+        raise ConfigError(
+            f"loop center must be three finite numbers, got {center!r}")
     # The trapezoid rule is spectrally accurate on a smooth loop: landau
     # is off by 8e-15 at 256 points, 3e-12 at 2^16 and 1e-11 at 2^20, so
     # more points add only roundoff and time.
     if not 8 <= points <= 2 ** 16:
         raise ConfigError(f"need 8 to 65536 quadrature points, got {points}")
-    a2 = a[1].compile(constants)
-    a3 = a[2].compile(constants)
+    a2, a3 = a[1].compile(constants), a[2].compile(constants)
     keys = [key for comp in a for key in comp.terms]
     r_singular = any(p < 0 for (_, p, _, _) in keys)
     rho_singular = any(q < 0 for (_, _, q, _) in keys)
     c1, c2, c3 = (float(c) for c in center)
+    rho_tol = 1e-9 * (radius + max(abs(c2), abs(c3)))
+    r_tol = 1e-9 * (radius + max(abs(c1), abs(c2), abs(c3)))
     total = 0.0
     dtheta = 2.0 * math.pi / points
     for i in range(points):
         th = i * dtheta
         x2 = c2 + radius * math.cos(th)
         x3 = c3 + radius * math.sin(th)
-        if rho_singular and math.hypot(x2, x3) < 1e-9:
+        if rho_singular and math.hypot(x2, x3) < rho_tol:
             raise SingularLoopError("loop touches the singular axis rho = 0")
-        if r_singular and math.hypot(c1, x2, x3) < 1e-9:
+        if r_singular and math.hypot(c1, x2, x3) < r_tol:
             raise SingularLoopError("loop touches the singular point r = 0")
         total += (-a2(c1, x2, x3).real * math.sin(th)
                   + a3(c1, x2, x3).real * math.cos(th)) * radius * dtheta

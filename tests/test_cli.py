@@ -8,7 +8,7 @@ import sys
 import pytest
 
 import warpconv
-from warpconv import cli, errors, spectra
+from warpconv import cli, errors, spectra, verify
 
 SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
                    "src")
@@ -334,6 +334,17 @@ def test_every_public_name_resolves():
       "--k", "0"], cli.EXIT_CONFIG),
     (["spectrum", "--model", "free", "--constants", "m=1", "--grid", "0,10",
       "--k", "2"], cli.EXIT_CONFIG),
+    # A malformed number exits 2 ahead of an exit-3 refusal.
+    *([["holonomy", "--model", "combined_constant", option], cli.EXIT_CONFIG]
+      for option in ("--points=abc", "--center=0,x,0", "--constants=m=x")),
+    (["holonomy", "--model", "landau", "--constants", "e=1,B=1",
+      "--center", "0,0,nan"], cli.EXIT_CONFIG),
+    # A loop of radius 1e-10 about the axis keeps 1e-10 clear of it.
+    (["holonomy", "--model", "aharonov_bohm", "--radius", "1e-10",
+      "--constants", "e=1,phi_M=1"], cli.EXIT_OK),
+    # A small loop moved along x1 stays clear of the axis.
+    (["holonomy", "--model", "aharonov_bohm", "--radius", "1e-8",
+      "--center=10,0,0", "--constants", "e=1,phi_M=1"], cli.EXIT_OK),
 ])
 def test_exit_codes(argv, code, capsys):
     assert cli.main(argv) == code
@@ -421,6 +432,85 @@ def test_each_command_takes_only_the_options_it_reads():
     assert offered == {command: options.split()
                        for command, options in OPTIONS_READ.items()}
     assert sum(map(len, offered.values())) == 39
+
+
+# A malformed value of each option that takes one, and the start of the rule
+# its refusal names.
+MALFORMED = {
+    "--config": ("/nonexistent.cfg", "cannot read config /nonexistent.cfg"),
+    "--out": ("/nonexistent/dir/x.json", "cannot write --out"),
+    "--model": ("nope", "unknown model preset 'nope'"),
+    "--B": ("abc", "--B needs a number, got 'abc'"),
+    "--Q": ("X1, X2", "--Q needs three comma-separated expressions"),
+    "--coupling": ("1x", "coupling must be a constant name, got '1x'"),
+    "--constants": ("m", "constants entries are name=value, got 'm'"),
+    "--expr": ("X1+", "unexpected end of input"),
+    "--a": ("X1+", "unexpected end of input"),
+    "--b": ("X1+", "unexpected end of input"),
+    "--seed": ("abc", "--seed needs an integer, got 'abc'"),
+    "--select": ("modle", "--select 'modle' matches no check"),
+    "--grid": ("x,10", "--grid N needs an integer, got 'x'"),
+    "--k": ("abc", "--k needs an integer, got 'abc'"),
+    "--format": ("xml", "argument --format: invalid choice: 'xml'"),
+    "--radius": ("abc", "--radius needs a number, got 'abc'"),
+    "--center": ("0,x,0", "--center needs a number, got 'x'"),
+    "--points": ("abc", "--points needs an integer, got 'abc'"),
+}
+# Valid options of each command; an inline --B makes way for a --model.
+VALID_FLAGS = {
+    "deform": {"--B": "1,0,0"},
+    "commutator": {"--a": "X1", "--b": "P1"},
+    "gauge": {"--B": "1,0,0"},
+    "verify": {"--select": "adjoint"},
+    "spectrum": {"--model": "free", "--grid": "8,10", "--k": "2",
+                 "--constants": "m=1"},
+    "holonomy": {"--B": "1,0,0", "--constants": "e=1"},
+}
+
+
+@pytest.mark.parametrize("command, option, in_config", [
+    (command, option, in_config)
+    for command, (_, options) in cli.COMMAND_OPTIONS.items()
+    for option in ("--config", "--out", *options)
+    if option in MALFORMED
+    for in_config in ((False,) if option == "--config" else (False, True))])
+def test_a_malformed_value_names_its_rule(command, option, in_config,
+                                          tmp_path, capsys):
+    value, rule = MALFORMED[option]
+    drop = {option, "--B"} if option == "--model" else {option}
+    argv = [command] + [f"{flag}={v}" for flag, v in
+                        VALID_FLAGS[command].items() if flag not in drop]
+    if in_config:
+        path = tmp_path / "run.cfg"
+        path.write_text(f"{option[2:]} = {value}\n")
+        argv += ["--config", str(path)]
+    else:
+        argv.append(f"{option}={value}")
+    errs = []
+    for _ in range(2):
+        assert cli.main(argv) == cli.EXIT_CONFIG
+        out, err = capsys.readouterr()
+        assert out == "" and err.startswith(f"error: {rule}"), err
+        assert err.count("\n") == 1, err
+        assert "functools" not in err and " at 0x" not in err, err
+        errs.append(err)
+    assert errs[0] == errs[1]
+
+
+def test_argparse_converts_no_option_value():
+    # A ConfigError is a ValueError, which argparse swallows in a converter.
+    assert [flag for flag, spec in cli.OPTIONS.items() if "type" in spec] == []
+    assert all(isinstance(spec.get("default", ""), str)
+               for spec in cli.OPTIONS.values())
+
+
+def test_a_malformed_seed_is_refused_before_the_suite_runs(monkeypatch,
+                                                          capsys):
+    def run_suite(**kwargs):
+        raise AssertionError("the suite ran")
+    monkeypatch.setattr(verify, "run_suite", run_suite)
+    assert cli.main(["verify", "--seed", "x"]) == cli.EXIT_CONFIG
+    assert capsys.readouterr().err == "error: --seed needs an integer, got 'x'\n"
 
 
 RADIAL_3_2 = "X1*r^(-3/2), X2*r^(-3/2), X3*r^(-3/2)"

@@ -411,6 +411,24 @@ def test_holonomy_validation_and_singular_loop():
         holonomy(extract_gauge_field(lt.specs[0], lt.coupling), 1.0,
                  center=(0.0, 1.0, 0.0), points=8,
                  constants={"m": 1, "Omega": 1})
+    # The singular-node tolerance scales with the loop: every node of a loop
+    # of radius 1e-10 about the axis lies 1e-10 from it.
+    assert holonomy(gf, 1e-10, constants={"e": 1, "phi_M": 1}) == 1.0
+    # The axis tolerance leaves out c1, which no distance to the axis holds:
+    # a small loop moved along x1 keeps its holonomy, and a loop moved along
+    # x1 that touches the axis is still refused.
+    assert holonomy(gf, 1e-8, center=(10.0, 0.0, 0.0),
+                    constants={"e": 1, "phi_M": 1}) == 1.0
+    with pytest.raises(SingularLoopError, match="rho = 0"):
+        holonomy(gf, 1.0, center=(10.0, 1.0, 0.0), points=16,
+                 constants={"e": 1, "phi_M": 1})
+    # A center that is not three finite numbers.
+    for field, constants in ((gf, {"e": 1, "phi_M": 1}), (
+            extract_gauge_field(lt.specs[0], lt.coupling),
+            {"m": 1, "Omega": 1})):
+        for center in ((math.nan, 0.0, 0.0), (0.0, math.inf, 0.0), (0, 0)):
+            with pytest.raises(ConfigError, match="loop center"):
+                holonomy(field, 1.0, center=center, constants=constants)
 
 
 def test_residual_failure_names_its_count_and_largest(monkeypatch):
