@@ -27,8 +27,8 @@ token ``--key=value`` (``_`` in a key reads as ``-``), and a switch's
 ``true`` is the bare flag, its ``false`` nothing; lines starting with #
 are skipped.  The tokens go between the command name and the command-line
 flags, so flags win, and the command's parser checks them as flags: an
-unknown or abbreviated key, a bad value, a line without '=' or an
-unreadable file exits 2.
+unknown or abbreviated key, a ``config`` key (files do not nest), a bad
+value, a line without '=' or an unreadable file exits 2.
 
 Output is canonical JSON (sorted keys, fixed separators), byte-identical
 across runs with the same options, save that the last digits ``spectrum``
@@ -188,6 +188,8 @@ def _config_flags(path: str) -> list[str]:
         if not eq:
             raise ConfigError(f"{path}:{lineno}: expected key = value")
         flag = "--" + key.replace("_", "-")
+        if flag == "--config":
+            raise ConfigError(f"{path}:{lineno}: config files do not nest")
         if OPTIONS.get(flag, {}).get("action") != "store_true":
             flags.append(f"{flag}={value}")
         elif value not in ("true", "false"):
@@ -381,7 +383,7 @@ def cmd_spectrum(args) -> int:
     constants = _parse_constants(args.constants)
     # The refusals of eigenvalues() and discretize(), before numpy loads.
     check_levels(k, points * points)
-    grid_inputs(preset, grid, constants)
+    grid_inputs(preset.shift, grid, constants)
     try:
         from .spectra import discretize, eigenvalues
     except ModuleNotFoundError as exc:
@@ -389,7 +391,7 @@ def cmd_spectrum(args) -> int:
             raise
         raise WarpconvError(f"spectrum needs numpy and scipy; cannot import "
                             f"{exc.name}") from exc
-    matrix, info = discretize(preset, grid, constants)
+    matrix, info = discretize(preset.shift, preset.potential, grid, constants)
     result = eigenvalues(matrix, k, info, seed=seed)
     _dump(result.to_csv() if args.format == "csv" else {
         "command": "spectrum", "model": preset.name, **result.to_json_dict()},

@@ -11,13 +11,13 @@ and carries all that a preset takes from it:
 - the axial triple b of its matrix, and its generator triple Q;
 - whether the effect is stated only to linear order in Omega.
 
-``get_preset`` builds a preset from its row: the specs deform H0 (plus the
-potential) in turn, which commute because the generators do, and the
-reference, built on first read, is (1/2m) (P + sum_i g_i A_i)^2 plus the
-potential, g_i being each source's charge.  Verifying a preset means
-checking that the deformation reproduces that reference exactly, or, where
-a source is stated to linear order, exactly after the explicit truncation
-in Omega.
+``get_preset`` builds a preset from its row alone: ``ModelPreset`` makes
+one spec per source, and the specs deform H0 (plus the potential) in
+turn, which commute because the generators do.  The reference, built on
+first read, is (1/2m) (P + sum_i g_i A_i)^2 plus the potential, g_i being
+each source's charge.  Verifying a preset means checking that the
+deformation reproduces that reference exactly, or, where a source is stated
+to linear order, exactly after the explicit truncation in Omega.
 
 Sign bookkeeping: the whole package works in plain Cartesian components
 with [X_j, P_k] = i delta_jk and H0 = P^2/2m.  In that convention an axial
@@ -48,17 +48,16 @@ RAT = Fraction
 
 class ModelPreset:
     """A named physical system obtained by deforming H0 (or H0 + potential);
-    ``specs[i]`` is the deformation of ``sources[i]``, coupling included."""
+    ``specs[i]`` is the deformation of ``sources[i]``, built from it here."""
 
     # No __slots__: each cached_property keeps its value in the instance
     # __dict__.
-    def __init__(self, name: str, specs: tuple[DeformationSpec, ...],
-                 potential: CoordFunction | None,
-                 sources: tuple[_Source, ...], sign_note: str = ""):
+    def __init__(self, name: str, sources: tuple[_Source, ...],
+                 potential: CoordFunction | None, sign_note: str):
         self.name = name
-        self.specs = specs
-        self.potential = potential
         self.sources = sources  # the catalog sources the references read
+        self.specs = tuple(DeformationSpec(s.b, s.generator) for s in sources)
+        self.potential = potential
         self.sign_note = sign_note
 
     @property
@@ -78,9 +77,6 @@ class ModelPreset:
             h = h + OperatorExpr.from_coord(self.potential)
         return h
 
-    def deformed(self) -> OperatorExpr:
-        return self._deformed
-
     def scalar_potential(self) -> CoordFunction:
         """phi with coupling * phi = potential (zero without a potential),
         the electric potential that pairs with the preset's coupling."""
@@ -89,9 +85,9 @@ class ModelPreset:
         return self.potential.scale(self.coupling.inverse())
 
     @functools.cached_property
-    def _deformed(self) -> OperatorExpr:
-        # Computed once per preset object: the reference, linearized and
-        # hermiticity checks all start from it.
+    def deformed(self) -> OperatorExpr:
+        """The deformed Hamiltonian, computed once per preset object: the
+        reference, linearized and hermiticity checks all start from it."""
         return deform_sequence(self.base_hamiltonian(), self.specs)
 
     # The references are built on first read: only the model checks of
@@ -120,24 +116,13 @@ class ModelPreset:
     def small_constants(self) -> tuple[str, ...]:
         return ("Omega",) if any(s.linear for s in self.sources) else ()
 
-    def shift_functions(self) -> list[CoordFunction]:
-        """Total momentum shift of all deformations (they commute)."""
+    @functools.cached_property
+    def shift(self) -> tuple[CoordFunction, ...]:
+        """Total momentum shift (S1, S2, S3) of all specs (they commute)."""
         total = [CoordFunction.zero()] * 3
         for spec in self.specs:
             total = [a + b for a, b in zip(total, spec.shift)]
-        return total
-
-    def transverse_shift(self) -> list[CoordFunction]:
-        """The total shift, refused unless it is independent of x1 (no x1
-        power, no r power), as the p1 = 0 sector of a grid spectrum needs."""
-        shift = self.shift_functions()
-        for j, s in enumerate(shift, start=1):
-            for (a, p, _, _) in s.terms:
-                if a[0] != 0 or p != 0:
-                    raise UnsupportedOperandError(
-                        f"momentum shift S_{j} depends on x1; this preset has "
-                        "no transverse-plane reduction")
-        return shift
+        return tuple(total)
 
     def metadata(self) -> dict:
         return {
@@ -209,15 +194,23 @@ def check_levels(k: int, unknowns: int) -> None:
                           f"dimension of {unknowns}, got {k}")
 
 
-def grid_inputs(preset: ModelPreset, grid: GridSpec,
-                constants: dict) -> tuple[float, float, list[CoordFunction]]:
-    """The mass m, hop t (``GridSpec.hop``) and transverse shift of a grid
-    spectrum of ``preset``, refused in that order; numpy-free, so the CLI
-    makes these refusals of ``discretize`` before it loads numpy."""
+def grid_inputs(shift: tuple[CoordFunction, ...], grid: GridSpec,
+                constants: dict) -> tuple[float, float]:
+    """The mass m and hop t (``GridSpec.hop``) of a grid spectrum of the
+    shift triple ``shift``, refusing an unbound m, a bad hop, then a shift
+    with an x1 or r power (no p1 = 0 sector); numpy-free, so the CLI makes
+    these refusals of ``discretize`` before it loads numpy."""
     if "m" not in constants:
         raise UnboundConstantError("mass constant 'm' must be bound")
     mass = float(constants["m"])
-    return mass, grid.hop(mass), preset.transverse_shift()
+    t = grid.hop(mass)
+    for j, s in enumerate(shift, start=1):
+        for (a, p, _, _) in s.terms:
+            if a[0] != 0 or p != 0:
+                raise UnsupportedOperandError(
+                    f"momentum shift S_{j} depends on x1; this preset has "
+                    "no transverse-plane reduction")
+    return mass, t
 
 
 # -- the catalog -------------------------------------------------------------
@@ -264,7 +257,7 @@ def minimal_coupling_hamiltonian(
 class _Source:
     """One field kind of the catalog (see the module docstring); it holds
     the sign-translated axial triple b and the generator triple, not a
-    spec, which ``get_preset`` builds fresh."""
+    spec, which ``ModelPreset`` builds fresh."""
 
     __slots__ = ("coupling", "charge", "field", "b", "generator", "linear")
 
@@ -344,15 +337,13 @@ LINEARIZED_PRESETS = tuple(name for name, (sources, _, _) in _CATALOG.items()
 
 
 def get_preset(name: str) -> ModelPreset:
-    """Build the catalog preset ``name``, with fresh specs, from its row; an
-    unknown name raises ConfigError, which lists the known ones."""
+    """The catalog preset ``name``, built from its row alone (so with fresh
+    specs that match its sources); an unknown name raises ConfigError,
+    which lists the known ones."""
     if name not in _CATALOG:
         raise ConfigError(f"unknown model preset {name!r}; "
                           f"known: {', '.join(sorted(PRESETS))}")
-    sources, potential, sign_note = _CATALOG[name]
-    specs = tuple(DeformationSpec(s.b, s.generator) for s in sources)
-    return ModelPreset(name=name, specs=specs, potential=potential,
-                       sources=sources, sign_note=sign_note)
+    return ModelPreset(name, *_CATALOG[name])
 
 
 # -- noncommuting coordinates ------------------------------------------------

@@ -1,10 +1,12 @@
 """Grid verification of deformed Hamiltonians.
 
-The physical spectra of interest are transverse: for a field along x1 the
-level structure lives in the (x2, x3) plane, so the Hamiltonian is
-discretized in the p1 = 0 sector on a Dirichlet box with the grid offset by
-half a cell (no node ever hits r = 0 or rho = 0).  The shift enters through
-Peierls phases on the hops of a fourth-order stencil, which keeps the matrix
+A grid spectrum reads the plain shift triple (S1, S2, S3) and the
+potential, not a preset: it depends on the field alone.  The physical
+spectra of interest are transverse: for a field along x1 the level
+structure lives in the (x2, x3) plane, so the Hamiltonian is discretized in
+the p1 = 0 sector on a Dirichlet box with the grid offset by half a cell
+(no node ever hits r = 0 or rho = 0).  The shift enters through Peierls
+phases on the hops of a fourth-order stencil, which keeps the matrix
 hermitian to machine precision.  Where the midpoint rule integrates the
 shift exactly along each link (a shift affine in x2, x3, as for a constant
 field in any linear gauge) a change of gauge conjugates the matrix by a
@@ -43,7 +45,7 @@ from .coords import CoordFunction
 from .errors import (ConfigError, NonConvergenceError,
                      UnsupportedOperandError, WarpconvError)
 from .gauge import curl
-from .models import GridSpec, ModelPreset, check_levels, grid_inputs
+from .models import GridSpec, check_levels, grid_inputs
 
 # Unknowns below which the dense solver is used: where the dense and the
 # shift-invert solves of 16 levels take equally long on the transverse grid.
@@ -104,10 +106,11 @@ def _plane_profile(f: CoordFunction, xs2: np.ndarray, xs3: np.ndarray,
 # Constants too large for float64 overflow quietly here: the finished
 # matrix is refused whole if an entry is not finite.
 @np.errstate(over="ignore", invalid="ignore")
-def discretize(preset: ModelPreset, grid: GridSpec,
+def discretize(shift: tuple[CoordFunction, ...],
+               potential: CoordFunction | None, grid: GridSpec,
                constants: dict) -> tuple[scipy.sparse.csr_matrix, dict]:
-    """Sparse hermitian matrix of (1/2m)
-    [(P2+S2)^2 + (P3+S3)^2 + S1^2] + potential on the transverse grid.
+    """Sparse hermitian matrix of (1/2m) [(P2+S2)^2 + (P3+S3)^2 + S1^2]
+    + potential (None: none) on the transverse grid; shift = (S1, S2, S3).
 
     Each axis uses the fourth-order 5-point stencil, t (30/12 on the
     diagonal, -16/12 to the nearest and +1/12 to the next-nearest node)
@@ -127,10 +130,11 @@ def discretize(preset: ModelPreset, grid: GridSpec,
     ``constants`` binds every constant of the shift and the potential
     (``pi`` is bound unless given) and must bind the mass ``m``; a mass
     that is not positive, or one that leaves t infinite, raises
-    NonPositiveParameterError (``GridSpec.hop``).  Each
-    profile is sampled in one call on the meshgrid of its nodes; a
-    negative power of r or rho at a node on r = 0 or rho = 0 (an odd N
-    puts nodes on the axes) raises SingularPointError.
+    NonPositiveParameterError (``GridSpec.hop``), and a shift that depends
+    on x1 UnsupportedOperandError (``models.grid_inputs``).  Each profile
+    is sampled in one call on the meshgrid of its nodes; a negative power
+    of r or rho at a node on r = 0 or rho = 0 (an odd N puts nodes on the
+    axes) raises SingularPointError.
 
     Returns (matrix, info).  The matrix is canonical CSR, float64 when no
     hop carries a phase and complex128 otherwise; an entry that is not
@@ -140,7 +144,7 @@ def discretize(preset: ModelPreset, grid: GridSpec,
     conjugate of its mirror entry, 0 by construction) and that spectral
     floor.
     """
-    mass, t, shift = grid_inputs(preset, grid, constants)
+    mass, t = grid_inputs(shift, grid, constants)
 
     n = grid.points
     h = grid.spacing
@@ -157,9 +161,8 @@ def discretize(preset: ModelPreset, grid: GridSpec,
     phase3 = h * _plane_profile(shift[2], xs, mid, constants, "S_3")
 
     vpot = np.zeros((n, n))
-    if preset.potential is not None:
-        vpot = _plane_profile(preset.potential, xs, xs, constants,
-                              "potential")
+    if potential is not None:
+        vpot = _plane_profile(potential, xs, xs, constants, "potential")
 
     # Effective field strength at the box center for the coarseness check.
     probe = (0.0, 0.25 * h, 0.25 * h)

@@ -236,16 +236,16 @@ def _model_checks(wants: Wants, presets) -> list[dict]:
     decided."""
     def rows(name):
         preset = partial(presets, name)
-        yield f"model::{name}", lambda: [(preset().deformed(),
+        yield f"model::{name}", lambda: [(preset().deformed,
                                           preset().reference_hamiltonian)]
         if name in LINEARIZED_PRESETS:
             # Compared after the explicit degree >= 2 truncation in the
             # small constants.
             yield f"model_linearized::{name}", lambda: [tuple(
                 h.truncate_to_linear(preset().small_constants)
-                for h in (preset().deformed(), preset().linearized_reference))]
-        yield f"hermitian::{name}", lambda: [(preset().deformed(),
-                                              preset().deformed().adjoint())]
+                for h in (preset().deformed, preset().linearized_reference))]
+        yield f"hermitian::{name}", lambda: [(preset().deformed,
+                                              preset().deformed.adjoint())]
 
     def order_independence(name):
         preset = presets(name)

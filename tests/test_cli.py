@@ -15,6 +15,7 @@ SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
 CONFIGS = os.path.join(os.path.dirname(os.path.abspath(__file__)), "configs")
 NOT_UTF8 = os.path.join(CONFIGS, "not_utf8.cfg")
 SELECT_WITHOUT_VALUE = os.path.join(CONFIGS, "select_without_value.cfg")
+NESTED_CONFIG = os.path.join(CONFIGS, "nested_config.cfg")
 
 PUBLIC_NAMES = [
     "ConfigError", "CoordFunction", "DeformationSpec", "GridSpec",
@@ -345,6 +346,8 @@ def test_every_public_name_resolves():
     # A small loop moved along x1 stays clear of the axis.
     (["holonomy", "--model", "aharonov_bohm", "--radius", "1e-8",
       "--center=10,0,0", "--constants", "e=1,phi_M=1"], cli.EXIT_OK),
+    # A config file that names another config file.
+    (["commutator", "--config", NESTED_CONFIG], cli.EXIT_CONFIG),
 ])
 def test_exit_codes(argv, code, capsys):
     assert cli.main(argv) == code
@@ -616,8 +619,9 @@ VALID_CONFIG = {
     ("spectrum", "radius = 2"), ("spectrum", "model landau"),
     ("spectrum", "k = 2.5"), ("spectrum", "format = xml"), ("spectrum", None),
     ("holonomy", "rad = 2"),  # not read as radius = 2
+    ("holonomy", "config = /nonexistent.cfg"),  # not silently ignored
 ], ids=["unknown_key", "no_equals", "fractional_k", "unknown_format",
-        "missing_file", "abbreviated_key"])
+        "missing_file", "abbreviated_key", "nested_config"])
 def test_config_errors(command, line, tmp_path, capsys):
     path = tmp_path / "run.cfg"
     if line is not None:
@@ -750,3 +754,13 @@ def test_output_matches_schema(contract_stdout, command):
     validator = jsonschema.Draft202012Validator(schemas[command],
                                                 registry=registry)
     validator.validate(json.loads(contract_stdout[command][0]))
+
+
+@pytest.mark.parametrize("command", sorted(CONTRACT_RUNS))
+def test_schema_properties_are_the_output_keys(contract_stdout, command):
+    # A property that no output carries is a key of an earlier format.
+    path = os.path.join(os.path.dirname(warpconv.__file__), "schemas",
+                        f"{command}.json")
+    with open(path) as fh:
+        properties = json.load(fh)["properties"]
+    assert set(properties) == set(json.loads(contract_stdout[command][0]))

@@ -27,11 +27,11 @@ def test_an_unknown_preset_is_a_config_error():
 def test_every_preset_matches_its_reference():
     for name in sorted(PRESETS):
         preset = get_preset(name)
-        assert preset.deformed().equals(preset.reference_hamiltonian), name
+        assert preset.deformed.equals(preset.reference_hamiltonian), name
         if preset.linearized_reference is not None:
             # Equal after the degree >= 2 truncation in the small constants.
             lhs, rhs = (h.truncate_to_linear(preset.small_constants)
-                        for h in (preset.deformed(),
+                        for h in (preset.deformed,
                                   preset.linearized_reference))
             assert lhs.equals(rhs), name
 
@@ -62,12 +62,12 @@ def test_landau_reference_is_minimal_coupling():
     ref = parse(
         "(1/(2*m)) * ((P1*P1) + (P2 - (e*B/2)*X3)*(P2 - (e*B/2)*X3)"
         " + (P3 + (e*B/2)*X2)*(P3 + (e*B/2)*X2))")
-    assert preset.deformed().equals(ref)
+    assert preset.deformed.equals(ref)
 
 
 def test_landau_degenerate_field_reduces_to_free():
     preset = get_preset("landau")
-    h = preset.deformed().substitute_symbol("B", CoordFunction.zero())
+    h = preset.deformed.substitute_symbol("B", CoordFunction.zero())
     assert h.equals(OperatorExpr.free_hamiltonian())
 
 
@@ -86,7 +86,7 @@ def test_zeeman_is_landau_plus_coulomb():
     z = get_preset("zeeman")
     lan = get_preset("landau")
     pot = OperatorExpr.from_coord(z.potential)
-    assert z.deformed().equals(lan.deformed() + pot)
+    assert z.deformed.equals(lan.deformed + pot)
 
 
 def test_zeeman_potential_unchanged_by_deformation():
@@ -99,7 +99,7 @@ def test_zeeman_potential_unchanged_by_deformation():
 def test_zeeman_paramagnetic_term():
     # momentum-linear part equals (eB/2m) L1 with L1 = X2 P3 - X3 P2
     z = get_preset("zeeman")
-    h = z.deformed()
+    h = z.deformed
     lin = OperatorExpr({pm: f for pm, f in h.terms.items() if sum(pm) == 1})
     expected = parse("(e*B/(2*m)) * (X2*P3 - X3*P2)")
     assert lin.equals(expected)
@@ -107,7 +107,7 @@ def test_zeeman_paramagnetic_term():
 
 def test_gravito_constant_linearization():
     g = get_preset("gravito_constant")
-    deformed = g.deformed()
+    deformed = g.deformed
     # exact reference is quadratic; linear truncation matches H0 + h.P
     truncated = deformed.truncate_to_linear(("Omega",))
     lin = parse("(P1*P1 + P2*P2 + P3*P3)/(2*m) + Omega*X3*P2 - Omega*X2*P3")
@@ -116,14 +116,14 @@ def test_gravito_constant_linearization():
 
 def test_gravito_is_free_at_zero_field():
     g = get_preset("gravito_constant")
-    h = g.deformed().substitute_symbol("Omega", CoordFunction.zero())
+    h = g.deformed.substitute_symbol("Omega", CoordFunction.zero())
     assert h.equals(OperatorExpr.free_hamiltonian())
 
 
 def test_lense_thirring_shift_structure():
     # the induced shift is -(BX)_j / r^3
     lt = get_preset("lense_thirring")
-    shift = lt.shift_functions()
+    shift = lt.shift
     bx = [sum((entry * CoordFunction.x(j)
                for j, entry in enumerate(row, start=1)), CoordFunction.zero())
           for row in skew(lt.specs[0].b)]
@@ -134,7 +134,7 @@ def test_lense_thirring_shift_structure():
 
 def test_lense_thirring_zero_inertia():
     lt = get_preset("lense_thirring")
-    h = lt.deformed().substitute_symbol("Omega", CoordFunction.zero())
+    h = lt.deformed.substitute_symbol("Omega", CoordFunction.zero())
     assert h.equals(OperatorExpr.free_hamiltonian())
 
 
@@ -150,17 +150,17 @@ def test_combined_order_independence():
 
 def test_combined_reduces_to_single_model():
     preset = get_preset("combined_constant")
-    h = preset.deformed()
+    h = preset.deformed
     assert h.substitute_symbol("Omega", CoordFunction.zero()).equals(
-        get_preset("landau").deformed())
+        get_preset("landau").deformed)
     assert h.substitute_symbol("B", CoordFunction.zero()).equals(
-        get_preset("gravito_constant").deformed())
+        get_preset("gravito_constant").deformed)
 
 
 def test_combined_cross_terms():
     # truncated combined Hamiltonian = Landau + sum_j h_j (P_j + e A_j)
     preset = get_preset("combined_constant")
-    truncated = preset.deformed().truncate_to_linear(("Omega",))
+    truncated = preset.deformed.truncate_to_linear(("Omega",))
     lin = preset.linearized_reference
     assert truncated.equals(lin)
     # and the pure cross piece contains e Omega B terms
@@ -173,11 +173,11 @@ def test_gravito_zeeman_matches_zeeman_pattern():
     gz = get_preset("gravito_zeeman")
     z = get_preset("zeeman")
     # map -(e/2) B -> m Omega: substitute the Landau axial constant
-    h_z = z.deformed()
+    h_z = z.deformed
     swapped = h_z.substitute_symbol(
         "B", CoordFunction.constant("Omega", 1, -2)
         * CoordFunction.constant("m") * CoordFunction.constant("e", -1))
-    assert swapped.equals(gz.deformed())
+    assert swapped.equals(gz.deformed)
 
 
 def test_landau_gravito_structural_map():
@@ -191,13 +191,13 @@ def test_landau_gravito_structural_map():
         * CoordFunction.constant("e"))
     to_gravito = template.substitute_symbol(
         "lam", -CoordFunction.constant("Omega") * CoordFunction.constant("m"))
-    assert to_landau.equals(get_preset("landau").deformed())
-    assert to_gravito.equals(get_preset("gravito_constant").deformed())
+    assert to_landau.equals(get_preset("landau").deformed)
+    assert to_gravito.equals(get_preset("gravito_constant").deformed)
 
 
 def test_free_preset():
     f = get_preset("free")
-    assert f.deformed() == OperatorExpr.free_hamiltonian()
+    assert f.deformed == OperatorExpr.free_hamiltonian()
 
 
 def test_metadata_shapes():
@@ -206,6 +206,17 @@ def test_metadata_shapes():
         assert meta["name"] == name
         assert len(meta["matrices"]) == len(get_preset(name).specs)
         assert isinstance(meta["sign_note"], str)
+
+
+def test_each_spec_is_built_from_its_source():
+    # A preset is built from its catalog row alone: no spec can disagree
+    # with the source the references read.
+    for name in sorted(PRESETS):
+        preset = get_preset(name)
+        assert len(preset.specs) == len(preset.sources), name
+        for spec, source in zip(preset.specs, preset.sources):
+            assert spec.b == source.b, name
+            assert spec.generator == source.generator, name
 
 
 def test_guiding_center_commutators():

@@ -16,11 +16,18 @@ from warpconv.errors import (ConfigError, NonConvergenceError,
                              UnsupportedOperandError)
 from warpconv.gauge import extract_gauge_field, holonomy
 from warpconv import spectra
-from warpconv.models import ModelPreset, get_preset
+from warpconv.models import get_preset, grid_inputs
 from warpconv.scalars import QC
 from warpconv.spectra import GridSpec, discretize, eigenvalues
 
 F = Fraction
+
+
+def plane(name):
+    """The plane data ``discretize`` reads of the catalog preset ``name``:
+    its shift triple and its potential."""
+    preset = get_preset(name)
+    return preset.shift, preset.potential
 
 
 def box_levels(L, m, count):
@@ -57,12 +64,12 @@ def test_grid_spec_validation():
         with pytest.raises(NonPositiveParameterError):
             grid.hop(mass)
     with pytest.raises(NonPositiveParameterError):
-        discretize(get_preset("free"), g, {"m": -1.0})
+        discretize(*plane("free"), g, {"m": -1.0})
 
 
 def test_box_spectrum_within_one_percent():
     grid = GridSpec(extent=4.0, points=40)
-    mat, info = discretize(get_preset("free"), grid, {"m": 1.0})
+    mat, info = discretize(*plane("free"), grid, {"m": 1.0})
     res = eigenvalues(mat, 6, info)
     exact = box_levels(4.0, 1.0, 6)
     # first 3 distinct levels: E11, E12=E21, E22
@@ -73,15 +80,14 @@ def test_box_spectrum_within_one_percent():
 
 def test_hermiticity_defect_machine_zero():
     grid = GridSpec(extent=10.0, points=32)
-    mat, info = discretize(get_preset("landau"), grid,
+    mat, info = discretize(*plane("landau"), grid,
                            {"e": 1.0, "B": 1.0, "m": 1.0})
     assert info["hermiticity_defect"] == 0.0
 
 
-FREE_WITH_POTENTIAL = ModelPreset(
-    name="free_in_a_well", specs=get_preset("free").specs,
-    potential=CoordFunction.x(2, 2) + CoordFunction.scalar(-5),
-    sources=get_preset("free").sources)
+NO_SHIFT = (CoordFunction.zero(),) * 3
+# A field outside the catalog: no shift, in a well.
+FREE_IN_A_WELL = (NO_SHIFT, CoordFunction.x(2, 2) + CoordFunction.scalar(-5))
 CONSTANTS = {"e": 1.0, "B": 1.5, "m": 1.0, "Omega": 0.5, "phi_M": 2.0}
 
 
@@ -90,28 +96,27 @@ CONSTANTS = {"e": 1.0, "B": 1.5, "m": 1.0, "Omega": 0.5, "phi_M": 2.0}
                                   "gravito_zeeman", "combined_constant"])
 def test_matrix_is_canonical_csr_in_the_narrowest_dtype(name):
     # A hop carries a phase only where the plane has a vector potential.
-    preset = get_preset(name)
-    mat, info = discretize(preset, GridSpec(10.0, 12), CONSTANTS)
-    real = all(s.is_structurally_zero() for s in preset.transverse_shift())
+    shift, potential = plane(name)
+    mat, info = discretize(shift, potential, GridSpec(10.0, 12), CONSTANTS)
+    real = all(s.is_structurally_zero() for s in shift)
     assert mat.dtype == (np.float64 if real else np.complex128)
     assert mat.has_canonical_format
     assert info["hermiticity_defect"] == 0.0
     assert abs(mat - mat.getH()).max() == 0.0
 
 
-def _triplet_assembly(preset, grid, constants):
+def _triplet_assembly(shift, potential, grid, constants):
     """The same stencil built from COO triplets, entry by entry as
     ``discretize`` computes it: the reference for its in-place CSR."""
     mass, n, h = constants["m"], grid.points, grid.spacing
     t = grid.hop(mass)
-    shift = preset.transverse_shift()
     xs = np.array(grid.nodes())
     mid = xs[:-1] + 0.5 * h
     s1 = spectra._plane_profile(shift[0], xs, xs, constants, "S_1")
     phase2 = h * spectra._plane_profile(shift[1], mid, xs, constants, "S_2")
     phase3 = h * spectra._plane_profile(shift[2], xs, mid, constants, "S_3")
-    vpot = (0.0 if preset.potential is None else spectra._plane_profile(
-        preset.potential, xs, xs, constants, "potential"))
+    vpot = (0.0 if potential is None else spectra._plane_profile(
+        potential, xs, xs, constants, "potential"))
     ghost = np.zeros(n)
     ghost[[0, -1]] = t / 12.0
     diag = (5.0 * t - ghost[:, None] - ghost[None, :]
@@ -134,9 +139,9 @@ def _triplet_assembly(preset, grid, constants):
     ("free", 2), ("free", 5), ("landau", 3), ("landau", 12),
     ("zeeman", 12), ("aharonov_bohm", 16), ("combined_constant", 9)])
 def test_in_place_assembly_matches_triplets_bit_for_bit(name, points):
-    preset, grid = get_preset(name), GridSpec(7.0, points)
-    mat, _ = discretize(preset, grid, CONSTANTS)
-    ref = _triplet_assembly(preset, grid, CONSTANTS)
+    field, grid = plane(name), GridSpec(7.0, points)
+    mat, _ = discretize(*field, grid, CONSTANTS)
+    ref = _triplet_assembly(*field, grid, CONSTANTS)
     assert np.array_equal(mat.indptr, ref.indptr)
     assert np.array_equal(mat.indices, ref.indices)
     if mat.dtype == np.float64:  # no hop carries a phase
@@ -148,15 +153,16 @@ def test_in_place_assembly_matches_triplets_bit_for_bit(name, points):
 def test_the_dtype_follows_the_sampled_phases_not_the_preset():
     # With eB = 2 m Omega the combined preset's magnetic and
     # gravitomagnetic shifts cancel: no hop has a phase.
-    mat, _ = discretize(get_preset("combined_constant"), GridSpec(10.0, 12),
+    mat, _ = discretize(*plane("combined_constant"), GridSpec(10.0, 12),
                         {**CONSTANTS, "Omega": 0.75})
     assert mat.dtype == np.float64
 
 
 @pytest.mark.parametrize("points", [8, 20])  # the dense and sparse paths
-@pytest.mark.parametrize("preset", [get_preset("free"), FREE_WITH_POTENTIAL])
+# Each case is a (shift, potential) pair, of a preset or of no preset.
+@pytest.mark.parametrize("preset", [plane("free"), FREE_IN_A_WELL])
 def test_real_matrix_levels_match_eigvalsh(preset, points):
-    mat, info = discretize(preset, GridSpec(4.0, points), {"m": 1.0})
+    mat, info = discretize(*preset, GridSpec(4.0, points), {"m": 1.0})
     assert mat.dtype == np.float64
     assert (mat.shape[0] < spectra._DENSE_LIMIT) == (points == 8)
     got = eigenvalues(mat, 8, info, seed=3).eigenvalues
@@ -169,7 +175,7 @@ def test_assembly_allocates_under_four_times_the_matrix():
     # CSR arrays; assembling in place keeps the peak under 4 times.
     tracemalloc.start()
     try:
-        mat, _ = discretize(get_preset("landau"), GridSpec(10.0, 96),
+        mat, _ = discretize(*plane("landau"), GridSpec(10.0, 96),
                             {"e": 1.0, "B": 1.0, "m": 1.0})
         peak = tracemalloc.get_traced_memory()[1]
     finally:
@@ -180,14 +186,14 @@ def test_assembly_allocates_under_four_times_the_matrix():
 
 def test_coarse_grid_warning():
     grid = GridSpec(extent=4.0, points=8)
-    mat, info = discretize(get_preset("free"), grid, {"m": 1.0})
+    mat, info = discretize(*plane("free"), grid, {"m": 1.0})
     assert any("grid-too-coarse" in w for w in info["warnings"])
 
 
 def test_magnetic_length_warning():
     # huge field on a coarse grid: magnetic length < 4 spacings
     grid = GridSpec(extent=10.0, points=24)
-    mat, info = discretize(get_preset("landau"), grid,
+    mat, info = discretize(*plane("landau"), grid,
                            {"e": 1.0, "B": 30.0, "m": 1.0})
     assert any("magnetic length" in w for w in info["warnings"])
 
@@ -195,28 +201,50 @@ def test_magnetic_length_warning():
 def test_unbound_constant_raises():
     grid = GridSpec(extent=10.0, points=16)
     with pytest.raises(UnboundConstantError):
-        discretize(get_preset("landau"), grid, {"e": 1.0, "m": 1.0})
+        discretize(*plane("landau"), grid, {"e": 1.0, "m": 1.0})
     with pytest.raises(UnboundConstantError):
-        discretize(get_preset("landau"), grid, {"e": 1.0, "B": 1.0})
+        discretize(*plane("landau"), grid, {"e": 1.0, "B": 1.0})
 
 
 def test_odd_grid_puts_a_node_on_the_coulomb_singularity():
     # An odd N has a node at r = 0, where the zeeman potential is 1/r.
     with pytest.raises(SingularPointError, match="r=0 with negative power"):
-        discretize(get_preset("zeeman"), GridSpec(extent=10.0, points=33),
+        discretize(*plane("zeeman"), GridSpec(extent=10.0, points=33),
                    {"e": 1.0, "B": 1.0, "m": 1.0})
 
 
 def test_lense_thirring_not_transverse():
     grid = GridSpec(extent=10.0, points=16)
     with pytest.raises(UnsupportedOperandError):
-        discretize(get_preset("lense_thirring"), grid,
+        discretize(*plane("lense_thirring"), grid,
                    {"m": 1.0, "Omega": 1.0})
+    # The raw shift triple of its spec is refused the same way, after an
+    # unbound mass.
+    shift = get_preset("lense_thirring").specs[0].shift
+    with pytest.raises(UnsupportedOperandError, match="depends on x1"):
+        grid_inputs(shift, grid, {"m": 1.0, "Omega": 1.0})
+    with pytest.raises(UnboundConstantError):
+        grid_inputs(shift, grid, {"Omega": 1.0})
+
+
+def test_a_hand_built_shift_gives_the_preset_matrix_bit_for_bit():
+    # landau's b = (e B / 2, 0, 0) and Q = X, written out: the grid reads
+    # the field, not the preset that carries it.
+    e, half_b = CoordFunction.constant("e"), CoordFunction.constant(
+        "B", 1, F(1, 2))
+    zero = CoordFunction.zero()
+    spec = DeformationSpec((e * half_b, zero, zero),
+                           tuple(CoordFunction.x(j) for j in (1, 2, 3)))
+    grid, consts = GridSpec(10.0, 20), {"e": 1.0, "B": 1.5, "m": 1.0}
+    mat, _ = discretize(spec.shift, None, grid, consts)
+    ref, _ = discretize(*plane("landau"), grid, consts)
+    for part in ("data", "indices", "indptr"):
+        assert getattr(mat, part).tobytes() == getattr(ref, part).tobytes()
 
 
 def test_landau_spacings_small_grid():
     grid = GridSpec(extent=10.0, points=64)
-    mat, info = discretize(get_preset("landau"), grid,
+    mat, info = discretize(*plane("landau"), grid,
                            {"e": 1.0, "B": 1.0, "m": 1.0})
     evs = eigenvalues(mat, 40, info, seed=5).eigenvalues
     # The band head of level n is the lowest eigenvalue within 8% of
@@ -230,7 +258,7 @@ def test_eigenvalue_convergence_under_refinement():
     vals = {}
     for n in (32, 64):
         grid = GridSpec(extent=10.0, points=n)
-        mat, info = discretize(get_preset("landau"), grid,
+        mat, info = discretize(*plane("landau"), grid,
                                {"e": 1.0, "B": 1.0, "m": 1.0})
         res = eigenvalues(mat, 8, info, seed=2)
         vals[n] = res.eigenvalues
@@ -240,7 +268,7 @@ def test_eigenvalue_convergence_under_refinement():
 
 def test_eigenvalues_deterministic_for_seed():
     grid = GridSpec(extent=10.0, points=64)  # 4096 unknowns: sparse path
-    mat, info = discretize(get_preset("landau"), grid,
+    mat, info = discretize(*plane("landau"), grid,
                            {"e": 1.0, "B": 1.0, "m": 1.0})
     r1 = eigenvalues(mat, 12, info, seed=9)
     r2 = eigenvalues(mat, 12, info, seed=9)
@@ -249,7 +277,7 @@ def test_eigenvalues_deterministic_for_seed():
 
 def test_eigenvalues_k_validation():
     grid = GridSpec(extent=4.0, points=16)
-    mat, info = discretize(get_preset("free"), grid, {"m": 1.0})
+    mat, info = discretize(*plane("free"), grid, {"m": 1.0})
     with pytest.raises(ConfigError):
         eigenvalues(mat, 0, info)
     with pytest.raises(ConfigError):
@@ -257,14 +285,14 @@ def test_eigenvalues_k_validation():
 
 
 def test_eigenvalues_refuse_k_of_the_dimension_less_one():
-    mat, info = discretize(get_preset("free"), GridSpec(4.0, 4), {"m": 1.0})
+    mat, info = discretize(*plane("free"), GridSpec(4.0, 4), {"m": 1.0})
     with pytest.raises(ConfigError, match="matrix dimension"):
         eigenvalues(mat, mat.shape[0] - 1, info)
 
 
 @pytest.mark.parametrize("points", [8, 20])  # the dense and sparse paths
 def test_eigenvalues_refuse_a_negative_seed(points):
-    mat, info = discretize(get_preset("free"), GridSpec(4.0, points),
+    mat, info = discretize(*plane("free"), GridSpec(4.0, points),
                            {"m": 1.0})
     for seed in (-1, 1.5):
         with pytest.raises(ValueError, match="seed"):
@@ -273,23 +301,20 @@ def test_eigenvalues_refuse_a_negative_seed(points):
 
 def test_gauge_translation_leaves_spectrum_invariant():
     # Same field strength, gauge shifted by a constant vector: use the
-    # generator Q = X + c, whose shift is -(BX)_j - (Bc)_j.
-    base = get_preset("landau")
+    # generator Q = X + c, whose shift is -(BX)_j - (Bc)_j.  The spectrum
+    # depends on the field alone, so the shift goes to the grid as it is.
+    b = get_preset("landau").specs[0].b
     shifted_q = (
         CoordFunction.x(1),
         CoordFunction.x(2) + CoordFunction.scalar(F(7, 5)),
         CoordFunction.x(3) - CoordFunction.scalar(F(2, 3)),
     )
-    shifted = ModelPreset(
-        name="landau_translated",
-        specs=(DeformationSpec(base.specs[0].b, shifted_q),),
-        potential=None,
-        sources=base.sources,
-    )
     grid = GridSpec(extent=10.0, points=48)
     consts = {"e": 1.0, "B": 1.0, "m": 1.0}
-    r1 = eigenvalues(*_both(discretize(base, grid, consts)), seed=1)
-    r2 = eigenvalues(*_both(discretize(shifted, grid, consts)), seed=1)
+    r1 = eigenvalues(*_both(discretize(*plane("landau"), grid, consts)),
+                     seed=1)
+    r2 = eigenvalues(*_both(discretize(
+        DeformationSpec(b, shifted_q).shift, None, grid, consts)), seed=1)
     for a, b in zip(r1.eigenvalues[:10], r2.eigenvalues[:10]):
         assert abs(a - b) / abs(b) < 0.005
 
@@ -312,7 +337,7 @@ def _warped_convolution(preset, grid, constants):
     e = phi_M = 1 the two matrices differ by 1.15 off the diagonal, so
     aharonov_bohm is not compared.
     """
-    free, _ = discretize(get_preset("free"), grid, {"m": constants["m"]})
+    free, _ = discretize(*plane("free"), grid, {"m": constants["m"]})
     xs = np.array(grid.nodes())
     x2, x3 = (v.ravel() for v in np.meshgrid(xs, xs, indexing="ij"))
     phase = 0.0
@@ -334,7 +359,7 @@ def test_peierls_phases_are_the_warped_convolution(name):
     grid = GridSpec(extent=10.0, points=32)
     constants = {"e": 1.0, "m": 1.0, "B": 1.5, "Omega": 0.25}
     preset = get_preset(name)
-    mat, _ = discretize(preset, grid, constants)
+    mat, _ = discretize(preset.shift, preset.potential, grid, constants)
     oracle = _warped_convolution(preset, grid, constants)
     off_diagonal = ~np.eye(oracle.shape[0], dtype=bool)
 
@@ -348,7 +373,7 @@ def test_peierls_phases_are_the_warped_convolution(name):
 
 def test_degeneracy_report():
     grid = GridSpec(extent=4.0, points=32)
-    mat, info = discretize(get_preset("free"), grid, {"m": 1.0})
+    mat, info = discretize(*plane("free"), grid, {"m": 1.0})
     evs = eigenvalues(mat, 8, info).eigenvalues
     # box degeneracy pattern 1, 2, 1, 2: E11, E12 = E21, E22, E13 = E31
     assert list(np.diff(evs[:6]) < 0.05) == [False, True, False, False, True]
@@ -358,7 +383,7 @@ def test_lowest_cluster_grows_with_field():
     sizes = {}
     for bval in (1.0, 2.0):
         grid = GridSpec(extent=10.0, points=64)
-        mat, info = discretize(get_preset("landau"), grid,
+        mat, info = discretize(*plane("landau"), grid,
                                {"e": 1.0, "B": bval, "m": 1.0})
         evs = eigenvalues(mat, 40, info, seed=3).eigenvalues
         # levels chained to the lowest by gaps under 0.05 B
@@ -432,7 +457,7 @@ def test_holonomy_validation_and_singular_loop():
 
 
 def test_residual_failure_names_its_count_and_largest(monkeypatch):
-    mat, info = discretize(get_preset("landau"), GridSpec(10.0, 12),
+    mat, info = discretize(*plane("landau"), GridSpec(10.0, 12),
                            {"e": 1.0, "B": 1.5, "m": 1.0})
     residuals = eigenvalues(mat, 8, info).residuals  # the dense path
     assert min(residuals) > 0
@@ -444,7 +469,7 @@ def test_residual_failure_names_its_count_and_largest(monkeypatch):
 
 
 def test_lanczos_failure_names_the_pairs_it_converged(monkeypatch):
-    mat, info = discretize(get_preset("landau"), GridSpec(10.0, 20),
+    mat, info = discretize(*plane("landau"), GridSpec(10.0, 20),
                            {"e": 1.0, "B": 1.5, "m": 1.0})
 
     def stalled(*args, **kwargs):
@@ -458,18 +483,15 @@ def test_lanczos_failure_names_the_pairs_it_converged(monkeypatch):
 
 
 def test_dense_and_sparse_paths_agree(monkeypatch):
-    free = get_preset("free")
     cases = [
-        (get_preset("landau"), GridSpec(extent=10.0, points=16),
+        (plane("landau"), GridSpec(extent=10.0, points=16),
          {"e": 1.0, "B": 1.0, "m": 1.0}),
         # The lowest levels are negative and far from zero.
-        (ModelPreset(name=free.name, specs=free.specs,
-                     potential=CoordFunction.scalar(-5),
-                     sources=free.sources),
+        ((NO_SHIFT, CoordFunction.scalar(-5)),
          GridSpec(extent=4.0, points=20), {"m": 1.0}),
     ]
-    for preset, grid, consts in cases:
-        mat, info = discretize(preset, grid, consts)
+    for field, grid, consts in cases:
+        mat, info = discretize(*field, grid, consts)
         levels = []
         # A limit above the size forces the dense path, 0 the sparse one.
         for limit in (mat.shape[0] + 1, 0):
@@ -482,7 +504,7 @@ def test_dense_and_sparse_paths_agree(monkeypatch):
 def test_dense_path_solves_a_grid_too_small_for_lanczos():
     # 16 unknowns: the sparse path would ask ARPACK for at least
     # _LANCZOS_MIN_LEVELS = 16 levels, and ARPACK takes fewer than n - 1.
-    mat, info = discretize(get_preset("landau"), GridSpec(10.0, 4),
+    mat, info = discretize(*plane("landau"), GridSpec(10.0, 4),
                            {"e": 1.0, "B": 1.5, "m": 1.0})
     assert mat.shape[0] - 1 <= spectra._LANCZOS_MIN_LEVELS
     got = eigenvalues(mat, 14, info).eigenvalues
@@ -494,7 +516,7 @@ def test_dense_path_solves_a_grid_too_small_for_lanczos():
 def test_small_k_sparse_spectrum_matches_dense_eigh():
     # The lowest Landau band is nearly degenerate: Lanczos asked for only
     # these two levels used to stall here instead of converging.
-    mat, info = discretize(get_preset("landau"), GridSpec(10.0, 20),
+    mat, info = discretize(*plane("landau"), GridSpec(10.0, 20),
                            {"e": 1.0, "B": 1.5, "m": 1.0})
     assert mat.shape[0] >= spectra._DENSE_LIMIT  # the sparse path
     got = eigenvalues(mat, 2, info).eigenvalues
