@@ -30,8 +30,8 @@ _EXPORTS = {
                "WarpconvError", "ZeroCouplingError"),
     "gauge": ("bianchi_check", "curl", "extract_gauge_field",
               "field_strength", "holonomy", "lorentz_force"),
-    "models": ("GridSpec", "ModelPreset", "PRESETS", "coulomb_potential",
-               "get_preset", "guiding_center", "uncertainty_area_symbolic"),
+    "models": ("GridSpec", "ModelPreset", "PRESETS", "get_preset",
+               "guiding_center", "uncertainty_area_symbolic"),
     "operators": ("OperatorExpr",),
     "parsing": ("parse",),
     "scalars": ("QC",),

@@ -11,12 +11,14 @@ Each command takes --config, --out and only the options it reads:
                 --points
 
 --B, --Q and --coupling define an inline deformation; a --model preset
-brings its own, so with --model any of them exits 2.  --Q is the generator
-triple: three comma-separated expressions Q1, Q2, Q3, each a real function
-of the positions (default ``X1, X2, X3``), for example
-``--Q "X1*rho^(-1), X2*rho^(-1), X3*rho^(-1)"``; anything else exits 2.
-Each deformation of a preset has its own source's coupling: ``gauge``
-reports it per field, and its top-level ``coupling`` is the first
+brings its own, so with --model any of them exits 2.  --Q and --coupling
+are read as the catalog's rows are, by the readers of ``parsing``.  --Q is
+the generator triple: three comma-separated expressions Q1, Q2, Q3, each a
+real function of the positions (default ``X1, X2, X3``), for example
+``--Q "X1*rho^(-1), X2*rho^(-1), X3*rho^(-1)"``; --coupling is a constant
+name the grammar knows, or its negation (default ``e``); anything else
+exits 2.  Each deformation of a preset has its own source's coupling:
+``gauge`` reports it per field, and its top-level ``coupling`` is the first
 field's.  ``holonomy`` takes one deformation: a preset with two
 (``combined_*``) exits 3.  A value that starts with '-' is written in the
 one-token form, ``--coupling=-m``, ``--B=-1,0,0`` or ``--Q=-X1,X2,X3``:
@@ -46,9 +48,9 @@ loop's radius, center or points, a --B that is not skew).
 
 Building the parser and reading the options load no symbolic module: each
 command imports the modules it runs when it runs, so ``commutator`` loads
-only the parser and the exact kernel, ``deform --model`` loads the parser
-only for ``--expr``, and only ``spectrum`` loads numpy and scipy, after
-the checks that can refuse its input.  No module of the package imports
+only the parser and the exact kernel, the catalog loads the parser to read
+its rows, and only ``spectrum`` loads numpy and scipy, after the checks
+that can refuse its input.  No module of the package imports
 ``dataclasses``, which would load ``inspect``, ``ast``, ``dis`` and
 ``tokenize``; only scipy does, so only ``spectrum`` loads them.
 
@@ -74,8 +76,7 @@ import sys
 from fractions import Fraction
 
 from . import __version__
-from .errors import (ConfigError, ParseError, UnsupportedOperandError,
-                     WarpconvError)
+from .errors import ConfigError, UnsupportedOperandError, WarpconvError
 
 EXIT_OK = 0
 EXIT_IDENTITY = 1
@@ -115,8 +116,8 @@ OPTIONS = {
     "--Q": {"help": "inline generator Q1,Q2,Q3, real functions of the "
                     "positions, e.g. X1,X2,X3 (default) or, negated, "
                     "--Q=-X1,X2,X3"},
-    "--coupling": {"help": "inline coupling, e.g. e (default) or, "
-                           "negated, --coupling=-m"},
+    "--coupling": {"help": "inline coupling, a constant name such as e "
+                           "(default) or, negated, --coupling=-m"},
     "--constants": {"help": "numeric bindings k=v,k=v,..."},
     "--expr": {"help": "operand (default: the preset base Hamiltonian)"},
     "--a": {"help": "left expression"},
@@ -231,45 +232,12 @@ def _parse_matrix(text: str):
     raise ConfigError("--B needs 1 (zero), 3 (axial) or 9 (row-major) entries")
 
 
-def _parse_generator(text: str | None):
-    """The generator triple of --Q: three comma-separated expressions, each
-    a real function of the positions (default X1, X2, X3)."""
-    from .parsing import parse
-    parts = ("X1, X2, X3" if text is None else text).split(",")
-    if len(parts) != 3:
-        raise ConfigError(f"--Q needs three comma-separated expressions "
-                          f"Q1, Q2, Q3, got {text!r}")
-    generator = []
-    for j, part in enumerate(parts, start=1):
-        try:
-            q = parse(part)
-        except ParseError as exc:
-            raise ConfigError(f"--Q Q{j}: {exc}") from exc
-        f = q.coordinate_part()
-        if q.momentum_degree() or f.conjugate() != f:
-            raise ConfigError(f"--Q Q{j} = {part.strip()!r} is not a real "
-                              "function of the positions")
-        generator.append(f)
-    return tuple(generator)
-
-
-def _parse_coupling(text: str | None):
-    from .coords import CoordFunction
-    text = "e" if text is None else text.strip()
-    sign = 1
-    if text.startswith("-"):
-        sign = -1
-        text = text[1:].strip()
-    if not text.isidentifier():
-        raise ConfigError(f"coupling must be a constant name, got {text!r}")
-    return CoordFunction.constant(text, 1, sign)
-
-
 def _resolve_model(args) -> tuple[str | None, list, object]:
     """(name, (spec, coupling) pairs, preset-or-None) from --model, whose
     specs take their own sources' couplings, or from --B/--Q/--coupling."""
     from .deform import DeformationSpec
     from .models import get_preset
+    from .parsing import parse_coupling, parse_triple
     if args.model is not None:
         inline = [flag for flag in ("--B", "--Q", "--coupling")
                   if getattr(args, flag[2:], None) is not None]
@@ -280,9 +248,11 @@ def _resolve_model(args) -> tuple[str | None, list, object]:
         return preset.name, preset.coupled_specs(), preset
     if args.B is None:
         raise ConfigError("need --model or an inline --B matrix")
-    spec = DeformationSpec(_parse_matrix(args.B), _parse_generator(args.Q))
-    coupling = _parse_coupling(getattr(args, "coupling", None))  # e for deform
-    return None, [(spec, coupling)], None
+    spec = DeformationSpec(_parse_matrix(args.B), parse_triple(
+        "X1, X2, X3" if args.Q is None else args.Q, "--Q", "Q"))
+    coupling = getattr(args, "coupling", None)  # deform has no --coupling
+    return None, [(spec, parse_coupling(
+        "e" if coupling is None else coupling))], None
 
 
 def _expression_payload(expr) -> dict:

@@ -70,8 +70,8 @@ def axial(rows: Sequence[Sequence]) -> tuple[CoordFunction, ...]:
 
 
 def times_x(factor: CoordFunction) -> tuple[CoordFunction, ...]:
-    """The generator Q_j = x_j * factor: the catalog's X, X/r^n and X/rho
-    are ``factor`` 1, r^(-n) and rho^(-1)."""
+    """The generator Q_j = x_j * factor: the X, X/r^n and X/rho of the
+    identity suite are ``factor`` 1, r^(-n) and rho^(-1)."""
     return tuple(CoordFunction.x(j) * factor for j in (1, 2, 3))
 
 

@@ -1,15 +1,19 @@
 """Preset catalog of physical systems reproduced by deformation.
 
-Every preset is one row of ``_CATALOG``: its sources, an optional scalar
-potential and a sign note.  A *source* is one kind of field along x1 (none,
-constant magnetic, flux line, constant gravitomagnetic or Lense-Thirring)
-and carries all that a preset takes from it:
+The catalog is text.  Every preset is one row of ``_CATALOG``: the names
+of its sources, an optional scalar potential and a sign note.  A *source*
+is one row of ``_SOURCES``, one kind of field along x1 (none, constant
+magnetic, flux line, constant gravitomagnetic or Lense-Thirring), and
+carries all that a preset takes from it:
 
 - the gauge coupling g with which the momentum shift is S = g A;
 - the charge and the textbook field of its minimal-coupling reference,
   written down independently of the deformation machinery;
 - the axial triple b of its matrix, and its generator triple Q;
 - whether the effect is stated only to linear order in Omega.
+Every expression of a row is text, read by the readers of ``parsing`` that
+read ``--Q`` and ``--coupling``: a source row once per process, when a
+preset first needs it.
 
 ``get_preset`` builds a preset from its row alone: ``ModelPreset`` makes
 one spec per source, and the specs deform H0 (plus the potential) in
@@ -36,14 +40,13 @@ from fractions import Fraction
 
 from .coords import CoordFunction
 from .deform import (DeformationSpec, as_triple, deform_coordinate,
-                     deform_sequence, invert_transverse_block, times_x)
+                     deform_sequence, invert_transverse_block)
 from .errors import (ConfigError, InternalInconsistencyError,
                      NonPositiveParameterError, UnboundConstantError,
                      UnsupportedOperandError)
 from .operators import HALF_OVER_M, OperatorExpr, require_coordinate_only
+from .parsing import parse_coupling, parse_function, parse_triple
 from .scalars import QC
-
-RAT = Fraction
 
 
 class ModelPreset:
@@ -216,20 +219,6 @@ def grid_inputs(shift: tuple[CoordFunction, ...], grid: GridSpec,
 # -- the catalog -------------------------------------------------------------
 
 
-def azimuthal_field(c: CoordFunction,
-                    radial: CoordFunction) -> tuple[CoordFunction, ...]:
-    """c (0, -x3, x2) f: every textbook field of the catalog has this form,
-    written down independently of the deformation machinery."""
-    return (CoordFunction.zero(), -(CoordFunction.x(3) * radial).scale(c),
-            (CoordFunction.x(2) * radial).scale(c))
-
-
-def coulomb_potential() -> CoordFunction:
-    """+e^2 / r, the repulsive sign: the zeeman and gravito_zeeman presets
-    have the hydrogen atom's Coulomb term with its sign flipped."""
-    return CoordFunction.constant("e", 2) * CoordFunction.r_power(-1)
-
-
 def _coupled_momenta(charges) -> list[OperatorExpr]:
     """P_j + sum_i g_i A_i,j for j = 1, 2, 3, over (g_i, A_i) pairs."""
     out = []
@@ -254,86 +243,80 @@ def minimal_coupling_hamiltonian(
     return h
 
 
+# source name -> (coupling g, charge, textbook field A, sign-translated
+# axial b, generator Q, linear), as the module docstring lists them.
+_SOURCES = {
+    "none": ("e", "e", "0, 0, 0", "0, 0, 0", "X1, X2, X3", False),
+    # A = (1/2) B cross x, the symmetric gauge; axial e B/2 shifts P by +e A.
+    "magnetic": ("e", "e", "0, -B*X3/2, B*X2/2", "e*B/2, 0, 0",
+                 "X1, X2, X3", False),
+    # A = (phi_M / 2 pi) (0, -x3, x2) / rho^2; axial e phi_M / 2 pi shifts P
+    # by +e A.
+    "flux_line": ("e", "e", "0, -phi_M*X3/(2*pi*rho^2), "
+                  "phi_M*X2/(2*pi*rho^2)", "e*phi_M/(2*pi), 0, 0",
+                  "X1/rho, X2/rho, X3/rho", False),
+    # h = x cross Omega; axial -m Omega shifts P by +m h.
+    "gravito_constant": ("-m", "m", "0, Omega*X3, -Omega*X2",
+                         "-m*Omega, 0, 0", "X1, X2, X3", True),
+    # h = (x cross Omega) / r^3, generated by Q_j = x_j / r^(3/2).
+    "lense_thirring": ("-m", "m", "0, Omega*X3/r^3, -Omega*X2/r^3",
+                       "-m*Omega, 0, 0",
+                       "X1*r^(-3/2), X2*r^(-3/2), X3*r^(-3/2)", True),
+}
+
+
 class _Source:
-    """One field kind of the catalog (see the module docstring); it holds
-    the sign-translated axial triple b and the generator triple, not a
-    spec, which ``ModelPreset`` builds fresh."""
+    """One row of ``_SOURCES``, read once per process (``_source``); it
+    holds b and Q, not a spec, which ``ModelPreset`` builds fresh."""
 
     __slots__ = ("coupling", "charge", "field", "b", "generator", "linear")
 
-    def __init__(self, coupling: CoordFunction, charge: CoordFunction,
-                 field: tuple[CoordFunction, ...], b: tuple, generator: tuple,
-                 linear: bool = False):
-        self.coupling = coupling
-        self.charge = charge
-        self.field = field
-        self.b = b
-        self.generator = generator
-        self.linear = linear
+    def __init__(self, name: str):
+        coupling, charge, field, b, generator, self.linear = _SOURCES[name]
+        self.coupling, self.charge = map(parse_coupling, (coupling, charge))
+        self.field, self.b, self.generator = (
+            parse_triple(text, name, symbol)
+            for text, symbol in ((field, "A"), (b, "b"), (generator, "Q")))
 
 
-_E, _M, _OMEGA = (CoordFunction.constant(n) for n in ("e", "m", "Omega"))
-_B_HALF = CoordFunction.constant("B", 1, RAT(1, 2))
-_PHI_2PI = (CoordFunction.constant("phi_M", 1, RAT(1, 2))
-            * CoordFunction.constant("pi", -1))
-_ONE, _ZERO = CoordFunction.scalar(1), CoordFunction.zero()
-# Axial -m Omega shifts P by +m h.
-_GRAVITO = (-_M * _OMEGA, _ZERO, _ZERO)
-_X = times_x(_ONE)
-
-_NO_FIELD = _Source(_E, _E, (_ZERO,) * 3, (_ZERO,) * 3, _X)
-# A = (1/2) B cross x, the symmetric gauge; axial e B/2 shifts P by +e A.
-_MAGNETIC = _Source(_E, _E, azimuthal_field(_B_HALF, _ONE),
-                    (_E * _B_HALF, _ZERO, _ZERO), _X)
-# A = (phi_M / 2 pi) (0, -x3, x2) / rho^2; axial e phi_M / 2 pi shifts P
-# by +e A.
-_FLUX_LINE = _Source(
-    _E, _E, azimuthal_field(_PHI_2PI, CoordFunction.rho_power(-2)),
-    (_E * _PHI_2PI, _ZERO, _ZERO), times_x(CoordFunction.rho_power(-1)))
-# h = x cross Omega.
-_GRAVITO_CONSTANT = _Source(-_M, _M, azimuthal_field(-_OMEGA, _ONE),
-                            _GRAVITO, _X, linear=True)
-# h = (x cross Omega) / r^3, generated by Q_j = x_j / r^(3/2).
-_LENSE_THIRRING = _Source(
-    -_M, _M, azimuthal_field(-_OMEGA, CoordFunction.r_power(-3)),
-    _GRAVITO, times_x(CoordFunction.r_power(RAT(-3, 2))), linear=True)
+_source = functools.cache(_Source)
 
 _SIGN_NOTE = ("matrix is the Cartesian translation (overall sign) of the "
               "mixed-convention display; with [X,P]=+i the induced shift is "
               "-(Bx)_j and this sign reproduces the target gauge field "
               "verbatim")
 
-# name -> (sources, potential, sign note).  Omega is kept an atomic symbol
-# so the checks stay exact; numeric values enter through the constants map.
+# name -> (source names, potential, sign note).  Omega is kept an atomic
+# symbol so the checks stay exact; numeric values enter through the
+# constants map.
 _CATALOG = {
     # Undeformed free particle; the numeric baseline.
-    "free": ((_NO_FIELD,), None, "no deformation"),
+    "free": (("none",), None, "no deformation"),
     # Charged particle in a constant field B (symmetric gauge).
-    "landau": ((_MAGNETIC,), None, _SIGN_NOTE),
-    # Landau plus coulomb_potential(), which is the repulsive +e^2/r: a
-    # hydrogen atom in a magnetic field, but with the Coulomb sign flipped.
-    "zeeman": ((_MAGNETIC,), coulomb_potential(), _SIGN_NOTE),
+    "landau": (("magnetic",), None, _SIGN_NOTE),
+    # Landau plus the repulsive +e^2/r: a hydrogen atom in a magnetic
+    # field, but with the Coulomb sign flipped.
+    "zeeman": (("magnetic",), "e^2/r", _SIGN_NOTE),
     # Flux line phi_M; the field strength vanishes off the axis.
-    "aharonov_bohm": ((_FLUX_LINE,), None, _SIGN_NOTE),
+    "aharonov_bohm": (("flux_line",), None, _SIGN_NOTE),
     # Hollow spinning sphere.
-    "gravito_constant": ((_GRAVITO_CONSTANT,), None,
+    "gravito_constant": (("gravito_constant",), None,
                          _SIGN_NOTE + "; Omega = (2*G*M/r_hs)*omega"),
     # Stationary spinning sphere, h = (x cross Omega)/r^3.
-    "lense_thirring": ((_LENSE_THIRRING,), None,
+    "lense_thirring": (("lense_thirring",), None,
                        _SIGN_NOTE + "; Omega = 2*G*I*omega"),
     # The hollow sphere's field plus the same repulsive +e^2/r as zeeman.
-    "gravito_zeeman": ((_GRAVITO_CONSTANT,), coulomb_potential(),
-                       _SIGN_NOTE),
+    "gravito_zeeman": (("gravito_constant",), "e^2/r", _SIGN_NOTE),
     # Double deformations: a magnetic plus a gravitomagnetic field.
-    "combined_constant": ((_MAGNETIC, _GRAVITO_CONSTANT), None, _SIGN_NOTE),
-    "combined_lense_thirring": ((_MAGNETIC, _LENSE_THIRRING), None,
+    "combined_constant": (("magnetic", "gravito_constant"), None, _SIGN_NOTE),
+    "combined_lense_thirring": (("magnetic", "lense_thirring"), None,
                                 _SIGN_NOTE),
 }
 
 PRESETS = tuple(_CATALOG)
-# The presets with a linearized reference, known without building them.
+# The presets with a linearized reference, known without reading a row.
 LINEARIZED_PRESETS = tuple(name for name, (sources, _, _) in _CATALOG.items()
-                           if any(s.linear for s in sources))
+                           if any(_SOURCES[s][-1] for s in sources))
 
 
 def get_preset(name: str) -> ModelPreset:
@@ -343,7 +326,11 @@ def get_preset(name: str) -> ModelPreset:
     if name not in _CATALOG:
         raise ConfigError(f"unknown model preset {name!r}; "
                           f"known: {', '.join(sorted(PRESETS))}")
-    return ModelPreset(name, *_CATALOG[name])
+    sources, potential, sign_note = _CATALOG[name]
+    if potential is not None:
+        potential = parse_function(potential, f"{name} potential")
+    return ModelPreset(name, tuple(map(_source, sources)), potential,
+                       sign_note)
 
 
 # -- noncommuting coordinates ------------------------------------------------
@@ -363,7 +350,8 @@ def guiding_center(b: tuple):
                           "matrix along a single axis")
     axis = nonzero[0] + 1
     binv = invert_transverse_block(b, axis)
-    coords = deform_coordinate(tuple(v.scale(QC(RAT(-1, 2))) for v in binv))
+    coords = deform_coordinate(tuple(v.scale(QC(Fraction(-1, 2)))
+                                     for v in binv))
     comms = []
     for i in range(3):
         row = []
@@ -381,7 +369,7 @@ def uncertainty_area_symbolic() -> CoordFunction:
     [Xg2, Xg3] = i theta_23 (hbar = 1 in the algebra, so hbar is restored
     as a symbol).  With m and Omega positive the cell is 2 pi hbar/(m Omega).
     """
-    _, comms = guiding_center(_GRAVITO)
+    _, comms = guiding_center(_source("gravito_constant").b)
     theta = comms[1][2].scale(QC(0, -1))  # [Xg2, Xg3] = i theta_23
     key = next(iter(theta.terms), None)
     if (len(theta.terms) != 1 or key[:3] != ((0, 0, 0), 0, 0)

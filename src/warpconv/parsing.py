@@ -19,6 +19,9 @@ else takes integer exponents (positions and momenta nonnegative).
 Parentheses nest at most ``MAX_DEPTH`` deep (each level is five frames
 of the descent) and a run of minus signs is read in a loop, so no input
 exhausts the interpreter's recursion limit.
+
+``parse_function``, ``parse_triple`` and ``parse_coupling`` read the values
+a deformation is made of, for the CLI options and the model catalog alike.
 """
 
 from __future__ import annotations
@@ -237,3 +240,40 @@ def _invert(expr: OperatorExpr, pos: int) -> OperatorExpr:
 def parse(text: str) -> OperatorExpr:
     """Parse expression text into a normal-ordered OperatorExpr."""
     return Parser(text).parse()
+
+
+def parse_function(text: str, what: str) -> CoordFunction:
+    """The real function of the positions ``text``; ``what`` names it in
+    the refusal of any other expression."""
+    try:
+        expr = parse(text)
+    except ParseError as exc:
+        raise ConfigError(f"{what}: {exc}") from exc
+    f = expr.coordinate_part()
+    if expr.momentum_degree() or f.conjugate() != f:
+        raise ConfigError(f"{what} = {text.strip()!r} is not a real "
+                          "function of the positions")
+    return f
+
+
+def parse_triple(text: str, what: str,
+                 symbol: str) -> tuple[CoordFunction, ...]:
+    """Three comma-separated real functions of the positions, named
+    ``symbol`` 1, 2 and 3 in a refusal, as ``--Q`` names Q1, Q2, Q3."""
+    parts = text.split(",")
+    if len(parts) != 3:
+        raise ConfigError(f"{what} needs three comma-separated expressions "
+                          f"{symbol}1, {symbol}2, {symbol}3, got {text!r}")
+    return tuple(parse_function(part, f"{what} {symbol}{j}")
+                 for j, part in enumerate(parts, start=1))
+
+
+def parse_coupling(text: str) -> CoordFunction:
+    """A coupling g: one constant name the grammar knows, or its negation
+    ``-name``; a position, ``i``, ``r`` or an unknown name is refused."""
+    name, sign = text.strip(), 1
+    if name.startswith("-"):
+        name, sign = name[1:].strip(), -1
+    if name not in DEFAULT_CONSTANTS:
+        raise ConfigError(f"coupling must be a constant name, got {name!r}")
+    return CoordFunction.constant(name, 1, sign)

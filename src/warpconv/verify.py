@@ -260,7 +260,7 @@ def _model_checks(wants: Wants, presets) -> list[dict]:
           for kind in ("constant", "lense_thirring"))])
 
 
-def _moyal_checks(wants: Wants) -> list[dict]:
+def _moyal_checks(wants: Wants, presets) -> list[dict]:
     def moyal():
         coords = deform_coordinate(SKEW_B)
         for i in range(3):
@@ -269,8 +269,8 @@ def _moyal_checks(wants: Wants) -> list[dict]:
                     _SKEW_B_ROWS[i][j].scale(QC(0, Fraction(2))))
 
     def guiding():
-        b = (-CoordFunction.constant("Omega") * CoordFunction.constant("m"),
-             *[CoordFunction.zero()] * 2)
+        # The gravitomagnetic catalog row's b = (-m Omega, 0, 0).
+        b = presets("gravito_constant").specs[0].b
         _, comms = guiding_center(b)
         binv = skew(invert_transverse_block(b, 1))
         for i in range(3):
@@ -380,7 +380,7 @@ def run_suite(select: list[str] | None = None,
     # once per run.
     presets = cache(get_preset)
     checks += _model_checks(wants, presets)
-    checks += _moyal_checks(wants)
+    checks += _moyal_checks(wants, presets)
     checks += _gauge_checks(wants, presets, negative_control)
     return {
         "negative_control": negative_control,

@@ -24,8 +24,8 @@ PUBLIC_NAMES = [
     "SingularLoopError", "SingularMatrixError", "SingularPointError",
     "SpectrumResult", "UnboundConstantError",
     "UnknownSymbolError", "UnsupportedDegreeError", "UnsupportedOperandError",
-    "WarpconvError", "ZeroCouplingError", "bianchi_check", "coords",
-    "coulomb_potential", "curl", "deform", "deform_coordinate",
+    "WarpconvError", "ZeroCouplingError", "bianchi_check", "coords", "curl",
+    "deform", "deform_coordinate",
     "deform_operator", "deform_sequence", "discretize", "eigenvalues",
     "errors", "extract_gauge_field", "field_strength", "gauge", "get_preset",
     "guiding_center", "holonomy",
@@ -61,7 +61,7 @@ NUMERIC = ("numpy", "scipy", "dataclasses", "inspect")
     (["--version"], 0, SYMBOLIC_MODULES + NUMERIC),
     (["commutator", "--a", "X1", "--b", "P1"], 0,
      SYMBOLIC_MODULES[4:] + NUMERIC),
-    (["deform", "--model", "landau"], 0, ("warpconv.parsing",) + NUMERIC),
+    (["deform", "--model", "landau"], 0, NUMERIC),
     (["gauge", "--model", "landau"], 0, NUMERIC),
     (["holonomy", "--model", "landau", "--constants", "e=1,B=1"], 0, NUMERIC),
     (["verify", "--select", "model"], 0, NUMERIC),
@@ -348,6 +348,14 @@ def test_every_public_name_resolves():
       "--center=10,0,0", "--constants", "e=1,phi_M=1"], cli.EXIT_OK),
     # A config file that names another config file.
     (["commutator", "--config", NESTED_CONFIG], cli.EXIT_CONFIG),
+    # A coupling is a constant the grammar knows: not a position, i, r, a
+    # momentum or an unknown name.
+    (["gauge", "--B", "1,0,0", "--coupling", "X1"], cli.EXIT_CONFIG),
+    (["holonomy", "--B", "1,0,0", "--coupling", "i", "--constants", "i=2"],
+     cli.EXIT_CONFIG),
+    (["gauge", "--B", "1,0,0", "--coupling", "r"], cli.EXIT_CONFIG),
+    (["gauge", "--B", "1,0,0", "--coupling", "P2"], cli.EXIT_CONFIG),
+    (["gauge", "--B", "1,0,0", "--coupling", "q"], cli.EXIT_CONFIG),
 ])
 def test_exit_codes(argv, code, capsys):
     assert cli.main(argv) == code

@@ -8,7 +8,7 @@ from warpconv.errors import ZeroCouplingError
 from warpconv.gauge import (bianchi_check, bianchi_sum, curl,
                             extract_gauge_field, field_strength,
                             jacobi_maxwell_sums, lorentz_force)
-from warpconv.models import PRESETS, coulomb_potential, get_preset
+from warpconv.models import PRESETS, get_preset
 from warpconv.operators import OperatorExpr
 from warpconv.scalars import QC
 
@@ -156,7 +156,7 @@ def test_lorentz_force_landau_magnetic_only():
 def test_lorentz_force_coulomb():
     # zero deformation, phi = e^2/r: C_j = i g d_j phi exactly
     preset = get_preset("free")
-    phi = coulomb_potential()
+    phi = get_preset("zeeman").potential
     pairs = list(lorentz_force(preset.specs[0], phi, E))
     assert all(c.equals(closed) for c, closed in pairs)
     ig = E.scale(QC(0, F(1)))
@@ -185,7 +185,7 @@ def test_jacobi_maxwell_reports_all_zero():
     cases = [
         ("landau", CoordFunction.zero()),
         ("aharonov_bohm", CoordFunction.zero()),
-        ("free", coulomb_potential()),
+        ("free", get_preset("zeeman").potential),
     ]
     for name, pot in cases:
         preset = get_preset(name)

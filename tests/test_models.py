@@ -9,10 +9,11 @@ from warpconv import cli, models
 from warpconv.coords import CoordFunction
 from warpconv.deform import DeformationSpec, deform_operator, skew
 from warpconv.errors import ConfigError, InternalInconsistencyError
+from warpconv.gauge import extract_gauge_field
 from warpconv.models import (PRESETS, get_preset, guiding_center,
                              uncertainty_area_symbolic)
 from warpconv.operators import OperatorExpr
-from warpconv.parsing import parse
+from warpconv.parsing import parse, parse_coupling, parse_triple
 from warpconv.scalars import QC
 
 F = Fraction
@@ -209,14 +210,23 @@ def test_metadata_shapes():
 
 
 def test_each_spec_is_built_from_its_source():
-    # A preset is built from its catalog row alone: no spec can disagree
-    # with the source the references read.
+    # A preset is built from its catalog row alone: each spec is the b and Q
+    # text of its source's row, and the references read the same sources.
     for name in sorted(PRESETS):
         preset = get_preset(name)
-        assert len(preset.specs) == len(preset.sources), name
-        for spec, source in zip(preset.specs, preset.sources):
-            assert spec.b == source.b, name
-            assert spec.generator == source.generator, name
+        rows = models._CATALOG[name][0]
+        assert len(preset.specs) == len(preset.sources) == len(rows), name
+        for spec, source, row in zip(preset.specs, preset.sources, rows):
+            _, _, _, b, q, _ = models._SOURCES[row]
+            assert spec.b == source.b == parse_triple(b, row, "b"), name
+            assert spec.generator == source.generator == parse_triple(
+                q, row, "Q"), name
+
+
+def test_each_source_row_is_read_once():
+    first = get_preset("combined_constant").sources
+    assert get_preset("landau").sources[0] is first[0]
+    assert get_preset("gravito_constant").sources[0] is first[1]
 
 
 def test_guiding_center_commutators():
@@ -261,15 +271,23 @@ def test_uncertainty_area_refuses_a_theta_that_is_not_a_real_constant(
         uncertainty_area_symbolic()
 
 
-def test_metadata_generators_read_back_through_the_parser():
-    # Each printed component is str(q), which --Q reads back as q.
+def test_metadata_generators_read_back_through_the_parser(capsys):
+    # Each printed component is str(q), which --Q reads back as q; so are
+    # the components and the coupling of each field gauge prints.
     for name in PRESETS:
         preset = get_preset(name)
         printed = preset.metadata()["generators"]
         assert len(printed) == len(preset.specs)
         for components, spec in zip(printed, preset.specs):
-            generator = cli._parse_generator(", ".join(components))
+            generator = parse_triple(", ".join(components), "--Q", "Q")
             assert generator == spec.generator
+        assert cli.main(["gauge", "--model", name]) == cli.EXIT_OK
+        fields = json.loads(capsys.readouterr().out)["fields"]
+        assert len(fields) == len(preset.specs)
+        for field, (spec, coupling) in zip(fields, preset.coupled_specs()):
+            assert parse_coupling(field["coupling"]) == coupling, name
+            assert parse_triple(", ".join(field["components"]), name,
+                                "A") == extract_gauge_field(spec, coupling)
 
 
 def test_metadata_matches_the_deform_schema():

@@ -3,9 +3,9 @@ from fractions import Fraction
 import pytest
 
 from warpconv.coords import CoordFunction
-from warpconv.errors import ParseError, UnknownSymbolError
+from warpconv.errors import ConfigError, ParseError, UnknownSymbolError
 from warpconv.operators import OperatorExpr
-from warpconv.parsing import MAX_DEPTH, parse
+from warpconv.parsing import MAX_DEPTH, parse, parse_coupling
 from warpconv.scalars import QC
 
 F = Fraction
@@ -128,3 +128,15 @@ def test_constants_with_powers():
     e = parse("hbar^2*pi^-1")
     assert e == OperatorExpr.from_coord(
         CoordFunction.constant("hbar", 2) * CoordFunction.constant("pi", -1))
+
+
+# A coupling is one constant the grammar knows: a name the grammar reads
+# as a position, a momentum, i, r or rho, or does not know, is refused.
+@pytest.mark.parametrize("text, name", [
+    ("X1", "X1"), ("i", "i"), ("r", "r"), ("rho", "rho"), ("P2", "P2"),
+    ("q", "q"), ("\u00e9", "\u00e9"), ("-X1", "X1"), ("1x", "1x"),
+    ("--m", "-m"), ("", ""), ("e*m", "e*m")])
+def test_a_coupling_is_one_known_constant(text, name):
+    with pytest.raises(ConfigError) as info:
+        parse_coupling(text)
+    assert str(info.value) == f"coupling must be a constant name, got {name!r}"
