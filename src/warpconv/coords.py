@@ -208,22 +208,28 @@ class CoordFunction:
     def compile(self, constants: Mapping[str, float] | None):
         """Numeric closure (x1, x2, x3) -> complex with the constants bound.
 
-        ``pi`` is bound to math.pi unless ``constants`` gives it.  Each
-        term's coefficient is folded once; the closure multiplies it by
-        x1^a1 x2^a2 x3^a3, then by r^p and rho^q, using only ``*``, ``+``
-        and ``**``, so it takes floats or numpy arrays of one shape alike.
-        Raises UnboundConstantError for a missing constant, and the
-        closure raises SingularPointError when r = 0 (rho = 0) at any
-        point given and a term carries a negative power of r (rho).
+        ``pi`` is the number math.pi, never a binding.  Each term's
+        coefficient is folded once; the closure multiplies it by x1^a1
+        x2^a2 x3^a3, then by r^p and rho^q, using only ``*``, ``+`` and
+        ``**``, so it takes floats or numpy arrays of one shape alike.
+        Raises UnboundConstantError for a missing constant, ConfigError for
+        a binding of pi or a 0 under a negative power, and the closure
+        raises SingularPointError when r = 0 (rho = 0) at any point given
+        and a term carries a negative power of r (rho).
         """
-        bound = {"pi": math.pi}
-        bound.update({k: float(v) for k, v in (constants or {}).items()})
+        bound = {k: float(v) for k, v in (constants or {}).items()}
+        if "pi" in bound:
+            raise ConfigError("pi is a number, not a constant to bind")
+        bound["pi"] = math.pi
         terms = []
         for (a, p, q, m), c in self.terms.items():
             v = c.to_complex()
             for name, exp in m:
                 if name not in bound:
                     raise UnboundConstantError(f"constant '{name}' has no value")
+                if exp < 0 and bound[name] == 0:
+                    raise ConfigError(f"constant '{name}' is bound to 0 but "
+                                      f"appears with the power {exp}")
                 v *= bound[name] ** exp
             terms.append((v, a, float(p) / 2.0, float(q) / 2.0))
         r_singular = any(p < 0 for (_, p, _, _) in self.terms)

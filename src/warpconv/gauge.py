@@ -4,16 +4,17 @@ A deformation shifts each momentum by a coordinate function S_j; writing
 S_j = g A_j identifies a gauge field A with coupling g; S and P_j + S_j
 are read from the spec, which computed them once.  Every vector field is
 a plain triple of coordinate functions: the potential A = (A1, A2, A3),
-as the catalog writes it, the electric field E and the (gravito)magnetic
-axial field B = (F23, F31, F12).  The commutator of two shifted momenta
-is -i g F_ij with F_ij = epsilon_ijk B^k the curl of A, so B holds all
-of F: ``field_strength`` takes it from [P2, P3], [P3, P1] and [P1, P2],
-``curl`` (the one place the curl is written) from A, and ``deform.skew``
-(the one place epsilon_ijk is written) gives the nine F_ij.  The
-commutator with the shifted Hamiltonian produces the Lorentz force, and
-the Jacobi identity yields the homogeneous (source-free) field
-equations, of which the one Bianchi sum (``bianchi_sum``) is div B.  All
-fields here are static, so time-derivative terms vanish identically.
+as the catalog writes it, the force -grad V of the potential energy V
+and the (gravito)magnetic axial field B = (F23, F31, F12).  The
+commutator of two shifted momenta is -i g F_ij with F_ij = epsilon_ijk
+B^k the curl of A, so B holds all of F (and g enters nowhere else):
+``field_strength`` takes it from [P2, P3], [P3, P1] and [P1, P2], ``curl``
+(the one place the curl is written) from A, and ``deform.skew`` (the one
+place epsilon_ijk is written) gives the nine F_ij.  The commutator with
+H_def + V produces the Lorentz force, and the Jacobi identity yields the
+homogeneous (source-free) field equations, of which the one Bianchi sum
+(``bianchi_sum``) is div B.  All fields here are static, so
+time-derivative terms vanish identically.
 
 The loop integral of A (``holonomy``) is computed here too, with ``math``
 alone, so every command but the grid spectrum runs without numpy or scipy.
@@ -82,21 +83,21 @@ def field_strength(spec: DeformationSpec,
 def lorentz_force(spec: DeformationSpec, potential: CoordFunction,
                   coupling: CoordFunction):
     """Equations of motion for the deformed system: for j = 1, 2, 3 the
-    commutator C_j = [H_def + g*phi, P_j^def] paired with its closed form
+    commutator C_j = [H_def + V, P_j^def], V = ``potential``, paired with
 
-        i g (dphi/dx_j) - (i g / 2m) sum_k (Phat_k F_kj + F_kj Phat_k),
+        i (dV/dx_j) - (i g / 2m) sum_k (Phat_k F_kj + F_kj Phat_k),
 
-    i.e. electric force plus the magnetic part at the symmetric operator
-    ordering the commutator itself produces.  The identity says that the
-    two sides of each pair are equal.
+    i.e. the force -grad V plus the magnetic part at the symmetric operator
+    ordering the commutator itself produces, with g and F the spec's own.
+    The identity says that the two sides of each pair are equal.
     """
     h_def = deform_operator(OperatorExpr.free_hamiltonian(), spec)
-    h_tot = h_def + OperatorExpr.from_coord(potential.scale(coupling))
+    h_tot = h_def + OperatorExpr.from_coord(potential)
     f = skew(field_strength(spec, coupling))
 
     ig = coupling.scale(_I)
     for j in (1, 2, 3):
-        rhs = OperatorExpr.from_coord(potential.partial(j).scale(ig))
+        rhs = OperatorExpr.from_coord(potential.partial(j).scale(_I))
         for k in (1, 2, 3):
             fkj = OperatorExpr.from_coord(f[k - 1][j - 1])
             sym = spec.momenta[k - 1] * fkj + fkj * spec.momenta[k - 1]
@@ -118,16 +119,15 @@ def bianchi_check(b) -> bool:
     return bianchi_sum(b).is_zero()
 
 
-def jacobi_maxwell_sums(spec: DeformationSpec, potential: CoordFunction,
-                        coupling: CoordFunction):
-    """The Jacobi sums of the deformed momenta and Hamiltonian, then the
-    curl of the static electric field E = -grad(phi), as operators.
+def jacobi_maxwell_sums(spec: DeformationSpec, potential: CoordFunction):
+    """The Jacobi sums of the deformed momenta and of H_def + V,
+    V = ``potential``, then the curl of the static force -grad V.
 
-    Each must be exactly zero: the homogeneous field equations.  For
-    static fields the electric identity reduces to curl grad(phi) = 0.
+    Each must be exactly zero: the homogeneous field equations.  For a
+    static potential the force identity reduces to curl grad V = 0.
     """
     h_def = deform_operator(OperatorExpr.free_hamiltonian(), spec)
-    h_tot = h_def + OperatorExpr.from_coord(potential.scale(coupling))
+    h_tot = h_def + OperatorExpr.from_coord(potential)
     phat = spec.momenta
 
     def jacobi(a, b, c):
@@ -139,8 +139,8 @@ def jacobi_maxwell_sums(spec: DeformationSpec, potential: CoordFunction,
             yield jacobi(phat[k - 1], phat[i - 1], phat[j - 1])
     for (i, j) in _CYCLIC:
         yield jacobi(h_tot, phat[i - 1], phat[j - 1])
-    e_field = [-potential.partial(j) for j in (1, 2, 3)]
-    for f in curl(e_field):
+    force = [-potential.partial(j) for j in (1, 2, 3)]
+    for f in curl(force):
         yield OperatorExpr.from_coord(f)
 
 

@@ -1,7 +1,7 @@
 """Preset catalog of physical systems reproduced by deformation.
 
 The catalog is text.  Every preset is one row of ``_CATALOG``: the names
-of its sources, an optional scalar potential and a sign note.  A *source*
+of its sources, an optional potential energy V and a sign note.  A *source*
 is one row of ``_SOURCES``, one kind of field along x1 (none, constant
 magnetic, flux line, constant gravitomagnetic or Lense-Thirring), and
 carries all that a preset takes from it:
@@ -63,12 +63,6 @@ class ModelPreset:
         self.potential = potential
         self.sign_note = sign_note
 
-    @property
-    def coupling(self) -> CoordFunction:
-        """The first source's coupling: the one the scalar potential pairs
-        with and the metadata reports."""
-        return self.sources[0].coupling
-
     def coupled_specs(self) -> list[tuple[DeformationSpec, CoordFunction]]:
         """Each spec with its own source's coupling g (S = g A)."""
         return [(spec, source.coupling)
@@ -79,13 +73,6 @@ class ModelPreset:
         if self.potential is not None:
             h = h + OperatorExpr.from_coord(self.potential)
         return h
-
-    def scalar_potential(self) -> CoordFunction:
-        """phi with coupling * phi = potential (zero without a potential),
-        the electric potential that pairs with the preset's coupling."""
-        if self.potential is None:
-            return CoordFunction.zero()
-        return self.potential.scale(self.coupling.inverse())
 
     @functools.cached_property
     def deformed(self) -> OperatorExpr:
@@ -133,7 +120,7 @@ class ModelPreset:
             "matrices": [f"[{'; '.join(', '.join(map(str, r)) for r in s.rows)}]"
                          for s in self.specs],
             "generators": [[str(q) for q in s.generator] for s in self.specs],
-            "coupling": str(self.coupling),
+            "coupling": str(self.sources[0].coupling),
             "potential": str(self.potential) if self.potential is not None else None,
             "sign_note": self.sign_note,
             "field_axis": 1,  # every catalog field lies along x1
@@ -201,18 +188,18 @@ def grid_inputs(shift: tuple[CoordFunction, ...], grid: GridSpec,
                 constants: dict) -> tuple[float, float]:
     """The mass m and hop t (``GridSpec.hop``) of a grid spectrum of the
     shift triple ``shift``, refusing an unbound m, a bad hop, then a shift
-    with an x1 or r power (no p1 = 0 sector); numpy-free, so the CLI makes
-    these refusals of ``discretize`` before it loads numpy."""
+    whose x1 derivative is not exactly zero (no p1 = 0 sector); numpy-free,
+    so the CLI makes these refusals of ``discretize`` before it loads
+    numpy."""
     if "m" not in constants:
         raise UnboundConstantError("mass constant 'm' must be bound")
     mass = float(constants["m"])
     t = grid.hop(mass)
     for j, s in enumerate(shift, start=1):
-        for (a, p, _, _) in s.terms:
-            if a[0] != 0 or p != 0:
-                raise UnsupportedOperandError(
-                    f"momentum shift S_{j} depends on x1; this preset has "
-                    "no transverse-plane reduction")
+        if not s.partial(1).is_zero():
+            raise UnsupportedOperandError(
+                f"momentum shift S_{j} depends on x1; this preset has "
+                "no transverse-plane reduction")
     return mass, t
 
 

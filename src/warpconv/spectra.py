@@ -139,7 +139,8 @@ def discretize(shift: tuple[CoordFunction, ...],
     Returns (matrix, info).  The matrix is canonical CSR, float64 when no
     hop carries a phase and complex128 otherwise; an entry that is not
     finite (constants too large for float64) raises WarpconvError.  info
-    carries warnings (coarse grid, magnetic length under 4 spacings), the
+    carries warnings (coarse grid, magnetic length under 4 spacings, a
+    potential that depends on x1 and is solved on x1 = 0 alone), the
     hermiticity defect (the largest gap between a stored hop and the
     conjugate of its mirror entry, 0 by construction) and that spectral
     floor.
@@ -151,6 +152,9 @@ def discretize(shift: tuple[CoordFunction, ...],
     warnings: list[str] = []
     if n < 16:
         warnings.append(f"grid-too-coarse: N={n} < 16")
+    if potential is not None and not potential.partial(1).is_zero():
+        warnings.append("plane-restricted: the potential depends on x1, so "
+                        "this is H on the plane x1 = 0")
 
     # S_1 at the nodes; S_2 and S_3 at the midpoints of the links along
     # their own axis, where the midpoint rule gives each link's phase.

@@ -307,21 +307,21 @@ def _gauge_checks(wants: Wants, presets,
             yield bianchi_sum(field_strength(spec, g)), CoordFunction.zero()
 
     def ab_off_axis():
-        ab = presets("aharonov_bohm")
-        for f in field_strength(ab.specs[0], ab.coupling):
-            yield f, CoordFunction.zero()
+        for spec, g in presets("aharonov_bohm").coupled_specs():
+            for f in field_strength(spec, g):
+                yield f, CoordFunction.zero()
 
     def jacobi_maxwell(name):
         preset = presets(name)
-        for total in jacobi_maxwell_sums(
-                preset.specs[0], preset.scalar_potential(), preset.coupling):
+        v = preset.potential or CoordFunction.zero()
+        for total in jacobi_maxwell_sums(preset.specs[0], v):
             yield total, OperatorExpr.zero()
 
     def lorentz(name):
         preset = presets(name)
-        for spec in preset.specs:
-            yield from lorentz_force(spec, preset.scalar_potential(),
-                                     preset.coupling)
+        v = preset.potential or CoordFunction.zero()
+        for spec, g in preset.coupled_specs():
+            yield from lorentz_force(spec, v, g)
 
     def noncommuting():
         """[P2hat, P3hat] = -i e B: the deformed momenta fail to commute

@@ -356,6 +356,16 @@ def test_every_public_name_resolves():
     (["gauge", "--B", "1,0,0", "--coupling", "r"], cli.EXIT_CONFIG),
     (["gauge", "--B", "1,0,0", "--coupling", "P2"], cli.EXIT_CONFIG),
     (["gauge", "--B", "1,0,0", "--coupling", "q"], cli.EXIT_CONFIG),
+    # pi is a number, not a constant to bind, whatever the value.
+    (["holonomy", "--model", "aharonov_bohm", "--constants",
+      "e=1,phi_M=1,pi=3"], cli.EXIT_CONFIG),
+    (["holonomy", "--model", "aharonov_bohm", "--constants",
+      "e=1,phi_M=1,pi=0"], cli.EXIT_CONFIG),
+    (["spectrum", "--model", "aharonov_bohm", "--grid", "8,10", "--k", "2",
+      "--constants", "e=1,phi_M=1,m=1,pi=3"], cli.EXIT_CONFIG),
+    # A constant bound to 0 under a negative power.
+    (["holonomy", "--B", "1,0,0", "--Q", "X1/e, X2, X3", "--constants",
+      "e=0"], cli.EXIT_CONFIG),
 ])
 def test_exit_codes(argv, code, capsys):
     assert cli.main(argv) == code

@@ -7,7 +7,8 @@ import pytest
 
 from conftest import rand_coord
 from warpconv.coords import CoordFunction, as_constant
-from warpconv.errors import SingularPointError, UnboundConstantError
+from warpconv.errors import (ConfigError, SingularPointError,
+                             UnboundConstantError)
 from warpconv.scalars import QC
 
 F = Fraction
@@ -263,6 +264,19 @@ def test_compile_needs_every_constant_but_pi():
         f.compile({"m": 1.0})
     pi = CoordFunction.constant("pi")
     assert pi.compile(None)(0.0, 0.0, 0.0) == math.pi
+    # pi is a number: binding it is refused, whether or not pi is used.
+    for g in (pi, f):
+        with pytest.raises(ConfigError, match="pi is a number"):
+            g.compile({"e": 1.0, "pi": 3.0})
+
+
+def test_compile_refuses_a_zero_constant_under_a_negative_power():
+    f = CoordFunction.constant("e", -2) + CoordFunction.constant("m")
+    with pytest.raises(ConfigError, match="'e' is bound to 0 but appears "
+                       "with the power -2"):
+        f.compile({"e": 0.0, "m": 1.0})
+    # A zero under a positive power is a plain zero.
+    assert f.compile({"e": 1.0, "m": 0.0})(0.0, 0.0, 0.0) == 1.0
 
 
 def test_substitute_symbol():

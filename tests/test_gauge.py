@@ -46,7 +46,7 @@ def test_extract_flux_line():
 
 def test_extract_lense_thirring_proportional_to_vortex():
     preset = get_preset("lense_thirring")
-    a = extract_gauge_field(preset.specs[0], preset.coupling)
+    a = extract_gauge_field(*preset.coupled_specs()[0])
     # components proportional to epsilon_jkl x_k Omega_l / r^3
     om = CoordFunction.constant("Omega")
     r3 = CoordFunction.r_power(-3)
@@ -94,9 +94,9 @@ def test_curl_equals_commutator_route():
     for name in ("landau", "aharonov_bohm", "lense_thirring",
                  "gravito_constant"):
         preset = get_preset(name)
-        for spec in preset.specs:
-            b = field_strength(spec, preset.coupling)
-            rot = curl(extract_gauge_field(spec, preset.coupling))
+        for spec, g in preset.coupled_specs():
+            b = field_strength(spec, g)
+            rot = curl(extract_gauge_field(spec, g))
             assert len(b) == len(rot) == 3
             assert all(f.equals(g) for f, g in zip(b, rot))
 
@@ -154,14 +154,13 @@ def test_lorentz_force_landau_magnetic_only():
 
 
 def test_lorentz_force_coulomb():
-    # zero deformation, phi = e^2/r: C_j = i g d_j phi exactly
+    # zero deformation, V = e^2/r: C_j = i d_j V exactly, whatever g is
     preset = get_preset("free")
-    phi = get_preset("zeeman").potential
-    pairs = list(lorentz_force(preset.specs[0], phi, E))
+    v = get_preset("zeeman").potential
+    pairs = list(lorentz_force(preset.specs[0], v, E))
     assert all(c.equals(closed) for c, closed in pairs)
-    ig = E.scale(QC(0, F(1)))
     for j in (1, 2, 3):
-        expected = OperatorExpr.from_coord(phi.partial(j).scale(ig))
+        expected = OperatorExpr.from_coord(v.partial(j).scale(QC(0, F(1))))
         assert pairs[j - 1][0].equals(expected)
 
 
@@ -177,8 +176,8 @@ def test_lorentz_force_zero_everything():
 def test_bianchi_catalog():
     for name in ("landau", "lense_thirring", "aharonov_bohm"):
         preset = get_preset(name)
-        for spec in preset.specs:
-            assert bianchi_check(field_strength(spec, preset.coupling))
+        for spec, g in preset.coupled_specs():
+            assert bianchi_check(field_strength(spec, g))
 
 
 def test_jacobi_maxwell_reports_all_zero():
@@ -188,8 +187,7 @@ def test_jacobi_maxwell_reports_all_zero():
         ("free", get_preset("zeeman").potential),
     ]
     for name, pot in cases:
-        preset = get_preset(name)
-        sums = list(jacobi_maxwell_sums(preset.specs[0], pot, preset.coupling))
+        sums = list(jacobi_maxwell_sums(get_preset(name).specs[0], pot))
         # 9 spatial and 3 time Jacobi sums, then the 3 components of curl E.
         assert len(sums) == 15
         assert all(s.equals(OperatorExpr.zero()) for s in sums)

@@ -72,15 +72,21 @@ def test_landau_degenerate_field_reduces_to_free():
     assert h.equals(OperatorExpr.free_hamiltonian())
 
 
-def test_scalar_potential_times_coupling_is_the_potential():
+def test_a_coupling_belongs_to_its_source():
+    # A preset keeps no coupling of its own: each spec pairs with its own
+    # source's g, metadata reports the first, and the potential is the
+    # energy V its row writes.
     with_potential = [name for name in PRESETS
                       if get_preset(name).potential is not None]
     assert with_potential == ["zeeman", "gravito_zeeman"]
-    for name in with_potential:
+    for name in PRESETS:
         preset = get_preset(name)
-        assert (preset.scalar_potential() * preset.coupling).equals(
-            preset.potential)
-    assert get_preset("landau").scalar_potential() == CoordFunction.zero()
+        assert not hasattr(preset, "coupling")
+        assert not hasattr(preset, "scalar_potential")
+        assert (preset.metadata()["coupling"]
+                == str(preset.coupled_specs()[0][1]))
+    assert [str(g) for _, g in get_preset("combined_constant")
+            .coupled_specs()] == ["e", "-m"]
 
 
 def test_zeeman_is_landau_plus_coulomb():

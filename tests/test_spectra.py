@@ -17,6 +17,7 @@ from warpconv.errors import (ConfigError, NonConvergenceError,
 from warpconv.gauge import extract_gauge_field, holonomy
 from warpconv import spectra
 from warpconv.models import get_preset, grid_inputs
+from warpconv.parsing import parse_function
 from warpconv.scalars import QC
 from warpconv.spectra import GridSpec, discretize, eigenvalues
 
@@ -227,6 +228,30 @@ def test_lense_thirring_not_transverse():
         grid_inputs(shift, grid, {"Omega": 1.0})
 
 
+def test_a_shift_written_with_x1_but_free_of_it_is_accepted():
+    # (r^2 - X1^2) rho^-2 is 1, so landau's shift times it does not depend
+    # on x1: the exact layer decides that, not the spelling of its terms.
+    one = parse_function("(r^2 - X1^2)*rho^(-2)", "factor")
+    shift = tuple(s * one for s in plane("landau")[0])
+    grid, consts = GridSpec(10.0, 20), {"e": 1.0, "B": 1.5, "m": 1.0}
+    assert grid_inputs(shift, grid, consts) == (1.0, grid.hop(1.0))
+    mat, _ = discretize(shift, None, grid, consts)
+    ref, _ = discretize(*plane("landau"), grid, consts)
+    assert abs(mat - ref).max() < 1e-12
+
+
+@pytest.mark.parametrize("name", ["free", "landau", "zeeman",
+                                  "gravito_zeeman", "well"])
+def test_a_potential_that_depends_on_x1_warns_of_the_plane(name):
+    # zeeman's V = e^2/r does not commute with P1, so its grid spectrum is
+    # that of H on the plane x1 = 0, and says so; a well in x2 does not.
+    shift, potential = FREE_IN_A_WELL if name == "well" else plane(name)
+    _, info = discretize(shift, potential, GridSpec(10.0, 16), CONSTANTS)
+    restricted = [w for w in info["warnings"] if w.startswith(
+        "plane-restricted: ")]
+    assert len(restricted) == (name in ("zeeman", "gravito_zeeman"))
+
+
 def test_a_hand_built_shift_gives_the_preset_matrix_bit_for_bit():
     # landau's b = (e B / 2, 0, 0) and Q = X, written out: the grid reads
     # the field, not the preset that carries it.
@@ -395,7 +420,7 @@ def test_lowest_cluster_grows_with_field():
 
 def test_holonomy_flux_line():
     ab = get_preset("aharonov_bohm")
-    gf = extract_gauge_field(ab.specs[0], ab.coupling)
+    gf = extract_gauge_field(*ab.coupled_specs()[0])
     consts = {"e": 2.0, "phi_M": 3.7}
     for radius in (0.5, 1.0, 2.0):
         val = holonomy(gf, radius, constants=consts)
@@ -407,7 +432,7 @@ def test_holonomy_flux_line():
 
 def test_holonomy_constant_field():
     lan = get_preset("landau")
-    gf = extract_gauge_field(lan.specs[0], lan.coupling)
+    gf = extract_gauge_field(*lan.coupled_specs()[0])
     val = holonomy(gf, 1.5, constants={"e": 1.0, "B": 2.0})
     expected = 2.0 * math.pi * 1.5 ** 2
     assert abs(val - expected) / expected < 0.005
@@ -415,7 +440,7 @@ def test_holonomy_constant_field():
 
 def test_holonomy_validation_and_singular_loop():
     ab = get_preset("aharonov_bohm")
-    gf = extract_gauge_field(ab.specs[0], ab.coupling)
+    gf = extract_gauge_field(*ab.coupled_specs()[0])
     with pytest.raises(ValueError):
         holonomy(gf, -1.0, constants={"e": 1, "phi_M": 1})
     with pytest.raises(ValueError):
@@ -433,7 +458,7 @@ def test_holonomy_validation_and_singular_loop():
     lt = get_preset("lense_thirring")
     with pytest.raises(SingularLoopError, match="r = 0"):
         # the node at theta = 3 pi / 2 lies within 2e-16 of the origin
-        holonomy(extract_gauge_field(lt.specs[0], lt.coupling), 1.0,
+        holonomy(extract_gauge_field(*lt.coupled_specs()[0]), 1.0,
                  center=(0.0, 1.0, 0.0), points=8,
                  constants={"m": 1, "Omega": 1})
     # The singular-node tolerance scales with the loop: every node of a loop
@@ -449,7 +474,7 @@ def test_holonomy_validation_and_singular_loop():
                  constants={"e": 1, "phi_M": 1})
     # A center that is not three finite numbers.
     for field, constants in ((gf, {"e": 1, "phi_M": 1}), (
-            extract_gauge_field(lt.specs[0], lt.coupling),
+            extract_gauge_field(*lt.coupled_specs()[0]),
             {"m": 1, "Omega": 1})):
         for center in ((math.nan, 0.0, 0.0), (0.0, math.inf, 0.0), (0, 0)):
             with pytest.raises(ConfigError, match="loop center"):
