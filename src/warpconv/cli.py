@@ -22,7 +22,9 @@ exits 2.  Each deformation of a preset has its own source's coupling:
 field's.  ``holonomy`` takes one deformation: a preset with two
 (``combined_*``) exits 3.  A value that starts with '-' is written in the
 one-token form, ``--coupling=-m``, ``--B=-1,0,0`` or ``--Q=-X1,X2,X3``:
-argparse reads a separate ``-m`` as another flag.
+argparse reads a separate ``-m`` as another flag.  --constants binds
+values to constant names the grammar knows (``e=1,B=1``); any other name,
+such as ``X1`` or ``q``, exits 2, since no expression can hold it.
 
 A config file is a list of flags: each ``key = value`` line is the one
 token ``--key=value`` (``_`` in a key reads as ``-``), and a switch's
@@ -118,7 +120,8 @@ OPTIONS = {
                     "--Q=-X1,X2,X3"},
     "--coupling": {"help": "inline coupling, a constant name such as e "
                            "(default) or, negated, --coupling=-m"},
-    "--constants": {"help": "numeric bindings k=v,k=v,..."},
+    "--constants": {"help": "numeric bindings k=v,k=v,... of the "
+                            "grammar's constant names"},
     "--expr": {"help": "operand (default: the preset base Hamiltonian)"},
     "--a": {"help": "left expression"},
     "--b": {"help": "right expression"},
@@ -202,13 +205,15 @@ def _config_flags(path: str) -> list[str]:
 
 
 def _parse_constants(text: str | None) -> dict[str, float]:
+    from .scalars import DEFAULT_CONSTANTS
     out = {}
     for chunk in (text or "").replace(",", " ").split():
         if "=" not in chunk:
             raise ConfigError(f"constants entries are name=value, got {chunk!r}")
         name, val = chunk.split("=", 1)
-        if not (name.isascii() and name.isidentifier()):
-            raise ConfigError(f"constant names are identifiers, got {chunk!r}")
+        if name not in DEFAULT_CONSTANTS:
+            raise ConfigError(f"unknown constant {name!r}; the grammar knows "
+                              f"{', '.join(DEFAULT_CONSTANTS)}")
         if name in out:
             raise ConfigError(f"constant {name} is given twice")
         try:

@@ -13,8 +13,10 @@ Identifiers: X1 X2 X3 (positions), P1 P2 P3 (momenta), r (= |x|),
 rho (= sqrt(x2^2+x3^2)), i (imaginary unit), and constant names.  Division
 is only defined when the divisor normal-orders to a single invertible
 scalar * r^p * rho^q term, which covers rational literals like 3/7 and
-potentials like e^2/r.  Exponents of r and rho may be rational; everything
-else takes integer exponents (positions and momenta nonnegative).
+potentials like e^2/r.  The bare tokens r and rho take any rational
+exponent; every other base takes an integer one, and a negative power
+x^-n is the division 1/x^n, so it takes what '/' takes: (2*r)^-1 reads,
+X1^-1 is refused as 1/X1 is.
 
 Parentheses nest at most ``MAX_DEPTH`` deep (each level is five frames
 of the descent) and a run of minus signs is read in a loop, so no input
@@ -36,6 +38,8 @@ from .scalars import QC, DEFAULT_CONSTANTS
 _OPS = set("+-*/^()")
 #: Deepest parenthesis nesting the parser accepts.
 MAX_DEPTH = 50
+#: The bare tokens that take any rational exponent.
+_RADIAL = {"r": CoordFunction.r_power, "rho": CoordFunction.rho_power}
 
 
 class _Token:
@@ -136,33 +140,25 @@ class Parser:
 
     def power(self) -> OperatorExpr:
         tok = self.peek()
-        base_kind, base = self.atom()
+        base = self.atom()
         if self.peek().kind != "^":
             return base
         self.next()
         exp = self.exponent()
-        if base_kind in ("r", "rho"):
-            if base_kind == "r":
-                return OperatorExpr.from_coord(CoordFunction.r_power(exp))
-            return OperatorExpr.from_coord(CoordFunction.rho_power(exp))
+        if tok.kind == "ident" and tok.text in _RADIAL:
+            return OperatorExpr.from_coord(_RADIAL[tok.text](exp))
         if exp.denominator != 1:
             raise ParseError(
                 f"fractional exponent {exp} only allowed on r and rho", tok.pos)
         n = exp.numerator
-        if base_kind == "const":
-            return OperatorExpr.from_coord(CoordFunction.constant(tok.text, n))
         if n < 0:
-            if base_kind != "num":
-                raise ParseError(
-                    f"negative exponent {n} not allowed for {tok.text!r}",
-                    tok.pos)
             base, n = _invert(base, tok.pos), -n
         return base.power(n)
 
-    def atom(self) -> tuple[str, OperatorExpr]:
+    def atom(self) -> OperatorExpr:
         tok = self.next()
         if tok.kind == "num":
-            return "num", OperatorExpr.scalar(QC(Fraction(_integer(tok))))
+            return OperatorExpr.scalar(QC(Fraction(_integer(tok))))
         if tok.kind == "(":
             if self.depth == MAX_DEPTH:
                 raise ParseError(
@@ -171,22 +167,19 @@ class Parser:
             inner = self.expr()
             self.depth -= 1
             self.expect(")")
-            return "group", inner
+            return inner
         if tok.kind == "ident":
             name = tok.text
             if name in ("X1", "X2", "X3"):
-                return "op", OperatorExpr.position(int(name[1]))
+                return OperatorExpr.position(int(name[1]))
             if name in ("P1", "P2", "P3"):
-                return "op", OperatorExpr.momentum(int(name[1]))
-            if name == "r":
-                return "r", OperatorExpr.from_coord(CoordFunction.r_power(1))
-            if name == "rho":
-                return "rho", OperatorExpr.from_coord(CoordFunction.rho_power(1))
+                return OperatorExpr.momentum(int(name[1]))
+            if name in _RADIAL:
+                return OperatorExpr.from_coord(_RADIAL[name](1))
             if name == "i":
-                return "num", OperatorExpr.scalar(QC(0, Fraction(1)))
+                return OperatorExpr.scalar(QC(0, Fraction(1)))
             if name in DEFAULT_CONSTANTS:
-                return "const", OperatorExpr.from_coord(
-                    CoordFunction.constant(name))
+                return OperatorExpr.from_coord(CoordFunction.constant(name))
             raise UnknownSymbolError(f"unknown symbol {name!r}", tok.pos)
         if tok.kind == "end":
             raise ParseError("unexpected end of input", tok.pos)

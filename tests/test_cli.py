@@ -237,7 +237,7 @@ def test_every_public_name_resolves():
     (["spectrum", "--model", "landau", "--grid", "8,10", "--k", "2",
       "--constants", "e=1,B=1,m=1", "--seed=-1"], cli.EXIT_CONFIG),
     (["verify", "--seed=-5"], cli.EXIT_CONFIG),
-    # A constant is bound once, under a name that is an ASCII identifier.
+    # A constant is bound once, under a name the grammar knows.
     (["spectrum", "--model", "free", "--grid", "8,10", "--k", "2",
       "--constants", "m=1,m=2"], cli.EXIT_CONFIG),
     (["spectrum", "--model", "free", "--grid", "8,10", "--k", "2",
@@ -366,6 +366,13 @@ def test_every_public_name_resolves():
     # A constant bound to 0 under a negative power.
     (["holonomy", "--B", "1,0,0", "--Q", "X1/e, X2, X3", "--constants",
       "e=0"], cli.EXIT_CONFIG),
+    # A name no expression can hold: a position, an unknown name, r.
+    (["holonomy", "--model", "landau", "--constants", "e=1,B=1,X1=5"],
+     cli.EXIT_CONFIG),
+    (["holonomy", "--model", "landau", "--constants", "e=1,B=1,q=7"],
+     cli.EXIT_CONFIG),
+    (["spectrum", "--model", "landau", "--grid", "8,10", "--k", "2",
+      "--constants", "e=1,B=1,m=1,r=2"], cli.EXIT_CONFIG),
 ])
 def test_exit_codes(argv, code, capsys):
     assert cli.main(argv) == code

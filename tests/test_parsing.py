@@ -140,3 +140,43 @@ def test_a_coupling_is_one_known_constant(text, name):
     with pytest.raises(ConfigError) as info:
         parse_coupling(text)
     assert str(info.value) == f"coupling must be a constant name, got {name!r}"
+
+
+# A negative power x^-n is the division 1/x^n, whatever the base's text.
+@pytest.mark.parametrize("base", ["e", "(e)", "2", "i", "hbar", "(2*r)",
+                                  "(r*rho)"])
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_a_negative_power_is_a_division(base, n):
+    assert parse(f"{base}^-{n}") == parse(f"1/({base})^{n}")
+
+
+@pytest.mark.parametrize("base", ["X1", "P1", "(X1+1)", "0", "(e-e)"])
+def test_a_negative_power_refuses_what_division_refuses(base):
+    with pytest.raises(ParseError) as power:
+        parse(f"{base}^-1")
+    with pytest.raises(ParseError) as division:
+        parse(f"1/{base}")
+    words = str(division.value).rpartition(" (at position ")[0]
+    assert str(power.value) == f"{words} (at position 0)"
+
+
+@pytest.mark.parametrize("text", ["X1^(1/2)", "(r)^(1/2)", "e^(1/2)"])
+def test_only_bare_r_and_rho_take_a_fractional_exponent(text):
+    with pytest.raises(ParseError, match="fractional exponent 1/2 only "
+                                         "allowed on r and rho"):
+        parse(text)
+
+
+def test_a_refused_inverse_forms_no_product(monkeypatch):
+    calls = []
+    mul = OperatorExpr.__mul__
+
+    def counted(self, other):
+        calls.append(1)
+        return mul(self, other)
+
+    monkeypatch.setattr(OperatorExpr, "__mul__", counted)
+    with pytest.raises(ParseError, match="cannot divide by an expression "
+                                         "with momentum"):
+        parse("(X1+P1)^-40")
+    assert calls == []
