@@ -23,11 +23,10 @@ _EXPORTS = {
                "deform_sequence", "momentum_shift", "rieffel_product"),
     "errors": ("ConfigError", "InternalInconsistencyError",
                "NonConvergenceError", "NonPositiveParameterError",
-               "ParseError", "SingularLoopError", "SingularMatrixError",
-               "SingularPointError", "UnboundConstantError",
-               "UnknownSymbolError",
+               "ParseError", "SingularLoopError", "SingularPointError",
+               "UnboundConstantError", "UnknownSymbolError",
                "UnsupportedDegreeError", "UnsupportedOperandError",
-               "WarpconvError", "ZeroCouplingError"),
+               "WarpconvError"),
     "gauge": ("bianchi_check", "curl", "extract_gauge_field",
               "field_strength", "holonomy", "lorentz_force"),
     "models": ("GridSpec", "ModelPreset", "PRESETS", "get_preset",

@@ -26,8 +26,8 @@ from fractions import Fraction
 from typing import Sequence
 
 from .coords import CoordFunction, as_constant
-from .errors import (ConfigError, SingularMatrixError,
-                     UnsupportedDegreeError, UnsupportedOperandError)
+from .errors import (ConfigError, UnsupportedDegreeError,
+                     UnsupportedOperandError)
 from .operators import OperatorExpr, require_coordinate_only
 from .scalars import QC
 
@@ -221,14 +221,10 @@ def invert_transverse_block(b: Sequence,
     (zero elsewhere) of the skew matrix of the axial triple ``b``.
 
     For b along ``axis`` the block is [[0, b], [-b, 0]] with inverse
-    [[0, -1/b], [1/b, 0]], the axial matrix of -1/b along ``axis``.
+    [[0, -1/b], [1/b, 0]], the axial matrix of -1/b along ``axis``.  1/b is
+    ``CoordFunction.inverse``'s, which refuses a zero, multi-term or
+    position-dependent entry with a ConfigError.
     """
-    entry = as_triple(b)[axis - 1]
-    try:
-        inv_entry = entry.inverse()
-    except ConfigError as exc:  # zero, a sum or a power of a position
-        raise SingularMatrixError(
-            f"transverse block has no exact inverse: {exc}") from exc
     out = [CoordFunction.zero()] * 3
-    out[axis - 1] = -inv_entry
+    out[axis - 1] = -as_triple(b)[axis - 1].inverse()
     return tuple(out)

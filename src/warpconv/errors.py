@@ -3,7 +3,10 @@
 Every refusal the package raises is a WarpconvError, and its class fixes
 its CLI exit code: ``cli.main`` catches one class per code, 2 for a
 ConfigError (bad input; also a ValueError), 3 for an
-UnsupportedOperandError and 4 for every other WarpconvError (numeric).
+UnsupportedOperandError and 4 for every other WarpconvError: a numeric
+failure or an engine guard only.  A division an exact value cannot make
+(by zero, a sum or a position) is bad input: ``CoordFunction.inverse``
+refuses it with a ConfigError wherever it is asked for.
 ``cli.main`` also exits 4 for a MemoryError, an OverflowError (a value
 beyond the float range) and the ValueError of an exact integer too long
 to print (``sys.get_int_max_str_digits()``).  ConfigError's ValueError base
@@ -45,14 +48,6 @@ class UnsupportedOperandError(WarpconvError):
 
 class UnsupportedDegreeError(UnsupportedOperandError):
     """Deformation requested for momentum degree the closed form does not cover."""
-
-
-class ZeroCouplingError(WarpconvError):
-    """Gauge-field extraction with coupling zero."""
-
-
-class SingularMatrixError(WarpconvError):
-    """Transverse block of the deformation matrix is not invertible."""
 
 
 class InternalInconsistencyError(WarpconvError):

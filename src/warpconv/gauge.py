@@ -2,7 +2,9 @@
 
 A deformation shifts each momentum by a coordinate function S_j; writing
 S_j = g A_j identifies a gauge field A with coupling g; S and P_j + S_j
-are read from the spec, which computed them once.  Every vector field is
+are read from the spec, which computed them once.  The coupling is a
+constant, and 1/g is ``CoordFunction.inverse``'s: a zero or multi-term g
+is refused there, with a ConfigError in its words.  Every vector field is
 a plain triple of coordinate functions: the potential A = (A1, A2, A3),
 as the catalog writes it, the force -grad V of the potential energy V
 and the (gravito)magnetic axial field B = (F23, F31, F12).  The
@@ -28,7 +30,7 @@ from fractions import Fraction
 from .coords import CoordFunction, as_constant
 from .deform import DeformationSpec, deform_operator, skew
 from .errors import (ConfigError, NonPositiveParameterError,
-                     SingularLoopError, ZeroCouplingError)
+                     SingularLoopError, UnsupportedOperandError)
 from .operators import HALF_OVER_M, OperatorExpr, require_coordinate_only
 from .scalars import QC
 
@@ -45,19 +47,11 @@ def curl(a) -> tuple[CoordFunction, ...]:
                  for i, j in _CYCLIC)
 
 
-def _inverse_coupling(coupling: CoordFunction, what: str) -> CoordFunction:
-    """1/g for a constant coupling g of one term."""
-    coupling = as_constant(coupling, "couplings")
-    if coupling.is_zero():
-        raise ZeroCouplingError(f"{what} needs a nonzero coupling")
-    return coupling.inverse()
-
-
 def extract_gauge_field(spec: DeformationSpec,
                         coupling: CoordFunction) -> tuple[CoordFunction, ...]:
     """(A1, A2, A3), A_r = S_r / g where S is the momentum shift of the
     deformation."""
-    inv = _inverse_coupling(coupling, "gauge field extraction")
+    inv = as_constant(coupling, "couplings").inverse()
     return tuple(s.scale(inv) for s in spec.shift)
 
 
@@ -70,7 +64,7 @@ def field_strength(spec: DeformationSpec,
     remainder would mean the normal-ordering engine is broken and raises
     InternalInconsistencyError.
     """
-    norm = _inverse_coupling(coupling, "field strength")
+    norm = as_constant(coupling, "couplings").inverse()
 
     def entry(i, j):
         comm = spec.momenta[i - 1].commutator(spec.momenta[j - 1])
@@ -154,10 +148,11 @@ def holonomy(a, radius: float, center=(0.0, 0.0, 0.0),
     loop, with A_2 and A_3 compiled once (``CoordFunction.compile``) and
     called per node.  Raises NonPositiveParameterError unless the radius
     is positive and finite, ConfigError unless the center is three finite
-    numbers and 8 <= points <= 2^16, and SingularLoopError if a node falls
-    within 1e-9 (R + max(|c2|, |c3|)) of the axis (rho = 0) of a field with
-    a negative rho power, or within 1e-9 (R + max |c_i|) of the origin
-    (r = 0) of a field with a negative r power.
+    numbers and 8 <= points <= 2^16, UnsupportedOperandError unless A_2
+    and A_3 equal their conjugates, and SingularLoopError if a node falls
+    within 1e-9 (R + max(|c2|, |c3|)) of the axis (rho = 0) of a field
+    with a negative rho power, or within 1e-9 (R + max |c_i|) of the
+    origin (r = 0) of a field with a negative r power.
     """
     if not (math.isfinite(radius) and radius > 0):
         raise NonPositiveParameterError(
@@ -170,6 +165,9 @@ def holonomy(a, radius: float, center=(0.0, 0.0, 0.0),
     # more points add only roundoff and time.
     if not 8 <= points <= 2 ** 16:
         raise ConfigError(f"need 8 to 65536 quadrature points, got {points}")
+    for j in (2, 3):
+        if a[j - 1] != a[j - 1].conjugate():
+            raise UnsupportedOperandError(f"A_{j} is not real on the loop")
     a2, a3 = a[1].compile(constants), a[2].compile(constants)
     keys = [key for comp in a for key in comp.terms]
     r_singular = any(p < 0 for (_, p, _, _) in keys)

@@ -327,8 +327,10 @@ def guiding_center(b: tuple):
     """Guiding-center coordinates X_i + (1/2)(B^-1)_ik P^k and their commutators.
 
     B's axial triple ``b`` must lie along a single axis; the inverse is taken
-    on the nondegenerate transverse 2x2 block.  Returns (coords, comms) where
-    comms[i][j] is the coordinate function of the commutator [Xg_i, Xg_j].
+    on the transverse 2x2 block (``invert_transverse_block``), and an entry
+    ``CoordFunction.inverse`` cannot invert is refused there, in its words.
+    Returns (coords, comms) where comms[i][j] is the coordinate function of
+    the commutator [Xg_i, Xg_j].
     """
     b = as_triple(b)
     nonzero = [k for k, v in enumerate(b) if not v.is_structurally_zero()]

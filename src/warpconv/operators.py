@@ -125,17 +125,18 @@ class OperatorExpr:
         return OperatorExpr(out)
 
     def power(self, n: int) -> "OperatorExpr":
-        """self^n by square-and-multiply: about 2 log2(n) products."""
+        """self^n by square-and-multiply, started from the first base the
+        product takes: popcount(n) + bit_length(n) - 2 products for n >= 1."""
         if n < 0:
             raise ConfigError("negative operator powers are not defined")
-        acc, base = OperatorExpr.identity(), self
+        acc, base = None, self
         while n:
             if n & 1:
-                acc = acc * base
+                acc = base if acc is None else acc * base
             n >>= 1
             if n:
                 base = base * base
-        return acc
+        return OperatorExpr.identity() if acc is None else acc
 
     def commutator(self, other: "OperatorExpr") -> "OperatorExpr":
         return self * other - other * self

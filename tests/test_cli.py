@@ -21,10 +21,10 @@ PUBLIC_NAMES = [
     "ConfigError", "CoordFunction", "DeformationSpec", "GridSpec",
     "InternalInconsistencyError", "ModelPreset", "NonConvergenceError",
     "NonPositiveParameterError", "OperatorExpr", "PRESETS", "ParseError", "QC",
-    "SingularLoopError", "SingularMatrixError", "SingularPointError",
+    "SingularLoopError", "SingularPointError",
     "SpectrumResult", "UnboundConstantError",
     "UnknownSymbolError", "UnsupportedDegreeError", "UnsupportedOperandError",
-    "WarpconvError", "ZeroCouplingError", "bianchi_check", "coords", "curl",
+    "WarpconvError", "bianchi_check", "coords", "curl",
     "deform", "deform_coordinate",
     "deform_operator", "deform_sequence", "discretize", "eigenvalues",
     "errors", "extract_gauge_field", "field_strength", "gauge", "get_preset",
@@ -390,8 +390,7 @@ ERROR_EXIT_CODES = {
                     cli.EXIT_CONFIG),
     **dict.fromkeys(("UnsupportedOperandError", "UnsupportedDegreeError"),
                     cli.EXIT_UNSUPPORTED),
-    **dict.fromkeys(("SingularPointError", "ZeroCouplingError",
-                     "SingularMatrixError", "InternalInconsistencyError",
+    **dict.fromkeys(("SingularPointError", "InternalInconsistencyError",
                      "NonConvergenceError", "SingularLoopError"),
                     cli.EXIT_NUMERIC),
 }

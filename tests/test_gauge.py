@@ -3,13 +3,14 @@ from fractions import Fraction
 import pytest
 
 from warpconv.coords import CoordFunction
-from warpconv.deform import DeformationSpec, skew
-from warpconv.errors import ZeroCouplingError
+from warpconv.deform import DeformationSpec, invert_transverse_block, skew
+from warpconv.errors import ConfigError
 from warpconv.gauge import (bianchi_check, bianchi_sum, curl,
                             extract_gauge_field, field_strength,
                             jacobi_maxwell_sums, lorentz_force)
-from warpconv.models import PRESETS, get_preset
+from warpconv.models import PRESETS, get_preset, guiding_center
 from warpconv.operators import OperatorExpr
+from warpconv.parsing import parse
 from warpconv.scalars import QC
 
 F = Fraction
@@ -57,8 +58,44 @@ def test_extract_lense_thirring_proportional_to_vortex():
 
 def test_extract_zero_coupling_error():
     preset = get_preset("landau")
-    with pytest.raises(ZeroCouplingError):
+    with pytest.raises(ConfigError, match="cannot divide by zero"):
         extract_gauge_field(preset.specs[0], CoordFunction.zero())
+
+
+# Each exact division, and the operands it can be asked to divide by: a
+# coupling is refused as not constant before it is divided by, and a zero
+# b has no axis for the guiding centers.
+DIVISIONS = {
+    "inverse": (CoordFunction.inverse, ("zero", "sum", "position")),
+    "parse": (lambda f: parse(f"1/({f})"), ("zero", "sum", "position")),
+    "extract_gauge_field": (
+        lambda f: extract_gauge_field(get_preset("landau").specs[0], f),
+        ("zero", "sum")),
+    "field_strength": (
+        lambda f: field_strength(get_preset("landau").specs[0], f),
+        ("zero", "sum")),
+    "invert_transverse_block": (
+        lambda f: invert_transverse_block((f, 0, 0), 1),
+        ("zero", "sum", "position")),
+    "guiding_center": (lambda f: guiding_center((f, 0, 0)),
+                       ("sum", "position")),
+}
+OPERANDS = {"zero": CoordFunction.zero(),
+            "sum": E + CoordFunction.constant("m"),
+            "position": CoordFunction.x(1)}
+
+
+@pytest.mark.parametrize("site, operand", [
+    (site, operand) for site, (_, operands) in DIVISIONS.items()
+    for operand in operands])
+def test_each_division_refuses_in_the_words_of_inverse(site, operand):
+    f = OPERANDS[operand]
+    with pytest.raises(ConfigError) as inverse:
+        f.inverse()
+    with pytest.raises(ConfigError) as refusal:
+        DIVISIONS[site][0](f)
+    assert str(inverse.value).startswith("cannot divide by ")
+    assert str(inverse.value) in str(refusal.value)
 
 
 def test_coupling_must_be_a_constant():

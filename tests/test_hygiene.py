@@ -164,8 +164,6 @@ BUILTIN_RAISES = {
     "__init__.__getattr__ AttributeError":
         "PEP 562: a module __getattr__ reports a missing name with it",
     "cli._number ValueError": "its own except turns it into a ConfigError",
-    "scalars.QC.__truediv__ ZeroDivisionError":
-        "exact arithmetic, as Fraction raises it; no input rule",
 }
 
 

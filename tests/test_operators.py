@@ -153,6 +153,17 @@ def test_power_squares_and_multiplies(monkeypatch):
     assert len(calls) <= 42
 
 
+@pytest.mark.parametrize("n", range(10))
+def test_power_starts_from_the_first_base_it_takes(n, monkeypatch):
+    # popcount(n) - 1 multiplies into the product and bit_length(n) - 1
+    # squares; no product with the identity.
+    expected = bin(n).count("1") + n.bit_length() - 2 if n else 0
+    counted, calls = _capped(OperatorExpr.__mul__, expected)
+    monkeypatch.setattr(OperatorExpr, "__mul__", counted)
+    parse("X1 + P1").power(n)
+    assert len(calls) == expected
+
+
 def test_momentum_power_stops_at_the_first_zero_derivative(monkeypatch):
     # P1^k past the constant 1 needs one derivative, which is zero.
     counted, calls = _capped(CoordFunction.partial, 48)
@@ -180,6 +191,6 @@ def test_require_coordinate_only_refuses_a_momentum_term():
 def test_power_equals_the_repeated_product():
     a = parse("X1 + P1 + r")
     product = OperatorExpr.identity()
-    for n in range(7):
+    for n in range(10):
         assert a.power(n) == product
         product = product * a

@@ -438,6 +438,23 @@ def test_holonomy_constant_field():
     assert abs(val - expected) / expected < 0.005
 
 
+def test_holonomy_refuses_a_field_that_is_not_real():
+    # b = (i, 0, 0) shifts the momenta by i times the field of b = (1, 0, 0).
+    q = tuple(CoordFunction.x(j) for j in (1, 2, 3))
+    e = CoordFunction.constant("e")
+    real = extract_gauge_field(DeformationSpec((1, 0, 0), q), e)
+    assert holonomy(real, 1.0, constants={"e": 1}) == pytest.approx(
+        2 * math.pi)
+    imaginary = extract_gauge_field(DeformationSpec((QC(0, 1), 0, 0), q), e)
+    with pytest.raises(UnsupportedOperandError,
+                       match="^A_2 is not real on the loop$"):
+        holonomy(imaginary, 1.0, constants={"e": 1})
+    with pytest.raises(UnsupportedOperandError,
+                       match="^A_3 is not real on the loop$"):
+        holonomy((real[0], real[1], real[2].scale(QC(1, 1))), 1.0,
+                 constants={"e": 1})
+
+
 def test_holonomy_validation_and_singular_loop():
     ab = get_preset("aharonov_bohm")
     gf = extract_gauge_field(*ab.coupled_specs()[0])
